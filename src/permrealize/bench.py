@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .companion import realize_companion
-from .errors import NonFiniteEntryError
 from .linalg import poly_from_roots
 from .spectrum import Spectrum, make_spectrum
 from .suleimanova import realize_suleimanova
@@ -29,9 +31,11 @@ from .suleimanova import realize_suleimanova
 DEFAULT_SIZES = (256, 512, 1024, 2048)
 
 #: Target duration for one timing sample; short callables are batched up
-#: to this before taking best-of samples.
-_MIN_SAMPLE_S = 0.02
-_SAMPLES = 3
+#: to this per sample.
+_MIN_SAMPLE_S = 0.05
+#: Rounds of samples.  Each round takes one sample of every callable in
+#: turn, so every size is sampled across the whole run.
+_ROUNDS = 7
 
 OVERFLOW_LIMIT = 1e300
 
@@ -81,29 +85,43 @@ def synthetic_spectrum(n: int) -> Spectrum:
     return make_spectrum([float(n - 1)] + [-1.0] * (n - 1))
 
 
-def _time_best(fn: Callable[[], object]) -> float:
-    """Best-of-k per-call seconds, batching fast callables for resolution."""
-    t0 = time.perf_counter()
-    fn()
-    once = time.perf_counter() - t0
-    reps = max(1, int(math.ceil(_MIN_SAMPLE_S / max(once, 1e-9))))
-    best = math.inf
-    for _ in range(_SAMPLES):
+def _sample_rounds(fns: Sequence[Callable[[], object]]) -> list[list[float]]:
+    """Per-call seconds of each callable, one sample per round.
+
+    Fast callables are batched up to _MIN_SAMPLE_S per sample for
+    resolution, after one untimed call that sets the batch size.
+    """
+    reps = []
+    for fn in fns:
         t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / reps)
-    return min(best, once) if reps == 1 else best
+        fn()
+        once = time.perf_counter() - t0
+        reps.append(max(1, int(math.ceil(_MIN_SAMPLE_S / max(once, 1e-9)))))
+    samples: list[list[float]] = [[] for _ in fns]
+    for _ in range(_ROUNDS):
+        for fn, r, out in zip(fns, reps, samples):
+            t0 = time.perf_counter()
+            for _ in range(r):
+                fn()
+            out.append((time.perf_counter() - t0) / r)
+    return samples
 
 
-def _ratios(times: Sequence[Optional[float]]) -> tuple[float, ...]:
-    out = []
-    for a, b in zip(times, times[1:]):
-        if a is None or b is None or a <= 0:
-            out.append(math.nan)
-        else:
-            out.append(b / a)
-    return tuple(out)
+def _ratios(samples: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """Doubling ratios from the samples of successive sizes.
+
+    For each pair of sizes, the median over rounds of the larger size's
+    sample over the smaller one's from the same round.  A shared machine
+    runs in faster and slower phases; samples taken back to back mostly
+    share one, so their ratio cancels it, and the median drops the rounds
+    that straddle a change.  A ratio of best-of-k times does not cancel
+    it: it is off whenever one size caught a fast phase and the other did
+    not.
+    """
+    return tuple(
+        float(np.median([b / a for a, b in zip(xs, ys)]))
+        for xs, ys in zip(samples, samples[1:])
+    )
 
 
 BENCH_NOTE = (
@@ -118,39 +136,36 @@ BENCH_NOTE = (
 
 def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
     """Time the constructions over the given sizes and tabulate ratios."""
-    entries = []
-    for n in sizes:
-        sigma = synthetic_spectrum(n)
-        sule_s = _time_best(lambda: realize_suleimanova(sigma))
-        poly_s = _time_best(lambda: poly_from_roots(sigma))
-        coeffs = poly_from_roots(sigma).coeffs
-        peak = max(abs(float(c)) for c in coeffs)
-        overflow = not math.isfinite(peak) or peak > OVERFLOW_LIMIT
-        if math.isfinite(peak):
-            companion_s = _time_best(lambda: realize_companion(sigma))
-        else:
-            # Coefficients are not representable; the companion matrix
-            # cannot be built in float64 at all.
-            try:
-                realize_companion(sigma)
-                companion_s = None  # pragma: no cover - overflow expected
-            except NonFiniteEntryError:
-                companion_s = None
-        entries.append(
-            BenchEntry(
-                n=n,
-                suleimanova_s=sule_s,
-                poly_s=poly_s,
-                companion_s=companion_s,
-                peak_coeff=peak if math.isfinite(peak) else None,
-                coeff_overflow=overflow,
-            )
+    sigmas = [synthetic_spectrum(n) for n in sizes]
+    peaks = [max(abs(float(c)) for c in poly_from_roots(s).coeffs) for s in sigmas]
+    # Where the coefficients overflow, the companion matrix cannot be built
+    # in float64 at all, so it is not timed.
+    finite = [math.isfinite(p) for p in peaks]
+    # One kind after another, so that a kind's sizes are sampled back to
+    # back within each round (see _ratios).
+    samples = _sample_rounds(
+        [partial(realize_suleimanova, s) for s in sigmas]
+        + [partial(poly_from_roots, s) for s in sigmas]
+        + [partial(realize_companion, s) for s, ok in zip(sigmas, finite) if ok]
+    )
+    k = len(sigmas)
+    sule, poly, companion = samples[:k], samples[k : 2 * k], iter(samples[2 * k :])
+    entries = [
+        BenchEntry(
+            n=n,
+            suleimanova_s=min(sule[i]),
+            poly_s=min(poly[i]),
+            companion_s=min(next(companion)) if finite[i] else None,
+            peak_coeff=peaks[i] if finite[i] else None,
+            coeff_overflow=not finite[i] or peaks[i] > OVERFLOW_LIMIT,
         )
+        for i, n in enumerate(sizes)
+    ]
     return BenchReport(
         sizes=tuple(sizes),
         family="{n-1, -1 x (n-1)} zero-trace Suleimanova",
         entries=tuple(entries),
-        poly_ratios=_ratios([e.poly_s for e in entries]),
-        suleimanova_ratios=_ratios([e.suleimanova_s for e in entries]),
+        poly_ratios=_ratios(poly),
+        suleimanova_ratios=_ratios(sule),
         note=BENCH_NOTE,
     )

@@ -4,7 +4,8 @@ Subcommands: check (necessary conditions + classification), realize
 (construct and certify a matrix), verify (certify a matrix file against a
 spectrum), bench (timing report), explore (pattern search).  Exit codes are
 a stable contract: 0 pass, 1 usage/parse failure, 2 verified failure or no
-available method, 3 inconclusive search.
+available method, 3 inconclusive (a search that found nothing, or a
+certificate on which no spectral check could run).
 
 Spectra are given inline as a comma list ("10,-1,-2,-3") or via --file
 (JSON array or one value per line).  The default tolerance profile can be
@@ -52,12 +53,18 @@ from .spectrum import (
 )
 from .small_order import realize_small
 from .suleimanova import realize_suleimanova, realize_zero_trace
-from .verify import METHOD_EXPLORER, Realization, certify
+from .verify import METHOD_EXPLORER, Realization, Verdict, certify
 
 EXIT_PASS = 0
 EXIT_PARSE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+
+_VERDICT_EXIT = {
+    Verdict.PASS: EXIT_PASS,
+    Verdict.FAIL: EXIT_FAIL,
+    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
 
 TOLERANCE_ENV_VAR = "PERMREALIZE_TOLERANCES"
 
@@ -212,7 +219,8 @@ def cmd_check(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch_realize(cfg: CliConfig, sigma: Spectrum) -> Realization:
+def _dispatch_realize(cfg: CliConfig, sigma: Spectrum) -> Optional[Realization]:
+    """The realization of the chosen method; None when the search found none."""
     method = cfg.method
     if method == "auto":
         kind = classify(sigma).kind
@@ -254,14 +262,14 @@ def _dispatch_realize(cfg: CliConfig, sigma: Spectrum) -> Realization:
                     target=sigma,
                     params={"x": r.x, "tuple": r.tuple.encoding},
                 )
-        raise NecessaryConditionViolationError(
-            "the pattern search found no certified realization within budget"
-        )
+        return None
     raise ParseError(f"unknown method {cfg.method!r}")
 
 
-def _emit_realization(cfg: CliConfig, r: Realization, passed: bool) -> None:
+def _emit_realization(cfg: CliConfig, r: Realization) -> None:
     case = r.params.get("case")
+    verdict = r.certificate.verdict
+    certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
     if cfg.fmt == "json":
         print(
             json.dumps(
@@ -279,7 +287,7 @@ def _emit_realization(cfg: CliConfig, r: Realization, passed: bool) -> None:
         sys.stdout.write(matrix_to_csv(r.matrix))
         meta = f"method={r.method}" + (f" case={case}" if case else "")
         print(
-            f"{meta} certified={'pass' if passed else 'FAIL'}",
+            f"{meta} certified={certified}",
             file=sys.stderr,
         )
     else:
@@ -292,7 +300,7 @@ def _emit_realization(cfg: CliConfig, r: Realization, passed: bool) -> None:
             f"charpoly={rep.charpoly_ok.value} eigenpairs={rep.eigenpair_ok.value} "
             f"max_residual={rep.max_residual:.3g}"
         )
-        print(f"certified: {'pass' if passed else 'FAIL'}")
+        print(f"certified: {certified}")
 
 
 def _print_matrix(r: Realization) -> None:
@@ -312,13 +320,20 @@ def cmd_realize(cfg: CliConfig) -> int:
     except (NecessaryConditionViolationError, DimensionOutOfRangeError) as e:
         print(f"not realizable by the available methods: {e}", file=sys.stderr)
         return EXIT_FAIL
+    if r is None:
+        print(
+            "inconclusive: the pattern search found no certified realization "
+            "within budget",
+            file=sys.stderr,
+        )
+        return EXIT_INCONCLUSIVE
     report = certify(r, tol)
     r = r.with_certificate(report)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(matrix_to_csv(r.matrix))
-    _emit_realization(cfg, r, report.passed)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    _emit_realization(cfg, r)
+    return _VERDICT_EXIT[report.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +364,8 @@ def cmd_verify(cfg: CliConfig) -> int:
             print(f"{name:<12} {state.value}")
         print(f"max residual {report.max_residual:.6g}")
         print(f"passed       {report.passed}")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        print(f"verdict      {report.verdict.value}")
+    return _VERDICT_EXIT[report.verdict]
 
 
 # ---------------------------------------------------------------------------

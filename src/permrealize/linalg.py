@@ -3,9 +3,11 @@
 Matrices wrap a numpy array in one of two scalar modes sharing a single code
 path: float64 for everyday work, or object arrays of ``fractions.Fraction``
 when exact rational arithmetic is requested.  Characteristic polynomials are
-computed by the Faddeev-LeVerrier trace recurrence (exact over the rationals,
-no eigensolver involved), and monic polynomials store their leading 1
-explicitly with degree-ascending coefficients.
+computed by the Faddeev-LeVerrier trace recurrence, no eigensolver involved:
+``char_poly`` is exact in both modes (it clears the entries' denominators and
+runs the recurrence on Python integers), while ``char_poly_coeffs`` keeps a
+float64 recurrence for search loops.  Monic polynomials store their leading
+1 explicitly with degree-ascending coefficients.
 """
 
 from __future__ import annotations
@@ -240,50 +242,80 @@ class Polynomial:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
 
-def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
-    """Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending.
-
-    Works directly on a square float64 or object(Fraction) array; used by
-    char_poly and by search loops that avoid wrapper overhead.
-    """
+def _check_char_poly_order(A: np.ndarray) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSquareError(
             f"characteristic polynomial needs a square matrix, got shape "
             f"{A.shape}"
         )
-    n = A.shape[0]
-    if n > CHAR_POLY_MAX_N:
+    if A.shape[0] > CHAR_POLY_MAX_N:
         raise DimensionTooLargeError(
-            f"char_poly is limited to n <= {CHAR_POLY_MAX_N}, got {n}"
+            f"char_poly is limited to n <= {CHAR_POLY_MAX_N}, got "
+            f"{A.shape[0]}"
         )
-    exact = A.dtype == object
-    one: Scalar = Fraction(1) if exact else 1.0
-    if exact:
-        eye = np.empty((n, n), dtype=object)
-        eye[:] = Fraction(0)
-        for i in range(n):
-            eye[i, i] = Fraction(1)
-    else:
-        eye = np.eye(n)
-    coeffs: list[Scalar] = [one] * (n + 1)
+
+
+def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
+    """Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending.
+
+    Works directly on a square array, for search loops that avoid wrapper
+    overhead: a float64 array runs the recurrence in float64 (the
+    explorer's objective, whose rounding its search trajectories inherit);
+    an object array of Fractions gets the exact coefficients of char_poly.
+    """
+    _check_char_poly_order(A)
+    if A.dtype == object:
+        return _exact_char_poly_coeffs(A)
+    n = A.shape[0]
+    eye = np.eye(n)
+    coeffs: list[Scalar] = [1.0] * (n + 1)
     B = A.copy()
     coeffs[n - 1] = -_diag_sum(B)
     for k in range(2, n + 1):
         B = np.dot(A, B + coeffs[n - k + 1] * eye)
-        c = -_diag_sum(B)
-        coeffs[n - k] = c / k if exact else c / float(k)
+        coeffs[n - k] = -_diag_sum(B) / float(k)
     return tuple(coeffs)
 
 
-def char_poly(M: DenseMatrix) -> Polynomial:
-    """Characteristic polynomial det(tI - M) by Faddeev-LeVerrier.
+def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:
+    """Exact coefficients of det(tI - A) by Faddeev-LeVerrier over the integers.
 
-    The trace recurrence B_1 = A, c_{n-1} = -tr B_1, B_k = A (B_{k-1} +
-    c_{n-k+1} I), c_{n-k} = -tr(B_k)/k needs only matrix products and is
-    exact over the rationals; over float64 it is exact for small-integer
-    matrices.  Guarded to n <= 64 since the cost is O(n^4).
+    Every entry is rational (a float is a dyadic one), so A = B / D with B
+    an integer matrix and D the lcm of the entries' denominators, a power
+    of two for floats.  The recurrence runs on B in Python ints: the
+    coefficients of an integer matrix are integers, so each division by k
+    is exact.  Then c_j(A) = c_j(B) / D^(n-j).
     """
-    return Polynomial(char_poly_coeffs(M.data))
+    n = A.shape[0]
+    ratios = [v.as_integer_ratio() for v in A.ravel().tolist()]
+    D = math.lcm(*(d for _, d in ratios))
+    B = np.array([p * (D // d) for p, d in ratios], dtype=object).reshape(n, n)
+    coeffs = [1] * (n + 1)
+    Bk = B.copy()
+    for k in range(1, n + 1):
+        c = -Bk.trace() // k
+        coeffs[n - k] = c
+        if k == n:
+            break
+        for i in range(n):
+            Bk[i, i] += c
+        Bk = np.dot(B, Bk)
+    return tuple(Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs))
+
+
+def char_poly(M: DenseMatrix) -> Polynomial:
+    """Exact characteristic polynomial det(tI - M), Fraction coefficients.
+
+    Float entries are taken at their exact binary values, so the result is
+    the true polynomial of the matrix as stored, free of the rounding noise
+    of a float64 recurrence.  The Faddeev-LeVerrier trace recurrence B_1 =
+    A, c_{n-1} = -tr B_1, B_k = A (B_{k-1} + c_{n-k+1} I), c_{n-k} =
+    -tr(B_k)/k needs only matrix products; it runs on the integer matrix
+    that clears the entries' denominators.  Guarded to n <= 64 since the
+    cost is O(n^4) products of growing integers.
+    """
+    _check_char_poly_order(M.data)
+    return Polynomial(_exact_char_poly_coeffs(M.data))
 
 
 def _diag_sum(arr: np.ndarray) -> Scalar:
@@ -329,21 +361,32 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def polys_close(p: Polynomial, q: Polynomial, tol: Tolerances) -> bool:
-    """Coefficientwise comparison within tol.band(max coefficient size)."""
+    """Coefficientwise comparison within tol.band(max coefficient size).
+
+    Between exact polynomials the band is exact too, since their
+    coefficients can exceed the float range (c_0 of a 30 x 30 matrix with
+    entries near 1e12 is near 1e360).
+    """
     if len(p.coeffs) != len(q.coeffs):
         return False
-    scale = max(
-        (abs(float(c)) for c in (*p.coeffs, *q.coeffs)), default=0.0
-    )
-    band = tol.band(max(1.0, scale))
+    coeffs = (*p.coeffs, *q.coeffs)
+    if p.is_exact and q.is_exact:
+        scale = max(1, max(abs(c) for c in coeffs))
+        band = max(Fraction(tol.absolute), Fraction(tol.relative) * scale)
+    else:
+        band = tol.band(max(1.0, max(abs(float(c)) for c in coeffs)))
     return all(abs(a - b) <= band for a, b in zip(p.coeffs, q.coeffs))
 
 
 def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
-    """Largest |p_k - q_k| as a float; inf on length mismatch."""
+    """Largest |p_k - q_k| as a float; inf on length mismatch or overflow."""
     if len(p.coeffs) != len(q.coeffs):
         return math.inf
-    return max(abs(float(a - b)) for a, b in zip(p.coeffs, q.coeffs))
+    diff = max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs))
+    try:
+        return float(diff)
+    except OverflowError:
+        return math.inf
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:

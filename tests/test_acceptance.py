@@ -32,7 +32,7 @@ from permrealize import (
     run_bench,
 )
 from permrealize.explorer import results_to_jsonl
-from permrealize.linalg import DenseMatrix, max_coeff_diff
+from permrealize.linalg import max_coeff_diff
 
 SEED_CRITERION_4 = 20260401
 SEED_CRITERION_7 = 20260402
@@ -225,29 +225,19 @@ def test_criterion_6_companion_baseline():
 # ---------------------------------------------------------------------------
 
 
-def _exact_char_poly(matrix):
-    """Characteristic polynomial of the rational lift of a float matrix.
-
-    Lifting first (Fraction(float) is exact) means the comparison below
-    measures how far the two *matrices* actually disagree, not the noise
-    of extracting coefficients in floating point, which already reaches
-    ~3e-8 relative at n = 10 and would swamp a 1e-8 band.
-    """
-    lifted = np.empty(matrix.data.shape, dtype=object)
-    for idx, v in np.ndenumerate(matrix.data):
-        lifted[idx] = Fraction(float(v))
-    return char_poly(DenseMatrix(lifted))
-
-
 def test_criterion_7_cross_method_charpoly():
+    # char_poly takes float entries at their exact values, so the comparison
+    # measures how far the two *matrices* actually disagree, not the noise
+    # of extracting coefficients in floating point, which already reaches
+    # ~3e-8 relative at n = 10 and would swamp a 1e-8 band.
     rng = np.random.default_rng(SEED_CRITERION_7)
     tol = Tolerances(absolute=0.0, relative=1e-8)
     worst_rel = 0.0
     for _ in range(500):
         n = int(rng.integers(2, 11))
         sigma = make_spectrum(random_suleimanova_values(rng, n, scale=10.0))
-        p_perm = _exact_char_poly(realize_suleimanova(sigma).matrix)
-        p_comp = _exact_char_poly(realize_companion(sigma).matrix)
+        p_perm = char_poly(realize_suleimanova(sigma).matrix)
+        p_comp = char_poly(realize_companion(sigma).matrix)
         assert polys_close(p_perm, p_comp, tol)
         scale = max(
             1.0, max(abs(float(c)) for c in (*p_perm.coeffs, *p_comp.coeffs))

@@ -130,11 +130,13 @@ def test_realize_requires_exactly_one_source(tmp_path, capsys):
     assert run(capsys, "realize", "1,-1", "--file", str(f))[0] == 1
 
 
-def test_realize_unrealizable_by_available_methods_exits_2(capsys):
+def test_realize_unrealizable_by_available_methods_exits_3(capsys):
+    # A search that finds nothing excludes nothing: inconclusive, not a
+    # verified negative.
     code, _, err = run(
         capsys, "realize", "5,3,1,-2,-3,-4", "--budget", "600"
     )
-    assert code == 2
+    assert code == 3
     assert "pattern search" in err
 
 
@@ -161,8 +163,8 @@ def test_round_trip_realize_then_verify(tmp_path, capsys):
 
 
 def test_round_trip_survives_large_n(tmp_path, capsys):
-    # Beyond the certifiable-polynomial size the round trip must still
-    # exit 0 on the strength of the remaining checks.
+    # n = 30 is within the float charpoly limit, so the exact polynomial
+    # check of the realized matrix, as written and read back, backs exit 0.
     values = ",".join(["30"] + ["-1"] * 29)
     out_file = tmp_path / "m30.csv"
     assert run(capsys, "realize", values, "--out", str(out_file))[0] == 0
@@ -176,6 +178,30 @@ def test_verify_wrong_spectrum_exits_2(tmp_path, capsys):
         capsys, "verify", "10,-1,-2,-2.9", "--matrix", str(out_file)
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "n, code, verdict", [(30, 2, "fail"), (31, 3, "inconclusive")]
+)
+def test_verify_perturbed_matrix_never_passes(tmp_path, capsys, n, code, verdict):
+    # Up to the charpoly limit the polynomial rejects a perturbed matrix;
+    # beyond it no spectral check can run for a matrix of unknown origin,
+    # so the verdict is inconclusive rather than a vacuous pass.
+    values = ",".join([str(n)] + ["-1"] * (n - 1))
+    out_file = tmp_path / "m.csv"
+    assert run(capsys, "realize", values, "--out", str(out_file))[0] == 0
+    rows = out_file.read_text().splitlines()
+    first = rows[0].split(",")
+    first[1] = repr(float(first[1]) + 1.0)
+    rows[0] = ",".join(first)
+    out_file.write_text("\n".join(rows) + "\n")
+    got, out, _ = run(
+        capsys, "verify", values, "--matrix", str(out_file), "--format", "json"
+    )
+    assert got == code
+    obj = json.loads(out)
+    assert obj["verdict"] == verdict
+    assert obj["passed"] is False
 
 
 def test_verify_json_matrix_file(tmp_path, capsys):

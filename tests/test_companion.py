@@ -12,12 +12,10 @@ from numpy.testing import assert_array_equal
 
 from conftest import random_suleimanova
 from permrealize import (
-    Tolerances,
     as_realization,
     certify,
     char_poly,
     make_spectrum,
-    polys_close,
     realize_companion,
 )
 from permrealize.companion import verify_roots
@@ -116,8 +114,6 @@ def test_companion_nonneg_on_random_suleimanova(n, seed):
     cr = realize_companion(sigma)
     assert cr.nonneg
     assert np.all(cr.matrix.data >= 0.0)
-    # Float coefficient extraction carries up to ~1.2e-8 relative noise at
-    # n = 10 on this entry scale (measured over 2000 draws), so the float
-    # pipeline is held to 1e-7 relative; the exact identity is proven
-    # separately in test_companion_char_poly_identity_exact.
-    assert polys_close(char_poly(cr.matrix), cr.poly, Tolerances(1e-8, 1e-7))
+    # char_poly takes the float entries at their exact values, so the
+    # companion identity holds to the last bit in float mode too.
+    assert char_poly(cr.matrix).coeffs == cr.poly.coeffs

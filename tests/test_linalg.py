@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from permrealize import (
     polys_close,
 )
 from permrealize.linalg import (
+    char_poly_coeffs,
     format_scalar,
     matrix_to_json_obj,
     max_coeff_diff,
@@ -163,6 +165,76 @@ def test_char_poly_exact_matches_float():
 def test_char_poly_size_guard():
     with pytest.raises(DimensionTooLargeError):
         char_poly(identity(65))
+
+
+def _fraction_fl_reference(A: np.ndarray) -> tuple[Fraction, ...]:
+    """Faddeev-LeVerrier over a Fraction matrix: the reference kernel."""
+    n = A.shape[0]
+    eye = np.empty((n, n), dtype=object)
+    eye[:] = Fraction(0)
+    for i in range(n):
+        eye[i, i] = Fraction(1)
+    coeffs = [Fraction(1)] * (n + 1)
+    B = A.copy()
+    coeffs[n - 1] = -sum(B[i, i] for i in range(n))
+    for k in range(2, n + 1):
+        B = np.dot(A, B + coeffs[n - k + 1] * eye)
+        coeffs[n - k] = -sum(B[i, i] for i in range(n)) / k
+    return tuple(coeffs)
+
+
+def _lift(M) -> np.ndarray:
+    return np.array(
+        [[Fraction(v) for v in row] for row in M.to_lists()], dtype=object
+    )
+
+
+def _assert_matches_reference(M):
+    ref = _fraction_fl_reference(_lift(M))
+    p = char_poly(M)
+    assert p.coeffs == ref
+    assert all(isinstance(c, Fraction) for c in p.coeffs)
+    if M.is_exact:
+        assert char_poly_coeffs(M.data) == ref
+
+
+def test_char_poly_matches_fraction_reference_on_mixed_denominators():
+    rng = random.Random(20261018)
+    dens = (1, 2, 3, 5, 7, 12, 35, 1024)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.randint(-60, 60), rng.choice(dens)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        _assert_matches_reference(from_rows(rows, exact=True))
+
+
+def test_char_poly_zero_matrix_and_order_one():
+    for exact in (False, True):
+        Z = from_rows([[0] * 4] * 4, exact=exact)
+        _assert_matches_reference(Z)
+        assert char_poly(Z).coeffs == (0, 0, 0, 0, 1)
+        one = from_rows([[Fraction(-7, 3) if exact else -2.5]], exact=exact)
+        _assert_matches_reference(one)
+    assert char_poly(from_rows([[-2.5]])).coeffs == (Fraction(5, 2), 1)
+
+
+def test_char_poly_of_floats_is_exact_across_binary_exponents():
+    M = from_rows(
+        [
+            [1e-300, 1e300, -3.5, 0.1],
+            [2.0, -1e-300, 1e300, 5e-324],
+            [0.1, 7e-200, 1e-5, -1e150],
+            [-0.3, 1e-310, 2.0**-1074, 1e-300],
+        ]
+    )
+    _assert_matches_reference(M)
+    rng = np.random.default_rng(7)
+    for n in (5, 8):
+        exps = rng.integers(-300, 300, size=(n, n))
+        data = rng.standard_normal((n, n)) * 10.0 ** exps.astype(float)
+        _assert_matches_reference(from_rows(data.tolist()))
 
 
 def test_poly_from_roots_known():

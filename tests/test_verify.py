@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from permrealize import (
+    DenseMatrix,
     DimensionMismatchError,
     NotSquareError,
     Realization,
@@ -24,6 +25,7 @@ from permrealize.verify import (
     CHARPOLY_FLOAT_CERTIFY_MAX_N,
     CheckState,
     METHOD_SULEIMANOVA,
+    Verdict,
 )
 
 
@@ -170,6 +172,57 @@ def test_certify_charpoly_gate_beyond_float_limit():
     assert report.passed
 
 
+def _alpha_matrix_at(n):
+    """An alpha matrix with entries that binary floats cannot hold exactly."""
+    rng = np.random.default_rng(n)
+    tail = [-float(v) for v in rng.integers(1, 4000, size=n - 1) / 1000]
+    sigma = make_spectrum([-sum(tail) + 0.125] + tail)
+    return realize_suleimanova(sigma).matrix, sigma
+
+
+def test_certify_charpoly_at_float_limit():
+    n = CHARPOLY_FLOAT_CERTIFY_MAX_N
+    M, sigma = _alpha_matrix_at(n)
+    # Unknown origin, so the polynomial is the only spectral check.
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert report.charpoly_ok is CheckState.PASS
+    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert report.verdict is Verdict.PASS
+    data = M.data.copy()
+    data[n // 2, 3] += 1e-3
+    bad = Realization(matrix=DenseMatrix(data), method="", target=sigma)
+    report = certify(bad)
+    assert report.charpoly_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
+    assert not report.passed
+
+
+def test_certify_charpoly_beyond_float_range():
+    # c_0 is near 1e360 here: the comparison must stay exact, not overflow.
+    n = 30
+    sigma = make_spectrum([1e12 * n] + [-1e12] * (n - 1))
+    M = realize_suleimanova(sigma).matrix
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert report.charpoly_ok is CheckState.PASS
+    data = M.data.copy()
+    data[1, 2] *= 1.5
+    report = certify(Realization(matrix=DenseMatrix(data), method="", target=sigma))
+    assert report.charpoly_ok is CheckState.FAIL
+    assert report.max_residual == float("inf")
+
+
+def test_certify_without_spectral_check_is_inconclusive():
+    n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1
+    M, sigma = _alpha_matrix_at(n)
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE
+    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert CheckState.FAIL not in (report.nonneg_ok, report.structure_ok)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert not report.passed
+    assert report.to_json_obj()["verdict"] == "inconclusive"
+
+
 def test_certify_exact_mode_uses_zero_tolerances():
     sigma = make_spectrum([Fraction(2), Fraction(-2)], exact=True)
     r = realize_suleimanova(sigma)
@@ -206,8 +259,10 @@ def test_report_json_shape(sigma_integer_example):
         "eigenpairs",
         "max_residual",
         "tolerances",
+        "verdict",
         "passed",
     }
+    assert obj["verdict"] == "pass"
     assert obj["passed"] is True
     assert obj["tolerances"] == {"absolute": 1e-10, "relative": 1e-9}
 
