@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -127,6 +128,10 @@ def _tolerances(cfg: CliConfig) -> Tolerances:
         abs_tol = cfg.abs_tol
     if cfg.rel_tol is not None:
         rel_tol = cfg.rel_tol
+    if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
+        raise ParseError(
+            f"tolerances must be finite, got abs {abs_tol!r}, rel {rel_tol!r}"
+        )
     return Tolerances(absolute=abs_tol, relative=rel_tol)
 
 

@@ -363,19 +363,17 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 def polys_close(p: Polynomial, q: Polynomial, tol: Tolerances) -> bool:
     """Coefficientwise comparison within tol.band(max coefficient size).
 
-    Between exact polynomials the band is exact too, since their
-    coefficients can exceed the float range (c_0 of a 30 x 30 matrix with
-    entries near 1e12 is near 1e360).
+    Coefficients and band are lifted to Fractions (exact for floats) and
+    compared exactly, since exact coefficients can exceed the float range
+    (c_0 of a 30 x 30 matrix with entries near 1e12 is near 1e360).
     """
     if len(p.coeffs) != len(q.coeffs):
         return False
-    coeffs = (*p.coeffs, *q.coeffs)
-    if p.is_exact and q.is_exact:
-        scale = max(1, max(abs(c) for c in coeffs))
-        band = max(Fraction(tol.absolute), Fraction(tol.relative) * scale)
-    else:
-        band = tol.band(max(1.0, max(abs(float(c)) for c in coeffs)))
-    return all(abs(a - b) <= band for a, b in zip(p.coeffs, q.coeffs))
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    scale = max(1, max(abs(c) for c in (*a, *b)))
+    band = max(Fraction(tol.absolute), Fraction(tol.relative) * scale)
+    return all(abs(x - y) <= band for x, y in zip(a, b))
 
 
 def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:

@@ -294,6 +294,22 @@ def test_env_var_garbage_exits_1(monkeypatch, capsys):
     assert run(capsys, "realize", "10,-1,-2,-3")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (("--rel-tol", "inf"), None),
+        (("--abs-tol", "nan"), None),
+        ((), "1e-6,inf"),
+    ],
+)
+def test_non_finite_tolerances_exit_1(monkeypatch, capsys, flags, env):
+    if env is not None:
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, env)
+    code, _, err = run(capsys, "realize", "10,-1,-2,-3", *flags)
+    assert code == 1
+    assert "finite" in err
+
+
 def test_flags_override_env_var(monkeypatch, capsys):
     monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-6,1e-5")
     code, out, _ = run(
