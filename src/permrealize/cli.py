@@ -143,9 +143,10 @@ def _parse_values(tokens: Sequence[str], exact: bool) -> list:
             continue
         try:
             f = Fraction(tok)
-        except (ValueError, ZeroDivisionError) as e:
+            values.append(f if exact else float(f))
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            # OverflowError: float(f) of a value beyond the float range.
             raise ParseError(f"cannot parse spectrum entry {tok!r}") from e
-        values.append(f if exact else float(f))
     return values
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotSquareError,
     ParseError,
 )
-from .spectrum import Spectrum
+from .spectrum import Spectrum, float_or_inf
 
 Scalar = Union[float, Fraction]
 
@@ -120,8 +120,8 @@ class DenseMatrix:
         return sum(d[1:], start=d[0])
 
     def max_abs(self) -> float:
-        """Largest entry magnitude as a float (inf on float overflow)."""
-        return max(abs(float(v)) for v in self.data.flat)
+        """Largest entry magnitude as a float (inf beyond the float range)."""
+        return float_or_inf(np.abs(self.data).max())
 
     def to_lists(self) -> list[list[Scalar]]:
         return self.data.tolist()
@@ -199,28 +199,25 @@ def ones_vector(n: int, exact: bool = False) -> np.ndarray:
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
     """True iff every entry is >= -tol."""
-    neg = -tol
-    return all(v >= neg for v in M.data.flat)
+    return bool((M.data >= -tol).all())
 
 
 def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
     """True iff every row is a permutation of the first row, within tol.
 
-    Rows are compared as sorted multisets; entries match when they differ by
-    at most tol.  The identity matrix is permutative under this definition
-    (each row is a permutation of (1, 0, ..., 0)).
+    Rows are compared as sorted multisets: one sort of every row, then
+    each sorted row against the sorted first row, entries matching when they
+    differ by at most tol.  The identity matrix is permutative under this
+    definition (each row is a permutation of (1, 0, ..., 0)).
     """
     if not M.is_square:
         raise NotSquareError(
             f"permutativity is defined for square matrices, got "
             f"{M.n_rows}x{M.n_cols}"
         )
-    ref = np.sort(M.data[0])
-    for i in range(1, M.n_rows):
-        row = np.sort(M.data[i])
-        if not all(abs(a - b) <= tol for a, b in zip(ref, row)):
-            return False
-    return True
+    rows = np.sort(M.data, axis=1)
+    dev = rows[1:] - rows[0]
+    return bool((np.abs(dev, out=dev) <= tol).all())
 
 
 @dataclass(frozen=True)
@@ -380,11 +377,7 @@ def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
     """Largest |p_k - q_k| as a float; inf on length mismatch or overflow."""
     if len(p.coeffs) != len(q.coeffs):
         return math.inf
-    diff = max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs))
-    try:
-        return float(diff)
-    except OverflowError:
-        return math.inf
+    return float_or_inf(max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)))
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
@@ -414,8 +407,8 @@ def matrices_close(A: DenseMatrix, B: DenseMatrix, tol: Tolerances) -> bool:
     if A.data.shape != B.data.shape:
         return False
     scale = max(A.max_abs(), B.max_abs(), 1.0)
-    band = tol.band(scale)
-    return all(abs(a - b) <= band for a, b in zip(A.data.flat, B.data.flat))
+    dev = A.data - B.data
+    return bool((np.abs(dev, out=dev) <= tol.band(scale)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +421,47 @@ def _scalar_to_json(v: Scalar):
 
 
 def _scalar_from_token(token, exact: bool) -> Scalar:
-    if isinstance(token, str):
-        try:
-            f = Fraction(token)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"cannot parse matrix entry {token!r}") from e
-        return f if exact else float(f)
-    if isinstance(token, bool) or not isinstance(token, (int, float)):
+    """A matrix entry from a text token (Fraction grammar) or a JSON number."""
+    if isinstance(token, bool) or not isinstance(token, (str, int, float)):
         raise ParseError(f"cannot parse matrix entry {token!r}")
-    return Fraction(token) if exact else float(token)
+    try:
+        if isinstance(token, str):
+            f = Fraction(token)
+            return f if exact else float(f)
+        return Fraction(token) if exact else float(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        # OverflowError: a value beyond the float range, or an infinite
+        # JSON number in exact mode.
+        raise ParseError(f"cannot parse matrix entry {token!r}") from e
+
+
+def _float_row(tokens: list[str]) -> list[float]:
+    """float(Fraction(t)) for every token, by float(t) wherever the two agree.
+
+    They differ only where float() reads a token as non-finite (inf, nan,
+    or beyond the float range, which Fraction rejects or float(Fraction)
+    refuses) or as a zero (float("-0") is -0.0, float(Fraction("-0")) is
+    0.0); those tokens and rows with a token float() rejects ("1/3") go
+    through _scalar_from_token.
+    """
+    try:
+        row = list(map(float, tokens))
+    except ValueError:
+        return [_scalar_from_token(t.strip(), False) for t in tokens]
+    if math.isfinite(sum(row)) and 0.0 not in row:
+        return row
+    return [
+        v if v != 0.0 and math.isfinite(v) else _scalar_from_token(t.strip(), False)
+        for v, t in zip(row, tokens)
+    ]
 
 
 def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
     """Nested lists with JSON-safe scalars (Fractions become strings)."""
-    return [[_scalar_to_json(v) for v in row] for row in M.data]
+    rows = M.data.tolist()
+    if M.is_exact:
+        return [[_scalar_to_json(v) for v in row] for row in rows]
+    return rows
 
 
 def matrix_to_json(M: DenseMatrix) -> str:
@@ -467,19 +487,21 @@ def format_scalar(v: Scalar) -> str:
 
 
 def matrix_to_csv(M: DenseMatrix) -> str:
-    lines = [",".join(format_scalar(v) for v in row) for row in M.data]
+    lines = [",".join(format_scalar(v) for v in row) for row in M.data.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append(
-            [_scalar_from_token(tok.strip(), exact) for tok in line.split(",")]
-        )
-    if not rows:
+    """One row per line, entries in the Fraction grammar; blank lines skipped.
+
+    In float mode every entry is float(Fraction(token)), the correctly
+    rounded value, and an entry beyond the float range is a ParseError.
+    """
+    lines = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not lines:
         raise EmptyInputError("CSV matrix text contains no rows")
+    if exact:
+        rows = [[_scalar_from_token(t.strip(), True) for t in ts] for ts in lines]
+    else:
+        rows = [_float_row(ts) for ts in lines]
     return from_rows(rows, exact=exact)

@@ -28,9 +28,29 @@ DEFAULT_POWER_DEPTH = 50
 DEFAULT_CLASSIFY_TOL = 1e-12
 
 
+def float_or_inf(v) -> float:
+    """float(v), or +-inf when an exact value lies beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _band(tol: float, scale: float) -> float:
     """Tolerance half-width tol * scale, with 0 * inf pinned to 0."""
     return 0.0 if tol == 0 else tol * scale
+
+
+def _scale_band(tol: float, sigma: "Spectrum") -> Scalar:
+    """tol * sigma.scale(), computed exactly when that scale overflows.
+
+    An infinite band would call every entry zero, so an exact l_1 beyond
+    the float range gets the band tol * |l_1| as a Fraction instead.
+    """
+    scale = sigma.scale()
+    if scale == math.inf:
+        return Fraction(tol) * abs(sigma.values[0])
+    return _band(tol, scale)
 
 
 class SpectrumKind(enum.Enum):
@@ -68,8 +88,11 @@ class Spectrum:
         return max(abs(v) for v in self.values)
 
     def scale(self) -> float:
-        """max(1, |l_1|): the reference magnitude for tolerance bands."""
-        return max(1.0, abs(float(self.values[0])))
+        """max(1, |l_1|) as a float: the reference magnitude for tolerance bands.
+
+        inf when an exact l_1 lies beyond the float range.
+        """
+        return max(1.0, float_or_inf(abs(self.values[0])))
 
     def __iter__(self):
         return iter(self.values)
@@ -181,7 +204,7 @@ def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classificati
     for n <= 4, all-nonnegative when no entry is below the band, and
     unclassified as the fallback.
     """
-    band = _band(tol, sigma.scale())
+    band = _scale_band(tol, sigma)
     positives = sum(1 for v in sigma.values if v > band)
     s1 = sigma.trace
     if positives == 1 and s1 >= -band:
@@ -201,5 +224,5 @@ def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classificati
 
 def is_all_zero(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> bool:
     """True when every entry vanishes within the classification band."""
-    band = _band(tol, sigma.scale())
+    band = _scale_band(tol, sigma)
     return all(abs(v) <= band for v in sigma.values)

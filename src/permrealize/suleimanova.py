@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     DimensionTooSmallError,
     EmptyInputError,
@@ -49,12 +51,20 @@ class AlphaPermutative:
     @cached_property
     def matrix(self) -> DenseMatrix:
         exact = all(isinstance(v, Fraction) for v in self.x)
-        rows = [list(self.x)]
-        for i in range(1, self.n):
-            row = list(self.x)
-            row[0], row[i] = row[i], row[0]
-            rows.append(row)
-        return from_rows(rows, exact=exact)
+        x = from_rows([self.x], exact=exact).data[0]
+        return DenseMatrix(x[_alpha_index_array(self.n)])
+
+
+def _alpha_index_array(n: int) -> np.ndarray:
+    """Entry (i, j) is the index into x of the alpha pattern's entry (i, j).
+
+    Row i is 0..n-1 with 0 and i swapped, so the matrix is x[idx].
+    """
+    idx = np.tile(np.arange(n, dtype=np.intp), (n, 1))
+    rest = np.arange(1, n)
+    idx[rest, 0] = rest
+    idx[rest, rest] = 0
+    return idx
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .linalg import (
     poly_from_roots,
     polys_close,
 )
-from .spectrum import Spectrum, make_spectrum
+from .spectrum import Spectrum, float_or_inf, make_spectrum
 
 # Method tags attached to Realizations by the construction modules.
 METHOD_SULEIMANOVA = "suleimanova-permutative"
@@ -210,34 +210,33 @@ def _alpha_eigensystem_residuals(
     x = M.data[0]
     n = M.n_rows
     s = sum(x[1:], start=x[0])
-    x_inf = max(abs(float(v)) for v in x) if n else 0.0
+    x_inf = float_or_inf(np.abs(x).max())
     pair_scale = max(1.0, x_inf * x_inf)
+    deltas = x[0] - x[1:]
     out: list[tuple[float, float]] = []
 
     # Row-sum eigenpair P e = s e.
-    row_sums = M.data.sum(axis=1)
-    rs_res = max(abs(float(r - s)) for r in row_sums)
+    rs_res = float_or_inf(np.abs(M.data.sum(axis=1) - s).max())
     out.append((rs_res, pair_scale))
 
     if n > 1:
         # All v_i as columns of one matrix: the column for eigenvalue
         # d_i = x_1 - x_i is constant x_i except x_1 - s at position i;
         # P V should equal V scaled columnwise by the deltas.
-        V = np.tile(x[1:].reshape(1, n - 1), (n, 1)).astype(M.data.dtype)
-        for col, i in enumerate(range(1, n)):
-            V[i, col] = x[0] - s
-        deltas = np.array([x[0] - x[i] for i in range(1, n)], dtype=M.data.dtype)
-        resid = np.dot(M.data, V) - V * deltas.reshape(1, n - 1)
-        eig_res = max(abs(float(v)) for v in resid.flat)
+        V = np.empty((n, n - 1), dtype=M.data.dtype)
+        V[:] = x[1:]
+        cols = np.arange(n - 1)
+        V[cols + 1, cols] = x[0] - s
+        resid = np.dot(M.data, V)
+        V *= deltas
+        resid -= V
+        eig_res = float_or_inf(np.abs(resid, out=resid).max())
         out.append((eig_res, pair_scale))
 
     # Spectrum identification: {s} + deltas vs the target multiset.
-    target_scale = max(1.0, abs(float(target.values[0])))
-    eigs = sorted([s] + [x[0] - x[i] for i in range(1, n)], reverse=True)
-    id_res = max(
-        abs(float(a - b)) for a, b in zip(eigs, target.values)
-    )
-    out.append((id_res, target_scale))
+    eigs = np.sort(np.concatenate(([s], deltas)))[::-1]
+    id_res = float_or_inf(np.abs(eigs - np.asarray(target.values)).max())
+    out.append((id_res, target.scale()))
     return out
 
 
@@ -254,6 +253,10 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     additionally get closed-form eigenpair residuals at every size.  When
     neither of those spectral checks runs, the report's verdict is
     inconclusive, never pass.
+
+    Nonnegativity, structure and the eigenpair residuals are whole-array
+    numpy operations over the n^2 entries, one code path for float64 and
+    Fraction entries alike; magnitudes beyond the float range read as inf.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()

@@ -53,6 +53,24 @@ def test_check_parse_garbage_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tok", ["1e400", "inf", "nan"])
+def test_realize_entry_not_a_finite_float_exits_1(capsys, tok):
+    code, out, err = run(capsys, "realize", f"{tok},-1")
+    assert code == 1
+    assert out == ""
+    assert "cannot parse spectrum entry" in err
+
+
+def test_realize_exact_beyond_float_range(capsys):
+    code, out, _ = run(capsys, "realize", "1e400,-1", "--exact", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["method"] == "suleimanova-permutative"
+    a, b = f"{10**400 - 1}/2", f"{10**400 + 1}/2"
+    assert obj["matrix"] == [[a, b], [b, a]]
+    assert obj["certificate"]["verdict"] == "pass"
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(capsys, "frobnicate", "1")[0] == 1
 
@@ -218,6 +236,16 @@ def test_verify_nonsquare_matrix_exits_1(tmp_path, capsys):
     f = tmp_path / "bad.csv"
     f.write_text("1,2,3\n4,5,6\n")
     assert run(capsys, "verify", "1,-1,0", "--matrix", str(f))[0] == 1
+
+
+@pytest.mark.parametrize("tok", ["1e400", "-1e400", "inf", "nan"])
+def test_verify_matrix_entry_not_a_finite_float_exits_1(tmp_path, capsys, tok):
+    f = tmp_path / "m.csv"
+    f.write_text(f"0,{tok}\n1,0\n")
+    code, out, err = run(capsys, "verify", "1,-1", "--matrix", str(f))
+    assert code == 1
+    assert out == ""
+    assert "cannot parse matrix entry" in err
 
 
 def test_verify_dimension_mismatch_exits_1(tmp_path, capsys):

@@ -122,6 +122,83 @@ def test_is_permutative():
     assert not is_permutative(from_rows([[1.0, 2.0], [1.0, 1.0]]))
 
 
+# Per-entry definitions of the vectorized checks, kept as references.
+
+
+def _max_abs_reference(M):
+    return max(abs(float(v)) for v in M.data.flat)
+
+
+def _is_nonnegative_reference(M, tol=0.0):
+    return all(v >= -tol for v in M.data.flat)
+
+
+def _is_permutative_reference(M, tol=0.0):
+    ref = np.sort(M.data[0])
+    for i in range(1, M.n_rows):
+        row = np.sort(M.data[i])
+        if not all(abs(a - b) <= tol for a, b in zip(ref, row)):
+            return False
+    return True
+
+
+def _matrices_close_reference(A, B, tol):
+    if A.data.shape != B.data.shape:
+        return False
+    scale = max(_max_abs_reference(A), _max_abs_reference(B), 1.0)
+    band = tol.band(scale)
+    return all(abs(a - b) <= band for a, b in zip(A.data.flat, B.data.flat))
+
+
+TOL = 0.25  # dyadic, so entries and differences at exactly +-TOL are exact
+
+
+def _permutative_pairs(rng, exact):
+    """(P, M): P permutative with repeated values, -0.0 and entries at -TOL;
+    M is P with one entry moved by exactly +-TOL or +-2 TOL, or P itself."""
+    pool = [0.0, -0.0, TOL, -TOL, 0.5, 1.0, 1.25, 3.0]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        x = [rng.choice(pool) for _ in range(n)]
+        rows = [rng.sample(x, n) for _ in range(n)]
+        moved = [list(r) for r in rows]
+        if rng.random() < 0.8:
+            i, j = rng.randrange(n), rng.randrange(n)
+            moved[i][j] += rng.choice([TOL, -TOL, 2 * TOL, -2 * TOL])
+        if exact:
+            rows = [[Fraction(v) for v in r] for r in rows]
+            moved = [[Fraction(v) for v in r] for r in moved]
+        yield from_rows(rows, exact=exact), from_rows(moved, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_vectorized_checks_match_per_entry_references(exact):
+    rng = random.Random(20261018 + exact)
+    outcomes = set()
+    for P, M in _permutative_pairs(rng, exact):
+        for A in (P, M):
+            assert A.max_abs() == _max_abs_reference(A)
+            for tol in (0.0, TOL):
+                got = is_nonnegative(A, tol)
+                assert got == _is_nonnegative_reference(A, tol)
+                assert type(got) is bool
+                got = is_permutative(A, tol)
+                assert got == _is_permutative_reference(A, tol)
+                outcomes.add(("perm", got))
+        for tol in (Tolerances(TOL, 0.0), Tolerances(), Tolerances.exact()):
+            got = matrices_close(P, M, tol)
+            assert got == _matrices_close_reference(P, M, tol)
+            outcomes.add(("close", got))
+    # Both outcomes occur, so the agreement is not vacuous.
+    assert outcomes == {(k, v) for k in ("perm", "close") for v in (False, True)}
+
+
+def test_max_abs_beyond_float_range_is_inf():
+    M = from_rows([[Fraction(10) ** 400, Fraction(-1)], [0, 1]], exact=True)
+    assert M.max_abs() == math.inf
+    assert from_rows([[-(Fraction(10) ** 400)]], exact=True).max_abs() == math.inf
+
+
 def test_direct_sum_layout():
     A = from_rows([[1.0, 2.0], [3.0, 4.0]])
     B = from_rows([[5.0]])
@@ -365,10 +442,66 @@ def test_csv_round_trip_exact():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         matrix_from_csv("1,2\nfoo,4\n")
+    # Not finite, or beyond the float range (fine in exact mode).
+    for tok in ("inf", "-inf", "nan", "1e400", "-1e400", "1/0"):
+        with pytest.raises(ParseError):
+            matrix_from_csv(f"1,2\n{tok},4\n")
+    assert matrix_from_csv("1e400\n", exact=True).data[0, 0] == 10**400
+    with pytest.raises(ParseError):
+        matrix_from_json("[[1e400]]", exact=True)
     with pytest.raises(ParseError):
         matrix_from_json("not json")
     with pytest.raises(ParseError):
         matrix_from_json('[[true, 1], [0, 1]]')
+
+
+def _matrix_to_json_reference(M):
+    return json.dumps(
+        [[str(v) if isinstance(v, Fraction) else v for v in row] for row in M.data]
+    )
+
+
+def test_matrix_to_json_bytes_match_per_entry_encoder():
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-320, 300, (6, 6))
+    data[0, :4] = [-0.0, 0.1, 5e-324, 1e300]
+    for M in (
+        from_rows(data.tolist()),
+        from_rows([[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(10) ** 400]],
+                  exact=True),
+    ):
+        assert matrix_to_json(M) == _matrix_to_json_reference(M)
+
+
+def _csv_tokens(rng):
+    """Long random mantissas from the float range's edges to its middle."""
+    for _ in range(400):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
+        point = rng.randint(0, len(digits))
+        mantissa = digits[:point] + "." + digits[point:] if point else digits
+        exp = rng.choice(["", f"e{rng.randint(-365, 265)}", f"E+{rng.randint(0, 20)}"])
+        yield rng.choice(["", "-", "+"]) + mantissa + exp
+    yield from (
+        "5e-324", "-5e-324", "2.5e-324", "2.4e-324", "4.9406564584124654e-324",
+        "2.2250738585072009e-308", "2.2250738585072014e-308", "-1e-320",
+        "1e-400", "-1e-400", "-0", "-0.0", "+0", "0e5", "-0/7", "1/3", "-22/7",
+        " 7/1024 ", "1_000.5", "1.7976931348623157e308", ".5", "5.",
+    )
+
+
+def test_matrix_from_csv_values_match_fraction_parse():
+    tokens = list(_csv_tokens(random.Random(5)))
+    width = 8
+    tokens += ["0"] * (-len(tokens) % width)
+    rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
+    M = matrix_from_csv("\n".join(",".join(r) for r in rows) + "\n")
+    want = np.array([[float(Fraction(t)) for t in r] for r in rows])
+    assert_array_equal(M.data.view(np.uint64), want.view(np.uint64))
+    # -0 is read as 0.0, as float(Fraction("-0")) is; a negative value that
+    # underflows keeps its sign, as float(Fraction("-1e-400")) does.
+    got = matrix_from_csv("-0,-1e-400\n").data[0]
+    assert math.copysign(1.0, got[0]) == 1.0
+    assert math.copysign(1.0, got[1]) == -1.0
 
 
 def test_format_scalar():

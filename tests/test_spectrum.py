@@ -132,6 +132,19 @@ def test_is_all_zero():
     assert not is_all_zero(make_spectrum([0.0, 1e-6]))
 
 
+def test_exact_spectrum_beyond_float_range():
+    big = Fraction(10) ** 400
+    sigma = make_spectrum([big, -1, -1], exact=True)
+    assert sigma.scale() == math.inf
+    cls = classify(sigma)
+    assert cls.kind is SpectrumKind.SULEIMANOVA
+    assert cls.positives == 1
+    assert not is_all_zero(sigma)
+    assert classify(make_spectrum([big, -big], exact=True)).kind is (
+        SpectrumKind.ZERO_TRACE_SULEIMANOVA
+    )
+
+
 @given(st.lists(finite_floats, min_size=1, max_size=30))
 def test_spectrum_is_sorted_and_radius_matches(values):
     sigma = make_spectrum(values)

@@ -14,9 +14,12 @@ from conftest import random_suleimanova
 from permrealize import (
     DimensionTooSmallError,
     EmptyInputError,
+    NonFiniteEntryError,
     NotSuleimanovaError,
     NotZeroTraceError,
     Tolerances,
+    alpha_tuple,
+    assemble,
     build_alpha_permutative,
     certify,
     closed_eigensystem,
@@ -54,6 +57,24 @@ def test_alpha_pattern_rows_swap_first_with_i():
         ),
     )
     assert is_permutative(A.matrix)
+
+
+def test_alpha_pattern_matches_explorer_assembly():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 8, 33):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        x[rng.integers(n)] = -0.0
+        got = build_alpha_permutative(x.tolist()).matrix.data
+        want = assemble(alpha_tuple(n), x).data
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_alpha_pattern_rejects_overflowed_first_row():
+    # x_2 = (s_1 - 2 * l_2) / 2 overflows to inf here.
+    with pytest.raises(NonFiniteEntryError):
+        realize_suleimanova(make_spectrum([1.5e308, -1e308]))
+    with pytest.raises(NonFiniteEntryError):
+        build_alpha_permutative([1.0, float("nan")]).matrix
 
 
 def test_alpha_pattern_single_entry():

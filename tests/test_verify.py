@@ -211,6 +211,22 @@ def test_certify_charpoly_beyond_float_range():
     assert report.max_residual == float("inf")
 
 
+def test_certify_exact_entries_beyond_float_range():
+    # Magnitudes and residual scales past the float range read as inf
+    # instead of raising; exact mode's bands do not depend on them.
+    big = Fraction(10) ** 400
+    sigma = make_spectrum([big, Fraction(1)], exact=True)
+    M = from_rows([[big, 0], [0, 1]], exact=True)
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert report.charpoly_ok is CheckState.PASS
+    assert report.verdict is Verdict.PASS
+    r = realize_suleimanova(make_spectrum([big, Fraction(-1)], exact=True))
+    report = certify(r)
+    assert report.eigenpair_ok is CheckState.PASS
+    assert report.verdict is Verdict.PASS
+    assert report.max_residual == 0.0
+
+
 def test_certify_without_spectral_check_is_inconclusive():
     n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1
     M, sigma = _alpha_matrix_at(n)
