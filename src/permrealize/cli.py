@@ -42,7 +42,7 @@ from .linalg import (
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
-    matrix_to_json_obj,
+    matrix_to_json,
 )
 from .spectrum import (
     DEFAULT_POWER_DEPTH,
@@ -50,6 +50,7 @@ from .spectrum import (
     SpectrumKind,
     check_necessary,
     classify,
+    float_or_inf,
     make_spectrum,
 )
 from .small_order import realize_small
@@ -199,10 +200,10 @@ def cmd_check(cfg: CliConfig) -> int:
                     "spectrum": _spectrum_json(sigma),
                     "classification": cls.kind.value,
                     "positives": cls.positives,
-                    "trace": float(cls.trace),
+                    "trace": float_or_inf(cls.trace),
                     "power_sum_ok": report.power_sum_ok,
                     "perron_ok": report.perron_ok,
-                    "spectral_radius": float(report.spectral_radius),
+                    "spectral_radius": float_or_inf(report.spectral_radius),
                     "K": report.K,
                     "conditions_hold": ok,
                 }
@@ -277,17 +278,17 @@ def _emit_realization(cfg: CliConfig, r: Realization) -> None:
     verdict = r.certificate.verdict
     certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
     if cfg.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "matrix": matrix_to_json_obj(r.matrix),
-                    "method": r.method,
-                    "case": case,
-                    "target": _spectrum_json(r.target),
-                    "certificate": r.certificate.to_json_obj(),
-                }
-            )
+        # The bytes of json.dumps of the whole dict, with the matrix
+        # formatted by matrix_to_json (each distinct entry once).
+        rest = json.dumps(
+            {
+                "method": r.method,
+                "case": case,
+                "target": _spectrum_json(r.target),
+                "certificate": r.certificate.to_json_obj(),
+            }
         )
+        print('{"matrix": ' + matrix_to_json(r.matrix) + ", " + rest[1:])
     elif cfg.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
         sys.stdout.write(matrix_to_csv(r.matrix))

@@ -20,7 +20,7 @@ from .linalg import (
     from_rows,
     poly_from_roots,
 )
-from .spectrum import DEFAULT_CLASSIFY_TOL, Spectrum
+from .spectrum import DEFAULT_CLASSIFY_TOL, Spectrum, tolerance_band
 from .verify import METHOD_COMPANION, Realization
 
 
@@ -52,12 +52,12 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
     for i in range(n):
         rows[i][n - 1] = -poly.coeffs[i]
     matrix = from_rows(rows, exact=exact)
-    if exact:
-        band = 0.0
-    else:
-        scale = max(1.0, max(abs(float(c)) for c in poly.coeffs))
-        band = DEFAULT_CLASSIFY_TOL * scale
-    nonneg = all(float(c) <= band for c in poly.coeffs[:-1])
+    # Exact coefficients are compared exactly: they may lie beyond the
+    # float range.
+    band = 0.0 if exact else tolerance_band(
+        DEFAULT_CLASSIFY_TOL, max(abs(c) for c in poly.coeffs)
+    )
+    nonneg = all(c <= band for c in poly.coeffs[:-1])
     return CompanionRealization(poly=poly, matrix=matrix, nonneg=nonneg)
 
 

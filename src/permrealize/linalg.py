@@ -464,8 +464,39 @@ def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
     return rows
 
 
+def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
+    """The text of every float64 entry, row by row, formatting each value once.
+
+    Entries are grouped by their uint64 bit patterns, so -0.0 and 0.0 stay
+    apart; format_distinct maps the list of distinct values to their texts.
+    A permutative n x n matrix holds at most n distinct values, so this
+    formats n values instead of n^2.
+    """
+    bits = data.view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    table = np.array(format_distinct(distinct.view(np.float64).tolist()), dtype=object)
+    return table[inverse.reshape(data.shape)].tolist()
+
+
 def matrix_to_json(M: DenseMatrix) -> str:
-    return json.dumps(matrix_to_json_obj(M))
+    """json.dumps(matrix_to_json_obj(M)), byte for byte.
+
+    Float64 entries are deduplicated by their uint64 bit patterns, so -0.0
+    and 0.0 stay distinct, and the distinct values are formatted by one
+    json.dumps call, so every number is json's own text; the rows are
+    joined from that string table.  Other dtypes, exact (Fraction) matrices
+    among them, keep the per-entry path: np.unique on Fraction objects costs far more than it
+    saves (1.6 s, against 30 ms for the whole encoding, at n = 256).
+
+    Cost at n = 1024 on a 2-core VM, against plain json.dumps: about 0.11x
+    with n distinct values (every matrix realize emits has at most n + 2),
+    0.8x with n^2 / 2, and 1.3x to 1.6x when all n^2 entries differ (the
+    sort and the string table on top of the same formatting).
+    """
+    if M.data.dtype != np.float64:
+        return json.dumps(matrix_to_json_obj(M))
+    rows = _entry_texts(M.data, lambda vs: json.dumps(vs)[1:-1].split(", "))
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def matrix_from_json(text: str, exact: bool = False) -> DenseMatrix:
@@ -487,8 +518,12 @@ def format_scalar(v: Scalar) -> str:
 
 
 def matrix_to_csv(M: DenseMatrix) -> str:
-    lines = [",".join(format_scalar(v) for v in row) for row in M.data.tolist()]
-    return "\n".join(lines) + "\n"
+    """One row per line, entries by format_scalar (each distinct float once)."""
+    if M.data.dtype != np.float64:
+        rows = [[format_scalar(v) for v in row] for row in M.data.tolist()]
+    else:
+        rows = _entry_texts(M.data, lambda vs: [format_scalar(v) for v in vs])
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:

@@ -34,7 +34,12 @@ from .errors import (
     PerronViolationError,
 )
 from .linalg import direct_sum, from_rows
-from .spectrum import DEFAULT_CLASSIFY_TOL, Spectrum, make_spectrum
+from .spectrum import (
+    DEFAULT_CLASSIFY_TOL,
+    Spectrum,
+    make_spectrum,
+    tolerance_band,
+)
 from .suleimanova import realize_suleimanova
 from .verify import METHOD_SMALL_ORDER, Realization
 
@@ -50,19 +55,23 @@ CASE_N4_GROUP = "N4-Group"
 CASE_N4_PAIRED = "N4-PairedDirectSum"
 
 
-def _band(*values: Scalar) -> float:
-    scale = max(1.0, *(abs(float(v)) for v in values))
-    return DEFAULT_CLASSIFY_TOL * scale
+def _band(*values: Scalar) -> Scalar:
+    """The classification band at the largest |value|, exact beyond floats."""
+    return tolerance_band(DEFAULT_CLASSIFY_TOL, max(abs(v) for v in values))
 
 
-def _check_preconditions(sigma: Spectrum) -> float:
-    """Shared n = 3, 4 preconditions; returns the tolerance band used."""
+def _check_preconditions(sigma: Spectrum) -> Scalar:
+    """Shared n = 3, 4 preconditions; returns the tolerance band used.
+
+    Values are compared as they are, so exact spectra beyond the float
+    range are compared exactly.
+    """
     band = _band(*sigma.values)
-    if not float(sigma.trace) >= -band:
+    if not sigma.trace >= -band:
         raise NecessaryConditionViolationError(
             f"spectrum sum must be nonnegative, got {sigma.trace}"
         )
-    if float(sigma.spectral_radius - sigma.values[0]) > band:
+    if sigma.spectral_radius - sigma.values[0] > band:
         raise PerronViolationError(
             "the largest entry must attain the spectral radius; "
             f"max entry {sigma.values[0]}, radius {sigma.spectral_radius}"
@@ -72,7 +81,7 @@ def _check_preconditions(sigma: Spectrum) -> float:
 
 def realize_2(l1: Scalar, l2: Scalar) -> Realization:
     """The 2 x 2 permutative realization of {l1, l2} (needs l1 >= |l2|)."""
-    if float(l1 - abs(l2)) < -_band(l1, l2):
+    if l1 - abs(l2) < -_band(l1, l2):
         raise PerronViolationError(
             f"need l1 >= |l2| for a 2x2 nonnegative realization, got "
             f"({l1}, {l2})"
@@ -97,7 +106,7 @@ def realize_3(sigma: Spectrum) -> Realization:
         raise DimensionOutOfRangeError(f"realize_3 needs n = 3, got {sigma.n}")
     band = _check_preconditions(sigma)
     l1, l2, l3 = sigma.values
-    if float(l2) > band:
+    if l2 > band:
         head = realize_2(l1, l3)
         tail = from_rows([[l2]], exact=sigma.is_exact)
         matrix = direct_sum([head.matrix, tail])
@@ -140,12 +149,12 @@ def realize_4(sigma: Spectrum) -> Realization:
     band = _check_preconditions(sigma)
     l1, l2, l3, l4 = sigma.values
 
-    if float(l2) <= band:
+    if l2 <= band:
         r = realize_suleimanova(sigma)
         return replace(r, params={**r.params, "case": CASE_N4_SULEIMANOVA})
 
     a, b, c, d = quarter_sums(l1, l2, l3, l4)
-    if float(min(a, b, c, d)) >= -band:
+    if min(a, b, c, d) >= -band:
         matrix = from_rows(
             [
                 [a, b, c, d],
@@ -201,7 +210,7 @@ def realize_small(sigma: Spectrum) -> Realization:
         )
     if n == 1:
         l1 = sigma.values[0]
-        if float(l1) < -_band(l1):
+        if l1 < -_band(l1):
             raise PerronViolationError(
                 f"a 1x1 nonnegative matrix needs l1 >= 0, got {l1}"
             )

@@ -36,21 +36,18 @@ def float_or_inf(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _band(tol: float, scale: float) -> float:
-    """Tolerance half-width tol * scale, with 0 * inf pinned to 0."""
-    return 0.0 if tol == 0 else tol * scale
+def tolerance_band(tol: float, magnitude: Scalar) -> Scalar:
+    """Tolerance half-width tol * max(1, magnitude); 0 when tol is 0.
 
-
-def _scale_band(tol: float, sigma: "Spectrum") -> Scalar:
-    """tol * sigma.scale(), computed exactly when that scale overflows.
-
-    An infinite band would call every entry zero, so an exact l_1 beyond
-    the float range gets the band tol * |l_1| as a Fraction instead.
+    An infinite band would accept every comparison, so an exact magnitude
+    beyond the float range gets the band tol * magnitude as a Fraction.
     """
-    scale = sigma.scale()
+    if tol == 0:
+        return 0.0
+    scale = float_or_inf(magnitude)
     if scale == math.inf:
-        return Fraction(tol) * abs(sigma.values[0])
-    return _band(tol, scale)
+        return Fraction(tol) * magnitude
+    return tol * max(1.0, scale)
 
 
 class SpectrumKind(enum.Enum):
@@ -178,12 +175,12 @@ def check_necessary(
         s_k = sum(powers[1:], start=powers[0])
         mag_k = sum(abs_powers[1:], start=abs_powers[0])
         sums.append(s_k)
-        if not s_k >= -_band(tol, max(1.0, float(mag_k))):
+        if not s_k >= -tolerance_band(tol, mag_k):
             ok = False
         powers = [p * v for p, v in zip(powers, sigma.values)]
         abs_powers = [p * a for p, a in zip(abs_powers, (abs(v) for v in sigma.values))]
     sr = sigma.spectral_radius
-    band = _band(tol, max(1.0, float(sr)))
+    band = tolerance_band(tol, sr)
     perron_ok = bool(sr - sigma.values[0] <= band)
     return ConditionReport(
         power_sums=tuple(sums),
@@ -204,7 +201,7 @@ def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classificati
     for n <= 4, all-nonnegative when no entry is below the band, and
     unclassified as the fallback.
     """
-    band = _scale_band(tol, sigma)
+    band = tolerance_band(tol, abs(sigma.values[0]))
     positives = sum(1 for v in sigma.values if v > band)
     s1 = sigma.trace
     if positives == 1 and s1 >= -band:
@@ -224,5 +221,5 @@ def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classificati
 
 def is_all_zero(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> bool:
     """True when every entry vanishes within the classification band."""
-    band = _scale_band(tol, sigma)
+    band = tolerance_band(tol, abs(sigma.values[0]))
     return all(abs(v) <= band for v in sigma.values)

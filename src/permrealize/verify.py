@@ -164,22 +164,28 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
     i and j when |M[i,j]| > tol or |M[j,i]| > tol; blocks are the contiguous
     ranges closed under coupling.  The zero matrix decomposes into n 1x1
     blocks.
+
+    Each index i of a block is scanned once, as one numpy comparison of
+    row i and column i beyond the block's current end, and the scan stops
+    once the block reaches n: a dense matrix costs one scan.
     """
     if not M.is_square:
         raise NotSquareError(
             f"block detection needs a square matrix, got {M.n_rows}x{M.n_cols}"
         )
+    A = M.data
     n = M.n_rows
     ranges: list[tuple[int, int]] = []
     start = 0
     while start < n:
         end = start  # inclusive extent of the current block
         i = start
-        while i <= end:
-            for j in range(n - 1, end, -1):
-                if abs(M.data[i, j]) > tol or abs(M.data[j, i]) > tol:
-                    end = j
-                    break
+        while i <= end < n - 1:
+            tail = end + 1
+            coupled = (np.abs(A[i, tail:]) > tol) | (np.abs(A[tail:, i]) > tol)
+            hits = np.flatnonzero(coupled)
+            if hits.size:
+                end = tail + int(hits[-1])
             i += 1
         ranges.append((start, end + 1))
         start = end + 1

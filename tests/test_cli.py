@@ -71,6 +71,21 @@ def test_realize_exact_beyond_float_range(capsys):
     assert obj["certificate"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "1e400,-1", "--exact"),
+        ("check", "1e400,-1", "--exact", "--format", "json"),
+        ("realize", "1e400,-1,-1", "--exact", "--method", "small"),
+        ("realize", "1e400,-1,-1,-1,-1", "--exact", "--method", "companion"),
+    ],
+)
+def test_exact_beyond_float_range_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(capsys, "frobnicate", "1")[0] == 1
 
@@ -113,6 +128,23 @@ def test_realize_json_has_certificate(capsys):
     assert obj["method"] == "suleimanova-permutative"
     assert obj["matrix"][0] == [1.0, 2.0, 3.0, 4.0]
     assert obj["certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("10,-1,-2,-3",),
+        ("6,-1,-2,-3",),
+        ("8,2,2,0", "--method", "small"),
+        ("10,-1,-2,-3.5,-0.25", "--method", "companion"),
+        ("10,-1,-2,-3", "--exact"),
+        ("0.5",),
+    ],
+)
+def test_realize_json_is_json_dumps_of_its_object(capsys, argv):
+    code, out, _ = run(capsys, "realize", *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_realize_forced_method(capsys):

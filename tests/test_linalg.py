@@ -38,6 +38,8 @@ from permrealize import (
     matrix_to_json,
     poly_from_roots,
     polys_close,
+    realize_companion,
+    realize_suleimanova,
 )
 from permrealize.linalg import (
     char_poly_coeffs,
@@ -457,20 +459,47 @@ def test_parse_rejects_garbage():
 
 def _matrix_to_json_reference(M):
     return json.dumps(
-        [[str(v) if isinstance(v, Fraction) else v for v in row] for row in M.data]
+        [[str(v) if isinstance(v, Fraction) else v for v in row]
+         for row in M.data.tolist()]
+    )
+
+
+def _matrix_to_csv_reference(M):
+    return "\n".join(",".join(format_scalar(v) for v in row) for row in M.data.tolist()) + "\n"
+
+
+def _serialization_inputs():
+    """Float matrices with repeated, signed-zero and extreme entries, odd
+    shapes and a non-contiguous view, plus an integer and an exact one."""
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-320, 300, (6, 6))
+    data[0, :4] = [-0.0, 0.1, 5e-324, 1e300]
+    alpha = realize_suleimanova(make_spectrum([7.1, -0.3, -0.3, -1.7, -1.7, -2.9]))
+    zeros = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [1.5, -1.5, 0.0]])
+    return (
+        from_rows(data.tolist()),
+        alpha.matrix,
+        from_rows(zeros.tolist()),
+        from_rows([[-0.0]]),
+        from_rows([[0.1, 0.2, 0.1], [-3.0, 0.2, 1e-310]]),
+        DenseMatrix(alpha.matrix.data.T),
+        realize_companion(make_spectrum([5.0, -0.5, -1.25, -2.0])).matrix,
+        DenseMatrix(np.array([[1, 0], [-2, 3]])),
+        from_rows([[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(10) ** 400]],
+                  exact=True),
     )
 
 
 def test_matrix_to_json_bytes_match_per_entry_encoder():
-    rng = np.random.default_rng(11)
-    data = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-320, 300, (6, 6))
-    data[0, :4] = [-0.0, 0.1, 5e-324, 1e300]
-    for M in (
-        from_rows(data.tolist()),
-        from_rows([[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(10) ** 400]],
-                  exact=True),
-    ):
+    inputs = _serialization_inputs()
+    assert not inputs[5].data.flags.c_contiguous
+    for M in inputs:
         assert matrix_to_json(M) == _matrix_to_json_reference(M)
+
+
+def test_matrix_to_csv_bytes_match_per_entry_formatter():
+    for M in _serialization_inputs():
+        assert matrix_to_csv(M) == _matrix_to_csv_reference(M)
 
 
 def _csv_tokens(rng):

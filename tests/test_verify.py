@@ -57,6 +57,57 @@ def test_detect_blocks_threshold():
     assert detect_blocks(M, tol=0.0) == [(0, 2)]
 
 
+def _detect_blocks_reference(M, tol=0.0):
+    """The entry-by-entry scan detect_blocks replaced."""
+    n = M.n_rows
+    ranges = []
+    start = 0
+    while start < n:
+        end = start
+        i = start
+        while i <= end:
+            for j in range(n - 1, end, -1):
+                if abs(M.data[i, j]) > tol or abs(M.data[j, i]) > tol:
+                    end = j
+                    break
+            i += 1
+        ranges.append((start, end + 1))
+        start = end + 1
+    return ranges
+
+
+def _block_test_matrices(rng):
+    """Dense, sparse and block-diagonal matrices; some entries at 1e-14."""
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        yield rng.random((n, n))
+        sparse = rng.random((n, n)) * (rng.random((n, n)) < 0.08)
+        sparse[rng.random((n, n)) < 0.03] = -1e-14
+        yield sparse
+        sizes = rng.integers(1, 5, int(rng.integers(1, 8)))
+        blocks = [rng.random((k, k)) * (rng.random((k, k)) < 0.7) for k in sizes]
+        B = direct_sum([from_rows(b.tolist()) for b in blocks]).data.copy()
+        m = B.shape[0]
+        B[rng.integers(0, m, 2), rng.integers(0, m, 2)] = 1e-14
+        yield B
+
+
+def test_detect_blocks_matches_reference_scan():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for data in _block_test_matrices(rng):
+        M = DenseMatrix(data)
+        for tol in (0.0, 1e-12):
+            got = detect_blocks(M, tol)
+            assert got == _detect_blocks_reference(M, tol), (data, tol)
+            seen.add(len(got) > 1)
+    assert seen == {True, False}
+    E = direct_sum([from_rows([[Fraction(1, 3)]], exact=True),
+                    from_rows([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
+                              exact=True)])
+    assert detect_blocks(E) == _detect_blocks_reference(E) == [(0, 1), (1, 3)]
+
+
 def test_detect_blocks_needs_square():
     with pytest.raises(NotSquareError):
         detect_blocks(from_rows([[1.0, 2.0]]))
