@@ -37,6 +37,7 @@ from .errors import (
 )
 from .linalg import (
     Tolerances,
+    format_entries,
     format_scalar,
     from_rows,
     matrix_from_csv,
@@ -89,7 +90,6 @@ class CliConfig:
     out: Optional[str] = None
     matrix_path: Optional[str] = None
     strategy: str = "alpha"
-    parallel: bool = False
     sizes: Optional[tuple[int, ...]] = None
 
 
@@ -259,7 +259,6 @@ def _dispatch_realize(cfg: CliConfig, sigma: Spectrum) -> Optional[Realization]:
             strategy=cfg.strategy,
             budget=cfg.budget,
             seed=cfg.seed,
-            parallel=cfg.parallel,
         )
         for r in results:
             if r.certified:
@@ -311,9 +310,7 @@ def _emit_realization(cfg: CliConfig, r: Realization) -> None:
 
 
 def _print_matrix(r: Realization) -> None:
-    cells = [
-        [format_scalar(v) for v in row] for row in r.matrix.data
-    ]
+    cells = format_entries(r.matrix)
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("  " + "  ".join(c.rjust(width) for c in row))
@@ -402,11 +399,7 @@ def cmd_bench(cfg: CliConfig) -> int:
 def cmd_explore(cfg: CliConfig) -> int:
     sigma = _load_spectrum(cfg)
     results = explorer_mod.explore(
-        sigma,
-        strategy=cfg.strategy,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        parallel=cfg.parallel,
+        sigma, strategy=cfg.strategy, budget=cfg.budget, seed=cfg.seed
     )
     log = explorer_mod.results_to_jsonl(results)
     if cfg.out:
@@ -468,7 +461,6 @@ def _build_parser() -> _Parser:
                    default="alpha")
     p.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser(
         "verify", parents=[common],
@@ -488,7 +480,6 @@ def _build_parser() -> _Parser:
                    default="alpha")
     p.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", help="write the JSON-lines log to this file")
 
     return parser
@@ -513,7 +504,6 @@ def _config_from_args(ns: argparse.Namespace) -> CliConfig:
         out=getattr(ns, "out", None),
         matrix_path=getattr(ns, "matrix_path", None),
         strategy=getattr(ns, "strategy", "alpha"),
-        parallel=getattr(ns, "parallel", False),
         sizes=sizes,
     )
 

@@ -64,12 +64,13 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
 def verify_roots(
     cr: CompanionRealization, sigma: Spectrum, tol: float = 1e-10
 ) -> bool:
-    """True iff |p(l_i)| <= tol * max(1, max|c_k|) for every target l_i."""
-    scale = max(1.0, max(abs(float(c)) for c in cr.poly.coeffs))
-    bound = tol * scale
-    return all(
-        abs(float(eval_poly(cr.poly, v))) <= bound for v in sigma.values
-    )
+    """True iff |p(l_i)| <= tol * max(1, max|c_k|) for every target l_i.
+
+    Exact values are compared exactly, as in realize_companion: they may
+    lie beyond the float range.
+    """
+    band = tolerance_band(tol, max(abs(c) for c in cr.poly.coeffs))
+    return all(abs(eval_poly(cr.poly, v)) <= band for v in sigma.values)
 
 
 def as_realization(cr: CompanionRealization, sigma: Spectrum) -> Realization:

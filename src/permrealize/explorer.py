@@ -14,9 +14,8 @@ through the strict certification path before being reported as realized.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -180,15 +179,14 @@ def objective(pt: PermTuple, x, sigma: Spectrum) -> float:
         raise DimensionMismatchError(
             f"spectrum size {sigma.n} != pattern size {pt.n}"
         )
-    target, w = _weights(sigma)
-    M = assemble(pt, x)
-    coeffs = np.array(char_poly_coeffs(M.data)[:-1], dtype=np.float64)
-    return float(np.sum(w * (coeffs - target) ** 2))
+    # Row 0 of the assembled matrix is x as float64: p_0 is the identity.
+    return _make_objective(pt, sigma)(assemble(pt, x).data[0])
 
 
 def _make_objective(
     pt: PermTuple, sigma: Spectrum
 ) -> Callable[[np.ndarray], float]:
+    """The objective of pt against sigma as a function of a float64 first row."""
     target, w = _weights(sigma)
     idx = pt.index_array()
 
@@ -295,15 +293,13 @@ def explore(
     strategy: str = "alpha",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> list[SearchResult]:
     """Search permutative patterns for a realization of sigma.
 
     ``budget`` is the total objective-evaluation allowance, split across
     candidate tuples; each tuple's fit derives its own seed from (seed,
-    tuple index), so serial and parallel runs produce identical result
-    lists (results are merged by a stable sort on (objective, encoding)).
+    tuple index), and results are ordered by a stable sort on (objective,
+    encoding), so equal arguments give identical result lists.
     Results at objective <= 1e-16 * max(1, sr) are re-certified through the
     strict verification path and flagged ``certified`` when they pass.
     """
@@ -320,16 +316,10 @@ def explore(
     tuples = _tuples_for_strategy(sigma, strategy, max_tuples, rng)
     per_tuple = max(1, budget // len(tuples))
 
-    def work(item: tuple[int, PermTuple]) -> SearchResult:
-        idx, pt = item
-        return fit_first_row(pt, sigma, seed=seed + 7919 * idx, iters=per_tuple)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(work, enumerate(tuples)))
-    else:
-        results = [work(item) for item in enumerate(tuples)]
-
+    results = [
+        fit_first_row(pt, sigma, seed=seed + 7919 * idx, iters=per_tuple)
+        for idx, pt in enumerate(tuples)
+    ]
     results.sort(key=lambda r: (r.objective, r.tuple.encoding))
 
     threshold = CERTIFY_THRESHOLD * max(1.0, float(sigma.spectral_radius))

@@ -12,6 +12,7 @@ float64 recurrence for search loops.  Monic polynomials store their leading
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -252,25 +253,38 @@ def _check_char_poly_order(A: np.ndarray) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _float_eye(n: int) -> np.ndarray:
+    """np.eye(n), built once per order and shared read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
     """Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending.
 
     Works directly on a square array, for search loops that avoid wrapper
-    overhead: a float64 array runs the recurrence in float64 (the
-    explorer's objective, whose rounding its search trajectories inherit);
-    an object array of Fractions gets the exact coefficients of char_poly.
+    overhead: an object array of Fractions gets the exact coefficients of
+    char_poly; a float64 array runs the recurrence in float64, whose
+    rounding the explorer's search trajectories inherit and which is
+    therefore fixed: one np.dot per step, each trace summed left to right
+    from the first diagonal entry, and B + c * I, not an in-place diagonal
+    add, whose off-diagonal b + 0.0 (inf * 0.0 is nan) decides convergence
+    on overflowing first rows.  About 16-22 us per call at n = 5..8.
     """
     _check_char_poly_order(A)
     if A.dtype == object:
         return _exact_char_poly_coeffs(A)
     n = A.shape[0]
-    eye = np.eye(n)
+    eye = _float_eye(n)
     coeffs: list[Scalar] = [1.0] * (n + 1)
-    B = A.copy()
-    coeffs[n - 1] = -_diag_sum(B)
-    for k in range(2, n + 1):
-        B = np.dot(A, B + coeffs[n - k + 1] * eye)
-        coeffs[n - k] = -_diag_sum(B) / float(k)
+    B = A
+    for k in range(1, n + 1):
+        d = B.diagonal().tolist()
+        coeffs[n - k] = -sum(d[1:], start=d[0]) / k
+        if k < n:
+            B = np.dot(A, B + coeffs[n - k] * eye)
     return tuple(coeffs)
 
 
@@ -313,11 +327,6 @@ def char_poly(M: DenseMatrix) -> Polynomial:
     """
     _check_char_poly_order(M.data)
     return Polynomial(_exact_char_poly_coeffs(M.data))
-
-
-def _diag_sum(arr: np.ndarray) -> Scalar:
-    d = [arr[i, i] for i in range(arr.shape[0])]
-    return sum(d[1:], start=d[0])
 
 
 def poly_from_roots(sigma: Spectrum) -> Polynomial:
@@ -517,13 +526,16 @@ def format_scalar(v: Scalar) -> str:
     return "%.17g" % v
 
 
+def format_entries(M: DenseMatrix) -> list[list[str]]:
+    """format_scalar of every entry, row by row (each distinct float64 once)."""
+    if M.data.dtype != np.float64:
+        return [[format_scalar(v) for v in row] for row in M.data.tolist()]
+    return _entry_texts(M.data, lambda vs: [format_scalar(v) for v in vs])
+
+
 def matrix_to_csv(M: DenseMatrix) -> str:
     """One row per line, entries by format_scalar (each distinct float once)."""
-    if M.data.dtype != np.float64:
-        rows = [[format_scalar(v) for v in row] for row in M.data.tolist()]
-    else:
-        rows = _entry_texts(M.data, lambda vs: [format_scalar(v) for v in vs])
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    return "\n".join(",".join(row) for row in format_entries(M)) + "\n"
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:

@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from permrealize.cli import TOLERANCE_ENV_VAR, main
+from permrealize import (
+    Realization,
+    as_realization,
+    from_rows,
+    make_spectrum,
+    realize_companion,
+    realize_suleimanova,
+)
+from permrealize.cli import TOLERANCE_ENV_VAR, _print_matrix, main
+from permrealize.linalg import format_scalar
 
 
 def run(capsys, *argv):
@@ -119,6 +130,31 @@ def test_realize_pretty_prints_method_and_case(capsys):
     assert "method: small-order" in out
     assert "case: N4-Group" in out
     assert "certified: pass" in out
+
+
+def _print_matrix_reference(r):
+    """The pretty matrix as first printed: every entry formatted on its own."""
+    cells = [[format_scalar(v) for v in row] for row in r.matrix.data]
+    width = max(len(c) for row in cells for c in row)
+    for row in cells:
+        print("  " + "  ".join(c.rjust(width) for c in row))
+
+
+def test_pretty_matrix_matches_per_entry_formatter(capsys):
+    zeros = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [1.5, -1.5, 1e-310]])
+    sigma3 = make_spectrum([1.0, 0.0, 0.0])
+    sule = make_spectrum([7.1, -0.3, -0.3, -1.7, -1.7, -2.9])
+    exact = make_spectrum([Fraction(7, 3), Fraction(-1, 2), Fraction(-1)], exact=True)
+    for r in (
+        realize_suleimanova(sule),
+        Realization(matrix=from_rows(zeros.tolist()), method="", target=sigma3),
+        as_realization(realize_companion(sule), sule),
+        realize_suleimanova(exact),
+    ):
+        _print_matrix(r)
+        got = capsys.readouterr().out
+        _print_matrix_reference(r)
+        assert got == capsys.readouterr().out
 
 
 def test_realize_json_has_certificate(capsys):

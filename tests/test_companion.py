@@ -82,6 +82,14 @@ def test_verify_roots():
     cr = realize_companion(sigma)
     assert verify_roots(cr, sigma)
     assert not verify_roots(cr, make_spectrum([4.0, -1.0, -2.9]))
+    # Exact coefficients beyond the float range are compared exactly.
+    big = make_spectrum([Fraction(10) ** 400, Fraction(-1), Fraction(-1)], exact=True)
+    cr = realize_companion(big)
+    assert verify_roots(cr, big)
+    assert verify_roots(cr, big, tol=0.0)
+    assert not verify_roots(
+        cr, make_spectrum([Fraction(10) ** 400, Fraction(-1), Fraction(-2)], exact=True)
+    )
 
 
 def test_companion_single_entry():

@@ -23,7 +23,14 @@ from permrealize import (
     objective,
     transposition_tuples,
 )
-from permrealize.explorer import DEFAULT_BUDGET, random_tuples, results_to_jsonl
+from permrealize import explorer
+from permrealize.explorer import (
+    DEFAULT_BUDGET,
+    STRATEGIES,
+    random_tuples,
+    results_to_jsonl,
+)
+from test_linalg import float_char_poly_reference
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +178,35 @@ def test_explore_results_sorted_and_deterministic():
     assert objs == sorted(objs)
 
 
-def test_explore_serial_matches_parallel():
+def test_explore_same_seed_same_log():
     sigma = make_spectrum([4.0, -1.0, -1.5, -1.5])
-    serial = explore(sigma, strategy="random", budget=2500, seed=3,
-                     parallel=False)
-    parallel = explore(sigma, strategy="random", budget=2500, seed=3,
-                       parallel=True)
-    assert results_to_jsonl(serial) == results_to_jsonl(parallel)
+    first = explore(sigma, strategy="random", budget=2500, seed=3)
+    again = explore(sigma, strategy="random", budget=2500, seed=3)
+    assert results_to_jsonl(first) == results_to_jsonl(again)
+
+
+def _kernel_targets(n: int):
+    """(seed, spectrum): a Suleimanova spectrum, which the alpha tuple
+    certifies and the cyclic and random tuples do not reach, and 1, 1 with
+    negatives summing to -2, none of whose subsets sums to -1, on which
+    every search spends its budget."""
+    neg = [-2.0 / (n - 2) - 0.01 * k for k in range(n - 3)]
+    yield 0, random_suleimanova(np.random.default_rng(n), n, scale=5.0)
+    yield 1, make_spectrum([1.0, 1.0, -2.0 - sum(neg)] + neg)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_explore_logs_match_reference_kernel(strategy, monkeypatch):
+    # Every search trajectory follows the float64 charpoly's rounding, so
+    # the kernel must reproduce the reference recurrence bit for bit.
+    for n in range(5, 9):
+        for seed, sigma in _kernel_targets(n):
+            args = dict(strategy=strategy, budget=400 * n, seed=seed)
+            new = results_to_jsonl(explore(sigma, **args))
+            with monkeypatch.context() as m:
+                m.setattr(explorer, "char_poly_coeffs", float_char_poly_reference)
+                ref = results_to_jsonl(explore(sigma, **args))
+            assert new == ref, (strategy, n, sigma.values, seed)
 
 
 def test_explore_size_guard():

@@ -316,6 +316,64 @@ def test_char_poly_of_floats_is_exact_across_binary_exponents():
         _assert_matches_reference(from_rows(data.tolist()))
 
 
+def _diag_sum(arr: np.ndarray):
+    d = [arr[i, i] for i in range(arr.shape[0])]
+    return sum(d[1:], start=d[0])
+
+
+def float_char_poly_reference(A: np.ndarray) -> tuple:
+    """The float64 Faddeev-LeVerrier recurrence as char_poly_coeffs first ran
+    it: the reference whose rounding the explorer's trajectories follow."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    coeffs = [1.0] * (n + 1)
+    B = A.copy()
+    coeffs[n - 1] = -_diag_sum(B)
+    for k in range(2, n + 1):
+        B = np.dot(A, B + coeffs[n - k + 1] * eye)
+        coeffs[n - k] = -_diag_sum(B) / float(k)
+    return tuple(coeffs)
+
+
+def _float_kernel_inputs():
+    """Random float matrices at n = 1..12: signed zeros, zero matrices,
+    permutative ones, a transposed view, entries near 1e200 whose products
+    overflow to inf and then nan, and traces that overflow."""
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 13):
+        yield np.zeros((n, n))
+        yield np.full((n, n), -0.0)
+        for _ in range(6):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+            A[rng.random((n, n)) < 0.3] = -0.0
+            A[rng.random((n, n)) < 0.2] = 0.0
+            yield A
+            yield A.T
+        x = rng.random(n) * 5.0
+        x[rng.integers(n)] = -0.0
+        yield x[np.array([rng.permutation(n) for _ in range(n)])]
+        if n > 1:
+            yield rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 2.0, (n, n)) * 1e200
+            yield np.diag(rng.uniform(0.5, 2.0, n) * 1e200)
+            yield np.full((n, n), 1e308)
+            # tr A overflows, so c * I holds inf * 0.0 = nan off the diagonal.
+            yield np.ones((n, n)) + np.diag(np.full(n, 1e308))
+
+
+def test_char_poly_coeffs_float_bits_match_reference():
+    seen_inf = seen_nan = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A in _float_kernel_inputs():
+            got = char_poly_coeffs(A)
+            ref = float_char_poly_reference(A)
+            assert [float.hex(c) for c in got] == [float.hex(c) for c in ref]
+            if not any(math.isnan(c) for c in ref):
+                assert got == ref
+            seen_inf |= any(math.isinf(c) for c in ref)
+            seen_nan |= any(math.isnan(c) for c in ref)
+    assert seen_inf and seen_nan
+
+
 def test_poly_from_roots_known():
     assert poly_from_roots(make_spectrum([1.0, 2.0])).coeffs == (2.0, -3.0, 1.0)
     assert poly_from_roots(make_spectrum([0.0] * 3)).coeffs == (0.0, 0.0, 0.0, 1.0)
