@@ -269,9 +269,10 @@ def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
     char_poly; a float64 array runs the recurrence in float64, whose
     rounding the explorer's search trajectories inherit and which is
     therefore fixed: one np.dot per step, each trace summed left to right
-    from the first diagonal entry, and B + c * I, not an in-place diagonal
-    add, whose off-diagonal b + 0.0 (inf * 0.0 is nan) decides convergence
-    on overflowing first rows.  About 16-22 us per call at n = 5..8.
+    from the first diagonal entry by plain float additions (not sum(),
+    which compensates float sums from Python 3.12 on), and B + c * I, not
+    an in-place diagonal add, whose off-diagonal b + 0.0 (inf * 0.0 is
+    nan) decides convergence on overflowing first rows.
     """
     _check_char_poly_order(A)
     if A.dtype == object:
@@ -282,7 +283,10 @@ def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
     B = A
     for k in range(1, n + 1):
         d = B.diagonal().tolist()
-        coeffs[n - k] = -sum(d[1:], start=d[0]) / k
+        tr = d[0]
+        for v in d[1:]:
+            tr += v
+        coeffs[n - k] = -tr / k
         if k < n:
             B = np.dot(A, B + coeffs[n - k] * eye)
     return tuple(coeffs)

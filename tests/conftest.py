@@ -24,6 +24,27 @@ def random_suleimanova(
     return make_spectrum(random_suleimanova_values(rng, n, scale))
 
 
+def _diag_sum(arr: np.ndarray):
+    # numpy scalars keep sum() on plain additions on every Python version:
+    # its compensated float path (3.12 on) needs an exact float start.
+    d = [arr[i, i] for i in range(arr.shape[0])]
+    return sum(d[1:], start=d[0])
+
+
+def float_char_poly_reference(A: np.ndarray) -> tuple:
+    """The float64 Faddeev-LeVerrier recurrence as char_poly_coeffs first ran
+    it: the reference whose rounding the explorer's trajectories follow."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    coeffs = [1.0] * (n + 1)
+    B = A.copy()
+    coeffs[n - 1] = -_diag_sum(B)
+    for k in range(2, n + 1):
+        B = np.dot(A, B + coeffs[n - k + 1] * eye)
+        coeffs[n - k] = -_diag_sum(B) / float(k)
+    return tuple(coeffs)
+
+
 @pytest.fixture
 def sigma_integer_example() -> Spectrum:
     """Spectrum {10, -1, -2, -3}; realized by an integer permutative matrix."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import random_suleimanova
+from conftest import float_char_poly_reference, random_suleimanova
 from permrealize import (
     DimensionMismatchError,
     DimensionOutOfRangeError,
@@ -30,7 +30,6 @@ from permrealize.explorer import (
     random_tuples,
     results_to_jsonl,
 )
-from test_linalg import float_char_poly_reference
 
 
 # ---------------------------------------------------------------------------

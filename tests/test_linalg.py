@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import float_char_poly_reference
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -316,25 +317,6 @@ def test_char_poly_of_floats_is_exact_across_binary_exponents():
         _assert_matches_reference(from_rows(data.tolist()))
 
 
-def _diag_sum(arr: np.ndarray):
-    d = [arr[i, i] for i in range(arr.shape[0])]
-    return sum(d[1:], start=d[0])
-
-
-def float_char_poly_reference(A: np.ndarray) -> tuple:
-    """The float64 Faddeev-LeVerrier recurrence as char_poly_coeffs first ran
-    it: the reference whose rounding the explorer's trajectories follow."""
-    n = A.shape[0]
-    eye = np.eye(n)
-    coeffs = [1.0] * (n + 1)
-    B = A.copy()
-    coeffs[n - 1] = -_diag_sum(B)
-    for k in range(2, n + 1):
-        B = np.dot(A, B + coeffs[n - k + 1] * eye)
-        coeffs[n - k] = -_diag_sum(B) / float(k)
-    return tuple(coeffs)
-
-
 def _float_kernel_inputs():
     """Random float matrices at n = 1..12: signed zeros, zero matrices,
     permutative ones, a transposed view, entries near 1e200 whose products
@@ -372,6 +354,15 @@ def test_char_poly_coeffs_float_bits_match_reference():
             seen_inf |= any(math.isinf(c) for c in ref)
             seen_nan |= any(math.isnan(c) for c in ref)
     assert seen_inf and seen_nan
+
+
+def test_char_poly_coeffs_float_trace_is_plain_left_to_right_sum():
+    # 1.0 + 1e16 rounds back to 1e16, so the trace read left to right with
+    # plain additions is 0.0; a reversed, compensated (sum() of floats from
+    # Python 3.12 on) or exact sum gives 1.0.
+    A = np.diag([1.0, 1e16, -1e16])
+    assert float.hex(char_poly_coeffs(A)[2]) == float.hex(-0.0)
+    assert float.hex(float_char_poly_reference(A)[2]) == float.hex(-0.0)
 
 
 def test_poly_from_roots_known():
