@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -50,14 +50,7 @@ class BenchEntry:
     coeff_overflow: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "suleimanova_s": self.suleimanova_s,
-            "poly_s": self.poly_s,
-            "companion_s": self.companion_s,
-            "peak_coeff": self.peak_coeff,
-            "coeff_overflow": self.coeff_overflow,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

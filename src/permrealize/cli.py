@@ -3,9 +3,11 @@
 Subcommands: check (necessary conditions + classification), realize
 (construct and certify a matrix), verify (certify a matrix file against a
 spectrum), bench (timing report), explore (pattern search).  Exit codes are
-a stable contract: 0 pass, 1 usage/parse failure, 2 verified failure or no
-available method, 3 inconclusive (a search that found nothing, or a
-certificate on which no spectral check could run).
+a stable contract: 0 pass, 1 usage/parse failure, 2 verified failure (a
+failed necessary condition or certificate), 3 inconclusive (no method
+applies, a search that found nothing, or a certificate on which no
+spectral check could run).  The policy and the certificates live in the
+library (``dispatch.realize``); this module parses and prints.
 
 Spectra are given inline as a comma list ("10,-1,-2,-3") or via --file
 (JSON array or one value per line).  The default tolerance profile can be
@@ -22,24 +24,16 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
 from . import explorer as explorer_mod
-from .companion import as_realization, realize_companion
-from .errors import (
-    DimensionOutOfRangeError,
-    NecessaryConditionViolationError,
-    ParseError,
-    RealizationError,
-)
+from .dispatch import METHODS, realize
+from .errors import NecessaryConditionViolationError, NotApplicableError, ParseError
 from .linalg import (
-    Tolerances,
     format_entries,
     format_scalar,
-    from_rows,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -48,15 +42,13 @@ from .linalg import (
 from .spectrum import (
     DEFAULT_POWER_DEPTH,
     Spectrum,
-    SpectrumKind,
+    Tolerances,
     check_necessary,
     classify,
     float_or_inf,
     make_spectrum,
 )
-from .small_order import realize_small
-from .suleimanova import realize_suleimanova, realize_zero_trace
-from .verify import METHOD_EXPLORER, Realization, Verdict, certify
+from .verify import Realization, Verdict, certify
 
 EXIT_PASS = 0
 EXIT_PARSE = 1
@@ -70,27 +62,6 @@ _VERDICT_EXIT = {
 }
 
 TOLERANCE_ENV_VAR = "PERMREALIZE_TOLERANCES"
-
-METHOD_CHOICES = ("auto", "suleimanova", "small", "companion", "explore")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    spectrum: Optional[str]
-    file: Optional[str]
-    method: str = "auto"
-    abs_tol: Optional[float] = None
-    rel_tol: Optional[float] = None
-    K: int = DEFAULT_POWER_DEPTH
-    seed: int = 0
-    budget: int = explorer_mod.DEFAULT_BUDGET
-    fmt: str = "pretty"
-    exact: bool = False
-    out: Optional[str] = None
-    matrix_path: Optional[str] = None
-    strategy: str = "alpha"
-    sizes: Optional[tuple[int, ...]] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +82,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _tolerances(cfg: CliConfig) -> Tolerances:
-    if cfg.exact:
+def _tolerances(ns: argparse.Namespace) -> Tolerances:
+    if ns.exact:
         return Tolerances.exact()
     default = Tolerances()
     abs_tol, rel_tol = default.absolute, default.relative
@@ -125,10 +96,10 @@ def _tolerances(cfg: CliConfig) -> Tolerances:
             raise ParseError(
                 f"{TOLERANCE_ENV_VAR} must be 'abs,rel', got {env!r}"
             ) from e
-    if cfg.abs_tol is not None:
-        abs_tol = cfg.abs_tol
-    if cfg.rel_tol is not None:
-        rel_tol = cfg.rel_tol
+    if ns.abs_tol is not None:
+        abs_tol = ns.abs_tol
+    if ns.rel_tol is not None:
+        rel_tol = ns.rel_tol
     if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
         raise ParseError(
             f"tolerances must be finite, got abs {abs_tol!r}, rel {rel_tol!r}"
@@ -151,16 +122,16 @@ def _parse_values(tokens: Sequence[str], exact: bool) -> list:
     return values
 
 
-def _load_spectrum(cfg: CliConfig) -> Spectrum:
-    if (cfg.spectrum is None) == (cfg.file is None):
+def _load_spectrum(ns: argparse.Namespace) -> Spectrum:
+    if (ns.spectrum is None) == (ns.file is None):
         raise ParseError(
             "give the spectrum either inline or with --file, not both"
         )
-    if cfg.spectrum is not None:
+    if ns.spectrum is not None:
         return make_spectrum(
-            _parse_values(cfg.spectrum.split(","), cfg.exact), exact=cfg.exact
+            _parse_values(ns.spectrum.split(","), ns.exact), exact=ns.exact
         )
-    with open(cfg.file, "r", encoding="utf-8") as fh:
+    with open(ns.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -173,7 +144,7 @@ def _load_spectrum(cfg: CliConfig) -> Spectrum:
         tokens = [str(v) for v in obj]
     else:
         tokens = text.split()
-    return make_spectrum(_parse_values(tokens, cfg.exact), exact=cfg.exact)
+    return make_spectrum(_parse_values(tokens, ns.exact), exact=ns.exact)
 
 
 def _spectrum_json(sigma: Spectrum) -> list:
@@ -187,13 +158,12 @@ def _spectrum_json(sigma: Spectrum) -> list:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    sigma = _load_spectrum(cfg)
-    tol = _tolerances(cfg)
-    report = check_necessary(sigma, K=cfg.K, tol=max(tol.absolute, tol.relative))
+def cmd_check(ns: argparse.Namespace) -> int:
+    sigma = _load_spectrum(ns)
+    report = check_necessary(sigma, K=ns.K, tol=_tolerances(ns))
     cls = classify(sigma)
     ok = report.power_sum_ok and report.perron_ok
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(
             json.dumps(
                 {
@@ -226,57 +196,11 @@ def cmd_check(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch_realize(cfg: CliConfig, sigma: Spectrum) -> Optional[Realization]:
-    """The realization of the chosen method; None when the search found none."""
-    method = cfg.method
-    if method == "auto":
-        kind = classify(sigma).kind
-        if kind == SpectrumKind.ZERO_TRACE_SULEIMANOVA:
-            return realize_zero_trace(sigma)
-        if kind == SpectrumKind.SULEIMANOVA:
-            method = "suleimanova"
-        elif sigma.n <= 4:
-            method = "small"
-        else:
-            cr = realize_companion(sigma)
-            if cr.nonneg:
-                return as_realization(cr, sigma)
-            print(
-                "warning: no closed-form method applies; falling back to a "
-                "budgeted pattern search",
-                file=sys.stderr,
-            )
-            method = "explore"
-    if method == "suleimanova":
-        return realize_suleimanova(sigma)
-    if method == "small":
-        return realize_small(sigma)
-    if method == "companion":
-        return as_realization(realize_companion(sigma), sigma)
-    if method == "explore":
-        results = explorer_mod.explore(
-            sigma,
-            strategy=cfg.strategy,
-            budget=cfg.budget,
-            seed=cfg.seed,
-        )
-        for r in results:
-            if r.certified:
-                return Realization(
-                    matrix=explorer_mod.assemble(r.tuple, r.x),
-                    method=METHOD_EXPLORER,
-                    target=sigma,
-                    params={"x": r.x, "tuple": r.tuple.encoding},
-                )
-        return None
-    raise ParseError(f"unknown method {cfg.method!r}")
-
-
-def _emit_realization(cfg: CliConfig, r: Realization) -> None:
+def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     case = r.params.get("case")
     verdict = r.certificate.verdict
     certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         # The bytes of json.dumps of the whole dict, with the matrix
         # formatted by matrix_to_json (each distinct entry once).
         rest = json.dumps(
@@ -288,7 +212,7 @@ def _emit_realization(cfg: CliConfig, r: Realization) -> None:
             }
         )
         print('{"matrix": ' + matrix_to_json(r.matrix) + ", " + rest[1:])
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
         sys.stdout.write(matrix_to_csv(r.matrix))
         meta = f"method={r.method}" + (f" case={case}" if case else "")
@@ -302,9 +226,8 @@ def _emit_realization(cfg: CliConfig, r: Realization) -> None:
         rep = r.certificate
         print(
             "certificate: "
-            f"nonneg={rep.nonneg_ok.value} structure={rep.structure_ok.value} "
-            f"charpoly={rep.charpoly_ok.value} eigenpairs={rep.eigenpair_ok.value} "
-            f"max_residual={rep.max_residual:.3g}"
+            + "".join(f"{k}={s.value} " for k, s in rep.checks.items())
+            + f"max_residual={rep.max_residual:.3g}"
         )
         print(f"certified: {certified}")
 
@@ -316,14 +239,18 @@ def _print_matrix(r: Realization) -> None:
         print("  " + "  ".join(c.rjust(width) for c in row))
 
 
-def cmd_realize(cfg: CliConfig) -> int:
-    sigma = _load_spectrum(cfg)
-    tol = _tolerances(cfg)
+def cmd_realize(ns: argparse.Namespace) -> int:
+    sigma = _load_spectrum(ns)
+    tol = _tolerances(ns)
     try:
-        r = _dispatch_realize(cfg, sigma)
-    except (NecessaryConditionViolationError, DimensionOutOfRangeError) as e:
-        print(f"not realizable by the available methods: {e}", file=sys.stderr)
+        r = realize(sigma, ns.method, tol, ns.strategy, ns.budget, ns.seed)
+    except NecessaryConditionViolationError as e:
+        # Before NotApplicableError: a NegativeTraceError is both.
+        print(f"not realizable: {e}", file=sys.stderr)
         return EXIT_FAIL
+    except NotApplicableError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     if r is None:
         print(
             "inconclusive: the pattern search found no certified realization "
@@ -331,13 +258,11 @@ def cmd_realize(cfg: CliConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_INCONCLUSIVE
-    report = certify(r, tol)
-    r = r.with_certificate(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(matrix_to_csv(r.matrix))
-    _emit_realization(cfg, r)
-    return _VERDICT_EXIT[report.verdict]
+    _emit_realization(ns, r)
+    return _VERDICT_EXIT[r.certificate.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +270,21 @@ def cmd_realize(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    sigma = _load_spectrum(cfg)
-    with open(cfg.matrix_path, "r", encoding="utf-8") as fh:
+def cmd_verify(ns: argparse.Namespace) -> int:
+    sigma = _load_spectrum(ns)
+    with open(ns.matrix_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("["):
-        M = matrix_from_json(text, exact=cfg.exact)
+        M = matrix_from_json(text, exact=ns.exact)
     else:
-        M = matrix_from_csv(text, exact=cfg.exact)
-    tol = _tolerances(cfg)
+        M = matrix_from_csv(text, exact=ns.exact)
+    tol = _tolerances(ns)
     r = Realization(matrix=M, method="", target=sigma)
     report = certify(r, tol)
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps(report.to_json_obj()))
     else:
-        for name, state in (
-            ("nonneg", report.nonneg_ok),
-            ("structure", report.structure_ok),
-            ("charpoly", report.charpoly_ok),
-            ("eigenpairs", report.eigenpair_ok),
-        ):
+        for name, state in report.checks.items():
             print(f"{name:<12} {state.value}")
         print(f"max residual {report.max_residual:.6g}")
         print(f"passed       {report.passed}")
@@ -377,16 +297,15 @@ def cmd_verify(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bench(cfg: CliConfig) -> int:
-    sizes = cfg.sizes or bench_mod.DEFAULT_SIZES
-    report = bench_mod.run_bench(sizes)
+def cmd_bench(ns: argparse.Namespace) -> int:
+    report = bench_mod.run_bench(ns.sizes or bench_mod.DEFAULT_SIZES)
     # Cross-check at n = 4: both methods agree on the integer reference
     # example.
     sigma = make_spectrum([10, -1, -2, -3])
-    sule_ok = certify(realize_suleimanova(sigma)).passed
-    comp_ok = certify(as_realization(realize_companion(sigma), sigma)).passed
     obj = report.to_json_obj()
-    obj["n4_cross_check"] = {"suleimanova": sule_ok, "companion": comp_ok}
+    obj["n4_cross_check"] = {
+        m: realize(sigma, m).certificate.passed for m in ("suleimanova", "companion")
+    }
     print(json.dumps(obj, indent=2))
     return EXIT_PASS
 
@@ -396,14 +315,19 @@ def cmd_bench(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_explore(cfg: CliConfig) -> int:
-    sigma = _load_spectrum(cfg)
-    results = explorer_mod.explore(
-        sigma, strategy=cfg.strategy, budget=cfg.budget, seed=cfg.seed
-    )
+def cmd_explore(ns: argparse.Namespace) -> int:
+    sigma = _load_spectrum(ns)
+    tol = _tolerances(ns)
+    try:
+        results = explorer_mod.explore(
+            sigma, strategy=ns.strategy, budget=ns.budget, seed=ns.seed, tol=tol
+        )
+    except NotApplicableError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     log = explorer_mod.results_to_jsonl(results)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(log)
     else:
         sys.stdout.write(log)
@@ -414,6 +338,10 @@ def cmd_explore(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _build_parser() -> _Parser:
@@ -446,6 +374,12 @@ def _build_parser() -> _Parser:
     common.add_argument("--abs-tol", type=float, default=None)
     common.add_argument("--rel-tol", type=float, default=None)
 
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--strategy", choices=explorer_mod.STRATEGIES,
+                        default="alpha")
+    search.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
+    search.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser(
         "check", parents=[common], help="necessary conditions + classification"
     )
@@ -453,14 +387,10 @@ def _build_parser() -> _Parser:
                    default=DEFAULT_POWER_DEPTH)
 
     p = sub.add_parser(
-        "realize", parents=[common], help="construct and certify a matrix"
+        "realize", parents=[common, search], help="construct and certify a matrix"
     )
-    p.add_argument("--method", choices=METHOD_CHOICES, default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--out", help="also write the matrix as CSV to this file")
-    p.add_argument("--strategy", choices=explorer_mod.STRATEGIES,
-                   default="alpha")
-    p.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
         "verify", parents=[common],
@@ -470,42 +400,15 @@ def _build_parser() -> _Parser:
                    help="matrix file (CSV rows or JSON nested arrays)")
 
     p = sub.add_parser("bench", parents=[common], help="timing report (JSON)")
-    p.add_argument("--sizes", help="comma list of matrix orders",
-                   default=None)
+    p.add_argument("--sizes", type=_sizes, default=None,
+                   help="comma list of matrix orders")
 
     p = sub.add_parser(
-        "explore", parents=[common], help="pattern search (JSON-lines log)"
+        "explore", parents=[common, search], help="pattern search (JSON-lines log)"
     )
-    p.add_argument("--strategy", choices=explorer_mod.STRATEGIES,
-                   default="alpha")
-    p.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON-lines log to this file")
 
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    sizes = None
-    if getattr(ns, "sizes", None):
-        sizes = tuple(int(tok) for tok in ns.sizes.split(","))
-    return CliConfig(
-        subcommand=ns.subcommand,
-        spectrum=getattr(ns, "spectrum", None),
-        file=getattr(ns, "file", None),
-        method=getattr(ns, "method", "auto"),
-        abs_tol=getattr(ns, "abs_tol", None),
-        rel_tol=getattr(ns, "rel_tol", None),
-        K=getattr(ns, "K", DEFAULT_POWER_DEPTH),
-        seed=getattr(ns, "seed", 0),
-        budget=getattr(ns, "budget", explorer_mod.DEFAULT_BUDGET),
-        fmt=getattr(ns, "fmt", "pretty"),
-        exact=getattr(ns, "exact", False),
-        out=getattr(ns, "out", None),
-        matrix_path=getattr(ns, "matrix_path", None),
-        strategy=getattr(ns, "strategy", "alpha"),
-        sizes=sizes,
-    )
 
 
 _COMMANDS = {
@@ -521,14 +424,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _config_from_args(ns)
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[ns.subcommand](ns)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_PARSE
     except (ParseError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except RealizationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

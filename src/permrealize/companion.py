@@ -20,7 +20,7 @@ from .linalg import (
     from_rows,
     poly_from_roots,
 )
-from .spectrum import DEFAULT_CLASSIFY_TOL, Spectrum, tolerance_band
+from .spectrum import CLASSIFY_TOL, Spectrum, Tolerances
 from .verify import METHOD_COMPANION, Realization
 
 
@@ -54,9 +54,7 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
     matrix = from_rows(rows, exact=exact)
     # Exact coefficients are compared exactly: they may lie beyond the
     # float range.
-    band = 0.0 if exact else tolerance_band(
-        DEFAULT_CLASSIFY_TOL, max(abs(c) for c in poly.coeffs)
-    )
+    band = 0.0 if exact else CLASSIFY_TOL.band(max(abs(c) for c in poly.coeffs))
     nonneg = all(c <= band for c in poly.coeffs[:-1])
     return CompanionRealization(poly=poly, matrix=matrix, nonneg=nonneg)
 
@@ -69,7 +67,7 @@ def verify_roots(
     Exact values are compared exactly, as in realize_companion: they may
     lie beyond the float range.
     """
-    band = tolerance_band(tol, max(abs(c) for c in cr.poly.coeffs))
+    band = Tolerances(tol, tol).band(max(abs(c) for c in cr.poly.coeffs))
     return all(abs(eval_poly(cr.poly, v)) <= band for v in sigma.values)
 
 

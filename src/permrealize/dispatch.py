@@ -1,0 +1,69 @@
+"""The dispatch policy: which construction realizes a spectrum, certified once.
+
+A NecessaryConditionViolationError from ``realize`` means that no
+nonnegative matrix has the spectrum; a NotApplicableError means only that
+the method does not cover it.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .companion import as_realization, realize_companion
+from .explorer import DEFAULT_BUDGET, explore
+from .small_order import realize_small
+from .spectrum import Spectrum, SpectrumKind, Tolerances, classify
+from .suleimanova import realize_suleimanova, realize_zero_trace
+from .verify import Realization, certify
+
+
+def _companion(sigma: Spectrum) -> Realization:
+    return as_realization(realize_companion(sigma), sigma)
+
+
+def _auto(sigma: Spectrum) -> Optional[Realization]:
+    """The first closed form that applies: alpha, small order, companion."""
+    kind = classify(sigma).kind
+    if kind is SpectrumKind.ZERO_TRACE_SULEIMANOVA:
+        return realize_zero_trace(sigma)
+    if kind is SpectrumKind.SULEIMANOVA:
+        return realize_suleimanova(sigma)
+    if sigma.n <= 4:
+        return realize_small(sigma)
+    r = _companion(sigma)
+    return r if r.params["nonneg"] else None
+
+
+#: Each method's closed form; a None result leaves the pattern search.
+_CLOSED_FORMS = {
+    "auto": _auto,
+    "suleimanova": realize_suleimanova,
+    "small": realize_small,
+    "companion": _companion,
+    "explore": lambda sigma: None,
+}
+
+METHODS = tuple(_CLOSED_FORMS)
+
+
+def realize(
+    sigma: Spectrum,
+    method: str = "auto",
+    tol: Optional[Tolerances] = None,
+    strategy: str = "alpha",
+    budget: int = DEFAULT_BUDGET,
+    seed: int = 0,
+) -> Optional[Realization]:
+    """sigma's realization by ``method`` (one of METHODS), certified under tol.
+
+    The pattern search (``strategy``, ``budget``, ``seed``) runs for
+    "explore", and for "auto" when no closed form applies; None means it
+    found no certified realization.  ``tol`` None is certify's default.
+    """
+    if method not in _CLOSED_FORMS:
+        raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    r = _CLOSED_FORMS[method](sigma)
+    if r is not None:
+        return r.with_certificate(certify(r, tol))
+    hits = explore(sigma, strategy, budget, seed, tol)  # certified under tol
+    return next((h.realization for h in hits if h.certified), None)

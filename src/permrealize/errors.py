@@ -33,7 +33,11 @@ class DimensionTooSmallError(RealizationError, ValueError):
     pass
 
 
-class DimensionOutOfRangeError(RealizationError, ValueError):
+class NotApplicableError(RealizationError, ValueError):
+    """The construction does not cover this spectrum; says nothing of realizability."""
+
+
+class DimensionOutOfRangeError(NotApplicableError):
     pass
 
 
@@ -45,12 +49,16 @@ class PerronViolationError(NecessaryConditionViolationError):
     """The spectral radius is not attained by a (nonnegative) member of the spectrum."""
 
 
-class NotSuleimanovaError(NecessaryConditionViolationError):
+class NotSuleimanovaError(NotApplicableError):
     pass
 
 
 class NotZeroTraceError(NotSuleimanovaError):
     pass
+
+
+class NegativeTraceError(NotSuleimanovaError, NecessaryConditionViolationError):
+    """A negative trace: no construction applies because no nonnegative matrix does."""
 
 
 class InternalCaseGapError(RealizationError, RuntimeError):

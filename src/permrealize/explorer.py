@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionOutOfRangeError
+from .errors import DimensionMismatchError, DimensionOutOfRangeError, NotApplicableError
 from .linalg import DenseMatrix, char_poly_coeffs, poly_from_roots
-from .spectrum import Spectrum
+from .spectrum import Spectrum, Tolerances, float_or_inf
 from .suleimanova import suleimanova_first_row
-from .verify import METHOD_EXPLORER, Realization, Tolerances, certify
+from .verify import METHOD_EXPLORER, Realization, certify
 
 #: Largest order the search accepts (characteristic-polynomial cost and
 #: search-space size both explode beyond this).
@@ -73,12 +73,20 @@ class PermTuple:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best first row found for one pattern, with its mismatch objective."""
+    """Best first row found for one pattern, with its mismatch objective.
+
+    ``realization`` is the assembled matrix with its passing certificate,
+    on results that certified; None on the others.
+    """
 
     tuple: PermTuple
     x: tuple[float, ...]
     objective: float
-    certified: bool = False
+    realization: Optional[Realization] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.realization is not None
 
     def to_json_obj(self) -> dict:
         return {
@@ -165,11 +173,23 @@ def random_tuples(n: int, count: int, rng: np.random.Generator) -> list[PermTupl
 
 
 def _weights(sigma: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Target coefficients c_k and weights 1/max(1,|c_k|)^2, k = 0..n-1."""
+    """Target coefficients c_k and weights 1/max(1,|c_k|)^2, k = 0..n-1.
+
+    Refuses a spectrum with a coefficient or weight that float64 cannot
+    hold (non-finite, or a weight of 0): its objective would carry no
+    information, and evaluating it would overflow.
+    """
     target = np.array(
-        [float(c) for c in poly_from_roots(sigma).coeffs[:-1]], dtype=np.float64
+        [float_or_inf(c) for c in poly_from_roots(sigma).coeffs[:-1]],
+        dtype=np.float64,
     )
-    w = 1.0 / np.maximum(1.0, np.abs(target)) ** 2
+    with np.errstate(over="ignore"):
+        w = 1.0 / np.maximum(1.0, np.abs(target)) ** 2
+    if not (np.isfinite(target).all() and w.all()):
+        raise NotApplicableError(
+            "the search objective cannot represent this spectrum: its "
+            "characteristic coefficients or their weights overflow float64"
+        )
     return target, w
 
 
@@ -293,6 +313,7 @@ def explore(
     strategy: str = "alpha",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
+    tol: Optional[Tolerances] = None,
 ) -> list[SearchResult]:
     """Search permutative patterns for a realization of sigma.
 
@@ -300,8 +321,9 @@ def explore(
     candidate tuples; each tuple's fit derives its own seed from (seed,
     tuple index), and results are ordered by a stable sort on (objective,
     encoding), so equal arguments give identical result lists.
-    Results at objective <= 1e-16 * max(1, sr) are re-certified through the
-    strict verification path and flagged ``certified`` when they pass.
+    Results at objective <= 1e-16 * max(1, sr) are certified under ``tol``
+    (certify's default when None) and keep their certified Realization
+    when they pass.
     """
     n = sigma.n
     if not 2 <= n <= MAX_SEARCH_N:
@@ -332,8 +354,9 @@ def explore(
                 target=sigma,
                 params={"x": r.x, "tuple": r.tuple.encoding},
             )
-            report = certify(real, Tolerances())
-            r = replace(r, certified=report.passed)
+            real = real.with_certificate(certify(real, tol))
+            if real.certificate.passed:
+                r = replace(r, realization=real)
         out.append(r)
     return out
 

@@ -29,38 +29,12 @@ from .errors import (
     NotSquareError,
     ParseError,
 )
-from .spectrum import Spectrum, float_or_inf
+from .spectrum import Spectrum, Tolerances, float_or_inf
 
 Scalar = Union[float, Fraction]
 
 #: Largest order accepted by char_poly (the recurrence is O(n^4)).
 CHAR_POLY_MAX_N = 64
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Mixed absolute/relative tolerance profile threaded through all checks.
-
-    The band at a given magnitude ``scale`` is ``max(absolute, relative *
-    scale)``.  ``Tolerances.exact()`` is the all-zero profile used with
-    Fraction arithmetic, where every comparison must hold exactly.
-    """
-
-    absolute: float = 1e-10
-    relative: float = 1e-9
-
-    @staticmethod
-    def exact() -> "Tolerances":
-        return Tolerances(absolute=0.0, relative=0.0)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.absolute == 0.0 and self.relative == 0.0
-
-    def band(self, scale: float) -> float:
-        if self.relative == 0.0:
-            return self.absolute
-        return max(self.absolute, self.relative * scale)
 
 
 def _coerce(value, exact: bool) -> Scalar:
@@ -110,12 +84,6 @@ class DenseMatrix:
     def is_exact(self) -> bool:
         return self.data.dtype == object
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.data[i, j]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def trace(self) -> Scalar:
         d = [self.data[i, i] for i in range(min(self.data.shape))]
         return sum(d[1:], start=d[0])
@@ -126,18 +94,6 @@ class DenseMatrix:
 
     def to_lists(self) -> list[list[Scalar]]:
         return self.data.tolist()
-
-    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.n_cols != other.n_rows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.n_rows}x{self.n_cols} by "
-                f"{other.n_rows}x{other.n_cols}"
-            )
-        # np.dot (unlike np.matmul) also handles object arrays of Fractions.
-        return DenseMatrix(np.dot(self.data, other.data))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.dot(self.data, x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
@@ -178,24 +134,6 @@ def identity(n: int, exact: bool = False) -> DenseMatrix:
     for i in range(n):
         arr[i, i] = one
     return DenseMatrix(arr)
-
-
-def ones_matrix(n: int, exact: bool = False) -> DenseMatrix:
-    if n < 1:
-        raise EmptyInputError("ones_matrix needs n >= 1")
-    arr = zeros(n, n, exact)
-    arr[:] = Fraction(1) if exact else 1.0
-    return DenseMatrix(arr)
-
-
-def ones_vector(n: int, exact: bool = False) -> np.ndarray:
-    if n < 1:
-        raise EmptyInputError("ones_vector needs n >= 1")
-    if exact:
-        v = np.empty(n, dtype=object)
-        v[:] = Fraction(1)
-        return v
-    return np.ones(n)
 
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:

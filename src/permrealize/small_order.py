@@ -34,12 +34,7 @@ from .errors import (
     PerronViolationError,
 )
 from .linalg import direct_sum, from_rows
-from .spectrum import (
-    DEFAULT_CLASSIFY_TOL,
-    Spectrum,
-    make_spectrum,
-    tolerance_band,
-)
+from .spectrum import CLASSIFY_TOL, Spectrum, make_spectrum
 from .suleimanova import realize_suleimanova
 from .verify import METHOD_SMALL_ORDER, Realization
 
@@ -57,7 +52,7 @@ CASE_N4_PAIRED = "N4-PairedDirectSum"
 
 def _band(*values: Scalar) -> Scalar:
     """The classification band at the largest |value|, exact beyond floats."""
-    return tolerance_band(DEFAULT_CLASSIFY_TOL, max(abs(v) for v in values))
+    return CLASSIFY_TOL.band(max(abs(v) for v in values))
 
 
 def _check_preconditions(sigma: Spectrum) -> Scalar:

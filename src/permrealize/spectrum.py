@@ -23,10 +23,6 @@ Scalar = Union[float, Fraction]
 #: Depth at which the all-k power-sum condition is truncated by default.
 DEFAULT_POWER_DEPTH = 50
 
-#: Relative half-width of the band used to call an entry "positive" or a
-#: trace "zero"; scaled by max(1, |l_1|).
-DEFAULT_CLASSIFY_TOL = 1e-12
-
 
 def float_or_inf(v) -> float:
     """float(v), or +-inf when an exact value lies beyond the float range."""
@@ -36,18 +32,39 @@ def float_or_inf(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def tolerance_band(tol: float, magnitude: Scalar) -> Scalar:
-    """Tolerance half-width tol * max(1, magnitude); 0 when tol is 0.
+@dataclass(frozen=True)
+class Tolerances:
+    """Mixed absolute/relative tolerance profile threaded through all checks.
 
-    An infinite band would accept every comparison, so an exact magnitude
-    beyond the float range gets the band tol * magnitude as a Fraction.
+    The band at a given magnitude ``scale`` is ``max(absolute, relative *
+    scale)``.  ``Tolerances.exact()`` is the all-zero profile used with
+    Fraction arithmetic, where every comparison must hold exactly.
     """
-    if tol == 0:
-        return 0.0
-    scale = float_or_inf(magnitude)
-    if scale == math.inf:
-        return Fraction(tol) * magnitude
-    return tol * max(1.0, scale)
+
+    absolute: float = 1e-10
+    relative: float = 1e-9
+
+    @staticmethod
+    def exact() -> "Tolerances":
+        return Tolerances(absolute=0.0, relative=0.0)
+
+    def band(self, scale: Scalar) -> Scalar:
+        """The band at ``scale``; absolute alone when relative is 0.
+
+        An infinite band would accept every comparison, so an exact scale
+        beyond the float range gets its band as a Fraction.
+        """
+        if self.relative == 0.0:
+            return self.absolute
+        s = float_or_inf(scale)
+        if s == math.inf and isinstance(scale, Fraction):
+            return max(Fraction(self.absolute), Fraction(self.relative) * scale)
+        return max(self.absolute, self.relative * s)
+
+
+#: The band used to call an entry "positive" or a trace "zero", and to check
+#: the necessary conditions: 1e-12 * max(1, magnitude).
+CLASSIFY_TOL = Tolerances(1e-12, 1e-12)
 
 
 class SpectrumKind(enum.Enum):
@@ -154,13 +171,13 @@ def power_sum(sigma: Spectrum, k: int) -> Scalar:
 
 
 def check_necessary(
-    sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH, tol: float = DEFAULT_CLASSIFY_TOL
+    sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH, tol: Tolerances = CLASSIFY_TOL
 ) -> ConditionReport:
     """Check the two classical necessary conditions up to power depth K.
 
     The power-sum condition quantifies over every k; here it is truncated at
     K (the constructions never rely on this check for correctness).  Each
-    s_k is compared against ``-tol * max(1, sum|l_i|^k)`` so the test stays
+    s_k is compared against ``-tol.band(sum|l_i|^k)`` so the test stays
     meaningful at any magnitude.  The Perron check requires the largest
     entry itself to attain max|l_i|: a spectrum whose radius is only hit by
     a negative entry fails.
@@ -175,12 +192,12 @@ def check_necessary(
         s_k = sum(powers[1:], start=powers[0])
         mag_k = sum(abs_powers[1:], start=abs_powers[0])
         sums.append(s_k)
-        if not s_k >= -tolerance_band(tol, mag_k):
+        if not s_k >= -tol.band(mag_k):
             ok = False
         powers = [p * v for p, v in zip(powers, sigma.values)]
         abs_powers = [p * a for p, a in zip(abs_powers, (abs(v) for v in sigma.values))]
     sr = sigma.spectral_radius
-    band = tolerance_band(tol, sr)
+    band = tol.band(sr)
     perron_ok = bool(sr - sigma.values[0] <= band)
     return ConditionReport(
         power_sums=tuple(sums),
@@ -191,17 +208,17 @@ def check_necessary(
     )
 
 
-def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
+def classify(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> Classification:
     """Classify a spectrum for method dispatch.
 
-    An entry counts as positive iff it exceeds ``tol * max(1, |l_1|)``, so
+    An entry counts as positive iff it exceeds ``tol.band(|l_1|)``, so
     zeros sit with the non-positive entries.  A spectrum with exactly one
     positive entry and nonnegative trace is Suleimanova (zero-trace variant
     when the trace vanishes within the same band).  Otherwise: small-order
     for n <= 4, all-nonnegative when no entry is below the band, and
     unclassified as the fallback.
     """
-    band = tolerance_band(tol, abs(sigma.values[0]))
+    band = tol.band(abs(sigma.values[0]))
     positives = sum(1 for v in sigma.values if v > band)
     s1 = sigma.trace
     if positives == 1 and s1 >= -band:
@@ -219,7 +236,7 @@ def classify(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> Classificati
     return Classification(kind=kind, positives=positives, trace=s1)
 
 
-def is_all_zero(sigma: Spectrum, tol: float = DEFAULT_CLASSIFY_TOL) -> bool:
+def is_all_zero(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> bool:
     """True when every entry vanishes within the classification band."""
-    band = tolerance_band(tol, abs(sigma.values[0]))
+    band = tol.band(abs(sigma.values[0]))
     return all(abs(v) <= band for v in sigma.values)

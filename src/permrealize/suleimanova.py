@@ -28,11 +28,12 @@ import numpy as np
 from .errors import (
     DimensionTooSmallError,
     EmptyInputError,
+    NegativeTraceError,
     NotSuleimanovaError,
     NotZeroTraceError,
 )
 from .linalg import DenseMatrix, from_rows
-from .spectrum import Spectrum, SpectrumKind, classify, is_all_zero
+from .spectrum import CLASSIFY_TOL, Spectrum, SpectrumKind, classify, is_all_zero
 from .verify import METHOD_SULEIMANOVA, METHOD_ZERO_TRACE, Realization
 
 Scalar = Union[float, Fraction]
@@ -149,12 +150,20 @@ def suleimanova_first_row(sigma: Spectrum) -> tuple[Scalar, ...]:
     return (s1 / fn,) + tuple((s1 - fn * v) / fn for v in sigma.values[1:])
 
 
+def _alpha_realization(x: tuple[Scalar, ...], method: str, sigma: Spectrum) -> Realization:
+    matrix = build_alpha_permutative(x).matrix
+    return Realization(matrix=matrix, method=method, target=sigma, params={"x": x})
+
+
 def realize_suleimanova(sigma: Spectrum) -> Realization:
     """Realize a Suleimanova spectrum by one permutative matrix.
 
     The target must have exactly one positive entry (the first, since
     spectra are sorted descending) and nonnegative sum; the all-zero
-    spectrum is accepted and yields the zero matrix.
+    spectrum is accepted and yields the zero matrix.  A negative sum raises
+    NegativeTraceError, a necessary-condition failure; any other spectrum
+    raises NotSuleimanovaError, which says only that the formula does not
+    apply.
     """
     cls = classify(sigma)
     admissible = cls.kind in (
@@ -164,19 +173,17 @@ def realize_suleimanova(sigma: Spectrum) -> Realization:
     # The all-zero spectrum is admitted as the degenerate boundary case:
     # the construction yields the zero matrix.
     if not admissible and not is_all_zero(sigma):
+        if cls.trace < -CLASSIFY_TOL.band(abs(sigma.values[0])):
+            raise NegativeTraceError(
+                f"the spectrum's sum {cls.trace} is negative, so no "
+                "nonnegative matrix realizes it"
+            )
         raise NotSuleimanovaError(
             "a Suleimanova spectrum needs exactly one positive entry and "
             f"nonnegative sum; got {cls.positives} positive entries with "
             f"sum {cls.trace}"
         )
-    x = suleimanova_first_row(sigma)
-    alpha = build_alpha_permutative(x)
-    return Realization(
-        matrix=alpha.matrix,
-        method=METHOD_SULEIMANOVA,
-        target=sigma,
-        params={"x": x},
-    )
+    return _alpha_realization(suleimanova_first_row(sigma), METHOD_SULEIMANOVA, sigma)
 
 
 def realize_zero_trace(sigma: Spectrum) -> Realization:
@@ -195,10 +202,4 @@ def realize_zero_trace(sigma: Spectrum) -> Realization:
         )
     zero: Scalar = Fraction(0) if sigma.is_exact else 0.0
     x = (zero,) + tuple(-v for v in sigma.values[1:])
-    alpha = build_alpha_permutative(x)
-    return Realization(
-        matrix=alpha.matrix,
-        method=METHOD_ZERO_TRACE,
-        target=sigma,
-        params={"x": x},
-    )
+    return _alpha_realization(x, METHOD_ZERO_TRACE, sigma)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import DimensionMismatchError, NotSquareError
 from .linalg import (
     CHAR_POLY_MAX_N,
     DenseMatrix,
-    Tolerances,
     char_poly,
     is_nonnegative,
     is_permutative,
@@ -31,7 +29,7 @@ from .linalg import (
     poly_from_roots,
     polys_close,
 )
-from .spectrum import Spectrum, float_or_inf, make_spectrum
+from .spectrum import Spectrum, Tolerances, float_or_inf, make_spectrum
 
 # Method tags attached to Realizations by the construction modules.
 METHOD_SULEIMANOVA = "suleimanova-permutative"
@@ -95,19 +93,23 @@ class VerificationReport:
     tolerances: Tolerances
 
     @property
+    def checks(self) -> dict[str, CheckState]:
+        """Each check's state, keyed by its name in JSON and CLI output."""
+        return {
+            "nonneg": self.nonneg_ok,
+            "structure": self.structure_ok,
+            "charpoly": self.charpoly_ok,
+            "eigenpairs": self.eigenpair_ok,
+        }
+
+    @property
     def verdict(self) -> Verdict:
         """Fail if any check failed; pass only if a spectral check passed.
 
         Nonnegativity and structure cannot tell two spectra apart, so
         without a charpoly or eigenpair check the verdict is inconclusive.
         """
-        states = (
-            self.nonneg_ok,
-            self.structure_ok,
-            self.charpoly_ok,
-            self.eigenpair_ok,
-        )
-        if CheckState.FAIL in states:
+        if CheckState.FAIL in self.checks.values():
             return Verdict.FAIL
         if CheckState.PASS in (self.charpoly_ok, self.eigenpair_ok):
             return Verdict.PASS
@@ -120,10 +122,7 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "nonneg": self.nonneg_ok.value,
-            "structure": self.structure_ok.value,
-            "charpoly": self.charpoly_ok.value,
-            "eigenpairs": self.eigenpair_ok.value,
+            **{name: state.value for name, state in self.checks.items()},
             "max_residual": self.max_residual,
             "tolerances": {
                 "absolute": self.tolerances.absolute,
@@ -194,12 +193,6 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
 
 def _submatrix(M: DenseMatrix, start: int, stop: int) -> DenseMatrix:
     return DenseMatrix(M.data[start:stop, start:stop].copy())
-
-
-def _exact_lift_spectrum(sigma: Spectrum) -> Spectrum:
-    if sigma.is_exact:
-        return sigma
-    return make_spectrum([Fraction(float(v)) for v in sigma.values], exact=True)
 
 
 def _alpha_eigensystem_residuals(
@@ -302,7 +295,7 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
         # measures the matrix's true coefficient deviation, not float
         # Faddeev-LeVerrier noise.
         p = char_poly(M)
-        q = poly_from_roots(_exact_lift_spectrum(r.target))
+        q = poly_from_roots(make_spectrum(r.target.values, exact=True))
         charpoly = (
             CheckState.PASS if polys_close(p, q, tol) else CheckState.FAIL
         )

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +359,54 @@ def test_explore_log_file_deterministic(tmp_path, capsys):
             "--seed", "7", "--out", str(path),
         )
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("realize", "20,1,1,1,-1,-1,-1,-1,-1,-1"), 3),
+        (("realize", "6,5,-4,-3,-2,-1,-1,-1,-1"), 3),
+        (("realize", "3,2,1,1,1,1,1,1,1"), 3),
+        (("realize", "3,2,1", "--method", "suleimanova"), 3),
+        (("realize", "3,2,1,1,1", "--method", "small"), 3),
+        (("explore", "8,-1,-1,-1,-1,-1,-1,-1,-1"), 3),
+        (("realize", "3,-2,-2", "--method", "suleimanova"), 2),
+    ],
+)
+def test_not_applicable_exits_3_and_failed_condition_exits_2(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    assert out == ""
+    prefix = "inconclusive: " if expected == 3 else "not realizable: "
+    assert err.startswith(prefix)
+
+
+def test_explore_overflowing_coefficients_exits_3_without_warnings():
+    # A subprocess, so that numpy warnings reach stderr as a user sees them
+    # (pytest would capture them itself).
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = "import sys; from permrealize.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["explore", "1e300,-1e299,-1e299,-1e299,-1e299", "--budget", "3000"]
+    p = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert p.returncode == 3, p.stderr
+    assert p.stdout == ""
+    assert "Warning" not in p.stderr
+    assert p.stderr.startswith("inconclusive: ")
+
+
+def test_explore_certifies_under_the_tolerance_flags(capsys):
+    argv = ("explore", "7.1,-0.3,-1.7,-2.9")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--rel-tol", "0", "--abs-tol", "1e-300")
+    assert code == 3
+    assert json.loads(out.splitlines()[0])["certified"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from permrealize import (
     make_spectrum,
     power_sum,
 )
-from permrealize.spectrum import is_all_zero
+from permrealize.spectrum import CLASSIFY_TOL, Tolerances, is_all_zero
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -166,3 +166,27 @@ def test_random_suleimanova_samples_classify_correctly(n, seed):
     assert cls.positives == 1
     report = check_necessary(sigma, K=10)
     assert report.power_sum_ok and report.perron_ok
+
+
+@pytest.mark.parametrize("mag", [0.0, 0.25, 1.0, 3.7, 1e12, 1e300, math.inf])
+def test_classify_tol_band_is_the_old_scaled_band(mag):
+    # The classification band was tol * max(1, magnitude); the profile's
+    # max(tol, tol * magnitude) gives the same bits.
+    band = CLASSIFY_TOL.band(mag)
+    assert band == 1e-12 * max(1.0, mag)
+    if math.isfinite(mag):
+        assert CLASSIFY_TOL.band(Fraction(mag)) == band
+
+
+def test_tolerance_band_stays_exact_beyond_the_float_range():
+    huge = Fraction(10) ** 400
+    assert CLASSIFY_TOL.band(huge) == Fraction(1e-12) * huge
+    assert Tolerances(1e-10, 1e-9).band(huge) == Fraction(1e-9) * huge
+    assert Tolerances(1e-10, 0.0).band(huge) == 1e-10
+    assert Tolerances.exact().band(huge) == 0.0
+
+
+def test_one_tolerance_type():
+    from permrealize import linalg, verify
+
+    assert linalg.Tolerances is Tolerances is verify.Tolerances
