@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionOutOfRangeError, NotApplicableError
-from .linalg import DenseMatrix, char_poly_coeffs, poly_from_roots
+from .linalg import PermTuple, alpha_tuple, assemble, char_poly_coeffs, poly_from_roots
 from .spectrum import Spectrum, Tolerances, float_or_inf
 from .suleimanova import suleimanova_first_row
 from .verify import METHOD_EXPLORER, Realization, certify
@@ -40,35 +40,6 @@ CONVERGED = 1e-28
 CERTIFY_THRESHOLD = 1e-16
 
 STRATEGIES = ("alpha", "cyclic", "transpositions", "random")
-
-
-@dataclass(frozen=True)
-class PermTuple:
-    """n row permutations of {0..n-1}; the first is the identity."""
-
-    perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.perms)
-        base = tuple(range(n))
-        if n == 0:
-            raise ValueError("a PermTuple needs at least one row")
-        if self.perms[0] != base:
-            raise ValueError("the first row permutation must be the identity")
-        for p in self.perms:
-            if tuple(sorted(p)) != base:
-                raise ValueError(f"{p} is not a permutation of 0..{n-1}")
-
-    @property
-    def n(self) -> int:
-        return len(self.perms)
-
-    @property
-    def encoding(self) -> str:
-        return "|".join(",".join(str(j) for j in p) for p in self.perms)
-
-    def index_array(self) -> np.ndarray:
-        return np.array(self.perms, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -97,27 +68,6 @@ class SearchResult:
         }
 
 
-def assemble(pt: PermTuple, x) -> DenseMatrix:
-    """Matrix whose row i is x permuted by p_i: entry (i, j) = x[p_i[j]]."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (pt.n,):
-        raise DimensionMismatchError(
-            f"first row has {xv.shape[0] if xv.ndim == 1 else '?'} entries, "
-            f"pattern needs {pt.n}"
-        )
-    return DenseMatrix(xv[pt.index_array()])
-
-
-def alpha_tuple(n: int) -> PermTuple:
-    """Row i swaps positions 0 and i (the transposition pattern)."""
-    perms = [tuple(range(n))]
-    for i in range(1, n):
-        p = list(range(n))
-        p[0], p[i] = p[i], p[0]
-        perms.append(tuple(p))
-    return PermTuple(tuple(perms))
-
-
 def cyclic_tuple(n: int) -> PermTuple:
     """Row i shifts x right by i (circulant pattern): entry (i,j) = x[(j-i) % n]."""
     perms = [
@@ -139,12 +89,11 @@ def _transpositions(n: int) -> list[tuple[int, ...]]:
 
 def transposition_tuples(n: int) -> Iterator[PermTuple]:
     """All tuples whose rows 2..n are transpositions; the alpha tuple first."""
-    alpha = alpha_tuple(n)
-    yield alpha
+    yield alpha_tuple(n)
     ts = _transpositions(n)
     for choice in itertools.product(ts, repeat=n - 1):
         pt = PermTuple((tuple(range(n)),) + choice)
-        if pt.perms != alpha.perms:
+        if not pt.is_alpha:
             yield pt
 
 
@@ -208,7 +157,7 @@ def _make_objective(
 ) -> Callable[[np.ndarray], float]:
     """The objective of pt against sigma as a function of a float64 first row."""
     target, w = _weights(sigma)
-    idx = pt.index_array()
+    idx = pt.index
 
     def f(x: np.ndarray) -> float:
         coeffs = np.array(char_poly_coeffs(x[idx])[:-1], dtype=np.float64)
@@ -280,12 +229,15 @@ def fit_first_row(
     warm = np.maximum(
         np.array(suleimanova_first_row(sigma), dtype=np.float64), 0.0
     )
-    best_val, best_x = descend(warm)
-    while evals < iters and best_val > CONVERGED:
-        start = rng.random(n) * 2.0 * scale
-        val, x = descend(start)
-        if val < best_val:
-            best_val, best_x = val, x
+    # A candidate's coefficient mismatch can overflow float64 even when the
+    # target's cannot; its objective is then inf and loses to every other.
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_val, best_x = descend(warm)
+        while evals < iters and best_val > CONVERGED:
+            start = rng.random(n) * 2.0 * scale
+            val, x = descend(start)
+            if val < best_val:
+                best_val, best_x = val, x
     return SearchResult(
         tuple=pt, x=tuple(float(v) for v in best_x), objective=best_val
     )
@@ -352,7 +304,7 @@ def explore(
                 matrix=assemble(r.tuple, r.x),
                 method=METHOD_EXPLORER,
                 target=sigma,
-                params={"x": r.x, "tuple": r.tuple.encoding},
+                params={"x": r.x, "blocks": [(0, r.tuple)]},
             )
             real = real.with_certificate(certify(real, tol))
             if real.certificate.passed:

@@ -37,21 +37,12 @@ Scalar = Union[float, Fraction]
 CHAR_POLY_MAX_N = 64
 
 
-def _coerce(value, exact: bool) -> Scalar:
-    if exact:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    f = float(value)
-    if not math.isfinite(f):
-        raise NonFiniteEntryError(f"non-finite matrix entry: {value!r}")
-    return f
-
-
 def _array(rows: Sequence[Sequence], exact: bool) -> np.ndarray:
     if exact:
         arr = np.empty((len(rows), len(rows[0])), dtype=object)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                arr[i, j] = _coerce(v, True)
+                arr[i, j] = v if isinstance(v, Fraction) else Fraction(v)
         return arr
     arr = np.array(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -127,13 +118,9 @@ def zeros(n_rows: int, n_cols: int, exact: bool = False) -> np.ndarray:
 
 
 def identity(n: int, exact: bool = False) -> DenseMatrix:
-    if n < 1:
-        raise EmptyInputError("identity needs n >= 1")
-    arr = zeros(n, n, exact)
-    one = Fraction(1) if exact else 1.0
-    for i in range(n):
-        arr[i, i] = one
-    return DenseMatrix(arr)
+    """The alpha matrix with first row (1, 0, ..., 0)."""
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    return assemble(alpha_tuple(n), (one,) + (zero,) * (n - 1))
 
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
@@ -157,6 +144,115 @@ def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
     rows = np.sort(M.data, axis=1)
     dev = rows[1:] - rows[0]
     return bool((np.abs(dev, out=dev) <= tol).all())
+
+
+class PermTuple:
+    """A permutative pattern: n row permutations of 0..n-1, the first the identity.
+
+    ``index`` is the read-only n x n array whose row i is p_i, so the matrix
+    with first row x is x[index].  A pattern given as rows is validated by a
+    row sort; alpha_tuple's pattern is right by construction and skips that
+    O(n^2 log n) check.  The alpha pattern (``is_alpha``, known in O(1))
+    stores no array: its index is rebuilt in O(n^2) on each use, so a
+    realization that records it does not hold n^2 integers for as long as
+    it lives.
+    """
+
+    __slots__ = ("n", "_index")
+
+    def __init__(self, perms):
+        idx = np.array(perms)
+        n = len(idx)
+        base = np.arange(n)
+        if (
+            idx.shape != (n, n)
+            or n == 0
+            or idx.dtype.kind not in "iu"
+            or (np.sort(idx, axis=1) != base).any()
+        ):
+            raise ValueError(f"{perms} is not {n} permutations of 0..{n-1}")
+        if (idx[0] != base).any():
+            raise ValueError("the first row permutation must be the identity")
+        idx = idx.astype(np.intp, copy=False)
+        idx.setflags(write=False)
+        self.n = n
+        self._index = None if (idx == _alpha_index(n)).all() else idx
+
+    @property
+    def is_alpha(self) -> bool:
+        return self._index is None
+
+    @property
+    def index(self) -> np.ndarray:
+        return _alpha_index(self.n) if self._index is None else self._index
+
+    @property
+    def encoding(self) -> str:
+        return "|".join(",".join(map(str, p)) for p in self.index.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PermTuple):
+            return NotImplemented
+        if self.is_alpha or other.is_alpha:
+            return self.is_alpha and other.is_alpha and self.n == other.n
+        return np.array_equal(self._index, other._index)
+
+    def __hash__(self) -> int:
+        return hash(self.n if self.is_alpha else self._index.tobytes())
+
+    def __repr__(self) -> str:
+        return f"PermTuple({self.encoding!r})"
+
+
+def _alpha_index(n: int) -> np.ndarray:
+    """Row i is 0..n-1 with 0 and i swapped."""
+    idx = np.tile(np.arange(n, dtype=np.intp), (n, 1))
+    rest = np.arange(1, n)
+    idx[rest, 0] = rest
+    idx[rest, rest] = 0
+    idx.setflags(write=False)
+    return idx
+
+
+def alpha_tuple(n: int) -> PermTuple:
+    """Row i swaps positions 0 and i (the transposition pattern)."""
+    if n < 1:
+        raise EmptyInputError(f"the alpha pattern needs n >= 1, got {n}")
+    pt = PermTuple.__new__(PermTuple)
+    pt.n, pt._index = n, None
+    return pt
+
+
+def assemble(pt: PermTuple, x: Sequence[Scalar]) -> DenseMatrix:
+    """Matrix whose row i is x permuted by p_i: entry (i, j) = x[p_i[j]].
+
+    Exact when every entry of x is a Fraction, float64 otherwise; a
+    non-finite float entry raises NonFiniteEntryError.
+    """
+    exact = all(isinstance(v, Fraction) for v in x)
+    xv = _array([x], exact)[0]
+    if xv.shape != (pt.n,):
+        raise DimensionMismatchError(
+            f"first row has {len(x)} entries, pattern needs {pt.n}"
+        )
+    return DenseMatrix(xv[pt.index])
+
+
+def closed_eigensystem(x) -> tuple[Scalar, np.ndarray, np.ndarray]:
+    """The eigensystem of the alpha matrix with first row x, in closed form.
+
+    Returns (s, deltas, V): s = sum(x) belongs to the all-ones vector e, and
+    deltas[k] = x_1 - x_{k+2} to column k of V, which is x_{k+2} everywhere
+    except x_1 - s at position k+2 (1-based).  This holds for every x.
+    """
+    x = np.asarray(x)
+    n = len(x)
+    s = sum(x[1:], start=x[0])
+    V = np.empty((n, n - 1), dtype=x.dtype)
+    V[:] = x[1:]
+    cols = np.arange(n - 1)
+    V[cols + 1, cols] = x[0] - s
+    return s, x[0] - x[1:], V
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .errors import (
     NecessaryConditionViolationError,
     PerronViolationError,
 )
-from .linalg import direct_sum, from_rows
+from .linalg import PermTuple, alpha_tuple, assemble, direct_sum
 from .spectrum import CLASSIFY_TOL, Spectrum, make_spectrum
 from .suleimanova import realize_suleimanova
 from .verify import METHOD_SMALL_ORDER, Realization
@@ -48,6 +48,9 @@ CASE_N3_SULEIMANOVA = "N3-Suleimanova"
 CASE_N4_SULEIMANOVA = "N4-Suleimanova"
 CASE_N4_GROUP = "N4-Group"
 CASE_N4_PAIRED = "N4-PairedDirectSum"
+
+#: The Klein-group pattern of the N4-Group case.
+GROUP_TUPLE = PermTuple(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)))
 
 
 def _band(*values: Scalar) -> Scalar:
@@ -83,15 +86,12 @@ def realize_2(l1: Scalar, l2: Scalar) -> Realization:
         )
     exact = isinstance(l1, Fraction) and isinstance(l2, Fraction)
     half: Scalar = Fraction(1, 2) if exact else 0.5
-    p = (l1 + l2) * half
-    m = (l1 - l2) * half
-    matrix = from_rows([[p, m], [m, p]], exact=exact)
-    target = make_spectrum([l1, l2], exact=exact)
+    pt = alpha_tuple(2)
     return Realization(
-        matrix=matrix,
+        matrix=assemble(pt, ((l1 + l2) * half, (l1 - l2) * half)),
         method=METHOD_SMALL_ORDER,
-        target=target,
-        params={"case": CASE_N2, "blocks": [(0, 2)], "l1": l1, "l2": l2},
+        target=make_spectrum([l1, l2], exact=exact),
+        params={"case": CASE_N2, "blocks": [(0, pt)]},
     )
 
 
@@ -103,17 +103,13 @@ def realize_3(sigma: Spectrum) -> Realization:
     l1, l2, l3 = sigma.values
     if l2 > band:
         head = realize_2(l1, l3)
-        tail = from_rows([[l2]], exact=sigma.is_exact)
-        matrix = direct_sum([head.matrix, tail])
         return Realization(
-            matrix=matrix,
+            matrix=direct_sum([head.matrix, assemble(alpha_tuple(1), (l2,))]),
             method=METHOD_SMALL_ORDER,
             target=sigma,
             params={
                 "case": CASE_N3_DIRECT_SUM,
-                "blocks": [(0, 2), (2, 3)],
-                "mu": l2,
-                "lambda": l3,
+                "blocks": [(0, alpha_tuple(2)), (2, alpha_tuple(1))],
             },
         )
     r = realize_suleimanova(sigma)
@@ -150,27 +146,11 @@ def realize_4(sigma: Spectrum) -> Realization:
 
     a, b, c, d = quarter_sums(l1, l2, l3, l4)
     if min(a, b, c, d) >= -band:
-        matrix = from_rows(
-            [
-                [a, b, c, d],
-                [b, a, d, c],
-                [c, d, a, b],
-                [d, c, b, a],
-            ],
-            exact=sigma.is_exact,
-        )
         return Realization(
-            matrix=matrix,
+            matrix=assemble(GROUP_TUPLE, (a, b, c, d)),
             method=METHOD_SMALL_ORDER,
             target=sigma,
-            params={
-                "case": CASE_N4_GROUP,
-                "blocks": [(0, 4)],
-                "a": a,
-                "b": b,
-                "c": c,
-                "d": d,
-            },
+            params={"case": CASE_N4_GROUP, "blocks": [(0, GROUP_TUPLE)]},
         )
 
     # d < 0 here; a, b, c are nonnegative by the ordering, and
@@ -183,15 +163,13 @@ def realize_4(sigma: Spectrum) -> Realization:
         raise InternalCaseGapError(
             f"paired direct-sum branch rejected spectrum {sigma.values}: {e}"
         ) from e
-    matrix = direct_sum([head.matrix, tail.matrix])
     return Realization(
-        matrix=matrix,
+        matrix=direct_sum([head.matrix, tail.matrix]),
         method=METHOD_SMALL_ORDER,
         target=sigma,
         params={
             "case": CASE_N4_PAIRED,
-            "blocks": [(0, 2), (2, 4)],
-            "d": d,
+            "blocks": [(0, alpha_tuple(2)), (2, alpha_tuple(2))],
         },
     )
 
@@ -209,17 +187,15 @@ def realize_small(sigma: Spectrum) -> Realization:
             raise PerronViolationError(
                 f"a 1x1 nonnegative matrix needs l1 >= 0, got {l1}"
             )
-        matrix = from_rows([[l1]], exact=sigma.is_exact)
+        pt = alpha_tuple(1)
         return Realization(
-            matrix=matrix,
+            matrix=assemble(pt, (l1,)),
             method=METHOD_SMALL_ORDER,
             target=sigma,
-            params={"case": CASE_N1, "blocks": [(0, 1)]},
+            params={"case": CASE_N1, "blocks": [(0, pt)]},
         )
     if n == 2:
-        l1, l2 = sigma.values
-        r = realize_2(l1, l2)
-        return replace(r, target=sigma)
+        return realize_2(*sigma.values)
     if n == 3:
         return realize_3(sigma)
     return realize_4(sigma)

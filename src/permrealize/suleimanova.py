@@ -18,89 +18,20 @@ the O(n) formula directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence, Union
-
-import numpy as np
+from typing import Union
 
 from .errors import (
     DimensionTooSmallError,
-    EmptyInputError,
     NegativeTraceError,
     NotSuleimanovaError,
     NotZeroTraceError,
 )
-from .linalg import DenseMatrix, from_rows
+from .linalg import DenseMatrix, alpha_tuple, assemble, from_rows
 from .spectrum import CLASSIFY_TOL, Spectrum, SpectrumKind, classify, is_all_zero
 from .verify import METHOD_SULEIMANOVA, METHOD_ZERO_TRACE, Realization
 
 Scalar = Union[float, Fraction]
-
-
-@dataclass(frozen=True)
-class AlphaPermutative:
-    """Permutative matrix whose row i is x with positions 1 and i swapped."""
-
-    x: tuple[Scalar, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @cached_property
-    def matrix(self) -> DenseMatrix:
-        exact = all(isinstance(v, Fraction) for v in self.x)
-        x = from_rows([self.x], exact=exact).data[0]
-        return DenseMatrix(x[_alpha_index_array(self.n)])
-
-
-def _alpha_index_array(n: int) -> np.ndarray:
-    """Entry (i, j) is the index into x of the alpha pattern's entry (i, j).
-
-    Row i is 0..n-1 with 0 and i swapped, so the matrix is x[idx].
-    """
-    idx = np.tile(np.arange(n, dtype=np.intp), (n, 1))
-    rest = np.arange(1, n)
-    idx[rest, 0] = rest
-    idx[rest, rest] = 0
-    return idx
-
-
-@dataclass(frozen=True)
-class ClosedEigensystem:
-    """The full eigensystem of an alpha-pattern matrix, in closed form.
-
-    ``vectors[k]`` is the eigenvector paired with ``deltas[k]``: entries
-    x_{k+2} everywhere except x_1 - s at position k+2 (1-based).  The
-    remaining eigenpair is (s, e).
-    """
-
-    s: Scalar
-    deltas: tuple[Scalar, ...]
-    vectors: tuple[tuple[Scalar, ...], ...]
-
-
-def build_alpha_permutative(x: Sequence[Scalar]) -> AlphaPermutative:
-    """Assemble the alpha-pattern matrix with first row x (n = 1 gives [x1])."""
-    x = tuple(x)
-    if not x:
-        raise EmptyInputError("alpha-pattern matrix needs at least one entry")
-    return AlphaPermutative(x)
-
-
-def closed_eigensystem(A: AlphaPermutative) -> ClosedEigensystem:
-    """s = sum(x); d_i = x_1 - x_i; v_i = x_i everywhere, x_1 - s at slot i."""
-    x = A.x
-    s = sum(x[1:], start=x[0])
-    deltas = tuple(x[0] - x[i] for i in range(1, A.n))
-    vectors = []
-    for i in range(1, A.n):
-        v = [x[i]] * A.n
-        v[i] = x[0] - s
-        vectors.append(tuple(v))
-    return ClosedEigensystem(s=s, deltas=deltas, vectors=tuple(vectors))
 
 
 def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
@@ -151,8 +82,13 @@ def suleimanova_first_row(sigma: Spectrum) -> tuple[Scalar, ...]:
 
 
 def _alpha_realization(x: tuple[Scalar, ...], method: str, sigma: Spectrum) -> Realization:
-    matrix = build_alpha_permutative(x).matrix
-    return Realization(matrix=matrix, method=method, target=sigma, params={"x": x})
+    pt = alpha_tuple(len(x))
+    return Realization(
+        matrix=assemble(pt, x),
+        method=method,
+        target=sigma,
+        params={"x": x, "blocks": [(0, pt)]},
+    )
 
 
 def realize_suleimanova(sigma: Spectrum) -> Realization:

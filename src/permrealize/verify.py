@@ -1,11 +1,11 @@
 """Certification of realizations without any general eigensolver.
 
 A certificate is assembled from four checks: entrywise nonnegativity,
-structure (permutativity of the matrix or of each direct-sum block),
+structure (the permutative blocks a realization records, if any),
 characteristic-polynomial coefficient matching against the target spectrum,
-and — for alpha-pattern permutative matrices — closed-form eigenpair
+and — when every recorded block has the alpha pattern — closed-form eigenpair
 residuals ||P v - d v||_inf together with the row-sum eigenpair P e = s e.
-Checks that do not apply to a given construction are reported as
+Checks that do not apply to a given realization are reported as
 not-applicable rather than silently passed, and a certificate on which
 neither spectral check (charpoly, eigenpairs) ran is inconclusive.
 """
@@ -22,7 +22,9 @@ from .errors import DimensionMismatchError, NotSquareError
 from .linalg import (
     CHAR_POLY_MAX_N,
     DenseMatrix,
+    PermTuple,
     char_poly,
+    closed_eigensystem,
     is_nonnegative,
     is_permutative,
     max_coeff_diff,
@@ -37,13 +39,6 @@ METHOD_ZERO_TRACE = "zero-trace-permutative"
 METHOD_SMALL_ORDER = "small-order"
 METHOD_COMPANION = "companion"
 METHOD_EXPLORER = "explorer-permutative"
-
-#: Methods whose output is a single alpha-pattern permutative matrix with a
-#: closed-form eigensystem determined by its first row.
-_ALPHA_METHODS = frozenset({METHOD_SULEIMANOVA, METHOD_ZERO_TRACE})
-
-#: Methods whose output is permutative as a whole matrix.
-_WHOLE_PERMUTATIVE_METHODS = _ALPHA_METHODS | {METHOD_EXPLORER}
 
 #: Largest order at which a float matrix gets the characteristic-polynomial
 #: check.  Float64 Faddeev-LeVerrier is numerically treacherous (its own
@@ -135,7 +130,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Realization:
-    """A constructed matrix, its target spectrum, and how it was built."""
+    """A constructed matrix, its target spectrum, and how it was built.
+
+    ``params["blocks"]``, a list of (start, PermTuple) diagonal blocks,
+    records the structure that certify checks; the method is a label.
+    """
 
     matrix: DenseMatrix
     method: str
@@ -191,49 +190,60 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
     return ranges
 
 
-def _submatrix(M: DenseMatrix, start: int, stop: int) -> DenseMatrix:
-    return DenseMatrix(M.data[start:stop, start:stop].copy())
+def _near(a: np.ndarray, b, band: float) -> bool:
+    d = a - b
+    return bool((np.abs(d, out=d) <= band).all())
+
+
+def _blocks_hold(A: np.ndarray, blocks: list[tuple[int, PermTuple]], band: float) -> bool:
+    """True iff the recorded blocks hold within band.
+
+    They must tile [0, n) in order, each block must be its first row laid
+    out by its pattern, and every entry off the blocks must be zero.
+    """
+    pos = 0
+    for start, pt in blocks:
+        stop = start + pt.n
+        if start != pos or stop > len(A):
+            return False
+        rows = A[start:stop]
+        P = rows[:, start:stop]
+        if not (
+            _near(P, P[0][pt.index], band)
+            and _near(rows[:, :start], 0, band)
+            and _near(rows[:, stop:], 0, band)
+        ):
+            return False
+        pos = stop
+    return pos == len(A)
 
 
 def _alpha_eigensystem_residuals(
-    M: DenseMatrix, target: Spectrum
+    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum
 ) -> list[tuple[float, float]]:
-    """(residual, scale) pairs certifying the first-row closed eigensystem.
+    """(residual, scale) pairs certifying each alpha block's closed eigensystem.
 
-    For an alpha-pattern matrix P with first row x and s = sum(x), checks
-    P e = s e, P v_i = d_i v_i for the closed-form eigenvectors v_i (entries
-    x_i except x_1 - s at position i, d_i = x_1 - x_i), and that {s, d_i}
-    reproduces the target spectrum.  Each residual is paired with the
-    magnitude scale its tolerance band should use.
+    For each block P with first row x, checks P e = s e and P v_i = d_i v_i
+    for the closed-form eigenpairs of closed_eigensystem(x), at the scale
+    max(1, |x|_inf^2); then that the blocks' eigenvalues {s, d_i} together
+    reproduce the target spectrum, at the target's scale.
     """
-    x = M.data[0]
-    n = M.n_rows
-    s = sum(x[1:], start=x[0])
-    x_inf = float_or_inf(np.abs(x).max())
-    pair_scale = max(1.0, x_inf * x_inf)
-    deltas = x[0] - x[1:]
     out: list[tuple[float, float]] = []
-
-    # Row-sum eigenpair P e = s e.
-    rs_res = float_or_inf(np.abs(M.data.sum(axis=1) - s).max())
-    out.append((rs_res, pair_scale))
-
-    if n > 1:
-        # All v_i as columns of one matrix: the column for eigenvalue
-        # d_i = x_1 - x_i is constant x_i except x_1 - s at position i;
-        # P V should equal V scaled columnwise by the deltas.
-        V = np.empty((n, n - 1), dtype=M.data.dtype)
-        V[:] = x[1:]
-        cols = np.arange(n - 1)
-        V[cols + 1, cols] = x[0] - s
-        resid = np.dot(M.data, V)
-        V *= deltas
-        resid -= V
-        eig_res = float_or_inf(np.abs(resid, out=resid).max())
-        out.append((eig_res, pair_scale))
-
-    # Spectrum identification: {s} + deltas vs the target multiset.
-    eigs = np.sort(np.concatenate(([s], deltas)))[::-1]
+    eigs = []
+    for start, pt in blocks:
+        P = A[start : start + pt.n, start : start + pt.n]
+        s, deltas, V = closed_eigensystem(P[0])
+        x_inf = float_or_inf(np.abs(P[0]).max())
+        pair_scale = max(1.0, x_inf * x_inf)
+        out.append((float_or_inf(np.abs(P.sum(axis=1) - s).max()), pair_scale))
+        if V.size:
+            # P V should equal V scaled columnwise by the deltas.
+            resid = np.dot(P, V)
+            V *= deltas
+            resid -= V
+            out.append((float_or_inf(np.abs(resid, out=resid).max()), pair_scale))
+        eigs += ([s], deltas)
+    eigs = np.sort(np.concatenate(eigs))[::-1]
     id_res = float_or_inf(np.abs(eigs - np.asarray(target.values)).max())
     out.append((id_res, target.scale()))
     return out
@@ -242,16 +252,15 @@ def _alpha_eigensystem_residuals(
 def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationReport:
     """Run every applicable check on a Realization; failures are reported.
 
-    The structure check is strict for the construction methods (they promise
-    permutativity of the whole matrix or of each block recorded in
-    ``params["blocks"]``); for matrices of unknown origin it is
+    The structure check is strict for the blocks a realization records in
+    ``params["blocks"]`` (see _blocks_hold); when they hold and all have
+    the alpha pattern, closed-form eigenpair residuals run per block at
+    every size, direct sums included.  Without recorded blocks it is
     informational — pass when the matrix decomposes into permutative
     diagonal blocks, not-applicable otherwise.  The exact characteristic
     polynomial is compared up to n = 30 in float mode (n = 64 in exact
-    mode; see CHARPOLY_FLOAT_CERTIFY_MAX_N); alpha-pattern methods
-    additionally get closed-form eigenpair residuals at every size.  When
-    neither of those spectral checks runs, the report's verdict is
-    inconclusive, never pass.
+    mode; see CHARPOLY_FLOAT_CERTIFY_MAX_N).  When neither of those
+    spectral checks runs, the report's verdict is inconclusive, never pass.
 
     Nonnegativity, structure and the eigenpair residuals are whole-array
     numpy operations over the n^2 entries, one code path for float64 and
@@ -260,6 +269,7 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
     M = r.matrix
+    A = M.data
     n = M.n_rows
     entry_scale = max(1.0, M.max_abs())
     entry_band = tol.band(entry_scale)
@@ -267,23 +277,16 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     nonneg = CheckState.PASS if is_nonnegative(M, entry_band) else CheckState.FAIL
 
-    if r.method in _WHOLE_PERMUTATIVE_METHODS:
-        ok = is_permutative(M, entry_band)
+    blocks = r.params.get("blocks")
+    if blocks:
+        ok = _blocks_hold(A, blocks, entry_band)
         structure = CheckState.PASS if ok else CheckState.FAIL
-    elif r.method == METHOD_SMALL_ORDER:
-        blocks = r.params.get("blocks") or [(0, n)]
-        ok = all(
-            is_permutative(_submatrix(M, a, b), entry_band) for a, b in blocks
-        )
-        structure = CheckState.PASS if ok else CheckState.FAIL
-    elif r.method == METHOD_COMPANION:
-        structure = CheckState.NOT_APPLICABLE
     else:
-        # Unknown origin: report permutative block structure when
+        # No recorded structure: report permutative block structure when
         # present, but do not fail a matrix that never claimed it.
-        blocks = detect_blocks(M, entry_band)
         ok = all(
-            is_permutative(_submatrix(M, a, b), entry_band) for a, b in blocks
+            is_permutative(DenseMatrix(A[a:b, a:b]), entry_band)
+            for a, b in detect_blocks(M, entry_band)
         )
         structure = CheckState.PASS if ok else CheckState.NOT_APPLICABLE
 
@@ -303,9 +306,9 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     else:
         charpoly = CheckState.NOT_APPLICABLE
 
-    if r.method in _ALPHA_METHODS:
+    if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         eig = CheckState.PASS
-        for res, scale in _alpha_eigensystem_residuals(M, r.target):
+        for res, scale in _alpha_eigensystem_residuals(A, blocks, r.target):
             residuals.append(res)
             if res > tol.band(scale):
                 eig = CheckState.FAIL

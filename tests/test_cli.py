@@ -400,6 +400,28 @@ def test_explore_overflowing_coefficients_exits_3_without_warnings():
     assert p.stderr.startswith("inconclusive: ")
 
 
+def test_explore_overflowing_candidates_exits_3_without_warnings():
+    # The target's coefficients fit float64, but the random patterns'
+    # candidates overflow the objective's squared mismatch.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = "import sys; from permrealize.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["explore", "1e31,-2e30,-2e30,-2e30,-2e30", "--strategy", "random",
+            "--budget", "2000"]
+    p = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert p.returncode == 3, p.stderr
+    lines = p.stdout.splitlines()
+    assert lines
+    assert all(set(json.loads(ln)) == {"tuple", "x", "objective", "certified"}
+               for ln in lines)
+    assert "Warning" not in p.stderr
+
+
 def test_explore_certifies_under_the_tolerance_flags(capsys):
     argv = ("explore", "7.1,-0.3,-1.7,-2.9")
     code, out, _ = run(capsys, *argv)

@@ -15,7 +15,6 @@ from permrealize import (
     PermTuple,
     alpha_tuple,
     assemble,
-    build_alpha_permutative,
     cyclic_tuple,
     explore,
     fit_first_row,
@@ -59,13 +58,6 @@ def test_assemble_known():
     )
     with pytest.raises(DimensionMismatchError):
         assemble(alpha_tuple(3), (1.0, 2.0))
-
-
-def test_assemble_matches_alpha_builder():
-    x = (0.5, 1.5, 2.5, 3.5, 4.5)
-    via_tuple = assemble(alpha_tuple(5), x)
-    via_builder = build_alpha_permutative(x).matrix
-    assert_array_equal(via_tuple.data, via_builder.data)
 
 
 def test_cyclic_tuple_is_circulant():

@@ -22,8 +22,12 @@ from permrealize import (
     NonFiniteEntryError,
     NotSquareError,
     ParseError,
+    PermTuple,
     Polynomial,
     Tolerances,
+    alpha_tuple,
+    assemble,
+    cyclic_tuple,
     make_spectrum,
     char_poly,
     direct_sum,
@@ -194,6 +198,43 @@ def test_vectorized_checks_match_per_entry_references(exact):
             outcomes.add(("close", got))
     # Both outcomes occur, so the agreement is not vacuous.
     assert outcomes == {(k, v) for k in ("perm", "close") for v in (False, True)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_alpha_tuple_is_the_hand_written_alpha_pattern(n):
+    rows = []
+    for i in range(n):
+        row = list(range(n))
+        row[0], row[i] = row[i], row[0]
+        rows.append(tuple(row))
+    written = PermTuple(rows)
+    assert alpha_tuple(n) == written
+    assert hash(alpha_tuple(n)) == hash(written)
+    assert written.is_alpha and alpha_tuple(n).is_alpha
+    assert alpha_tuple(n).encoding == written.encoding
+    # The circulant pattern is the alpha pattern only up to n = 2.
+    assert cyclic_tuple(n).is_alpha is (n <= 2)
+    assert (cyclic_tuple(n) == written) is (n <= 2)
+
+
+def test_assemble_keeps_fractions_exact():
+    x = (Fraction(1, 3), Fraction(2, 3), Fraction(0))
+    M = assemble(alpha_tuple(3), x)
+    assert M.is_exact
+    assert M.to_lists() == [
+        [Fraction(1, 3), Fraction(2, 3), Fraction(0)],
+        [Fraction(2, 3), Fraction(1, 3), Fraction(0)],
+        [Fraction(0), Fraction(2, 3), Fraction(1, 3)],
+    ]
+    assert all(type(v) is Fraction for v in M.data.flat)
+    # One float entry makes the whole matrix float64.
+    F = assemble(alpha_tuple(3), (Fraction(1, 3), 0.5, Fraction(0)))
+    assert F.data.dtype == np.float64
+    assert F.data[1, 0] == 0.5 and F.data[0, 0] == 1 / 3
+    with pytest.raises(NonFiniteEntryError):
+        assemble(alpha_tuple(2), (1.0, math.inf))
+    with pytest.raises(DimensionMismatchError):
+        assemble(alpha_tuple(3), (Fraction(1), Fraction(2)))
 
 
 def test_max_abs_beyond_float_range_is_inf():

@@ -16,6 +16,7 @@ from permrealize import (
     NecessaryConditionViolationError,
     PerronViolationError,
     Tolerances,
+    alpha_tuple,
     certify,
     make_spectrum,
     quarter_sums,
@@ -32,6 +33,7 @@ from permrealize.small_order import (
     CASE_N4_GROUP,
     CASE_N4_PAIRED,
     CASE_N4_SULEIMANOVA,
+    GROUP_TUPLE,
 )
 
 unit_interval = st.floats(
@@ -85,7 +87,7 @@ def test_realize_2_perron_guard():
 def test_realize_3_direct_sum_branch():
     r = realize_3(make_spectrum([5.0, 2.0, -3.0]))
     assert r.params["case"] == CASE_N3_DIRECT_SUM
-    assert r.params["blocks"] == [(0, 2), (2, 3)]
+    assert r.params["blocks"] == [(0, alpha_tuple(2)), (2, alpha_tuple(1))]
     assert_array_equal(
         r.matrix.data,
         np.array([[1.0, 4.0, 0.0], [4.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
@@ -144,7 +146,8 @@ def test_realize_4_suleimanova_case():
 
 def test_realize_4_group_case():
     r = realize_4(make_spectrum([8.0, 2.0, 2.0, 0.0]))
-    assert r.params["case"] == CASE_N4_GROUP
+    assert r.params == {"case": CASE_N4_GROUP, "blocks": [(0, GROUP_TUPLE)]}
+    assert GROUP_TUPLE.encoding == "0,1,2,3|1,0,3,2|2,3,0,1|3,2,1,0"
     assert_array_equal(
         r.matrix.data,
         np.array(
@@ -165,7 +168,10 @@ def test_realize_4_paired_case_exact():
         exact=True,
     )
     r = realize_4(sigma)
-    assert r.params["case"] == CASE_N4_PAIRED
+    assert r.params == {
+        "case": CASE_N4_PAIRED,
+        "blocks": [(0, alpha_tuple(2)), (2, alpha_tuple(2))],
+    }
     expected = [
         [0, 1, 0, 0],
         [1, 0, 0, 0],

@@ -20,7 +20,6 @@ from permrealize import (
     Tolerances,
     alpha_tuple,
     assemble,
-    build_alpha_permutative,
     certify,
     closed_eigensystem,
     identity,
@@ -44,9 +43,9 @@ fractions_st = st.fractions(
 
 
 def test_alpha_pattern_rows_swap_first_with_i():
-    A = build_alpha_permutative([1.0, 2.0, 3.0, 4.0])
+    A = assemble(alpha_tuple(4), [1.0, 2.0, 3.0, 4.0])
     assert_array_equal(
-        A.matrix.data,
+        A.data,
         np.array(
             [
                 [1.0, 2.0, 3.0, 4.0],
@@ -56,16 +55,20 @@ def test_alpha_pattern_rows_swap_first_with_i():
             ]
         ),
     )
-    assert is_permutative(A.matrix)
+    assert is_permutative(A)
 
 
 def test_alpha_pattern_matches_explorer_assembly():
+    # Bit for bit against the definition: row i is x with positions 0 and
+    # i swapped.
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 5, 8, 33):
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
         x[rng.integers(n)] = -0.0
-        got = build_alpha_permutative(x.tolist()).matrix.data
-        want = assemble(alpha_tuple(n), x).data
+        got = assemble(alpha_tuple(n), x.tolist()).data
+        want = np.tile(x, (n, 1))
+        for i in range(1, n):
+            want[i, 0], want[i, i] = x[i], x[0]
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -74,25 +77,26 @@ def test_alpha_pattern_rejects_overflowed_first_row():
     with pytest.raises(NonFiniteEntryError):
         realize_suleimanova(make_spectrum([1.5e308, -1e308]))
     with pytest.raises(NonFiniteEntryError):
-        build_alpha_permutative([1.0, float("nan")]).matrix
+        assemble(alpha_tuple(2), [1.0, float("nan")])
 
 
 def test_alpha_pattern_single_entry():
-    A = build_alpha_permutative([5.0])
-    assert A.matrix.data.shape == (1, 1)
+    A = assemble(alpha_tuple(1), [5.0])
+    assert A.data.shape == (1, 1)
     with pytest.raises(EmptyInputError):
-        build_alpha_permutative([])
+        assemble(alpha_tuple(0), [])
 
 
 def test_closed_eigensystem_values():
-    A = build_alpha_permutative([1.0, 2.0, 3.0, 4.0])
-    eig = closed_eigensystem(A)
-    assert eig.s == 10.0
-    assert eig.deltas == (-1.0, -2.0, -3.0)
-    # v_i is constant x_i except x_1 - s = -9 at slot i.
-    assert eig.vectors[0] == (2.0, -9.0, 2.0, 2.0)
-    assert eig.vectors[1] == (3.0, 3.0, -9.0, 3.0)
-    assert eig.vectors[2] == (4.0, 4.0, 4.0, -9.0)
+    s, deltas, V = closed_eigensystem(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert s == 10.0
+    assert deltas.tolist() == [-1.0, -2.0, -3.0]
+    # v_i (column i - 2 of V) is constant x_i except x_1 - s = -9 at slot i.
+    assert V.T.tolist() == [
+        [2.0, -9.0, 2.0, 2.0],
+        [3.0, 3.0, -9.0, 3.0],
+        [4.0, 4.0, 4.0, -9.0],
+    ]
 
 
 @settings(deadline=None, max_examples=60)
@@ -100,14 +104,12 @@ def test_closed_eigensystem_values():
 def test_closed_eigensystem_is_exact_for_any_first_row(x):
     # The eigenpair identities hold for EVERY first row, not only realizing
     # ones: M v_i = delta_i v_i and M e = s e, checked in exact arithmetic.
-    A = build_alpha_permutative(x)
-    eig = closed_eigensystem(A)
-    M = A.matrix.data
+    M = assemble(alpha_tuple(len(x)), x).data
+    s, deltas, V = closed_eigensystem(M[0])
     n = len(x)
     ones = np.array([Fraction(1)] * n, dtype=object)
-    assert all(v == eig.s for v in np.dot(M, ones))
-    for delta, vec in zip(eig.deltas, eig.vectors):
-        v = np.array(vec, dtype=object)
+    assert all(v == s for v in np.dot(M, ones))
+    for delta, v in zip(deltas, V.T):
         lhs = np.dot(M, v)
         rhs = delta * v
         assert all(a == b for a, b in zip(lhs, rhs))

@@ -13,13 +13,18 @@ from permrealize import (
     NotSquareError,
     Realization,
     Tolerances,
+    alpha_tuple,
+    as_realization,
     certify,
     detect_blocks,
     direct_sum,
+    explore,
     from_rows,
     make_spectrum,
+    realize_companion,
     realize_suleimanova,
     realize_small,
+    realize_zero_trace,
 )
 from permrealize.verify import (
     CHARPOLY_FLOAT_CERTIFY_MAX_N,
@@ -171,7 +176,8 @@ def test_certify_flags_wrong_matrix(sigma_integer_example):
         ]
     )
     r = Realization(matrix=M, method=METHOD_SULEIMANOVA,
-                    target=sigma_integer_example)
+                    target=sigma_integer_example,
+                    params={"blocks": [(0, alpha_tuple(4))]})
     report = certify(r)
     assert report.structure_ok is CheckState.FAIL
     assert report.charpoly_ok is CheckState.FAIL
@@ -182,8 +188,11 @@ def test_certify_flags_negative_entry():
     sigma = make_spectrum([1.0, -1.0])
     M = from_rows([[0.0, 1.0], [1.0, 0.0]])
     bad = from_rows([[0.0, -1.0], [-1.0, 0.0]])
-    good = Realization(matrix=M, method=METHOD_SULEIMANOVA, target=sigma)
-    r = Realization(matrix=bad, method=METHOD_SULEIMANOVA, target=sigma)
+    blocks = {"blocks": [(0, alpha_tuple(2))]}
+    good = Realization(matrix=M, method=METHOD_SULEIMANOVA, target=sigma,
+                       params=blocks)
+    r = Realization(matrix=bad, method=METHOD_SULEIMANOVA, target=sigma,
+                    params=blocks)
     assert certify(good).nonneg_ok is CheckState.PASS
     report = certify(r)
     assert report.nonneg_ok is CheckState.FAIL
@@ -311,9 +320,105 @@ def test_certify_small_order_checks_blocks():
         matrix=r.matrix,
         method=r.method,
         target=sigma,
-        params={"case": r.params["case"], "blocks": [(0, 3)]},
+        params={"case": r.params["case"], "blocks": [(0, alpha_tuple(3))]},
     )
     assert certify(wrong).structure_ok is CheckState.FAIL
+
+
+def _two_alpha_blocks():
+    """Two 20 x 20 alpha blocks at n = 40, with spectra led by 19 and 38."""
+    heads = [realize_suleimanova(make_spectrum([h] + [-1.0] * 19))
+             for h in (19.0, 38.0)]
+    sigma = make_spectrum([v for r in heads for v in r.target.values])
+    blocks = [(0, alpha_tuple(20)), (20, alpha_tuple(20))]
+    return direct_sum([r.matrix for r in heads]).data.copy(), sigma, blocks
+
+
+def test_certify_recorded_direct_sum_passes_through_eigenpairs():
+    data, sigma, blocks = _two_alpha_blocks()
+    report = certify(Realization(matrix=DenseMatrix(data), method="",
+                                 target=sigma, params={"blocks": blocks}))
+    assert report.structure_ok is CheckState.PASS
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE  # n = 40 > 30
+    assert report.eigenpair_ok is CheckState.PASS
+    assert report.verdict is Verdict.PASS
+
+
+def test_certify_recorded_blocks_need_zeros_off_the_blocks():
+    # Each block alone still has its closed eigensystem, but the coupling
+    # entries move the matrix's eigenvalues off the target.
+    data, sigma, blocks = _two_alpha_blocks()
+    data[0, 25] = data[25, 0] = 5.0
+    report = certify(Realization(matrix=DenseMatrix(data), method="",
+                                 target=sigma, params={"blocks": blocks}))
+    assert report.structure_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(0, alpha_tuple(20)), (21, alpha_tuple(19))],  # gap at 20
+        [(0, alpha_tuple(20)), (19, alpha_tuple(21))],  # 19 covered twice
+        [(0, alpha_tuple(20)), (20, alpha_tuple(21))],  # ends at 41 > 40
+        [(0, alpha_tuple(20))],  # leaves 20..39 uncovered
+    ],
+)
+def test_certify_recorded_blocks_must_tile_the_matrix(blocks):
+    data, sigma, _ = _two_alpha_blocks()
+    report = certify(Realization(matrix=DenseMatrix(data), method="",
+                                 target=sigma, params={"blocks": blocks}))
+    assert report.structure_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
+
+
+def _constructions():
+    """(name, realization, eigenpairs state) for every construction."""
+    small = {
+        "N1": [3.0],
+        "N2": [3.0, -1.0],
+        "N3-DirectSum": [5.0, 2.0, -3.0],
+        "N3-Suleimanova": [5.0, -2.0, -3.0],
+        "N4-Suleimanova": [10.0, -1.0, -2.0, -3.0],
+        "N4-PairedDirectSum": [9.5, 9.0, 2.5, -0.75],
+        "N4-Group": [8.0, 2.0, 2.0, 0.0],
+    }
+    for case, values in small.items():
+        r = realize_small(make_spectrum(values))
+        assert r.params["case"] == case
+        yield case, r, "not-applicable" if case == "N4-Group" else "pass"
+    sigma = make_spectrum([12.0, -1.0, -2.0, -3.0, -4.0])
+    yield "suleimanova", realize_suleimanova(sigma), "pass"
+    zero_trace = make_spectrum([6.0, -1.0, -2.0, -3.0])
+    yield "zero-trace", realize_zero_trace(zero_trace), "pass"
+    hit = explore(make_spectrum([10.0, -1.0, -2.0, -3.0]), strategy="alpha")[0]
+    assert hit.tuple == alpha_tuple(4)
+    yield "explorer", hit.realization, "pass"
+    yield "companion", as_realization(realize_companion(sigma), sigma), "not-applicable"
+    M = realize_suleimanova(sigma).matrix
+    yield "unknown", Realization(matrix=M, method="", target=sigma), "not-applicable"
+
+
+def test_certify_eigenpairs_follow_the_recorded_blocks():
+    seen = []
+    for name, r, eigenpairs in _constructions():
+        report = certify(r)
+        assert report.eigenpair_ok.value == eigenpairs, name
+        assert report.verdict is Verdict.PASS, name
+        seen.append(name)
+    assert len(seen) == 12
+
+
+def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():
+    r = realize_small(make_spectrum([5.0, 2.0, -3.0]))
+    data = r.matrix.data.copy()
+    data[2, 2] += 1.0
+    wrong = Realization(matrix=DenseMatrix(data), method=r.method,
+                        target=r.target, params=r.params)
+    report = certify(wrong)
+    assert report.structure_ok is CheckState.PASS
+    assert report.eigenpair_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
 
 
 def test_report_json_shape(sigma_integer_example):
