@@ -1,8 +1,9 @@
 """Nonnegative matrices with prescribed real spectra.
 
-Construct explicit nonnegative realizing matrices — permutative matrices
-for Suleimanova spectra, direct sums of permutative blocks for every
-realizable spectrum of order at most 4, companion matrices as a baseline —
+Construct explicit nonnegative realizing matrices — one permutative matrix
+whenever the paper's first row is nonnegative (every Suleimanova spectrum
+among them), direct sums of permutative blocks for every realizable
+spectrum of order at most 4, companion matrices as a baseline —
 and certify each output by characteristic-polynomial matching and
 closed-form eigenpair residuals.  A budgeted pattern search explores
 permutative realizations beyond the closed-form range (orders 5 to 8).
@@ -23,7 +24,6 @@ from .errors import (
     NotApplicableError,
     NotSquareError,
     NotSuleimanovaError,
-    NotZeroTraceError,
     ParseError,
     PerronViolationError,
     RealizationError,
@@ -74,7 +74,6 @@ from .suleimanova import (
     mn_inverse,
     mn_matrix,
     realize_suleimanova,
-    realize_zero_trace,
     suleimanova_first_row,
 )
 from .verify import Realization, VerificationReport, certify, detect_blocks
@@ -99,7 +98,6 @@ __all__ = [
     "NotApplicableError",
     "NotSquareError",
     "NotSuleimanovaError",
-    "NotZeroTraceError",
     "ParseError",
     "PermTuple",
     "PerronViolationError",
@@ -149,7 +147,6 @@ __all__ = [
     "realize_companion",
     "realize_small",
     "realize_suleimanova",
-    "realize_zero_trace",
     "run_bench",
     "suleimanova_first_row",
     "synthetic_spectrum",

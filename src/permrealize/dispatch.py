@@ -1,8 +1,11 @@
 """The dispatch policy: which construction realizes a spectrum, certified once.
 
-A NecessaryConditionViolationError from ``realize`` means that no
-nonnegative matrix has the spectrum; a NotApplicableError means only that
-the method does not cover it.
+"auto" tries the closed forms in order: one alpha matrix (whenever the
+paper's first row x = M_n^{-1} lambda is nonnegative), the small-order
+cases (n <= 4), the companion matrix when it is nonnegative, and last the
+pattern search.  A NecessaryConditionViolationError from ``realize`` means
+that no nonnegative matrix has the spectrum; a NotApplicableError means
+only that the method does not cover it.
 """
 
 from __future__ import annotations
@@ -10,10 +13,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .companion import as_realization, realize_companion
+from .errors import NegativeTraceError, NotSuleimanovaError
 from .explorer import DEFAULT_BUDGET, explore
 from .small_order import realize_small
-from .spectrum import Spectrum, SpectrumKind, Tolerances, classify
-from .suleimanova import realize_suleimanova, realize_zero_trace
+from .spectrum import Spectrum, Tolerances
+from .suleimanova import realize_suleimanova
 from .verify import Realization, certify
 
 
@@ -23,11 +27,12 @@ def _companion(sigma: Spectrum) -> Realization:
 
 def _auto(sigma: Spectrum) -> Optional[Realization]:
     """The first closed form that applies: alpha, small order, companion."""
-    kind = classify(sigma).kind
-    if kind is SpectrumKind.ZERO_TRACE_SULEIMANOVA:
-        return realize_zero_trace(sigma)
-    if kind is SpectrumKind.SULEIMANOVA:
+    try:
         return realize_suleimanova(sigma)
+    except NegativeTraceError:
+        raise
+    except NotSuleimanovaError:
+        pass
     if sigma.n <= 4:
         return realize_small(sigma)
     r = _companion(sigma)

@@ -53,10 +53,6 @@ class NotSuleimanovaError(NotApplicableError):
     pass
 
 
-class NotZeroTraceError(NotSuleimanovaError):
-    pass
-
-
 class NegativeTraceError(NotSuleimanovaError, NecessaryConditionViolationError):
     """A negative trace: no construction applies because no nonnegative matrix does."""
 

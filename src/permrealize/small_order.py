@@ -15,6 +15,10 @@ matrices, entirely in closed form:
                [d,c,b,a]] with eigenvalues exactly (l1, l2, l3, l4)
           (iii) d < 0: realize_2(l1, l4) (+) realize_2(l2, l3)
 
+Every block except the group form is an alpha block, built by
+suleimanova.alpha_direct_sum from its group of target values (the
+Suleimanova cases through realize_suleimanova).
+
 Case analysis notes (enforced by assertion, see InternalCaseGapError):
 under the preconditions, a = s_1/4 >= 0 and the sort order gives b, c >= 0,
 so only d can be negative; and when d < 0, l2 + l3 > l1 + l4 >= 0, hence
@@ -23,7 +27,6 @@ l2 >= |l3| and both 2x2 blocks in (iii) are admissible.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Union
 
@@ -31,11 +34,12 @@ from .errors import (
     DimensionOutOfRangeError,
     InternalCaseGapError,
     NecessaryConditionViolationError,
+    NotSuleimanovaError,
     PerronViolationError,
 )
-from .linalg import PermTuple, alpha_tuple, assemble, direct_sum
+from .linalg import PermTuple, assemble
 from .spectrum import CLASSIFY_TOL, Spectrum, make_spectrum
-from .suleimanova import realize_suleimanova
+from .suleimanova import alpha_direct_sum, realize_suleimanova
 from .verify import METHOD_SMALL_ORDER, Realization
 
 Scalar = Union[float, Fraction]
@@ -54,15 +58,17 @@ GROUP_TUPLE = PermTuple(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
 def _band(*values: Scalar) -> Scalar:
-    """The classification band at the largest |value|, exact beyond floats."""
+    """The classification band at the largest |value|; 0 when all are exact."""
+    if all(isinstance(v, Fraction) for v in values):
+        return 0
     return CLASSIFY_TOL.band(max(abs(v) for v in values))
 
 
 def _check_preconditions(sigma: Spectrum) -> Scalar:
     """Shared n = 3, 4 preconditions; returns the tolerance band used.
 
-    Values are compared as they are, so exact spectra beyond the float
-    range are compared exactly.
+    Exact spectra are compared exactly, with no band (see _band), at any
+    magnitude.
     """
     band = _band(*sigma.values)
     if not sigma.trace >= -band:
@@ -85,14 +91,8 @@ def realize_2(l1: Scalar, l2: Scalar) -> Realization:
             f"({l1}, {l2})"
         )
     exact = isinstance(l1, Fraction) and isinstance(l2, Fraction)
-    half: Scalar = Fraction(1, 2) if exact else 0.5
-    pt = alpha_tuple(2)
-    return Realization(
-        matrix=assemble(pt, ((l1 + l2) * half, (l1 - l2) * half)),
-        method=METHOD_SMALL_ORDER,
-        target=make_spectrum([l1, l2], exact=exact),
-        params={"case": CASE_N2, "blocks": [(0, pt)]},
-    )
+    target = make_spectrum([l1, l2], exact=exact)
+    return alpha_direct_sum([target.values], METHOD_SMALL_ORDER, target, CASE_N2)
 
 
 def realize_3(sigma: Spectrum) -> Realization:
@@ -102,18 +102,10 @@ def realize_3(sigma: Spectrum) -> Realization:
     band = _check_preconditions(sigma)
     l1, l2, l3 = sigma.values
     if l2 > band:
-        head = realize_2(l1, l3)
-        return Realization(
-            matrix=direct_sum([head.matrix, assemble(alpha_tuple(1), (l2,))]),
-            method=METHOD_SMALL_ORDER,
-            target=sigma,
-            params={
-                "case": CASE_N3_DIRECT_SUM,
-                "blocks": [(0, alpha_tuple(2)), (2, alpha_tuple(1))],
-            },
+        return alpha_direct_sum(
+            [(l1, l3), (l2,)], METHOD_SMALL_ORDER, sigma, CASE_N3_DIRECT_SUM
         )
-    r = realize_suleimanova(sigma)
-    return replace(r, params={**r.params, "case": CASE_N3_SULEIMANOVA})
+    return realize_suleimanova(sigma, CASE_N3_SULEIMANOVA)
 
 
 def quarter_sums(
@@ -141,8 +133,7 @@ def realize_4(sigma: Spectrum) -> Realization:
     l1, l2, l3, l4 = sigma.values
 
     if l2 <= band:
-        r = realize_suleimanova(sigma)
-        return replace(r, params={**r.params, "case": CASE_N4_SULEIMANOVA})
+        return realize_suleimanova(sigma, CASE_N4_SULEIMANOVA)
 
     a, b, c, d = quarter_sums(l1, l2, l3, l4)
     if min(a, b, c, d) >= -band:
@@ -155,23 +146,15 @@ def realize_4(sigma: Spectrum) -> Realization:
 
     # d < 0 here; a, b, c are nonnegative by the ordering, and
     # l2 + l3 > l1 + l4 >= 0 makes both pairs below admissible.  A trip of
-    # either check means the case analysis above is wrong, not the input.
+    # the blocks' check means the case analysis above is wrong, not the input.
     try:
-        head = realize_2(l1, l4)
-        tail = realize_2(l2, l3)
-    except PerronViolationError as e:
+        return alpha_direct_sum(
+            [(l1, l4), (l2, l3)], METHOD_SMALL_ORDER, sigma, CASE_N4_PAIRED
+        )
+    except NotSuleimanovaError as e:
         raise InternalCaseGapError(
             f"paired direct-sum branch rejected spectrum {sigma.values}: {e}"
         ) from e
-    return Realization(
-        matrix=direct_sum([head.matrix, tail.matrix]),
-        method=METHOD_SMALL_ORDER,
-        target=sigma,
-        params={
-            "case": CASE_N4_PAIRED,
-            "blocks": [(0, alpha_tuple(2)), (2, alpha_tuple(2))],
-        },
-    )
 
 
 def realize_small(sigma: Spectrum) -> Realization:
@@ -187,13 +170,7 @@ def realize_small(sigma: Spectrum) -> Realization:
             raise PerronViolationError(
                 f"a 1x1 nonnegative matrix needs l1 >= 0, got {l1}"
             )
-        pt = alpha_tuple(1)
-        return Realization(
-            matrix=assemble(pt, (l1,)),
-            method=METHOD_SMALL_ORDER,
-            target=sigma,
-            params={"case": CASE_N1, "blocks": [(0, pt)]},
-        )
+        return alpha_direct_sum([sigma.values], METHOD_SMALL_ORDER, sigma, CASE_N1)
     if n == 2:
         return realize_2(*sigma.values)
     if n == 3:

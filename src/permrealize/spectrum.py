@@ -68,7 +68,11 @@ CLASSIFY_TOL = Tolerances(1e-12, 1e-12)
 
 
 class SpectrumKind(enum.Enum):
-    """Dispatch classes for the realization methods."""
+    """The shape of a spectrum that ``permrealize check`` reports.
+
+    Informational: the dispatch tries its constructions directly (see
+    dispatch.realize), so no method is chosen by kind.
+    """
 
     SULEIMANOVA = "suleimanova"
     ZERO_TRACE_SULEIMANOVA = "zero-trace-suleimanova"
@@ -209,7 +213,7 @@ def check_necessary(
 
 
 def classify(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> Classification:
-    """Classify a spectrum for method dispatch.
+    """Classify a spectrum by its signs and trace (see SpectrumKind).
 
     An entry counts as positive iff it exceeds ``tol.band(|l_1|)``, so
     zeros sit with the non-positive entries.  A spectrum with exactly one
@@ -234,9 +238,3 @@ def classify(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> Classification:
     else:
         kind = SpectrumKind.UNCLASSIFIED
     return Classification(kind=kind, positives=positives, trace=s1)
-
-
-def is_all_zero(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> bool:
-    """True when every entry vanishes within the classification band."""
-    band = tol.band(abs(sigma.values[0]))
-    return all(abs(v) <= band for v in sigma.values)

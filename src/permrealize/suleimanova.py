@@ -1,35 +1,33 @@
-"""Permutative realizations of Suleimanova spectra.
+"""Alpha-matrix realizations: the paper's first row, one block or a direct sum.
 
-A Suleimanova spectrum (exactly one positive entry, nonnegative sum) is
-always realizable, and the realizing matrix can be written down in closed
-form: it is the alpha-pattern permutative matrix whose row i is the first
-row x with positions 1 and i swapped.  Such a matrix has the explicit
-eigensystem s = sum(x) (eigenvector e) and d_i = x_1 - x_i (eigenvector
-x_i everywhere except x_1 - s at position i), so choosing
+The alpha pattern is the permutative matrix whose row i is the first row x
+with positions 1 and i swapped.  It has the explicit eigensystem s = sum(x)
+(eigenvector e) and d_i = x_1 - x_i (eigenvector x_i everywhere except
+x_1 - s at position i), so for any real target lambda with sum s the first
+row
 
-    x = (1/n) * (s_1, s_1 - n*l_2, ..., s_1 - n*l_n)
+    x = (s/n, s/n - l_2, ..., s/n - l_n)
 
-hits any prescribed Suleimanova target exactly, with every entry
-nonnegative.  The vector x solves M_n x = lambda for the bordered matrix
-M_n = [[1, e^T], [e, -I]], whose inverse is (1/n) [[1, e^T], [e, J - nI]];
-both are provided as testable statements, but the realization itself uses
-the O(n) formula directly.
+gives exactly the spectrum lambda, and the matrix is a realization iff x is
+nonnegative: iff s >= 0 and every l_i <= s/n (i >= 2).  Suleimanova spectra
+(exactly one positive entry, nonnegative sum) always pass.  The vector x
+solves M_n x = lambda for the bordered matrix M_n = [[1, e^T], [e, -I]],
+whose inverse is (1/n) [[1, e^T], [e, J - nI]]; both are provided as
+testable statements, but the realization itself uses the O(n) formula.
+
+The paper's other construction, a direct sum of such blocks, is
+alpha_direct_sum: one alpha block per group of target values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
-from .errors import (
-    DimensionTooSmallError,
-    NegativeTraceError,
-    NotSuleimanovaError,
-    NotZeroTraceError,
-)
-from .linalg import DenseMatrix, alpha_tuple, assemble, from_rows
-from .spectrum import CLASSIFY_TOL, Spectrum, SpectrumKind, classify, is_all_zero
-from .verify import METHOD_SULEIMANOVA, METHOD_ZERO_TRACE, Realization
+from .errors import DimensionTooSmallError, NegativeTraceError, NotSuleimanovaError
+from .linalg import DenseMatrix, alpha_tuple, assemble, direct_sum, from_rows
+from .spectrum import CLASSIFY_TOL, Spectrum
+from .verify import METHOD_SULEIMANOVA, Realization
 
 Scalar = Union[float, Fraction]
 
@@ -67,75 +65,77 @@ def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     return from_rows(rows, exact=exact)
 
 
-def suleimanova_first_row(sigma: Spectrum) -> tuple[Scalar, ...]:
-    """x = (1/n)(s_1, s_1 - n*l_2, ..., s_1 - n*l_n), computed in O(n)."""
-    n = sigma.n
-    s1 = sigma.trace
-    exact = sigma.is_exact
-    if exact:
-        inv_n = Fraction(1, n)
-        return (s1 * inv_n,) + tuple(
-            (s1 - n * v) * inv_n for v in sigma.values[1:]
-        )
-    fn = float(n)
-    return (s1 / fn,) + tuple((s1 - fn * v) / fn for v in sigma.values[1:])
+def _band(values: Sequence[Scalar]) -> Scalar:
+    """The classification band at |l_1| for float values, 0 for exact ones."""
+    head = values[0]
+    return 0 if isinstance(head, Fraction) else CLASSIFY_TOL.band(abs(head))
 
 
-def _alpha_realization(x: tuple[Scalar, ...], method: str, sigma: Spectrum) -> Realization:
-    pt = alpha_tuple(len(x))
-    return Realization(
-        matrix=assemble(pt, x),
-        method=method,
-        target=sigma,
-        params={"x": x, "blocks": [(0, pt)]},
-    )
+def suleimanova_first_row(values) -> tuple[Scalar, ...]:
+    """x = (s/n, s/n - l_2, ..., s/n - l_n) for values l (a Spectrum or a sequence).
 
-
-def realize_suleimanova(sigma: Spectrum) -> Realization:
-    """Realize a Suleimanova spectrum by one permutative matrix.
-
-    The target must have exactly one positive entry (the first, since
-    spectra are sorted descending) and nonnegative sum; the all-zero
-    spectrum is accepted and yields the zero matrix.  A negative sum raises
-    NegativeTraceError, a necessary-condition failure; any other spectrum
-    raises NotSuleimanovaError, which says only that the formula does not
-    apply.
+    Exact for Fractions.  For floats a sum s within the classification band
+    at |l_1| counts as exactly 0, so a zero-trace row is (0, -l_2, ..., -l_n)
+    bit for bit.
     """
-    cls = classify(sigma)
-    admissible = cls.kind in (
-        SpectrumKind.SULEIMANOVA,
-        SpectrumKind.ZERO_TRACE_SULEIMANOVA,
-    )
-    # The all-zero spectrum is admitted as the degenerate boundary case:
-    # the construction yields the zero matrix.
-    if not admissible and not is_all_zero(sigma):
-        if cls.trace < -CLASSIFY_TOL.band(abs(sigma.values[0])):
-            raise NegativeTraceError(
-                f"the spectrum's sum {cls.trace} is negative, so no "
-                "nonnegative matrix realizes it"
+    values = tuple(values)
+    s = sum(values[1:], start=values[0])
+    if not isinstance(s, Fraction) and abs(s) <= _band(values):
+        s = 0.0
+    m = s / len(values)
+    return (m,) + tuple(m - v for v in values[1:])
+
+
+def alpha_direct_sum(
+    groups: Sequence[Sequence[Scalar]],
+    method: str,
+    target: Spectrum,
+    case: Optional[str] = None,
+) -> Realization:
+    """The direct sum of one alpha block per group of values, in order.
+
+    Each block's first row is suleimanova_first_row of its group, so the
+    blocks' spectra together are the groups' values.  Records each block as
+    (start, alpha_tuple) in params["blocks"], and ``case`` in params["case"]
+    when given.  A first row with an entry below -band (see _band) raises
+    NotSuleimanovaError: that group has no alpha realization.
+    """
+    blocks, mats, start = [], [], 0
+    for g in groups:
+        x = suleimanova_first_row(g)
+        if min(x) < -_band(g):
+            raise NotSuleimanovaError(
+                f"an alpha block needs every l_i <= s/n = {x[0]} (i >= 2) and "
+                f"s >= 0, but its first row has the negative entry {min(x)}"
             )
-        raise NotSuleimanovaError(
-            "a Suleimanova spectrum needs exactly one positive entry and "
-            f"nonnegative sum; got {cls.positives} positive entries with "
-            f"sum {cls.trace}"
-        )
-    return _alpha_realization(suleimanova_first_row(sigma), METHOD_SULEIMANOVA, sigma)
+        pt = alpha_tuple(len(x))
+        blocks.append((start, pt))
+        mats.append(assemble(pt, x))
+        start += len(x)
+    params: dict = {"blocks": blocks}
+    if case is not None:
+        params["case"] = case
+    matrix = mats[0] if len(mats) == 1 else direct_sum(mats)
+    return Realization(matrix=matrix, method=method, target=target, params=params)
 
 
-def realize_zero_trace(sigma: Spectrum) -> Realization:
-    """Zero-trace specialization: x = (0, -l_2, ..., -l_n), zero diagonal.
+def realize_suleimanova(sigma: Spectrum, case: Optional[str] = None) -> Realization:
+    """Realize sigma by one alpha matrix whenever its first row is nonnegative.
 
-    Agrees entrywise with realize_suleimanova on its domain; kept separate
-    because the zero-diagonal form is a statement worth testing on its own.
+    Float spectra are compared within the classification band at |l_1|
+    (a sum within it counts as 0); exact spectra with no band.  A negative
+    sum raises NegativeTraceError, a necessary-condition failure; a first
+    row with a negative entry (some l_i > s/n) raises NotSuleimanovaError,
+    which says only that the formula does not apply.  ``case`` is recorded
+    as in alpha_direct_sum.
     """
-    cls = classify(sigma)
-    if cls.kind is not SpectrumKind.ZERO_TRACE_SULEIMANOVA and not is_all_zero(
-        sigma
-    ):
-        raise NotZeroTraceError(
-            "zero-trace realization needs a Suleimanova spectrum with zero "
-            f"sum; classification is {cls.kind.value} with sum {cls.trace}"
+    if sigma.trace < -_band(sigma.values):
+        raise NegativeTraceError(
+            f"the spectrum's sum {sigma.trace} is negative, so no "
+            "nonnegative matrix realizes it"
         )
-    zero: Scalar = Fraction(0) if sigma.is_exact else 0.0
-    x = (zero,) + tuple(-v for v in sigma.values[1:])
-    return _alpha_realization(x, METHOD_ZERO_TRACE, sigma)
+    return alpha_direct_sum([sigma.values], METHOD_SULEIMANOVA, sigma, case)
+
+
+#: The old name of the zero-trace case, which is the alpha matrix with s = 0.
+realize_zero_trace = realize_suleimanova

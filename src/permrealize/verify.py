@@ -35,7 +35,6 @@ from .spectrum import Spectrum, Tolerances, float_or_inf, make_spectrum
 
 # Method tags attached to Realizations by the construction modules.
 METHOD_SULEIMANOVA = "suleimanova-permutative"
-METHOD_ZERO_TRACE = "zero-trace-permutative"
 METHOD_SMALL_ORDER = "small-order"
 METHOD_COMPANION = "companion"
 METHOD_EXPLORER = "explorer-permutative"

@@ -28,7 +28,6 @@ from permrealize import (
     realize_companion,
     realize_small,
     realize_suleimanova,
-    realize_zero_trace,
     run_bench,
 )
 from permrealize.explorer import results_to_jsonl
@@ -71,7 +70,7 @@ def test_criterion_1_integer_example_matrix():
 
 def test_criterion_2_zero_trace_example_matrix():
     sigma = make_spectrum([6, -1, -2, -3])
-    r = realize_zero_trace(sigma)
+    r = realize_suleimanova(sigma)
     expected = np.array(
         [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]], dtype=float
     )

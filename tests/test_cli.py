@@ -19,6 +19,7 @@ from permrealize import (
     realize_companion,
     realize_suleimanova,
 )
+from permrealize import dispatch
 from permrealize.cli import TOLERANCE_ENV_VAR, _print_matrix, main
 from permrealize.linalg import format_scalar
 
@@ -124,11 +125,11 @@ def test_realize_zero_trace_example_csv_exact(capsys):
     )
     assert code == 0
     assert out == "0,1,2,3\n1,0,2,3\n2,1,0,3\n3,1,2,0\n"
-    assert "zero-trace-permutative" in err
+    assert "suleimanova-permutative" in err
 
 
 def test_realize_pretty_prints_method_and_case(capsys):
-    code, out, _ = run(capsys, "realize", "8,2,2,0")
+    code, out, _ = run(capsys, "realize", "8,6,0,0")
     assert code == 0
     assert "method: small-order" in out
     assert "case: N4-Group" in out
@@ -364,21 +365,58 @@ def test_explore_log_file_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("realize", "20,1,1,1,-1,-1,-1,-1,-1,-1"), 3),
-        (("realize", "6,5,-4,-3,-2,-1,-1,-1,-1"), 3),
+        (("realize", "20,15,1,-1,-1,-1,-1,-1,-1,-1"), 3),
+        (("realize", "6,5,-4,-3,-2,-1,-1,-1,-1"), 2),  # sum -2
         (("realize", "3,2,1,1,1,1,1,1,1"), 3),
-        (("realize", "3,2,1", "--method", "suleimanova"), 3),
+        (("realize", "3,2,-1", "--method", "suleimanova"), 3),
         (("realize", "3,2,1,1,1", "--method", "small"), 3),
         (("explore", "8,-1,-1,-1,-1,-1,-1,-1,-1"), 3),
         (("realize", "3,-2,-2", "--method", "suleimanova"), 2),
+        # Exact traces of 1e-13 are not zero: the first row keeps them.
+        (("realize", "1,-0.9999999999999", "--exact"), 0),
+        (("realize", "1,1e-13,-1", "--exact"), 0),
+        (("realize", "1,-1.0000000000001", "--exact", "--method", "small"), 2),
     ],
 )
 def test_not_applicable_exits_3_and_failed_condition_exits_2(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == expected, err
+    if expected == 0:
+        assert err == ""
+        assert "certified: pass" in out
+        return
     assert out == ""
     prefix = "inconclusive: " if expected == 3 else "not realizable: "
     assert err.startswith(prefix)
+
+
+def _alpha_family(n):
+    """(2n, 1, 1, 1, -1 x (n - 4)): three positives, every l_i <= s/n."""
+    return ",".join(str(v) for v in [2 * n, 1, 1, 1] + [-1] * (n - 4))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("20,1,1,1,-1,-1,-1,-1,-1,-1",),
+        ("3,2,1", "--method", "suleimanova"),
+        ("8,2,2,0",),
+        ("0,0,0,0,0",),
+        ("20,1,1,-1,-1",),
+    ]
+    + [(_alpha_family(n),) for n in (5, 9, 16, 40, 64)]
+    + [(_alpha_family(n), "--method", "suleimanova") for n in (5, 9, 16, 40, 64)],
+)
+def test_nonnegative_first_row_realizes_without_the_search(monkeypatch, capsys, argv):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the pattern search ran")
+
+    monkeypatch.setattr(dispatch, "explore", no_search)
+    code, out, err = run(capsys, "realize", *argv, "--format", "json")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["method"] == "suleimanova-permutative"
+    assert obj["certificate"]["verdict"] == "pass"
 
 
 def test_explore_overflowing_coefficients_exits_3_without_warnings():

@@ -20,7 +20,7 @@ from permrealize import (
     make_spectrum,
     power_sum,
 )
-from permrealize.spectrum import CLASSIFY_TOL, Tolerances, is_all_zero
+from permrealize.spectrum import CLASSIFY_TOL, Tolerances
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -127,11 +127,6 @@ def test_classify_counts_positives():
     assert cls.trace == 2.0
 
 
-def test_is_all_zero():
-    assert is_all_zero(make_spectrum([0.0, 0.0]))
-    assert not is_all_zero(make_spectrum([0.0, 1e-6]))
-
-
 def test_exact_spectrum_beyond_float_range():
     big = Fraction(10) ** 400
     sigma = make_spectrum([big, -1, -1], exact=True)
@@ -139,7 +134,6 @@ def test_exact_spectrum_beyond_float_range():
     cls = classify(sigma)
     assert cls.kind is SpectrumKind.SULEIMANOVA
     assert cls.positives == 1
-    assert not is_all_zero(sigma)
     assert classify(make_spectrum([big, -big], exact=True)).kind is (
         SpectrumKind.ZERO_TRACE_SULEIMANOVA
     )

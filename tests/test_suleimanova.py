@@ -16,7 +16,6 @@ from permrealize import (
     EmptyInputError,
     NonFiniteEntryError,
     NotSuleimanovaError,
-    NotZeroTraceError,
     Tolerances,
     alpha_tuple,
     assemble,
@@ -28,7 +27,6 @@ from permrealize import (
     mn_inverse,
     mn_matrix,
     realize_suleimanova,
-    realize_zero_trace,
     suleimanova_first_row,
 )
 
@@ -73,9 +71,13 @@ def test_alpha_pattern_matches_explorer_assembly():
 
 
 def test_alpha_pattern_rejects_overflowed_first_row():
-    # x_2 = (s_1 - 2 * l_2) / 2 overflows to inf here.
+    # The sum s overflows to inf here, and with it every x_i = s/n - l_i.
     with pytest.raises(NonFiniteEntryError):
-        realize_suleimanova(make_spectrum([1.5e308, -1e308]))
+        realize_suleimanova(make_spectrum([1.7e308, 1.7e308, -1.7e308]))
+    # Entries never exceed s, so a finite s gives a finite row: s/n - l_i
+    # does not form n * l_i, which overflows here.
+    r = realize_suleimanova(make_spectrum([1.5e308, -1e308]))
+    assert r.matrix.data[0].tolist() == [2.5e307, 1.25e308]
     with pytest.raises(NonFiniteEntryError):
         assemble(alpha_tuple(2), [1.0, float("nan")])
 
@@ -149,6 +151,28 @@ def test_first_row_integer_example(sigma_integer_example):
     assert suleimanova_first_row(sigma_integer_example) == (1.0, 2.0, 3.0, 4.0)
 
 
+def test_first_row_is_the_bordered_inverse_times_the_spectrum():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7):
+        values = [Fraction(int(k), 7) for k in rng.integers(-50, 50, n)]
+        sigma = make_spectrum(values, exact=True)
+        inv = mn_inverse(n, exact=True).data
+        want = tuple(sum(inv[i, j] * sigma.values[j] for j in range(n)) for i in range(n))
+        assert suleimanova_first_row(sigma) == want
+
+
+def test_first_row_zero_trace_band():
+    # The float sum here is -5.55e-17: within the band it counts as 0, so
+    # the row is (0, -l_2, ..., -l_n) bit for bit and the diagonal is zero.
+    sigma = make_spectrum([0.7, -0.1, -0.2, -0.4])
+    assert sigma.trace != 0.0
+    assert suleimanova_first_row(sigma) == (0.0, 0.1, 0.2, 0.4)
+    # An exact sum of 1e-13 is not zero; the row keeps it.
+    tiny = Fraction(1, 10**13)
+    x = suleimanova_first_row(make_spectrum([1, tiny - 1], exact=True))
+    assert x == (tiny / 2, 1 - tiny / 2)
+
+
 def test_realize_integer_example(sigma_integer_example, matrix_integer_example):
     r = realize_suleimanova(sigma_integer_example)
     assert r.method == "suleimanova-permutative"
@@ -161,8 +185,8 @@ def test_realize_integer_example(sigma_integer_example, matrix_integer_example):
 def test_realize_zero_trace_example(
     sigma_zero_trace_example, matrix_zero_trace_example
 ):
-    r = realize_zero_trace(sigma_zero_trace_example)
-    assert r.method == "zero-trace-permutative"
+    r = realize_suleimanova(sigma_zero_trace_example)
+    assert r.method == "suleimanova-permutative"
     assert_array_equal(r.matrix.data, np.array(matrix_zero_trace_example, float))
     assert all(r.matrix.data[i, i] == 0.0 for i in range(4))
     assert certify(r).passed
@@ -181,14 +205,9 @@ def test_realize_exact_mode(sigma_integer_example):
 
 def test_realize_rejects_non_suleimanova():
     with pytest.raises(NotSuleimanovaError):
-        realize_suleimanova(make_spectrum([1.0, 1.0, -1.0]))  # two positives
+        realize_suleimanova(make_spectrum([1.0, 1.0, -1.0]))  # l_2 > s/n
     with pytest.raises(NotSuleimanovaError):
         realize_suleimanova(make_spectrum([1.0, -2.0]))  # negative trace
-
-
-def test_realize_zero_trace_rejects_nonzero_trace():
-    with pytest.raises(NotZeroTraceError):
-        realize_zero_trace(make_spectrum([10, -1, -2, -3]))
 
 
 def test_all_zero_spectrum_is_accepted():
@@ -196,12 +215,10 @@ def test_all_zero_spectrum_is_accepted():
     r = realize_suleimanova(sigma)
     assert_array_equal(r.matrix.data, np.zeros((3, 3)))
     assert certify(r).passed
-    r2 = realize_zero_trace(sigma)
-    assert_array_equal(r2.matrix.data, np.zeros((3, 3)))
 
 
 def test_two_entry_zero_trace():
-    r = realize_zero_trace(make_spectrum([5.0, -5.0]))
+    r = realize_suleimanova(make_spectrum([5.0, -5.0]))
     assert_array_equal(r.matrix.data, np.array([[0.0, 5.0], [5.0, 0.0]]))
 
 

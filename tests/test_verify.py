@@ -24,7 +24,6 @@ from permrealize import (
     realize_companion,
     realize_suleimanova,
     realize_small,
-    realize_zero_trace,
 )
 from permrealize.verify import (
     CHARPOLY_FLOAT_CERTIFY_MAX_N,
@@ -390,7 +389,7 @@ def _constructions():
     sigma = make_spectrum([12.0, -1.0, -2.0, -3.0, -4.0])
     yield "suleimanova", realize_suleimanova(sigma), "pass"
     zero_trace = make_spectrum([6.0, -1.0, -2.0, -3.0])
-    yield "zero-trace", realize_zero_trace(zero_trace), "pass"
+    yield "zero-trace", realize_suleimanova(zero_trace), "pass"
     hit = explore(make_spectrum([10.0, -1.0, -2.0, -3.0]), strategy="alpha")[0]
     assert hit.tuple == alpha_tuple(4)
     yield "explorer", hit.realization, "pass"

@@ -1,0 +1,106 @@
+"""Fingerprint the CLI's output on every benchmark op, and diff two fingerprints.
+
+Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
+1-3 through ``permrealize.cli.main`` in this process, and each realize op
+once more with ``--format pretty`` and once with ``--format csv``.  For each
+run it records the exit code and the sha256 of stdout and of stderr, keyed
+by workload, seed, op index and format, and writes them as JSON.  With a
+baseline file it then lists every run whose record differs from the
+baseline's and exits 1 if any does.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 tools/op_outputs.py OUT.json [--baseline BASE.json]
+
+Point PYTHONPATH at another checkout's src/ to fingerprint that library with
+the same ops.  The verify ops' CSV files go to a temporary directory, whose
+path is replaced by ``<workdir>`` in the recorded argv.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+from permrealize.cli import main as cli_main  # noqa: E402
+
+SEEDS = (1, 2, 3)
+RERUN_FORMATS = ("pretty", "csv")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return {"exit": code, "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
+
+
+def _with_format(argv, fmt: str) -> list[str]:
+    argv = list(argv)
+    i = argv.index("--format")
+    argv[i + 1] = fmt
+    return argv
+
+
+def fingerprint() -> dict:
+    """{key: {"argv", "exit", "stdout", "stderr"}} for every run."""
+    records = {}
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as workdir:
+                for i, op in enumerate(workloads.make_ops(workload, seed, workdir)):
+                    runs = [("default", op.argv)]
+                    if op.kind == "realize":
+                        runs += [(f, _with_format(op.argv, f)) for f in RERUN_FORMATS]
+                    for fmt, argv in runs:
+                        shown = [a.replace(workdir, "<workdir>") for a in argv]
+                        records[f"{workload}:{seed}:{i}:{fmt}"] = {"argv": shown, **_run(argv)}
+    return records
+
+
+def diff(records: dict, baseline: dict) -> list[str]:
+    """One line per key whose record differs, or that only one side has."""
+    lines = []
+    for key in sorted(records.keys() | baseline.keys()):
+        new, old = records.get(key), baseline.get(key)
+        if new is None or old is None:
+            lines.append(f"{key}: only in {'baseline' if new is None else 'this run'}")
+            continue
+        fields = [f for f in ("exit", "stdout", "stderr") if new[f] != old[f]]
+        if fields:
+            lines.append(f"{key}: {', '.join(fields)} differ; {' '.join(new['argv'])}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="write the fingerprints here (JSON)")
+    parser.add_argument("--baseline", help="fingerprints to diff against")
+    args = parser.parse_args(argv)
+    records = fingerprint()
+    Path(args.out).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"{len(records)} runs fingerprinted")
+    if args.baseline is None:
+        return 0
+    lines = diff(records, json.loads(Path(args.baseline).read_text()))
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(records)} runs differ from the baseline")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
