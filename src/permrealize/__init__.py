@@ -59,7 +59,7 @@ from .linalg import (
     poly_from_roots,
     polys_close,
 )
-from .small_order import quarter_sums, realize_2, realize_3, realize_4, realize_small
+from .small_order import quarter_sums, realize_small
 from .spectrum import (
     Classification,
     ConditionReport,
@@ -141,9 +141,6 @@ __all__ = [
     "power_sum",
     "quarter_sums",
     "realize",
-    "realize_2",
-    "realize_3",
-    "realize_4",
     "realize_companion",
     "realize_small",
     "realize_suleimanova",

@@ -245,7 +245,6 @@ def cmd_realize(ns: argparse.Namespace) -> int:
     try:
         r = realize(sigma, ns.method, tol, ns.strategy, ns.budget, ns.seed)
     except NecessaryConditionViolationError as e:
-        # Before NotApplicableError: a NegativeTraceError is both.
         print(f"not realizable: {e}", file=sys.stderr)
         return EXIT_FAIL
     except NotApplicableError as e:

@@ -20,7 +20,7 @@ from .linalg import (
     from_rows,
     poly_from_roots,
 )
-from .spectrum import CLASSIFY_TOL, Spectrum, Tolerances
+from .spectrum import Spectrum, Tolerances, value_band
 from .verify import METHOD_COMPANION, Realization
 
 
@@ -52,9 +52,7 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
     for i in range(n):
         rows[i][n - 1] = -poly.coeffs[i]
     matrix = from_rows(rows, exact=exact)
-    # Exact coefficients are compared exactly: they may lie beyond the
-    # float range.
-    band = 0.0 if exact else CLASSIFY_TOL.band(max(abs(c) for c in poly.coeffs))
+    band = value_band(max(abs(c) for c in poly.coeffs))
     nonneg = all(c <= band for c in poly.coeffs[:-1])
     return CompanionRealization(poly=poly, matrix=matrix, nonneg=nonneg)
 

@@ -1,11 +1,13 @@
 """The dispatch policy: which construction realizes a spectrum, certified once.
 
-"auto" tries the closed forms in order: one alpha matrix (whenever the
-paper's first row x = M_n^{-1} lambda is nonnegative), the small-order
-cases (n <= 4), the companion matrix when it is nonnegative, and last the
-pattern search.  A NecessaryConditionViolationError from ``realize`` means
-that no nonnegative matrix has the spectrum; a NotApplicableError means
-only that the method does not cover it.
+Every method sits behind one gate, spectrum.require_necessary: a spectrum
+whose largest entry misses the spectral radius, or whose sum is negative,
+raises a NecessaryConditionViolationError before any construction runs; no
+nonnegative matrix has it.  Past the gate, "auto" tries the closed forms in
+order: one alpha matrix (whenever the paper's first row x = M_n^{-1} lambda
+is nonnegative), the small-order cases (n <= 4), the companion matrix when
+it is nonnegative, and last the pattern search.  A NotApplicableError means
+only that the method does not cover the spectrum.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .companion import as_realization, realize_companion
-from .errors import NegativeTraceError, NotSuleimanovaError
+from .errors import NotSuleimanovaError
 from .explorer import DEFAULT_BUDGET, explore
 from .small_order import realize_small
-from .spectrum import Spectrum, Tolerances
+from .spectrum import Spectrum, Tolerances, require_necessary
 from .suleimanova import realize_suleimanova
 from .verify import Realization, certify
 
@@ -29,8 +31,6 @@ def _auto(sigma: Spectrum) -> Optional[Realization]:
     """The first closed form that applies: alpha, small order, companion."""
     try:
         return realize_suleimanova(sigma)
-    except NegativeTraceError:
-        raise
     except NotSuleimanovaError:
         pass
     if sigma.n <= 4:
@@ -64,9 +64,12 @@ def realize(
     The pattern search (``strategy``, ``budget``, ``seed``) runs for
     "explore", and for "auto" when no closed form applies; None means it
     found no certified realization.  ``tol`` None is certify's default.
+    Raises NecessaryConditionViolationError, for every method, when sigma
+    fails the gate.
     """
     if method not in _CLOSED_FORMS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    require_necessary(sigma)
     r = _CLOSED_FORMS[method](sigma)
     if r is not None:
         return r.with_certificate(certify(r, tol))

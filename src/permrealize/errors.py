@@ -53,9 +53,5 @@ class NotSuleimanovaError(NotApplicableError):
     pass
 
 
-class NegativeTraceError(NotSuleimanovaError, NecessaryConditionViolationError):
-    """A negative trace: no construction applies because no nonnegative matrix does."""
-
-
 class InternalCaseGapError(RealizationError, RuntimeError):
     """A derived case analysis reached a state it proved impossible; a bug, not bad input."""

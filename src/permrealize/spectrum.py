@@ -4,7 +4,8 @@ A spectrum here is an ordered multiset of real eigenvalue targets, stored
 sorted descending.  Two classical necessary conditions for realizability by
 an entrywise nonnegative matrix are checked: all power sums s_k = sum(l_i^k)
 must be nonnegative, and the spectral radius max|l_i| must itself appear in
-the spectrum (as a nonnegative value).
+the spectrum (as a nonnegative value).  ``require_necessary`` is the gate
+in front of every construction; spectrum values compare within ``value_band``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .errors import EmptyInputError, NonFiniteEntryError
+from .errors import (
+    EmptyInputError,
+    NecessaryConditionViolationError,
+    NonFiniteEntryError,
+    PerronViolationError,
+)
 
 Scalar = Union[float, Fraction]
 
@@ -62,9 +68,15 @@ class Tolerances:
         return max(self.absolute, self.relative * s)
 
 
-#: The band used to call an entry "positive" or a trace "zero", and to check
-#: the necessary conditions: 1e-12 * max(1, magnitude).
+#: The band used to call a float entry "positive" or a float trace "zero",
+#: and to check the necessary conditions: 1e-12 * max(1, magnitude).
 CLASSIFY_TOL = Tolerances(1e-12, 1e-12)
+
+
+def value_band(m: Scalar) -> Scalar:
+    """The band for comparing spectrum values at magnitude m: 0 for an
+    exact (Fraction) m, at any magnitude; ``CLASSIFY_TOL.band(m)`` for a float."""
+    return 0 if isinstance(m, Fraction) else CLASSIFY_TOL.band(m)
 
 
 class SpectrumKind(enum.Enum):
@@ -175,7 +187,7 @@ def power_sum(sigma: Spectrum, k: int) -> Scalar:
 
 
 def check_necessary(
-    sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH, tol: Tolerances = CLASSIFY_TOL
+    sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH, tol: Optional[Tolerances] = None
 ) -> ConditionReport:
     """Check the two classical necessary conditions up to power depth K.
 
@@ -184,10 +196,13 @@ def check_necessary(
     s_k is compared against ``-tol.band(sum|l_i|^k)`` so the test stays
     meaningful at any magnitude.  The Perron check requires the largest
     entry itself to attain max|l_i|: a spectrum whose radius is only hit by
-    a negative entry fails.
+    a negative entry fails.  ``tol`` None is ``Tolerances.exact()`` for an
+    exact spectrum and CLASSIFY_TOL otherwise.
     """
     if K < 1:
         raise ValueError(f"power depth must be >= 1, got {K}")
+    if tol is None:
+        tol = Tolerances.exact() if sigma.is_exact else CLASSIFY_TOL
     powers = list(sigma.values)
     abs_powers = [abs(v) for v in sigma.values]
     sums = []
@@ -212,17 +227,40 @@ def check_necessary(
     )
 
 
-def classify(sigma: Spectrum, tol: Tolerances = CLASSIFY_TOL) -> Classification:
+def require_necessary(sigma: Spectrum) -> Scalar:
+    """Raise unless sigma passes the gate; return the band it was judged in.
+
+    The gate is the Perron condition (PerronViolationError), then a
+    nonnegative sum (NecessaryConditionViolationError), both within
+    ``value_band(spectral_radius)``.  Every construction relies on it.
+    """
+    sr = sigma.spectral_radius
+    band = value_band(sr)
+    if sr - sigma.values[0] > band:
+        raise PerronViolationError(
+            "the largest entry must attain the spectral radius; "
+            f"max entry {sigma.values[0]}, radius {sr}"
+        )
+    if not sigma.trace >= -band:
+        raise NecessaryConditionViolationError(
+            f"the spectrum's sum {sigma.trace} is negative, so no "
+            "nonnegative matrix realizes it"
+        )
+    return band
+
+
+def classify(sigma: Spectrum) -> Classification:
     """Classify a spectrum by its signs and trace (see SpectrumKind).
 
-    An entry counts as positive iff it exceeds ``tol.band(|l_1|)``, so
-    zeros sit with the non-positive entries.  A spectrum with exactly one
+    An entry counts as positive iff it exceeds ``value_band(|l_1|)``, so
+    zeros sit with the non-positive entries, and every nonzero entry of an
+    exact spectrum counts by its sign.  A spectrum with exactly one
     positive entry and nonnegative trace is Suleimanova (zero-trace variant
     when the trace vanishes within the same band).  Otherwise: small-order
     for n <= 4, all-nonnegative when no entry is below the band, and
     unclassified as the fallback.
     """
-    band = tol.band(abs(sigma.values[0]))
+    band = value_band(abs(sigma.values[0]))
     positives = sum(1 for v in sigma.values if v > band)
     s1 = sigma.trace
     if positives == 1 and s1 >= -band:

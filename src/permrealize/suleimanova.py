@@ -9,11 +9,14 @@ row
     x = (s/n, s/n - l_2, ..., s/n - l_n)
 
 gives exactly the spectrum lambda, and the matrix is a realization iff x is
-nonnegative: iff s >= 0 and every l_i <= s/n (i >= 2).  Suleimanova spectra
-(exactly one positive entry, nonnegative sum) always pass.  The vector x
-solves M_n x = lambda for the bordered matrix M_n = [[1, e^T], [e, -I]],
-whose inverse is (1/n) [[1, e^T], [e, J - nI]]; both are provided as
-testable statements, but the realization itself uses the O(n) formula.
+nonnegative: iff s >= 0 and every l_i <= s/n (i >= 2).  That test is the
+formula's whole applicability condition: a spectrum that fails the gate
+(spectrum.require_necessary) fails it too, but only the gate says so.
+Suleimanova spectra (exactly one positive entry, nonnegative sum) always
+pass.  The vector x solves M_n x = lambda for the bordered matrix
+M_n = [[1, e^T], [e, -I]], whose inverse is (1/n) [[1, e^T], [e, J - nI]];
+both are provided as testable statements, but the realization itself uses
+the O(n) formula.
 
 The paper's other construction, a direct sum of such blocks, is
 alpha_direct_sum: one alpha block per group of target values.
@@ -24,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionTooSmallError, NegativeTraceError, NotSuleimanovaError
+from .errors import DimensionTooSmallError, NotSuleimanovaError
 from .linalg import DenseMatrix, alpha_tuple, assemble, direct_sum, from_rows
-from .spectrum import CLASSIFY_TOL, Spectrum
+from .spectrum import Spectrum, value_band
 from .verify import METHOD_SULEIMANOVA, Realization
 
 Scalar = Union[float, Fraction]
@@ -65,22 +68,16 @@ def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     return from_rows(rows, exact=exact)
 
 
-def _band(values: Sequence[Scalar]) -> Scalar:
-    """The classification band at |l_1| for float values, 0 for exact ones."""
-    head = values[0]
-    return 0 if isinstance(head, Fraction) else CLASSIFY_TOL.band(abs(head))
-
-
 def suleimanova_first_row(values) -> tuple[Scalar, ...]:
     """x = (s/n, s/n - l_2, ..., s/n - l_n) for values l (a Spectrum or a sequence).
 
-    Exact for Fractions.  For floats a sum s within the classification band
-    at |l_1| counts as exactly 0, so a zero-trace row is (0, -l_2, ..., -l_n)
-    bit for bit.
+    Exact for Fractions.  For floats a sum s within ``value_band(|l_1|)``
+    counts as exactly 0, so a zero-trace row is (0, -l_2, ..., -l_n) bit
+    for bit.
     """
     values = tuple(values)
     s = sum(values[1:], start=values[0])
-    if not isinstance(s, Fraction) and abs(s) <= _band(values):
+    if not isinstance(s, Fraction) and abs(s) <= value_band(abs(values[0])):
         s = 0.0
     m = s / len(values)
     return (m,) + tuple(m - v for v in values[1:])
@@ -97,13 +94,13 @@ def alpha_direct_sum(
     Each block's first row is suleimanova_first_row of its group, so the
     blocks' spectra together are the groups' values.  Records each block as
     (start, alpha_tuple) in params["blocks"], and ``case`` in params["case"]
-    when given.  A first row with an entry below -band (see _band) raises
-    NotSuleimanovaError: that group has no alpha realization.
+    when given.  A first row with an entry below ``-value_band(|head|)``
+    raises NotSuleimanovaError: that group has no alpha realization.
     """
     blocks, mats, start = [], [], 0
     for g in groups:
         x = suleimanova_first_row(g)
-        if min(x) < -_band(g):
+        if min(x) < -value_band(abs(g[0])):
             raise NotSuleimanovaError(
                 f"an alpha block needs every l_i <= s/n = {x[0]} (i >= 2) and "
                 f"s >= 0, but its first row has the negative entry {min(x)}"
@@ -122,18 +119,12 @@ def alpha_direct_sum(
 def realize_suleimanova(sigma: Spectrum, case: Optional[str] = None) -> Realization:
     """Realize sigma by one alpha matrix whenever its first row is nonnegative.
 
-    Float spectra are compared within the classification band at |l_1|
-    (a sum within it counts as 0); exact spectra with no band.  A negative
-    sum raises NegativeTraceError, a necessary-condition failure; a first
-    row with a negative entry (some l_i > s/n) raises NotSuleimanovaError,
+    Float spectra are compared within ``value_band(|l_1|)`` (a sum within
+    it counts as 0); exact spectra with no band.  A first row with a
+    negative entry (s < 0, or some l_i > s/n) raises NotSuleimanovaError,
     which says only that the formula does not apply.  ``case`` is recorded
     as in alpha_direct_sum.
     """
-    if sigma.trace < -_band(sigma.values):
-        raise NegativeTraceError(
-            f"the spectrum's sum {sigma.trace} is negative, so no "
-            "nonnegative matrix realizes it"
-        )
     return alpha_direct_sum([sigma.values], METHOD_SULEIMANOVA, sigma, case)
 
 

@@ -2,10 +2,36 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from permrealize import Spectrum, make_spectrum
+from permrealize import (
+    DimensionOutOfRangeError,
+    InternalCaseGapError,
+    NecessaryConditionViolationError,
+    NotSuleimanovaError,
+    PerronViolationError,
+    Realization,
+    Spectrum,
+    assemble,
+    make_spectrum,
+    quarter_sums,
+)
+from permrealize.small_order import (
+    CASE_N1,
+    CASE_N2,
+    CASE_N3_DIRECT_SUM,
+    CASE_N3_SULEIMANOVA,
+    CASE_N4_GROUP,
+    CASE_N4_PAIRED,
+    CASE_N4_SULEIMANOVA,
+    GROUP_TUPLE,
+)
+from permrealize.spectrum import CLASSIFY_TOL
+from permrealize.suleimanova import alpha_direct_sum
+from permrealize.verify import METHOD_SMALL_ORDER, METHOD_SULEIMANOVA
 
 
 def random_suleimanova_values(
@@ -67,3 +93,101 @@ def sigma_zero_trace_example() -> Spectrum:
 def matrix_zero_trace_example() -> list[list[int]]:
     """The known zero-diagonal realization of {6, -1, -2, -3}."""
     return [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]]
+
+
+def small_order_grid() -> list[list[float]]:
+    """Criterion 5's sweep: l1 = 1 and sorted l2 >= l3 >= l4 on a 0.05 grid
+    in [-1, 1] whose sum is at least -1e-9."""
+    grid = [round(k * 0.05, 10) for k in range(-20, 21)]
+    out = []
+    for i, l2 in enumerate(grid):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                if 1.0 + l2 + grid[j] + grid[k] >= -1e-9:
+                    out.append([1.0, l2, grid[j], grid[k]])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference: the order <= 4 case analysis as hand-written branches per order,
+# each with its own precondition checks.  realize_small replaces it with one
+# gate and one pairing rule; tests require both to give the same outcome.
+# ---------------------------------------------------------------------------
+
+
+def _reference_band(*values):
+    if all(isinstance(v, Fraction) for v in values):
+        return 0
+    return CLASSIFY_TOL.band(max(abs(v) for v in values))
+
+
+def _reference_preconditions(sigma: Spectrum):
+    band = _reference_band(*sigma.values)
+    if not sigma.trace >= -band:
+        raise NecessaryConditionViolationError(f"negative sum {sigma.trace}")
+    if sigma.spectral_radius - sigma.values[0] > band:
+        raise PerronViolationError(f"radius not attained in {sigma.values}")
+    return band
+
+
+def _reference_suleimanova(sigma: Spectrum, case: str) -> Realization:
+    head = sigma.values[0]
+    band = 0 if isinstance(head, Fraction) else CLASSIFY_TOL.band(abs(head))
+    if sigma.trace < -band:
+        raise NecessaryConditionViolationError(f"negative sum {sigma.trace}")
+    return alpha_direct_sum([sigma.values], METHOD_SULEIMANOVA, sigma, case)
+
+
+def reference_realize_2(l1, l2) -> Realization:
+    if l1 - abs(l2) < -_reference_band(l1, l2):
+        raise PerronViolationError(f"need l1 >= |l2|, got ({l1}, {l2})")
+    exact = isinstance(l1, Fraction) and isinstance(l2, Fraction)
+    target = make_spectrum([l1, l2], exact=exact)
+    return alpha_direct_sum([target.values], METHOD_SMALL_ORDER, target, CASE_N2)
+
+
+def reference_realize_3(sigma: Spectrum) -> Realization:
+    band = _reference_preconditions(sigma)
+    l1, l2, l3 = sigma.values
+    if l2 > band:
+        return alpha_direct_sum(
+            [(l1, l3), (l2,)], METHOD_SMALL_ORDER, sigma, CASE_N3_DIRECT_SUM
+        )
+    return _reference_suleimanova(sigma, CASE_N3_SULEIMANOVA)
+
+
+def reference_realize_4(sigma: Spectrum) -> Realization:
+    band = _reference_preconditions(sigma)
+    l1, l2, l3, l4 = sigma.values
+    if l2 <= band:
+        return _reference_suleimanova(sigma, CASE_N4_SULEIMANOVA)
+    a, b, c, d = quarter_sums(l1, l2, l3, l4)
+    if min(a, b, c, d) >= -band:
+        return Realization(
+            matrix=assemble(GROUP_TUPLE, (a, b, c, d)),
+            method=METHOD_SMALL_ORDER,
+            target=sigma,
+            params={"case": CASE_N4_GROUP, "blocks": [(0, GROUP_TUPLE)]},
+        )
+    try:
+        return alpha_direct_sum(
+            [(l1, l4), (l2, l3)], METHOD_SMALL_ORDER, sigma, CASE_N4_PAIRED
+        )
+    except NotSuleimanovaError as e:
+        raise InternalCaseGapError(f"paired branch rejected {sigma.values}") from e
+
+
+def reference_realize_small(sigma: Spectrum) -> Realization:
+    n = sigma.n
+    if not 1 <= n <= 4:
+        raise DimensionOutOfRangeError(f"needs n <= 4, got {n}")
+    if n == 1:
+        l1 = sigma.values[0]
+        if l1 < -_reference_band(l1):
+            raise PerronViolationError(f"a 1x1 matrix needs l1 >= 0, got {l1}")
+        return alpha_direct_sum([sigma.values], METHOD_SMALL_ORDER, sigma, CASE_N1)
+    if n == 2:
+        return reference_realize_2(*sigma.values)
+    if n == 3:
+        return reference_realize_3(sigma)
+    return reference_realize_4(sigma)

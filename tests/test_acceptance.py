@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import random_suleimanova_values
+from conftest import random_suleimanova_values, small_order_grid
 from permrealize import (
     Tolerances,
     certify,
@@ -152,24 +152,17 @@ def test_criterion_4_random_suleimanova_suite():
 
 def test_criterion_5_small_order_sweep():
     t0 = time.perf_counter()
-    grid = [round(k * 0.05, 10) for k in range(-20, 21)]
     tol = Tolerances(absolute=1e-9, relative=0.0)  # charpoly tolerance 1e-9
     cases = 0
     case_gaps = 0
     worst = 0.0
-    for i, l2 in enumerate(grid):
-        for j in range(i + 1):
-            l3 = grid[j]
-            for k in range(j + 1):
-                l4 = grid[k]
-                if 1.0 + l2 + l3 + l4 < -1e-9:
-                    continue
-                cases += 1
-                sigma = make_spectrum([1.0, l2, l3, l4])
-                r = realize_small(sigma)  # InternalCaseGapError would raise
-                report = certify(r, tol)
-                assert report.passed, (sigma.values, report.to_json_obj())
-                worst = max(worst, report.max_residual)
+    for values in small_order_grid():
+        cases += 1
+        sigma = make_spectrum(values)
+        r = realize_small(sigma)  # InternalCaseGapError would raise
+        report = certify(r, tol)
+        assert report.passed, (sigma.values, report.to_json_obj())
+        worst = max(worst, report.max_residual)
     elapsed = time.perf_counter() - t0
     assert case_gaps == 0
     assert cases > 5000, f"sweep enumerated only {cases} cases"

@@ -61,6 +61,11 @@ def test_check_json_format(capsys):
     assert obj["classification"] == "zero-trace-suleimanova"
     assert obj["conditions_hold"] is True
     assert obj["spectral_radius"] == 6.0
+    # Exact entries are compared with no band: 1e-13 is a positive entry.
+    code, out, _ = run(capsys, "check", "1,1e-13,-1", "--exact", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["classification"], obj["positives"]) == ("small-order", 2)
 
 
 def test_check_parse_garbage_exits_1(capsys):
@@ -362,6 +367,11 @@ def test_explore_log_file_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+#: Spectra that fail a necessary condition: the radius 3.5 is attained only
+#: by a negative entry (n = 5 and n = 10), and a sum of -1.
+GATE_FAILURES = ("3,1,1,1,-3.5", "3,1,1,1,1,1,1,1,1,-3.5", "3,-1,-1,-1,-1")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -376,7 +386,10 @@ def test_explore_log_file_deterministic(tmp_path, capsys):
         (("realize", "1,-0.9999999999999", "--exact"), 0),
         (("realize", "1,1e-13,-1", "--exact"), 0),
         (("realize", "1,-1.0000000000001", "--exact", "--method", "small"), 2),
-    ],
+    ]
+    # The gate: a Perron failure at n = 5 and n = 10, and a negative sum at
+    # n = 5, exit 2 under every method.
+    + [(("realize", s, "--method", m), 2) for s in GATE_FAILURES for m in dispatch.METHODS],
 )
 def test_not_applicable_exits_3_and_failed_condition_exits_2(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
@@ -388,6 +401,19 @@ def test_not_applicable_exits_3_and_failed_condition_exits_2(capsys, argv, expec
     assert out == ""
     prefix = "inconclusive: " if expected == 3 else "not realizable: "
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("method", dispatch.METHODS)
+def test_failed_condition_runs_no_construction(monkeypatch, capsys, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a construction ran past the gate")
+
+    monkeypatch.setattr(dispatch, "explore", refuse)
+    monkeypatch.setattr(dispatch, "realize_companion", refuse)
+    for spectrum in GATE_FAILURES:
+        code, out, err = run(capsys, "realize", spectrum, "--method", method)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("not realizable: ")
 
 
 def _alpha_family(n):

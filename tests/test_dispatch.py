@@ -7,14 +7,12 @@ import pytest
 from permrealize import (
     NecessaryConditionViolationError,
     NotApplicableError,
-    NotSuleimanovaError,
     Tolerances,
     explore,
     make_spectrum,
     realize,
 )
 from permrealize import dispatch, explorer
-from permrealize.errors import NegativeTraceError
 from permrealize.verify import Verdict
 
 INTEGER_EXAMPLE = [10, -1, -2, -3]
@@ -100,10 +98,8 @@ def test_not_applicable_is_not_a_failed_condition(values, method):
 
 
 def test_negative_trace_is_a_failed_necessary_condition():
-    with pytest.raises(NecessaryConditionViolationError) as info:
+    with pytest.raises(NecessaryConditionViolationError):
         realize(make_spectrum([3, -2, -2]), "suleimanova")
-    assert isinstance(info.value, NegativeTraceError)
-    assert isinstance(info.value, NotSuleimanovaError)
 
 
 def test_unknown_method_is_a_value_error():
