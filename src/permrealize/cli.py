@@ -47,6 +47,7 @@ from .spectrum import (
     classify,
     float_or_inf,
     make_spectrum,
+    require_necessary,
 )
 from .verify import Realization, Verdict, certify
 
@@ -318,9 +319,13 @@ def cmd_explore(ns: argparse.Namespace) -> int:
     sigma = _load_spectrum(ns)
     tol = _tolerances(ns)
     try:
+        require_necessary(sigma)
         results = explorer_mod.explore(
             sigma, strategy=ns.strategy, budget=ns.budget, seed=ns.seed, tol=tol
         )
+    except NecessaryConditionViolationError as e:
+        print(f"not realizable: {e}", file=sys.stderr)
+        return EXIT_FAIL
     except NotApplicableError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -255,6 +255,30 @@ def closed_eigensystem(x) -> tuple[Scalar, np.ndarray, np.ndarray]:
     return s, x[0] - x[1:], V
 
 
+def closed_eigensystem_residuals(
+    P: np.ndarray,
+) -> tuple[Scalar, np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals of the closed eigensystem of P's first row x, on P itself.
+
+    Returns (s, deltas, P e - s e, P V - V diag(deltas)) with s, deltas and
+    V as closed_eigensystem(x) gives them, in O(n^2) and without forming V:
+    column k of V is x_{k+1} e + c_k e_{k+1} with c_k = x_0 - s - x_{k+1},
+    so with the row sums rs of P, entry (i, k) of the second residual is
+    x_{k+1} (rs_i - d_k) + c_k P[i, k+1] - [i = k+1] d_k c_k.  P is read
+    entry by entry, not rebuilt from x, so the residuals measure P.
+    """
+    x = P[0]
+    s = sum(x[1:], start=x[0])
+    deltas = x[0] - x[1:]
+    c = (x[0] - s) - x[1:]
+    rs = P.sum(axis=1)
+    R = np.subtract.outer(rs, deltas)
+    R *= x[1:]
+    R += P[:, 1:] * c
+    R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
+    return s, deltas, rs - s, R
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial, coefficients degree-ascending, leading term explicit.
@@ -514,15 +538,29 @@ def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
 def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
     """The text of every float64 entry, row by row, formatting each value once.
 
-    Entries are grouped by their uint64 bit patterns, so -0.0 and 0.0 stay
-    apart; format_distinct maps the list of distinct values to their texts.
-    A permutative n x n matrix holds at most n distinct values, so this
-    formats n values instead of n^2.
+    Entries are told apart by their uint64 bit patterns, so -0.0 and 0.0
+    stay apart; format_distinct maps the list of distinct values to their
+    texts.  The first row holds every value of a permutative matrix, so its
+    sorted patterns make the table, and every entry is found in it by
+    binary search: no sort over the n^2 entries, and n values formatted
+    instead of n^2.  Entries the first row lacks (zeros off the blocks of a
+    direct sum, the other blocks' values, a matrix that is not permutative)
+    are sorted on their own and appended to the table.
+
+    The first row is sorted, not np.unique'd: a repeated value costs one
+    more formatting, while a plain np.unique imports numpy.ma on its first
+    call, about 10 ms of every fresh process that prints a matrix.
     """
     bits = data.view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    table = np.array(format_distinct(distinct.view(np.float64).tolist()), dtype=object)
-    return table[inverse.reshape(data.shape)].tolist()
+    table = np.sort(bits[0])
+    pos = np.searchsorted(table, bits)
+    missed = np.take(table, pos, mode="clip") != bits
+    if missed.any():
+        rest, inverse = np.unique(bits[missed], return_inverse=True)
+        pos[missed] = inverse + len(table)
+        table = np.concatenate((table, rest))
+    texts = np.array(format_distinct(table.view(np.float64).tolist()), dtype=object)
+    return texts[pos].tolist()
 
 
 def matrix_to_json(M: DenseMatrix) -> str:
@@ -535,9 +573,10 @@ def matrix_to_json(M: DenseMatrix) -> str:
     among them, keep the per-entry path: np.unique on Fraction objects costs far more than it
     saves (1.6 s, against 30 ms for the whole encoding, at n = 256).
 
-    Cost at n = 1024 on a 2-core VM, against plain json.dumps: about 0.11x
-    with n distinct values (every matrix realize emits has at most n + 2),
-    0.8x with n^2 / 2, and 1.3x to 1.6x when all n^2 entries differ (the
+    Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.45 s):
+    about 0.1x for an alpha matrix, whose n distinct values all sit in the
+    first row (every matrix realize emits has at most n + 2 distinct
+    values), 0.9x with n^2 / 2, and 1.6x when all n^2 entries differ (the
     sort and the string table on top of the same formatting).
     """
     if M.data.dtype != np.float64:

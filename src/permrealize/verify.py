@@ -13,7 +13,9 @@ neither spectral check (charpoly, eigenpairs) ran is inconclusive.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -24,14 +26,14 @@ from .linalg import (
     DenseMatrix,
     PermTuple,
     char_poly,
-    closed_eigensystem,
+    closed_eigensystem_residuals,
     is_nonnegative,
     is_permutative,
     max_coeff_diff,
     poly_from_roots,
     polys_close,
 )
-from .spectrum import Spectrum, Tolerances, float_or_inf, make_spectrum
+from .spectrum import Scalar, Spectrum, Tolerances, float_or_inf, make_spectrum
 
 # Method tags attached to Realizations by the construction modules.
 METHOD_SULEIMANOVA = "suleimanova-permutative"
@@ -217,34 +219,55 @@ def _blocks_hold(A: np.ndarray, blocks: list[tuple[int, PermTuple]], band: float
     return pos == len(A)
 
 
+def _pow2_at_or_above(m) -> int:
+    """The least e >= 0 with 2^e >= m, for a float or Fraction m >= 0."""
+    p, q = m.as_integer_ratio()
+    e = max(0, p.bit_length() - q.bit_length())
+    return e + 1 if p > q << e else e
+
+
 def _alpha_eigensystem_residuals(
-    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum
-) -> list[tuple[float, float]]:
-    """(residual, scale) pairs certifying each alpha block's closed eigensystem.
+    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum, tol: Tolerances
+) -> list[tuple[Scalar, Scalar]]:
+    """(residual, band) pairs certifying each alpha block's closed eigensystem.
 
     For each block P with first row x, checks P e = s e and P v_i = d_i v_i
-    for the closed-form eigenpairs of closed_eigensystem(x), at the scale
-    max(1, |x|_inf^2); then that the blocks' eigenvalues {s, d_i} together
-    reproduce the target spectrum, at the target's scale.
+    for the closed-form eigenpairs of closed_eigensystem(x), in O(n^2)
+    (closed_eigensystem_residuals); then that the blocks' eigenvalues
+    {s, d_i} together reproduce the target spectrum, at the target's scale.
+
+    The pair residuals are taken on t P with t = 2^-e, where 2^e is the
+    least power of two >= max(1, |x|_inf), so every sum and product stays
+    finite.  The row-sum residual scales by t and the eigenvector residual
+    by t^2, and each is judged against tol.band(max(1, |x|_inf^2)) scaled
+    the same way.  A power-of-two scaling is exact (Fractions, and floats
+    short of the subnormal range), so the verdict is that of the unscaled
+    block wherever its band is finite, and both sides stay finite.
     """
-    out: list[tuple[float, float]] = []
+    exact = A.dtype == object
+    absolute, relative = tol.absolute, tol.relative
+    if exact:
+        absolute, relative = Fraction(absolute), Fraction(relative)
+    out: list[tuple[Scalar, Scalar]] = []
     eigs = []
-    for start, pt in blocks:
-        P = A[start : start + pt.n, start : start + pt.n]
-        s, deltas, V = closed_eigensystem(P[0])
-        x_inf = float_or_inf(np.abs(P[0]).max())
-        pair_scale = max(1.0, x_inf * x_inf)
-        out.append((float_or_inf(np.abs(P.sum(axis=1) - s).max()), pair_scale))
-        if V.size:
-            # P V should equal V scaled columnwise by the deltas.
-            resid = np.dot(P, V)
-            V *= deltas
-            resid -= V
-            out.append((float_or_inf(np.abs(resid, out=resid).max()), pair_scale))
-        eigs += ([s], deltas)
+    # The scaled residuals stay finite; an eigenvalue s / t or d_i / t
+    # past the float range reads as inf.
+    with np.errstate(over="ignore"):
+        for start, pt in blocks:
+            P = A[start : start + pt.n, start : start + pt.n]
+            x_inf = np.abs(P[0]).max()
+            e = _pow2_at_or_above(x_inf)
+            t = Fraction(1, 1 << e) if exact else math.ldexp(1.0, -e)
+            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P * t)
+            xt = x_inf * t
+            out.append((np.abs(row_res).max(), max(absolute * t, relative * max(t, xt * x_inf))))
+            if pair_res.size:
+                band = max(absolute * t * t, relative * max(t * t, xt * xt))
+                out.append((np.abs(pair_res, out=pair_res).max(), band))
+            eigs.append(np.concatenate(([s], deltas)) / t)
     eigs = np.sort(np.concatenate(eigs))[::-1]
-    id_res = float_or_inf(np.abs(eigs - np.asarray(target.values)).max())
-    out.append((id_res, target.scale()))
+    id_res = np.abs(eigs - np.asarray(target.values)).max()
+    out.append((id_res, tol.band(target.scale())))
     return out
 
 
@@ -307,9 +330,9 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         eig = CheckState.PASS
-        for res, scale in _alpha_eigensystem_residuals(A, blocks, r.target):
-            residuals.append(res)
-            if res > tol.band(scale):
+        for res, band in _alpha_eigensystem_residuals(A, blocks, r.target, tol):
+            residuals.append(float_or_inf(res))
+            if res > band:
                 eig = CheckState.FAIL
     else:
         eig = CheckState.NOT_APPLICABLE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from permrealize import (
     realize_suleimanova,
 )
 from permrealize import dispatch
+from permrealize import explorer as explorer_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _print_matrix, main
 from permrealize.linalg import format_scalar
 
@@ -551,3 +553,40 @@ def test_flags_override_env_var(monkeypatch, capsys):
     )
     tol = json.loads(out)["certificate"]["tolerances"]
     assert tol == {"absolute": 1e-9, "relative": 1e-5}
+
+
+@pytest.mark.parametrize("spectrum", [
+    "1e200," + ",".join(["-1e198"] * 39),
+    "1.5e308,-1e307,-1e308",
+])
+def test_realize_near_the_float_limit_passes_without_warnings(spectrum):
+    # Squared entry sizes overflow here; the eigenpair check runs on the
+    # block scaled by a power of two, so nothing overflows.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = "import sys; from permrealize.cli import main; sys.exit(main(sys.argv[1:]))"
+    p = subprocess.run(
+        [sys.executable, "-c", code, "realize", spectrum, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == ""
+    cert = json.loads(p.stdout)["certificate"]
+    assert cert["eigenpairs"] == "pass"
+    assert cert["verdict"] == "pass"
+    if cert["charpoly"] == "not-applicable":
+        assert math.isfinite(cert["max_residual"])
+
+
+@pytest.mark.parametrize("spectrum", ["3,1,1,1,-3.5", "3,-1,-1,-1,-1"])
+def test_explore_runs_the_feasibility_gate_first(monkeypatch, capsys, spectrum):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran on an infeasible spectrum")
+
+    monkeypatch.setattr(explorer_mod, "explore", refuse)
+    code, out, err = run(capsys, "explore", spectrum)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("not realizable: ")

@@ -48,6 +48,9 @@ from permrealize import (
 )
 from permrealize.linalg import (
     char_poly_coeffs,
+    closed_eigensystem,
+    closed_eigensystem_residuals,
+    format_entries,
     format_scalar,
     matrix_to_json_obj,
     max_coeff_diff,
@@ -635,3 +638,83 @@ def test_csv_round_trip_property(rows):
     M = from_rows(rows)
     N = matrix_from_csv(matrix_to_csv(M))
     assert_array_equal(N.data, M.data)
+
+
+# ---------------------------------------------------------------------------
+# closed-form eigensystem residuals against the dense product
+# ---------------------------------------------------------------------------
+
+
+def _dense_residuals(P):
+    """(P e - s e, P V - V diag(deltas)) with V formed and multiplied out."""
+    s, deltas, V = closed_eigensystem(P[0])
+    return P.sum(axis=1) - s, np.dot(P, V) - V * deltas
+
+
+def _residual_blocks():
+    """Seeded float and Fraction alpha blocks, and both blocks of a direct sum."""
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 7, 40):
+        x = rng.uniform(0.5, 5.0, n)
+        yield assemble(alpha_tuple(n), x.tolist()).data
+        q = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 50, n), rng.integers(1, 9, n))]
+        yield assemble(alpha_tuple(n), q).data
+    blocks = [assemble(alpha_tuple(k), rng.uniform(0.5, 5.0, k).tolist()) for k in (3, 5)]
+    D = direct_sum(blocks).data
+    yield D[:3, :3]
+    yield D[3:, 3:]
+
+
+def _pair_band(P):
+    x_inf = float(np.abs(P[0]).max())
+    return Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
+
+
+def test_closed_eigensystem_residuals_match_the_dense_product():
+    for P in _residual_blocks():
+        s, deltas, row, pair = closed_eigensystem_residuals(P)
+        s_ref, deltas_ref, _ = closed_eigensystem(P[0])
+        row_ref, pair_ref = _dense_residuals(P)
+        assert s == s_ref and (deltas == deltas_ref).all()
+        assert pair.shape == pair_ref.shape == (len(P), len(P) - 1)
+        band = _pair_band(P)
+        assert (np.abs(row - row_ref) <= band).all()
+        assert (np.abs(pair - pair_ref) <= band).all()
+        assert (np.abs(pair) <= band).all()
+
+
+def test_closed_eigensystem_residuals_see_a_one_entry_perturbation():
+    for P in _residual_blocks():
+        n = len(P)
+        if n == 1:
+            continue  # the only entry is the first row itself
+        P = P.copy()
+        P[n - 1, 0] += 1
+        band = _pair_band(P)
+        for _, pair in (closed_eigensystem_residuals(P)[2:], _dense_residuals(P)):
+            assert np.abs(pair).max() > band
+
+
+# ---------------------------------------------------------------------------
+# the serializers against the per-entry reference
+# ---------------------------------------------------------------------------
+
+
+def _table_inputs():
+    """Matrices whose entries the first row covers fully, partly or not at all."""
+    alpha = realize_suleimanova(make_spectrum([9.5, -0.5, -1.5, -2.5, -3.0])).matrix
+    blocks = direct_sum([alpha, realize_suleimanova(make_spectrum([4.0, -1.0, -2.25])).matrix,
+                         from_rows([[0.75]])])
+    zero_first = from_rows([[0.0, 1.5, 2.0], [1.5, -0.0, 2.0], [2.0, 1.5, -0.0]])
+    minus_zero_first = from_rows([[-0.0, 1.5, 2.0], [1.5, 0.0, 2.0], [2.0, 1.5, 0.0]])
+    rng = np.random.default_rng(29)
+    dense = from_rows(rng.standard_normal((9, 9)).tolist())
+    return alpha, blocks, zero_first, minus_zero_first, dense, from_rows([[-0.0]]), from_rows([[0.1]])
+
+
+def test_serializers_match_the_per_entry_reference():
+    for M in _table_inputs():
+        assert matrix_to_json(M) == json.dumps(M.data.tolist())
+        texts = [[format_scalar(v) for v in row] for row in M.data.tolist()]
+        assert format_entries(M) == texts
+        assert matrix_to_csv(M) == "\n".join(",".join(row) for row in texts) + "\n"

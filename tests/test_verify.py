@@ -15,7 +15,9 @@ from permrealize import (
     Tolerances,
     alpha_tuple,
     as_realization,
+    assemble,
     certify,
+    closed_eigensystem,
     detect_blocks,
     direct_sum,
     explore,
@@ -30,6 +32,7 @@ from permrealize.verify import (
     CheckState,
     METHOD_SULEIMANOVA,
     Verdict,
+    _alpha_eigensystem_residuals,
 )
 
 
@@ -444,3 +447,68 @@ def test_certify_custom_tolerances(sigma_integer_example):
     )
     assert report.tolerances.absolute == 1e-6
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# eigenpair residuals on the scaled block
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("values", [
+    [1e200] + [-1e198] * 39,
+    [1.5e308, -1e307, -1e308],
+])
+def test_eigenpairs_stay_finite_near_the_float_limit(values):
+    r = realize_suleimanova(make_spectrum(values))
+    tol = Tolerances()
+    pairs = _alpha_eigensystem_residuals(r.matrix.data, r.params["blocks"], r.target, tol)
+    assert all(np.isfinite(float(res)) and np.isfinite(float(band)) and res <= band
+               for res, band in pairs)
+    assert certify(r).eigenpair_ok is CheckState.PASS
+    shifted = make_spectrum([values[0]] + [1.25 * v for v in values[1:]])
+    wrong = Realization(matrix=r.matrix, method=r.method, target=shifted,
+                        params=r.params)
+    assert certify(wrong).eigenpair_ok is CheckState.FAIL
+
+
+def _unscaled_dense_verdict(P, tol):
+    """The eigenpair judgement on the block as stored: a dense P V at the
+    band tol.band(max(1, |x|_inf^2)); None when the residual lies so near
+    the band that rounding may decide it."""
+    s, deltas, V = closed_eigensystem(P[0])
+    x_inf = float(np.abs(P[0]).max())
+    band = tol.band(max(1.0, x_inf * x_inf))
+    res = max(np.abs(P.sum(axis=1) - s).max(), np.abs(P @ V - V * deltas).max())
+    if abs(res - band) <= 1e-6 * band:
+        return None
+    return CheckState.PASS if res <= band else CheckState.FAIL
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), Tolerances(1e-3, 1e-12)])
+@pytest.mark.parametrize("x_inf", [0.3, 1.2, 1.7, 1e3, 1e150])
+def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
+    # Where the unscaled band is finite, judging the scaled block changes
+    # no verdict: perturbations from far below to far above the band give
+    # the states the dense, unscaled rule gives.
+    rng = np.random.default_rng(17)
+    n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1  # keeps the exact charpoly out
+    x = rng.uniform(0.1, 1.0, n)
+    x *= x_inf / x.max()
+    P0 = assemble(alpha_tuple(n), x.tolist()).data
+    s, deltas, _ = closed_eigensystem(P0[0])
+    target = make_spectrum([s, *deltas])
+    seen = set()
+    for h in np.geomspace(1e-7, 1e2, 61) * tol.band(max(1.0, x_inf)):
+        P = P0.copy()
+        P[3, 3] += h
+        expected = _unscaled_dense_verdict(P, tol)
+        if expected is None:
+            continue
+        r = Realization(matrix=DenseMatrix(P), method="", target=target,
+                        params={"blocks": [(0, alpha_tuple(n))]})
+        report = certify(r, tol)
+        if report.structure_ok is not CheckState.PASS:
+            continue
+        assert report.eigenpair_ok is expected, h
+        seen.add(expected)
+    assert seen == {CheckState.PASS, CheckState.FAIL}
