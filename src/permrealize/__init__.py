@@ -46,12 +46,10 @@ from .linalg import (
     char_poly,
     closed_eigensystem,
     direct_sum,
-    eval_poly,
     from_rows,
     identity,
     is_nonnegative,
     is_permutative,
-    matrices_close,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -68,11 +66,8 @@ from .spectrum import (
     check_necessary,
     classify,
     make_spectrum,
-    power_sum,
 )
 from .suleimanova import (
-    mn_inverse,
-    mn_matrix,
     realize_suleimanova,
     suleimanova_first_row,
 )
@@ -120,7 +115,6 @@ __all__ = [
     "cyclic_tuple",
     "detect_blocks",
     "direct_sum",
-    "eval_poly",
     "explore",
     "fit_first_row",
     "from_rows",
@@ -128,17 +122,13 @@ __all__ = [
     "is_nonnegative",
     "is_permutative",
     "make_spectrum",
-    "matrices_close",
     "matrix_from_csv",
     "matrix_from_json",
     "matrix_to_csv",
     "matrix_to_json",
-    "mn_inverse",
-    "mn_matrix",
     "objective",
     "poly_from_roots",
     "polys_close",
-    "power_sum",
     "quarter_sums",
     "realize",
     "realize_companion",

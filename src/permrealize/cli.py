@@ -7,13 +7,18 @@ a stable contract: 0 pass, 1 usage/parse failure, 2 verified failure (a
 failed necessary condition or certificate), 3 inconclusive (no method
 applies, a search that found nothing, or a certificate on which no
 spectral check could run).  The policy and the certificates live in the
-library (``dispatch.realize``); this module parses and prints.
+library (``dispatch.realize``); this module parses and prints.  ``realize``
+runs the paper's closed forms by default; the companion matrix and the
+pattern search run only under ``--method companion`` and
+``--method explore``.
 
 Spectra are given inline as a comma list ("10,-1,-2,-3") or via --file
-(JSON array or one value per line).  The default tolerance profile can be
-set with the PERMREALIZE_TOLERANCES environment variable ("abs,rel");
---abs-tol/--rel-tol override it, and --exact switches to Fraction
-arithmetic with zero tolerances.
+(JSON array or one value per line).  The certificates' tolerance profile
+(realize, verify, explore) can be set with the PERMREALIZE_TOLERANCES
+environment variable ("abs,rel"); --abs-tol/--rel-tol override it, and
+--exact switches to Fraction arithmetic with zero tolerances.  check
+judges the necessary conditions in the band realize's gate uses.  Each
+subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ def _spectrum_json(sigma: Spectrum) -> list:
 
 def cmd_check(ns: argparse.Namespace) -> int:
     sigma = _load_spectrum(ns)
-    report = check_necessary(sigma, K=ns.K, tol=_tolerances(ns))
+    report = check_necessary(sigma, K=ns.K)
     cls = classify(sigma)
     ok = report.power_sum_ok and report.perron_ok
     if ns.fmt == "json":
@@ -250,13 +255,6 @@ def cmd_realize(ns: argparse.Namespace) -> int:
         return EXIT_FAIL
     except NotApplicableError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    if r is None:
-        print(
-            "inconclusive: the pattern search found no certified realization "
-            "within budget",
-            file=sys.stderr,
-        )
         return EXIT_INCONCLUSIVE
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -358,57 +356,66 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    spectrum_input = argparse.ArgumentParser(add_help=False)
+    spectrum_input.add_argument(
         "spectrum",
         nargs="?",
         help="inline comma-separated spectrum, e.g. \"10,-1,-2,-3\"",
     )
-    common.add_argument(
+    spectrum_input.add_argument(
         "--file", help="spectrum file (JSON array or one value per line)"
     )
-    common.add_argument(
+    spectrum_input.add_argument(
         "--format",
         dest="fmt",
         choices=("json", "csv", "pretty"),
         default="pretty",
     )
-    common.add_argument("--exact", action="store_true",
-                        help="exact rational arithmetic, zero tolerances")
-    common.add_argument("--abs-tol", type=float, default=None)
-    common.add_argument("--rel-tol", type=float, default=None)
+    spectrum_input.add_argument("--exact", action="store_true",
+                                help="exact rational arithmetic, zero tolerances")
+
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--abs-tol", type=float, default=None)
+    tolerances.add_argument("--rel-tol", type=float, default=None)
 
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--strategy", choices=explorer_mod.STRATEGIES,
-                        default="alpha")
-    search.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET)
-    search.add_argument("--seed", type=int, default=0)
+                        default="alpha",
+                        help="pattern-search strategy (realize: --method explore only)")
+    search.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET,
+                        help="pattern-search budget (realize: --method explore only)")
+    search.add_argument("--seed", type=int, default=0,
+                        help="pattern-search seed (realize: --method explore only)")
 
     p = sub.add_parser(
-        "check", parents=[common], help="necessary conditions + classification"
+        "check", parents=[spectrum_input],
+        help="necessary conditions + classification",
     )
     p.add_argument("--power-depth", dest="K", type=int,
                    default=DEFAULT_POWER_DEPTH)
 
     p = sub.add_parser(
-        "realize", parents=[common, search], help="construct and certify a matrix"
+        "realize", parents=[spectrum_input, tolerances, search],
+        help="construct and certify a matrix",
     )
-    p.add_argument("--method", choices=METHODS, default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto",
+                   help="auto (default) runs the paper's closed forms only")
     p.add_argument("--out", help="also write the matrix as CSV to this file")
 
     p = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[spectrum_input, tolerances],
         help="certify a matrix file against a spectrum",
     )
     p.add_argument("--matrix", dest="matrix_path", required=True,
                    help="matrix file (CSV rows or JSON nested arrays)")
 
-    p = sub.add_parser("bench", parents=[common], help="timing report (JSON)")
+    p = sub.add_parser("bench", help="timing report (JSON)")
     p.add_argument("--sizes", type=_sizes, default=None,
                    help="comma list of matrix orders")
 
     p = sub.add_parser(
-        "explore", parents=[common, search], help="pattern search (JSON-lines log)"
+        "explore", parents=[spectrum_input, tolerances, search],
+        help="pattern search (JSON-lines log)",
     )
     p.add_argument("--out", help="write the JSON-lines log to this file")
 

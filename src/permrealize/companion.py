@@ -2,7 +2,10 @@
 
 The companion matrix of p(t) = prod (t - l_k) always has spectrum sigma;
 it is entrywise nonnegative exactly when every non-leading coefficient c_k
-is nonpositive, which holds for every Suleimanova spectrum.  Coefficients
+is nonpositive.  By Descartes' rule of signs p then has exactly one
+positive root, so the spectrum is Suleimanova and the alpha matrix already
+realizes it: ``auto`` relies on alpha, and this matrix is built only when
+asked for by name (method "companion", as the bench baseline is).  Coefficients
 come from the O(n^2) one-root-at-a-time expansion; the exponential cost
 sometimes associated with this route applies only to naive enumeration of
 all root subsets, not to the incremental recurrence used here.
@@ -13,14 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    DenseMatrix,
-    Polynomial,
-    eval_poly,
-    from_rows,
-    poly_from_roots,
-)
-from .spectrum import Spectrum, Tolerances, value_band
+from .linalg import DenseMatrix, Polynomial, from_rows, poly_from_roots
+from .spectrum import Spectrum, value_band
 from .verify import METHOD_COMPANION, Realization
 
 
@@ -55,18 +52,6 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
     band = value_band(max(abs(c) for c in poly.coeffs))
     nonneg = all(c <= band for c in poly.coeffs[:-1])
     return CompanionRealization(poly=poly, matrix=matrix, nonneg=nonneg)
-
-
-def verify_roots(
-    cr: CompanionRealization, sigma: Spectrum, tol: float = 1e-10
-) -> bool:
-    """True iff |p(l_i)| <= tol * max(1, max|c_k|) for every target l_i.
-
-    Exact values are compared exactly, as in realize_companion: they may
-    lie beyond the float range.
-    """
-    band = Tolerances(tol, tol).band(max(abs(c) for c in cr.poly.coeffs))
-    return all(abs(eval_poly(cr.poly, v)) <= band for v in sigma.values)
 
 
 def as_realization(cr: CompanionRealization, sigma: Spectrum) -> Realization:

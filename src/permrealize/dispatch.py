@@ -3,11 +3,15 @@
 Every method sits behind one gate, spectrum.require_necessary: a spectrum
 whose largest entry misses the spectral radius, or whose sum is negative,
 raises a NecessaryConditionViolationError before any construction runs; no
-nonnegative matrix has it.  Past the gate, "auto" tries the closed forms in
-order: one alpha matrix (whenever the paper's first row x = M_n^{-1} lambda
-is nonnegative), the small-order cases (n <= 4), the companion matrix when
-it is nonnegative, and last the pattern search.  A NotApplicableError means
-only that the method does not cover the spectrum.
+nonnegative matrix has it.  Past the gate, "auto" runs the paper's two
+closed forms: one alpha matrix (whenever the paper's first row
+x = M_n^{-1} lambda is nonnegative), then the small-order cases (n <= 4).
+Nothing else can succeed where they fail: a nonnegative companion matrix
+means a Suleimanova spectrum, which the alpha matrix covers, and the
+search's default alpha strategy can only find the alpha matrix.  The
+companion matrix and the pattern search run only when asked for by name.
+A NotApplicableError means only that the method does not cover the
+spectrum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .companion import as_realization, realize_companion
-from .errors import NotSuleimanovaError
+from .errors import NotApplicableError, NotSuleimanovaError
 from .explorer import DEFAULT_BUDGET, explore
 from .small_order import realize_small
 from .spectrum import Spectrum, Tolerances, require_necessary
@@ -27,28 +31,27 @@ def _companion(sigma: Spectrum) -> Realization:
     return as_realization(realize_companion(sigma), sigma)
 
 
-def _auto(sigma: Spectrum) -> Optional[Realization]:
-    """The first closed form that applies: alpha, small order, companion."""
+def _auto(sigma: Spectrum) -> Realization:
+    """The paper's closed forms: one alpha matrix, then order <= 4."""
     try:
         return realize_suleimanova(sigma)
-    except NotSuleimanovaError:
-        pass
-    if sigma.n <= 4:
-        return realize_small(sigma)
-    r = _companion(sigma)
-    return r if r.params["nonneg"] else None
+    except NotSuleimanovaError as e:
+        if sigma.n <= 4:
+            return realize_small(sigma)
+        raise NotApplicableError(
+            f"no closed form applies at n = {sigma.n} > 4: {e}; "
+            "--method explore runs the pattern search"
+        ) from e
 
 
-#: Each method's closed form; a None result leaves the pattern search.
 _CLOSED_FORMS = {
     "auto": _auto,
     "suleimanova": realize_suleimanova,
     "small": realize_small,
     "companion": _companion,
-    "explore": lambda sigma: None,
 }
 
-METHODS = tuple(_CLOSED_FORMS)
+METHODS = (*_CLOSED_FORMS, "explore")
 
 
 def realize(
@@ -58,20 +61,25 @@ def realize(
     strategy: str = "alpha",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-) -> Optional[Realization]:
+) -> Realization:
     """sigma's realization by ``method`` (one of METHODS), certified under tol.
 
     The pattern search (``strategy``, ``budget``, ``seed``) runs for
-    "explore", and for "auto" when no closed form applies; None means it
-    found no certified realization.  ``tol`` None is certify's default.
-    Raises NecessaryConditionViolationError, for every method, when sigma
-    fails the gate.
+    "explore" only, and raises NotApplicableError when it finds no
+    certified realization.  ``tol`` None is certify's default.  Raises
+    NecessaryConditionViolationError, for every method, when sigma fails
+    the gate.
     """
-    if method not in _CLOSED_FORMS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     require_necessary(sigma)
+    if method == "explore":
+        hits = explore(sigma, strategy, budget, seed, tol)  # certified under tol
+        for h in hits:
+            if h.certified:
+                return h.realization
+        raise NotApplicableError(
+            "the pattern search found no certified realization within budget"
+        )
     r = _CLOSED_FORMS[method](sigma)
-    if r is not None:
-        return r.with_certificate(certify(r, tol))
-    hits = explore(sigma, strategy, budget, seed, tol)  # certified under tol
-    return next((h.realization for h in hits if h.certified), None)
+    return r.with_certificate(certify(r, tol))

@@ -409,25 +409,6 @@ def poly_from_roots(sigma: Spectrum) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def eval_poly(p: Polynomial, t: Scalar) -> Scalar:
-    """Horner evaluation."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * t + c
-    return acc
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Coefficient convolution (used to cross-check direct sums)."""
-    exact = p.is_exact and q.is_exact
-    zero: Scalar = Fraction(0) if exact else 0.0
-    out = [zero] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(tuple(out))
-
-
 def polys_close(p: Polynomial, q: Polynomial, tol: Tolerances) -> bool:
     """Coefficientwise comparison within tol.band(max coefficient size).
 
@@ -471,15 +452,6 @@ def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
         out[off : off + k, off : off + k] = data
         off += k
     return DenseMatrix(out)
-
-
-def matrices_close(A: DenseMatrix, B: DenseMatrix, tol: Tolerances) -> bool:
-    """Entrywise comparison within tol.band(max entry size)."""
-    if A.data.shape != B.data.shape:
-        return False
-    scale = max(A.max_abs(), B.max_abs(), 1.0)
-    dev = A.data - B.data
-    return bool((np.abs(dev, out=dev) <= tol.band(scale)).all())
 
 
 # ---------------------------------------------------------------------------

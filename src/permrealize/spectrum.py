@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import (
     EmptyInputError,
@@ -169,60 +169,44 @@ def make_spectrum(raw: Iterable, exact: bool = False) -> Spectrum:
     return Spectrum(tuple(coerced))
 
 
-def power_sum(sigma: Spectrum, k: int) -> Scalar:
-    """s_k = sum of k-th powers, accumulated in sorted order.
-
-    Powers are formed by repeated multiplication so float inputs overflow to
-    inf instead of raising.
-    """
-    if k < 1:
-        raise ValueError(f"power-sum exponent must be >= 1, got {k}")
-    total = None
-    for v in sigma.values:
-        p = v
-        for _ in range(k - 1):
-            p = p * v
-        total = p if total is None else total + p
-    return total
+def _gate(sigma: Spectrum) -> tuple[bool, bool, Scalar]:
+    """(Perron holds, the sum is nonnegative, the band they were judged in),
+    within ``value_band(spectral_radius)``."""
+    sr = sigma.spectral_radius
+    band = value_band(sr)
+    return bool(sr - sigma.values[0] <= band), bool(sigma.trace >= -band), band
 
 
-def check_necessary(
-    sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH, tol: Optional[Tolerances] = None
-) -> ConditionReport:
+def check_necessary(sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH) -> ConditionReport:
     """Check the two classical necessary conditions up to power depth K.
 
-    The power-sum condition quantifies over every k; here it is truncated at
-    K (the constructions never rely on this check for correctness).  Each
-    s_k is compared against ``-tol.band(sum|l_i|^k)`` so the test stays
-    meaningful at any magnitude.  The Perron check requires the largest
-    entry itself to attain max|l_i|: a spectrum whose radius is only hit by
-    a negative entry fails.  ``tol`` None is ``Tolerances.exact()`` for an
-    exact spectrum and CLASSIFY_TOL otherwise.
+    The Perron condition and s_1 >= 0 are the gate of require_necessary,
+    judged in the same band, so this report fails whenever the gate does.
+    The Perron check requires the largest entry itself to attain max|l_i|:
+    a spectrum whose radius is only hit by a negative entry fails.  The
+    power-sum condition quantifies over every k; here it is truncated at K
+    (the constructions never rely on it for correctness), and each s_k with
+    k >= 2 is compared against ``-value_band(sum|l_i|^k)`` so the test stays
+    meaningful at any magnitude.
     """
     if K < 1:
         raise ValueError(f"power depth must be >= 1, got {K}")
-    if tol is None:
-        tol = Tolerances.exact() if sigma.is_exact else CLASSIFY_TOL
+    perron_ok, ok, _ = _gate(sigma)
     powers = list(sigma.values)
     abs_powers = [abs(v) for v in sigma.values]
     sums = []
-    ok = True
-    for _ in range(K):
+    for k in range(K):
         s_k = sum(powers[1:], start=powers[0])
-        mag_k = sum(abs_powers[1:], start=abs_powers[0])
         sums.append(s_k)
-        if not s_k >= -tol.band(mag_k):
+        if k and not s_k >= -value_band(sum(abs_powers[1:], start=abs_powers[0])):
             ok = False
         powers = [p * v for p, v in zip(powers, sigma.values)]
         abs_powers = [p * a for p, a in zip(abs_powers, (abs(v) for v in sigma.values))]
-    sr = sigma.spectral_radius
-    band = tol.band(sr)
-    perron_ok = bool(sr - sigma.values[0] <= band)
     return ConditionReport(
         power_sums=tuple(sums),
         power_sum_ok=ok,
         perron_ok=perron_ok,
-        spectral_radius=sr,
+        spectral_radius=sigma.spectral_radius,
         K=K,
     )
 
@@ -234,14 +218,13 @@ def require_necessary(sigma: Spectrum) -> Scalar:
     nonnegative sum (NecessaryConditionViolationError), both within
     ``value_band(spectral_radius)``.  Every construction relies on it.
     """
-    sr = sigma.spectral_radius
-    band = value_band(sr)
-    if sr - sigma.values[0] > band:
+    perron_ok, sum_ok, band = _gate(sigma)
+    if not perron_ok:
         raise PerronViolationError(
             "the largest entry must attain the spectral radius; "
-            f"max entry {sigma.values[0]}, radius {sr}"
+            f"max entry {sigma.values[0]}, radius {sigma.spectral_radius}"
         )
-    if not sigma.trace >= -band:
+    if not sum_ok:
         raise NecessaryConditionViolationError(
             f"the spectrum's sum {sigma.trace} is negative, so no "
             "nonnegative matrix realizes it"

@@ -15,8 +15,7 @@ formula's whole applicability condition: a spectrum that fails the gate
 Suleimanova spectra (exactly one positive entry, nonnegative sum) always
 pass.  The vector x solves M_n x = lambda for the bordered matrix
 M_n = [[1, e^T], [e, -I]], whose inverse is (1/n) [[1, e^T], [e, J - nI]];
-both are provided as testable statements, but the realization itself uses
-the O(n) formula.
+the tests check both, but the realization itself uses the O(n) formula.
 
 The paper's other construction, a direct sum of such blocks, is
 alpha_direct_sum: one alpha block per group of target values.
@@ -27,45 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionTooSmallError, NotSuleimanovaError
-from .linalg import DenseMatrix, alpha_tuple, assemble, direct_sum, from_rows
+from .errors import NotSuleimanovaError
+from .linalg import alpha_tuple, assemble, direct_sum
 from .spectrum import Spectrum, value_band
 from .verify import METHOD_SULEIMANOVA, Realization
 
 Scalar = Union[float, Fraction]
-
-
-def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
-    """The bordered matrix M_n = [[1, e^T], [e, -I]] (n >= 2)."""
-    if n < 2:
-        raise DimensionTooSmallError(f"mn_matrix needs n >= 2, got {n}")
-    one: Scalar = Fraction(1) if exact else 1.0
-    zero: Scalar = Fraction(0) if exact else 0.0
-    rows = [[one] * n]
-    for i in range(1, n):
-        row = [zero] * n
-        row[0] = one
-        row[i] = -one
-        rows.append(row)
-    return from_rows(rows, exact=exact)
-
-
-def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
-    """Closed-form inverse (1/n) [[1, e^T], [e, J - nI]] of mn_matrix(n)."""
-    if n < 2:
-        raise DimensionTooSmallError(f"mn_inverse needs n >= 2, got {n}")
-    if exact:
-        inv_n = Fraction(1, n)
-        diag = Fraction(1 - n, n)
-    else:
-        inv_n = 1.0 / n
-        diag = (1.0 - n) / n
-    rows = [[inv_n] * n]
-    for i in range(1, n):
-        row = [inv_n] * n
-        row[i] = diag
-        rows.append(row)
-    return from_rows(rows, exact=exact)
 
 
 def suleimanova_first_row(values) -> tuple[Scalar, ...]:

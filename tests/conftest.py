@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from permrealize import (
+    DenseMatrix,
     DimensionOutOfRangeError,
+    DimensionTooSmallError,
     InternalCaseGapError,
     NecessaryConditionViolationError,
     NotSuleimanovaError,
     PerronViolationError,
+    Polynomial,
     Realization,
     Spectrum,
     assemble,
+    from_rows,
     make_spectrum,
     quarter_sums,
 )
@@ -69,6 +73,65 @@ def float_char_poly_reference(A: np.ndarray) -> tuple:
         B = np.dot(A, B + coeffs[n - k + 1] * eye)
         coeffs[n - k] = -_diag_sum(B) / float(k)
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# References: the paper's bordered matrix M_n (M_n x = lambda for the alpha
+# first row x) with its closed-form inverse, and polynomial evaluation and
+# products, against which the constructions are checked.
+# ---------------------------------------------------------------------------
+
+
+def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
+    """The bordered matrix M_n = [[1, e^T], [e, -I]] (n >= 2)."""
+    if n < 2:
+        raise DimensionTooSmallError(f"mn_matrix needs n >= 2, got {n}")
+    one = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
+    rows = [[one] * n]
+    for i in range(1, n):
+        row = [zero] * n
+        row[0] = one
+        row[i] = -one
+        rows.append(row)
+    return from_rows(rows, exact=exact)
+
+
+def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
+    """Closed-form inverse (1/n) [[1, e^T], [e, J - nI]] of mn_matrix(n)."""
+    if n < 2:
+        raise DimensionTooSmallError(f"mn_inverse needs n >= 2, got {n}")
+    if exact:
+        inv_n = Fraction(1, n)
+        diag = Fraction(1 - n, n)
+    else:
+        inv_n = 1.0 / n
+        diag = (1.0 - n) / n
+    rows = [[inv_n] * n]
+    for i in range(1, n):
+        row = [inv_n] * n
+        row[i] = diag
+        rows.append(row)
+    return from_rows(rows, exact=exact)
+
+
+def eval_poly(p: Polynomial, t):
+    """Horner evaluation."""
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Coefficient convolution (used to cross-check direct sums)."""
+    exact = p.is_exact and q.is_exact
+    zero = Fraction(0) if exact else 0.0
+    out = [zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(tuple(out))
 
 
 @pytest.fixture

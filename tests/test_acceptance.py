@@ -14,15 +14,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import random_suleimanova_values, small_order_grid
+from conftest import mn_inverse, mn_matrix, random_suleimanova_values, small_order_grid
 from permrealize import (
     Tolerances,
     certify,
     char_poly,
     explore,
     make_spectrum,
-    mn_inverse,
-    mn_matrix,
     poly_from_roots,
     polys_close,
     realize_companion,

@@ -70,6 +70,48 @@ def test_check_json_format(capsys):
     assert (obj["classification"], obj["positives"]) == ("small-order", 2)
 
 
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+@pytest.mark.parametrize(
+    "spectrum, perron_ok",
+    [("1,-0.5,-0.5000000001", True), ("1,-1.0000000001", False)],
+)
+def test_check_judges_the_gate_of_realize(capsys, spectrum, perron_ok, exact):
+    # Both sums are -1e-10, and the second radius is 1e-10 above the largest
+    # entry: realize's gate rejects both, in float mode as in exact mode, and
+    # so does check.
+    code, out, _ = run(capsys, "check", spectrum, "--format", "json", *exact)
+    obj = json.loads(out)
+    assert code == 2
+    assert obj["perron_ok"] is perron_ok
+    assert obj["power_sum_ok"] is False
+    code, out, err = run(capsys, "realize", spectrum, *exact)
+    assert (code, out) == (2, "")
+    assert ("largest entry" in err) is not perron_ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "10,-1,-2,-3", "--abs-tol", "1e-6"),
+        ("check", "10,-1,-2,-3", "--rel-tol", "1e-6"),
+        ("bench", "1,2,3", "--sizes", "4,8"),
+        ("bench", "--exact", "--sizes", "4,8"),
+        ("bench", "--format", "csv", "--sizes", "4,8"),
+    ],
+)
+def test_ignored_options_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
+def test_check_reads_no_tolerance_profile(monkeypatch, capsys):
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "not-a-profile")
+    assert run(capsys, "check", "10,-1,-2,-3")[0] == 0
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1,1")
+    assert run(capsys, "check", "1,-0.5,-0.5000000001")[0] == 2
+
+
 def test_check_parse_garbage_exits_1(capsys):
     code, _, _ = run(capsys, "check", "1,banana")
     assert code == 1
@@ -231,10 +273,17 @@ def test_realize_unrealizable_by_available_methods_exits_3(capsys):
     # A search that finds nothing excludes nothing: inconclusive, not a
     # verified negative.
     code, _, err = run(
-        capsys, "realize", "5,3,1,-2,-3,-4", "--budget", "600"
+        capsys, "realize", "5,3,1,-2,-3,-4", "--method", "explore", "--budget", "600"
     )
     assert code == 3
-    assert "pattern search" in err
+    assert err == (
+        "inconclusive: the pattern search found no certified realization "
+        "within budget\n"
+    )
+    # auto runs no search: it names the method that does.
+    code, out, err = run(capsys, "realize", "5,3,1,-2,-3,-4")
+    assert (code, out) == (3, "")
+    assert err.startswith("inconclusive: ") and "--method explore" in err
 
 
 def test_realize_missing_file_exits_1(capsys):
@@ -391,7 +440,12 @@ GATE_FAILURES = ("3,1,1,1,-3.5", "3,1,1,1,1,1,1,1,1,-3.5", "3,-1,-1,-1,-1")
     ]
     # The gate: a Perron failure at n = 5 and n = 10, and a negative sum at
     # n = 5, exit 2 under every method.
-    + [(("realize", s, "--method", m), 2) for s in GATE_FAILURES for m in dispatch.METHODS],
+    + [(("realize", s, "--method", m), 2) for s in GATE_FAILURES for m in dispatch.METHODS]
+    # No closed form at n = 12; its companion matrix has a -2.58e50 entry.
+    + [(("realize", "1917746.086929501,522177.83674361755,86455.93169455843,"
+         "-57109.395782139545,-136880.42015578176,-144343.63453560867,"
+         "-179665.76704169053,-321226.1055553369,-337996.9717151812,"
+         "-363179.7476774313,-450420.6266001102,-535557.1863043968"), 3)],
 )
 def test_not_applicable_exits_3_and_failed_condition_exits_2(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import float_char_poly_reference
+from conftest import eval_poly, float_char_poly_reference, poly_mul
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -31,12 +31,10 @@ from permrealize import (
     make_spectrum,
     char_poly,
     direct_sum,
-    eval_poly,
     from_rows,
     identity,
     is_nonnegative,
     is_permutative,
-    matrices_close,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -54,7 +52,6 @@ from permrealize.linalg import (
     format_scalar,
     matrix_to_json_obj,
     max_coeff_diff,
-    poly_mul,
 )
 
 entries = st.floats(
@@ -152,14 +149,6 @@ def _is_permutative_reference(M, tol=0.0):
     return True
 
 
-def _matrices_close_reference(A, B, tol):
-    if A.data.shape != B.data.shape:
-        return False
-    scale = max(_max_abs_reference(A), _max_abs_reference(B), 1.0)
-    band = tol.band(scale)
-    return all(abs(a - b) <= band for a, b in zip(A.data.flat, B.data.flat))
-
-
 TOL = 0.25  # dyadic, so entries and differences at exactly +-TOL are exact
 
 
@@ -194,13 +183,9 @@ def test_vectorized_checks_match_per_entry_references(exact):
                 assert type(got) is bool
                 got = is_permutative(A, tol)
                 assert got == _is_permutative_reference(A, tol)
-                outcomes.add(("perm", got))
-        for tol in (Tolerances(TOL, 0.0), Tolerances(), Tolerances.exact()):
-            got = matrices_close(P, M, tol)
-            assert got == _matrices_close_reference(P, M, tol)
-            outcomes.add(("close", got))
+                outcomes.add(got)
     # Both outcomes occur, so the agreement is not vacuous.
-    assert outcomes == {(k, v) for k in ("perm", "close") for v in (False, True)}
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -254,13 +239,6 @@ def test_direct_sum_layout():
         S.data,
         np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]]),
     )
-
-
-def test_matrices_close():
-    A = from_rows([[1.0, 2.0], [3.0, 4.0]])
-    B = from_rows([[1.0, 2.0 + 1e-12], [3.0, 4.0]])
-    assert matrices_close(A, B, Tolerances())
-    assert not matrices_close(A, B, Tolerances.exact())
 
 
 # ---------------------------------------------------------------------------

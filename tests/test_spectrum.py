@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from conftest import random_suleimanova
 from permrealize import (
     EmptyInputError,
+    NecessaryConditionViolationError,
     NonFiniteEntryError,
+    PerronViolationError,
     SpectrumKind,
     check_necessary,
     classify,
     make_spectrum,
-    power_sum,
 )
-from permrealize.spectrum import CLASSIFY_TOL, Tolerances
+from permrealize.spectrum import CLASSIFY_TOL, Tolerances, require_necessary
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -60,16 +61,16 @@ def test_trace_and_spectral_radius():
 
 def test_power_sum_known_values():
     sigma = make_spectrum([3.0, -1.0, -2.0])
-    assert power_sum(sigma, 1) == sigma.trace == 0.0
-    assert power_sum(sigma, 2) == 14.0
-    assert power_sum(sigma, 3) == 27.0 - 1.0 - 8.0
+    s = check_necessary(sigma, K=3).power_sums
+    assert s == (sigma.trace, 14.0, 27.0 - 1.0 - 8.0)
+    assert s[0] == 0.0
     with pytest.raises(ValueError):
-        power_sum(sigma, 0)
+        check_necessary(sigma, K=0)
 
 
 def test_power_sum_exact():
     sigma = make_spectrum([Fraction(2), Fraction(-1, 2)], exact=True)
-    assert power_sum(sigma, 3) == Fraction(8) + Fraction(-1, 8)
+    assert check_necessary(sigma, K=3).power_sums[2] == Fraction(8) + Fraction(-1, 8)
 
 
 def test_check_necessary_accepts_suleimanova():
@@ -91,6 +92,34 @@ def test_check_necessary_power_sum_failure():
     # All-negative spectrum: s_1 < 0.
     report = check_necessary(make_spectrum([-1.0, -2.0]))
     assert not report.power_sum_ok
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_necessary_fails_whenever_the_gate_does(exact):
+    # Spectra within a few bands of the gate's boundary: the head misses or
+    # meets the radius, and the sum lands just below or above zero.
+    rng = np.random.default_rng(20261018)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        tail = rng.uniform(-1.0, 1.0, n - 1)
+        r = float(np.abs(tail).max())
+        head = r + float(rng.choice([-2e-12, -5e-13, 0.0, 5e-13]))
+        values = [head, *tail.tolist()]
+        values[-1] -= sum(values) + float(rng.choice([-2e-12, -5e-13, 0.0, 5e-13, 2e-12]))
+        sigma = make_spectrum([Fraction(v) for v in values] if exact else values, exact=exact)
+        report = check_necessary(sigma, K=1)
+        try:
+            require_necessary(sigma)
+            gate = "pass"
+        except PerronViolationError:
+            gate = "perron"
+        except NecessaryConditionViolationError:
+            gate = "sum"
+        assert report.perron_ok is (gate != "perron"), sigma.values
+        assert (report.perron_ok and report.power_sum_ok) is (gate == "pass"), sigma.values
+        outcomes.add(gate)
+    assert outcomes == {"pass", "perron", "sum"}
 
 
 def test_check_necessary_odd_power_failure():
@@ -144,7 +173,7 @@ def test_spectrum_is_sorted_and_radius_matches(values):
     sigma = make_spectrum(values)
     assert list(sigma.values) == sorted(values, reverse=True)
     assert sigma.spectral_radius == max(abs(v) for v in values)
-    assert power_sum(sigma, 1) == pytest.approx(sum(values), abs=1e-6)
+    assert sigma.trace == pytest.approx(sum(values), abs=1e-6)
 
 
 @settings(deadline=None)

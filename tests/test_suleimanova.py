@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import random_suleimanova
+from conftest import mn_inverse, mn_matrix, random_suleimanova
 from permrealize import (
     DimensionTooSmallError,
     EmptyInputError,
@@ -24,8 +24,6 @@ from permrealize import (
     identity,
     is_permutative,
     make_spectrum,
-    mn_inverse,
-    mn_matrix,
     realize_suleimanova,
     suleimanova_first_row,
 )
