@@ -37,12 +37,13 @@ from . import explorer as explorer_mod
 from .dispatch import METHODS, realize
 from .errors import NecessaryConditionViolationError, NotApplicableError, ParseError
 from .linalg import (
-    format_entries,
     format_scalar,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
+    matrix_to_pretty,
+    parse_scalars,
 )
 from .spectrum import (
     DEFAULT_POWER_DEPTH,
@@ -114,18 +115,7 @@ def _tolerances(ns: argparse.Namespace) -> Tolerances:
 
 
 def _parse_values(tokens: Sequence[str], exact: bool) -> list:
-    values = []
-    for tok in tokens:
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            f = Fraction(tok)
-            values.append(f if exact else float(f))
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            # OverflowError: float(f) of a value beyond the float range.
-            raise ParseError(f"cannot parse spectrum entry {tok!r}") from e
-    return values
+    return parse_scalars([t for t in tokens if t.strip()], exact, "spectrum")
 
 
 def _load_spectrum(ns: argparse.Namespace) -> Spectrum:
@@ -204,11 +194,12 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     case = r.params.get("case")
+    blocks = r.params.get("blocks")
     verdict = r.certificate.verdict
     certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
     if ns.fmt == "json":
-        # The bytes of json.dumps of the whole dict, with the matrix
-        # formatted by matrix_to_json (each distinct entry once).
+        # The bytes of json.dumps of the whole dict and a newline, with the
+        # matrix formatted by matrix_to_json, joined once.
         rest = json.dumps(
             {
                 "method": r.method,
@@ -217,10 +208,11 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
                 "certificate": r.certificate.to_json_obj(),
             }
         )
-        print('{"matrix": ' + matrix_to_json(r.matrix) + ", " + rest[1:])
+        matrix = matrix_to_json(r.matrix, blocks)
+        sys.stdout.write("".join(('{"matrix": ', matrix, ", ", rest[1:], "\n")))
     elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
-        sys.stdout.write(matrix_to_csv(r.matrix))
+        sys.stdout.write(matrix_to_csv(r.matrix, blocks))
         meta = f"method={r.method}" + (f" case={case}" if case else "")
         print(
             f"{meta} certified={certified}",
@@ -239,10 +231,7 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
 
 
 def _print_matrix(r: Realization) -> None:
-    cells = format_entries(r.matrix)
-    width = max(len(c) for row in cells for c in row)
-    for row in cells:
-        print("  " + "  ".join(c.rjust(width) for c in row))
+    sys.stdout.write(matrix_to_pretty(r.matrix, r.params.get("blocks")))
 
 
 def cmd_realize(ns: argparse.Namespace) -> int:
@@ -258,7 +247,7 @@ def cmd_realize(ns: argparse.Namespace) -> int:
         return EXIT_INCONCLUSIVE
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(matrix_to_csv(r.matrix))
+            fh.write(matrix_to_csv(r.matrix, r.params.get("blocks")))
     _emit_realization(ns, r)
     return _VERDICT_EXIT[r.certificate.verdict]
 
@@ -365,12 +354,6 @@ def _build_parser() -> _Parser:
     spectrum_input.add_argument(
         "--file", help="spectrum file (JSON array or one value per line)"
     )
-    spectrum_input.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("json", "csv", "pretty"),
-        default="pretty",
-    )
     spectrum_input.add_argument("--exact", action="store_true",
                                 help="exact rational arithmetic, zero tolerances")
 
@@ -387,10 +370,14 @@ def _build_parser() -> _Parser:
     search.add_argument("--seed", type=int, default=0,
                         help="pattern-search seed (realize: --method explore only)")
 
+    def output_format(p, *choices):
+        p.add_argument("--format", dest="fmt", choices=choices, default="pretty")
+
     p = sub.add_parser(
         "check", parents=[spectrum_input],
         help="necessary conditions + classification",
     )
+    output_format(p, "json", "pretty")
     p.add_argument("--power-depth", dest="K", type=int,
                    default=DEFAULT_POWER_DEPTH)
 
@@ -398,6 +385,7 @@ def _build_parser() -> _Parser:
         "realize", parents=[spectrum_input, tolerances, search],
         help="construct and certify a matrix",
     )
+    output_format(p, "json", "csv", "pretty")
     p.add_argument("--method", choices=METHODS, default="auto",
                    help="auto (default) runs the paper's closed forms only")
     p.add_argument("--out", help="also write the matrix as CSV to this file")
@@ -406,6 +394,7 @@ def _build_parser() -> _Parser:
         "verify", parents=[spectrum_input, tolerances],
         help="certify a matrix file against a spectrum",
     )
+    output_format(p, "json", "pretty")
     p.add_argument("--matrix", dest="matrix_path", required=True,
                    help="matrix file (CSV rows or JSON nested arrays)")
 

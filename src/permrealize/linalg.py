@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -153,9 +153,10 @@ class PermTuple:
     with first row x is x[index].  A pattern given as rows is validated by a
     row sort; alpha_tuple's pattern is right by construction and skips that
     O(n^2 log n) check.  The alpha pattern (``is_alpha``, known in O(1))
-    stores no array: its index is rebuilt in O(n^2) on each use, so a
-    realization that records it does not hold n^2 integers for as long as
-    it lives.
+    stores no array, so a realization that records it does not hold n^2
+    integers for as long as it lives.  Its index is built, in O(n^2), only
+    when ``index`` or ``encoding`` is read: assemble, layout_holds and the
+    serializers handle an alpha block by slices of its first row instead.
     """
 
     __slots__ = ("n", "_index")
@@ -235,7 +236,50 @@ def assemble(pt: PermTuple, x: Sequence[Scalar]) -> DenseMatrix:
         raise DimensionMismatchError(
             f"first row has {len(x)} entries, pattern needs {pt.n}"
         )
-    return DenseMatrix(xv[pt.index])
+    if not pt.is_alpha:
+        return DenseMatrix(xv[pt.index])
+    data = np.empty((pt.n, pt.n), dtype=xv.dtype)
+    data[:] = xv
+    data[1:, 0] = xv[1:]
+    np.fill_diagonal(data[1:, 1:], xv[0])
+    return DenseMatrix(data)
+
+
+def layout_holds(A: np.ndarray, blocks, eq) -> bool:
+    """True iff the (start, PermTuple) diagonal blocks hold in A under eq.
+
+    The blocks must tile [0, n) in order, each block must be its first row
+    laid out by its pattern, and every entry off the blocks must be zero.
+    eq(a, b) compares an array with an array or a scalar and returns their
+    elementwise verdict as a boolean array.  An alpha block is checked by
+    slices, with no index: column 0 against x[1:], the diagonal against
+    x[0], and the rest of each row against x.
+    """
+    pos = 0
+    for start, pt in blocks:
+        stop = start + pt.n
+        if start != pos or stop > len(A):
+            return False
+        rows = A[start:stop]
+        if not (
+            _block_holds(rows[:, start:stop], pt, eq)
+            and eq(rows[:, :start], 0).all()
+            and eq(rows[:, stop:], 0).all()
+        ):
+            return False
+        pos = stop
+    return pos == len(A)
+
+
+def _block_holds(P: np.ndarray, pt: PermTuple, eq) -> bool:
+    x = P[0]
+    if not pt.is_alpha:
+        return bool(eq(P, x[pt.index]).all())
+    if not (eq(P[1:, 0], x[1:]).all() and eq(P.diagonal()[1:], x[0]).all()):
+        return False
+    ok = eq(P[1:, 1:], x[1:])
+    np.fill_diagonal(ok, True)  # entries (i, i), checked against x[0] above
+    return bool(ok.all())
 
 
 def closed_eigensystem(x) -> tuple[Scalar, np.ndarray, np.ndarray]:
@@ -463,10 +507,10 @@ def _scalar_to_json(v: Scalar):
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _scalar_from_token(token, exact: bool) -> Scalar:
+def _scalar_from_token(token, exact: bool, what: str = "matrix") -> Scalar:
     """A matrix entry from a text token (Fraction grammar) or a JSON number."""
     if isinstance(token, bool) or not isinstance(token, (str, int, float)):
-        raise ParseError(f"cannot parse matrix entry {token!r}")
+        raise ParseError(f"cannot parse {what} entry {token!r}")
     try:
         if isinstance(token, str):
             f = Fraction(token)
@@ -475,28 +519,34 @@ def _scalar_from_token(token, exact: bool) -> Scalar:
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         # OverflowError: a value beyond the float range, or an infinite
         # JSON number in exact mode.
-        raise ParseError(f"cannot parse matrix entry {token!r}") from e
+        raise ParseError(f"cannot parse {what} entry {token!r}") from e
 
 
-def _float_row(tokens: list[str]) -> list[float]:
-    """float(Fraction(t)) for every token, by float(t) wherever the two agree.
+def parse_scalars(tokens: list[str], exact: bool, what: str = "matrix") -> list[Scalar]:
+    """Fraction(t) for every text token t, or float(Fraction(t)) unless exact.
 
-    They differ only where float() reads a token as non-finite (inf, nan,
-    or beyond the float range, which Fraction rejects or float(Fraction)
-    refuses) or as a zero (float("-0") is -0.0, float(Fraction("-0")) is
-    0.0); those tokens and rows with a token float() rejects ("1/3") go
-    through _scalar_from_token.
+    Surrounding whitespace is ignored; a token that is no Fraction, or in
+    float mode lies beyond the float range, raises ParseError("cannot
+    parse <what> entry ...").  Floats are read by float(t) wherever that
+    agrees with float(Fraction(t)).  The two differ only where float()
+    reads a token as non-finite (inf, nan, or beyond the float range,
+    which Fraction rejects or float(Fraction) refuses) or as a zero
+    (float("-0") is -0.0, float(Fraction("-0")) is 0.0); those tokens and
+    lists with a token float() rejects ("1/3") go through Fraction.
     """
-    try:
-        row = list(map(float, tokens))
-    except ValueError:
-        return [_scalar_from_token(t.strip(), False) for t in tokens]
-    if math.isfinite(sum(row)) and 0.0 not in row:
-        return row
-    return [
-        v if v != 0.0 and math.isfinite(v) else _scalar_from_token(t.strip(), False)
-        for v, t in zip(row, tokens)
-    ]
+    if not exact:
+        try:
+            row = list(map(float, tokens))
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(sum(row)) and 0.0 not in row:
+                return row
+            return [
+                v if v != 0.0 and math.isfinite(v) else _scalar_from_token(t.strip(), False, what)
+                for v, t in zip(row, tokens)
+            ]
+    return [_scalar_from_token(t.strip(), exact, what) for t in tokens]
 
 
 def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
@@ -510,14 +560,16 @@ def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
 def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
     """The text of every float64 entry, row by row, formatting each value once.
 
-    Entries are told apart by their uint64 bit patterns, so -0.0 and 0.0
-    stay apart; format_distinct maps the list of distinct values to their
-    texts.  The first row holds every value of a permutative matrix, so its
-    sorted patterns make the table, and every entry is found in it by
-    binary search: no sort over the n^2 entries, and n values formatted
-    instead of n^2.  Entries the first row lacks (zeros off the blocks of a
-    direct sum, the other blocks' values, a matrix that is not permutative)
-    are sorted on their own and appended to the table.
+    The serializers' fallback, for a matrix that is not the alpha layout of
+    its blocks (see _text_rows).  Entries are told apart by their uint64
+    bit patterns, so -0.0 and 0.0 stay apart; format_distinct maps the list
+    of distinct values to their texts.  The first row holds every value of
+    a permutative matrix, so its sorted patterns make the table, and every
+    entry is found in it by binary search: no sort over the n^2 entries,
+    and n values formatted instead of n^2.  Entries the first row lacks
+    (zeros off the blocks of a direct sum, the other blocks' values, a
+    matrix that is not permutative) are sorted on their own and appended to
+    the table.
 
     The first row is sorted, not np.unique'd: a repeated value costs one
     more formatting, while a plain np.unique imports numpy.ma on its first
@@ -535,26 +587,111 @@ def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
     return texts[pos].tolist()
 
 
-def matrix_to_json(M: DenseMatrix) -> str:
+def _json_floats(values: list) -> list[str]:
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _scalar_texts(values: list) -> list[str]:
+    return [format_scalar(v) for v in values]
+
+
+def _alpha_first_rows(data: np.ndarray, blocks) -> Optional[list[float]]:
+    """The alpha blocks' first rows end to end, if data is exactly their layout.
+
+    None unless data is float64 and, compared as uint64 bit patterns (so
+    -0.0 is not 0.0), every block is its first row laid out by the alpha
+    pattern and every entry off the blocks is +0.0.
+    """
+    if data.dtype != np.float64 or not all(pt.is_alpha for _, pt in blocks):
+        return None
+    if not layout_holds(data.view(np.uint64), blocks, np.equal):
+        return None
+    starts = np.repeat([s for s, _ in blocks], [pt.n for _, pt in blocks])
+    return data[starts, np.arange(len(data))].tolist()
+
+
+def _alpha_rows(texts: list[str], zero: str, blocks, sep: str) -> list[str]:
+    """The rows of the blocks' alpha layout, joined by sep, from n entry texts.
+
+    texts are the blocks' first rows end to end and zero the text of the
+    entries off the blocks.  A block's first row t is joined once into J;
+    its row i is t_i, then J from the separator after t_0 through the one
+    before t_i, then t_0 and J after t_i, between the zeros before and
+    after the block.
+    """
+    n, gap = len(texts), len(sep)
+    rows = []
+    for start, pt in blocks:
+        t = texts[start : start + pt.n]
+        J = sep.join(t)
+        before = (zero + sep) * start
+        after = (sep + zero) * (n - start - pt.n)
+        rows.append(before + J + after)
+        head = at = len(t[0])  # at: offset in J of the separator before t_i
+        for ti in t[1:]:
+            tail = at + gap + len(ti)
+            rows.append("".join((before, ti, J[head : at + gap], t[0], J[tail:], after)))
+            at = tail
+    return rows
+
+
+def _text_rows(M: DenseMatrix, blocks, format_distinct, sep: str, pad=False) -> list[str]:
+    """Every row of M as its entries' texts joined by sep, each padded if pad.
+
+    format_distinct maps a list of values to their texts; pad right-aligns
+    every text to the widest.  blocks lists M's (start, PermTuple) diagonal
+    blocks, None meaning one block of the alpha pattern.  When M is exactly
+    the alpha layout of its blocks (_alpha_first_rows), only the n values
+    of their first rows (and the zero off them) are formatted and every row
+    is sliced from its block's joined first row (_alpha_rows), in O(n^2)
+    character copies and no per-entry work.  Any other matrix is printed
+    entry by entry (_entry_texts), so the text always shows M as stored.
+    """
+    firsts = None
+    if M.is_square:
+        blocks = [(0, alpha_tuple(M.n_rows))] if blocks is None else blocks
+        firsts = _alpha_first_rows(M.data, blocks)
+    if firsts is not None:
+        texts = format_distinct(firsts + [0.0])
+        zero = texts.pop()
+        if pad:  # no text is shorter than the zero's "0"
+            width = max(map(len, texts))
+            texts = [t.rjust(width) for t in texts]
+            zero = zero.rjust(width)
+        return _alpha_rows(texts, zero, blocks, sep)
+    if M.data.dtype == np.float64:
+        cells = _entry_texts(M.data, format_distinct)
+    else:
+        cells = [format_distinct(row) for row in M.data.tolist()]
+    if pad:
+        width = max(len(c) for row in cells for c in row)
+        return [sep.join(c.rjust(width) for c in row) for row in cells]
+    return [sep.join(row) for row in cells]
+
+
+def matrix_to_json(M: DenseMatrix, blocks=None) -> str:
     """json.dumps(matrix_to_json_obj(M)), byte for byte.
 
-    Float64 entries are deduplicated by their uint64 bit patterns, so -0.0
-    and 0.0 stay distinct, and the distinct values are formatted by one
-    json.dumps call, so every number is json's own text; the rows are
-    joined from that string table.  Other dtypes, exact (Fraction) matrices
-    among them, keep the per-entry path: np.unique on Fraction objects costs far more than it
-    saves (1.6 s, against 30 ms for the whole encoding, at n = 256).
+    Float64 entries get json's own text for each value, formatted once
+    per distinct value (_text_rows): by slices of each block's first row
+    when M is exactly the alpha layout of ``blocks``, a list of
+    (start, PermTuple) diagonal blocks (None: one alpha block), and
+    otherwise from a table of the distinct bit patterns.  Other dtypes,
+    exact (Fraction) matrices among them, keep the per-entry path.
 
     Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.45 s):
-    about 0.1x for an alpha matrix, whose n distinct values all sit in the
-    first row (every matrix realize emits has at most n + 2 distinct
-    values), 0.9x with n^2 / 2, and 1.6x when all n^2 entries differ (the
-    sort and the string table on top of the same formatting).
+    about 0.03x for an alpha matrix (12 ms, of which the layout check is
+    about 2 ms), 0.9x with n^2 / 2 distinct entries, and 1.6x when all n^2
+    entries differ (the sort and the string table on top of the same
+    formatting).
     """
     if M.data.dtype != np.float64:
         return json.dumps(matrix_to_json_obj(M))
-    rows = _entry_texts(M.data, lambda vs: json.dumps(vs)[1:-1].split(", "))
-    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    rows = _text_rows(M, blocks, _json_floats, ", ")
+    # "[[" + "], [".join(rows) + "]]" without two more copies of the text.
+    rows[0] = "[[" + rows[0]
+    rows[-1] += "]]"
+    return "], [".join(rows)
 
 
 def matrix_from_json(text: str, exact: bool = False) -> DenseMatrix:
@@ -575,16 +712,15 @@ def format_scalar(v: Scalar) -> str:
     return "%.17g" % v
 
 
-def format_entries(M: DenseMatrix) -> list[list[str]]:
-    """format_scalar of every entry, row by row (each distinct float64 once)."""
-    if M.data.dtype != np.float64:
-        return [[format_scalar(v) for v in row] for row in M.data.tolist()]
-    return _entry_texts(M.data, lambda vs: [format_scalar(v) for v in vs])
+def matrix_to_csv(M: DenseMatrix, blocks=None) -> str:
+    """One row per line, entries by format_scalar; blocks as in matrix_to_json."""
+    return "\n".join([*_text_rows(M, blocks, _scalar_texts, ","), ""])
 
 
-def matrix_to_csv(M: DenseMatrix) -> str:
-    """One row per line, entries by format_scalar (each distinct float once)."""
-    return "\n".join(",".join(row) for row in format_entries(M)) + "\n"
+def matrix_to_pretty(M: DenseMatrix, blocks=None) -> str:
+    """One line per row: two spaces, then the format_scalar texts right-aligned
+    to the widest and two spaces apart; blocks as in matrix_to_json."""
+    return "".join(f"  {row}\n" for row in _text_rows(M, blocks, _scalar_texts, "  ", pad=True))
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
@@ -596,8 +732,4 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
     lines = [line.split(",") for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyInputError("CSV matrix text contains no rows")
-    if exact:
-        rows = [[_scalar_from_token(t.strip(), True) for t in ts] for ts in lines]
-    else:
-        rows = [_float_row(ts) for ts in lines]
-    return from_rows(rows, exact=exact)
+    return from_rows([parse_scalars(ts, exact) for ts in lines], exact=exact)

@@ -29,6 +29,7 @@ from .linalg import (
     closed_eigensystem_residuals,
     is_nonnegative,
     is_permutative,
+    layout_holds,
     max_coeff_diff,
     poly_from_roots,
     polys_close,
@@ -191,32 +192,20 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
     return ranges
 
 
-def _near(a: np.ndarray, b, band: float) -> bool:
-    d = a - b
-    return bool((np.abs(d, out=d) <= band).all())
-
-
 def _blocks_hold(A: np.ndarray, blocks: list[tuple[int, PermTuple]], band: float) -> bool:
-    """True iff the recorded blocks hold within band.
+    """True iff the recorded blocks hold within band (linalg.layout_holds).
 
     They must tile [0, n) in order, each block must be its first row laid
     out by its pattern, and every entry off the blocks must be zero.
     """
-    pos = 0
-    for start, pt in blocks:
-        stop = start + pt.n
-        if start != pos or stop > len(A):
-            return False
-        rows = A[start:stop]
-        P = rows[:, start:stop]
-        if not (
-            _near(P, P[0][pt.index], band)
-            and _near(rows[:, :start], 0, band)
-            and _near(rows[:, stop:], 0, band)
-        ):
-            return False
-        pos = stop
-    return pos == len(A)
+
+    def near(a, b):
+        d = a - b
+        return np.abs(d, out=d) <= band
+
+    # A difference past the float range means the entries differ.
+    with np.errstate(over="ignore"):
+        return layout_holds(A, blocks, near)
 
 
 def _pow2_at_or_above(m) -> int:

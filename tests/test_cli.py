@@ -22,7 +22,8 @@ from permrealize import (
 )
 from permrealize import dispatch
 from permrealize import explorer as explorer_mod
-from permrealize.cli import TOLERANCE_ENV_VAR, _print_matrix, main
+from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
+from permrealize.errors import ParseError
 from permrealize.linalg import format_scalar
 
 
@@ -97,12 +98,46 @@ def test_check_judges_the_gate_of_realize(capsys, spectrum, perron_ok, exact):
         ("bench", "1,2,3", "--sizes", "4,8"),
         ("bench", "--exact", "--sizes", "4,8"),
         ("bench", "--format", "csv", "--sizes", "4,8"),
+        ("explore", "3,-1,-1", "--format", "json"),
     ],
 )
 def test_ignored_options_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("subcommand", [("check",), ("verify", "--matrix", "m.csv")])
+def test_formats_a_subcommand_does_not_print_exit_1(capsys, subcommand):
+    code, out, err = run(capsys, subcommand[0], "10,-1,-2,-3", *subcommand[1:],
+                         "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'csv'" in err
+
+
+def _parse_values_reference(tokens, exact):
+    """Every non-blank token through Fraction, as the spectrum was first parsed."""
+    values = []
+    for tok in tokens:
+        if tok.strip():
+            f = Fraction(tok.strip())
+            values.append(f if exact else float(f))
+    return values
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize(
+    "text", ["-0,1/3, 2 ,,5", " 2 ,-0.0,1e-400,-1e-400,", "7,0.1,-22/7,1_000.5,5e-324"]
+)
+def test_spectrum_entries_parse_as_fractions(text, exact):
+    got = _parse_values(text.split(","), exact)
+    assert list(map(repr, got)) == list(map(repr, _parse_values_reference(text.split(","), exact)))
+
+
+@pytest.mark.parametrize("tok", ["1e400", "nan", "-inf", "1/0", "banana"])
+def test_spectrum_entry_beyond_fractions_is_a_parse_error(tok):
+    with pytest.raises(ParseError, match=f"cannot parse spectrum entry '{tok}'"):
+        _parse_values(["2", f" {tok} "], exact=False)
 
 
 def test_check_reads_no_tolerance_profile(monkeypatch, capsys):
@@ -203,6 +238,7 @@ def test_pretty_matrix_matches_per_entry_formatter(capsys):
         Realization(matrix=from_rows(zeros.tolist()), method="", target=sigma3),
         as_realization(realize_companion(sule), sule),
         realize_suleimanova(exact),
+        dispatch.realize(make_spectrum([4.0, 3.0, 2.5, -3.0])),
     ):
         _print_matrix(r)
         got = capsys.readouterr().out
@@ -228,6 +264,8 @@ def test_realize_json_has_certificate(capsys):
         ("10,-1,-2,-3.5,-0.25", "--method", "companion"),
         ("10,-1,-2,-3", "--exact"),
         ("0.5",),
+        ("3,1,-2",),
+        ("4,3,2.5,-3",),
     ],
 )
 def test_realize_json_is_json_dumps_of_its_object(capsys, argv):

@@ -33,6 +33,7 @@ from permrealize.verify import (
     METHOD_SULEIMANOVA,
     Verdict,
     _alpha_eigensystem_residuals,
+    _blocks_hold,
 )
 
 
@@ -512,3 +513,57 @@ def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
         assert report.eigenpair_ok is expected, h
         seen.add(expected)
     assert seen == {CheckState.PASS, CheckState.FAIL}
+
+
+def _blocks_hold_by_index(A, blocks, band):
+    """The structure check as first written: each block against P[0][pt.index]."""
+    def near(a, b):
+        return bool((np.abs(a - b) <= band).all())
+
+    pos = 0
+    for start, pt in blocks:
+        stop = start + pt.n
+        if start != pos or stop > len(A):
+            return False
+        rows = A[start:stop]
+        P = rows[:, start:stop]
+        if not (near(P, P[0][pt.index]) and near(rows[:, :start], 0)
+                and near(rows[:, stop:], 0)):
+            return False
+        pos = stop
+    return pos == len(A)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_blocks_hold_by_slices_matches_the_index_version(exact):
+    # One-entry perturbations below and above the band, in column 0, on
+    # the diagonal, in the interior and off the blocks, of seeded alpha
+    # blocks and the N4-Group pattern.
+    rng = np.random.default_rng(23)
+    band = Fraction(1, 1000) if exact else 1e-3
+    group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0]))
+    for sizes in ((7,), (1, 4, 2), (3, 1)):
+        mats, blocks, start = [], [], 0
+        for k in sizes:
+            x = [Fraction(int(v), 8) for v in rng.integers(0, 40, k)] if exact \
+                else rng.uniform(0.0, 5.0, k).tolist()
+            mats.append(assemble(alpha_tuple(k), x))
+            blocks.append((start, alpha_tuple(k)))
+            start += k
+        mats.append(group.matrix if not exact else from_rows(group.matrix.to_lists(), exact=True))
+        blocks.append((start, group.params["blocks"][0][1]))
+        A0 = direct_sum(mats).data
+        n = len(A0)
+        alone = {(s, s) for s, pt in blocks if pt.n == 1}  # any value is its layout
+        assert _blocks_hold(A0, blocks, band) and _blocks_hold_by_index(A0, blocks, band)
+        seen = set()
+        for i in range(n):
+            for j in {0, i, (i + 1) % n, int(rng.integers(n))}:
+                for h in (band / 2, -band / 2, 2 * band, -2 * band):
+                    A = A0.copy()
+                    A[i, j] += h
+                    got = _blocks_hold(A, blocks, band)
+                    assert got == _blocks_hold_by_index(A, blocks, band), (sizes, i, j, h)
+                    assert got == (abs(h) < band or (i, j) in alone)
+                    seen.add(got)
+        assert seen == {True, False}

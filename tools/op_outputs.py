@@ -2,19 +2,21 @@
 
 Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
 1-3 through ``permrealize.cli.main`` in this process, and each realize op
-once more with ``--format pretty`` and once with ``--format csv``.  For each
-run it records the exit code and the sha256 of stdout and of stderr, keyed
-by workload, seed, op index and format, and writes them as JSON.  With a
-baseline file it then lists every run whose record differs from the
-baseline's and exits 1 if any does.
+once more with ``--format pretty`` and once with ``--format csv``; the
+realize ops' own runs also get ``--out FILE``.  For each run it records the
+exit code and the sha256 of stdout, of stderr and of the ``--out`` file
+(null when none was written), keyed by workload, seed, op index and
+format, and writes them as JSON.  With a baseline file it then lists every
+run whose record differs from the baseline's and exits 1 if any does.
 
 Usage, from the repository root:
 
     PYTHONPATH=src python3 tools/op_outputs.py OUT.json [--baseline BASE.json]
 
 Point PYTHONPATH at another checkout's src/ to fingerprint that library with
-the same ops.  The verify ops' CSV files go to a temporary directory, whose
-path is replaced by ``<workdir>`` in the recorded argv.
+the same ops.  The verify ops' CSV files and the ``--out`` files go to a
+temporary directory, whose path is replaced by ``<workdir>`` in the
+recorded argv.
 """
 
 from __future__ import annotations
@@ -41,11 +43,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(argv) -> dict:
+def _run(argv, out_file: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
+    out_file.unlink(missing_ok=True)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(list(argv))
-    return {"exit": code, "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
+    written = _sha(out_file.read_text(encoding="utf-8")) if out_file.exists() else None
+    return {
+        "exit": code,
+        "stdout": _sha(out.getvalue()),
+        "stderr": _sha(err.getvalue()),
+        "out": written,
+    }
 
 
 def _with_format(argv, fmt: str) -> list[str]:
@@ -56,18 +65,22 @@ def _with_format(argv, fmt: str) -> list[str]:
 
 
 def fingerprint() -> dict:
-    """{key: {"argv", "exit", "stdout", "stderr"}} for every run."""
+    """{key: {"argv", "exit", "stdout", "stderr", "out"}} for every run."""
     records = {}
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
+                out_file = Path(workdir) / "out.csv"
                 for i, op in enumerate(workloads.make_ops(workload, seed, workdir)):
-                    runs = [("default", op.argv)]
                     if op.kind == "realize":
+                        runs = [("default", (*op.argv, "--out", str(out_file)))]
                         runs += [(f, _with_format(op.argv, f)) for f in RERUN_FORMATS]
+                    else:
+                        runs = [("default", op.argv)]
                     for fmt, argv in runs:
                         shown = [a.replace(workdir, "<workdir>") for a in argv]
-                        records[f"{workload}:{seed}:{i}:{fmt}"] = {"argv": shown, **_run(argv)}
+                        record = {"argv": shown, **_run(argv, out_file)}
+                        records[f"{workload}:{seed}:{i}:{fmt}"] = record
     return records
 
 
@@ -79,7 +92,7 @@ def diff(records: dict, baseline: dict) -> list[str]:
         if new is None or old is None:
             lines.append(f"{key}: only in {'baseline' if new is None else 'this run'}")
             continue
-        fields = [f for f in ("exit", "stdout", "stderr") if new[f] != old[f]]
+        fields = [f for f in ("exit", "stdout", "stderr", "out") if new[f] != old[f]]
         if fields:
             lines.append(f"{key}: {', '.join(fields)} differ; {' '.join(new['argv'])}")
     return lines
