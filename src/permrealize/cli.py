@@ -194,7 +194,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     case = r.params.get("case")
-    blocks = r.params.get("blocks")
     verdict = r.certificate.verdict
     certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
     if ns.fmt == "json":
@@ -208,11 +207,11 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
                 "certificate": r.certificate.to_json_obj(),
             }
         )
-        matrix = matrix_to_json(r.matrix, blocks)
+        matrix = matrix_to_json(r.matrix)
         sys.stdout.write("".join(('{"matrix": ', matrix, ", ", rest[1:], "\n")))
     elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
-        sys.stdout.write(matrix_to_csv(r.matrix, blocks))
+        sys.stdout.write(matrix_to_csv(r.matrix))
         meta = f"method={r.method}" + (f" case={case}" if case else "")
         print(
             f"{meta} certified={certified}",
@@ -231,7 +230,7 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
 
 
 def _print_matrix(r: Realization) -> None:
-    sys.stdout.write(matrix_to_pretty(r.matrix, r.params.get("blocks")))
+    sys.stdout.write(matrix_to_pretty(r.matrix))
 
 
 def cmd_realize(ns: argparse.Namespace) -> int:
@@ -247,7 +246,7 @@ def cmd_realize(ns: argparse.Namespace) -> int:
         return EXIT_INCONCLUSIVE
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(matrix_to_csv(r.matrix, r.params.get("blocks")))
+            fh.write(matrix_to_csv(r.matrix))
     _emit_realization(ns, r)
     return _VERDICT_EXIT[r.certificate.verdict]
 

@@ -561,7 +561,7 @@ def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
     """The text of every float64 entry, row by row, formatting each value once.
 
     The serializers' fallback, for a matrix that is not the alpha layout of
-    its blocks (see _text_rows).  Entries are told apart by their uint64
+    its first row (see _text_rows).  Entries are told apart by their uint64
     bit patterns, so -0.0 and 0.0 stay apart; format_distinct maps the list
     of distinct values to their texts.  The first row holds every value of
     a permutative matrix, so its sorted patterns make the table, and every
@@ -595,70 +595,56 @@ def _scalar_texts(values: list) -> list[str]:
     return [format_scalar(v) for v in values]
 
 
-def _alpha_first_rows(data: np.ndarray, blocks) -> Optional[list[float]]:
-    """The alpha blocks' first rows end to end, if data is exactly their layout.
+def _alpha_first_row(data: np.ndarray) -> Optional[list[float]]:
+    """data's first row, if data is exactly that row's alpha layout.
 
-    None unless data is float64 and, compared as uint64 bit patterns (so
-    -0.0 is not 0.0), every block is its first row laid out by the alpha
-    pattern and every entry off the blocks is +0.0.
+    None unless data is square float64 and, compared as uint64 bit patterns
+    (so -0.0 is not 0.0), its column 0 and diagonal and the rest of each
+    row are the first row laid out by the alpha pattern.
     """
-    if data.dtype != np.float64 or not all(pt.is_alpha for _, pt in blocks):
+    n = len(data)
+    if n == 0 or data.dtype != np.float64 or data.shape != (n, n):
         return None
-    if not layout_holds(data.view(np.uint64), blocks, np.equal):
+    if not _block_holds(data.view(np.uint64), alpha_tuple(n), np.equal):
         return None
-    starts = np.repeat([s for s, _ in blocks], [pt.n for _, pt in blocks])
-    return data[starts, np.arange(len(data))].tolist()
+    return data[0].tolist()
 
 
-def _alpha_rows(texts: list[str], zero: str, blocks, sep: str) -> list[str]:
-    """The rows of the blocks' alpha layout, joined by sep, from n entry texts.
+def _alpha_rows(t: list[str], sep: str) -> list[str]:
+    """The rows of the alpha layout of the first row's texts t, joined by sep.
 
-    texts are the blocks' first rows end to end and zero the text of the
-    entries off the blocks.  A block's first row t is joined once into J;
-    its row i is t_i, then J from the separator after t_0 through the one
-    before t_i, then t_0 and J after t_i, between the zeros before and
-    after the block.
+    t is joined once into J; row i is t_i, then J from the separator after
+    t_0 through the one before t_i, then t_0 and J after t_i.
     """
-    n, gap = len(texts), len(sep)
-    rows = []
-    for start, pt in blocks:
-        t = texts[start : start + pt.n]
-        J = sep.join(t)
-        before = (zero + sep) * start
-        after = (sep + zero) * (n - start - pt.n)
-        rows.append(before + J + after)
-        head = at = len(t[0])  # at: offset in J of the separator before t_i
-        for ti in t[1:]:
-            tail = at + gap + len(ti)
-            rows.append("".join((before, ti, J[head : at + gap], t[0], J[tail:], after)))
-            at = tail
+    gap = len(sep)
+    J = sep.join(t)
+    rows = [J]
+    head = at = len(t[0])  # at: offset in J of the separator before t_i
+    for ti in t[1:]:
+        tail = at + gap + len(ti)
+        rows.append("".join((ti, J[head : at + gap], t[0], J[tail:])))
+        at = tail
     return rows
 
 
-def _text_rows(M: DenseMatrix, blocks, format_distinct, sep: str, pad=False) -> list[str]:
+def _text_rows(M: DenseMatrix, format_distinct, sep: str, pad=False) -> list[str]:
     """Every row of M as its entries' texts joined by sep, each padded if pad.
 
     format_distinct maps a list of values to their texts; pad right-aligns
-    every text to the widest.  blocks lists M's (start, PermTuple) diagonal
-    blocks, None meaning one block of the alpha pattern.  When M is exactly
-    the alpha layout of its blocks (_alpha_first_rows), only the n values
-    of their first rows (and the zero off them) are formatted and every row
-    is sliced from its block's joined first row (_alpha_rows), in O(n^2)
-    character copies and no per-entry work.  Any other matrix is printed
-    entry by entry (_entry_texts), so the text always shows M as stored.
+    every text to the widest.  When M is exactly the alpha layout of its
+    first row (_alpha_first_row), only those n values are formatted and
+    every row is sliced from the row's joined text (_alpha_rows), in O(n^2)
+    character copies and no per-entry work.  Any other matrix, direct sums
+    of several blocks among them, is printed entry by entry (_entry_texts),
+    so the text always shows M as stored.
     """
-    firsts = None
-    if M.is_square:
-        blocks = [(0, alpha_tuple(M.n_rows))] if blocks is None else blocks
-        firsts = _alpha_first_rows(M.data, blocks)
-    if firsts is not None:
-        texts = format_distinct(firsts + [0.0])
-        zero = texts.pop()
-        if pad:  # no text is shorter than the zero's "0"
+    first = _alpha_first_row(M.data)
+    if first is not None:
+        texts = format_distinct(first)
+        if pad:
             width = max(map(len, texts))
             texts = [t.rjust(width) for t in texts]
-            zero = zero.rjust(width)
-        return _alpha_rows(texts, zero, blocks, sep)
+        return _alpha_rows(texts, sep)
     if M.data.dtype == np.float64:
         cells = _entry_texts(M.data, format_distinct)
     else:
@@ -669,15 +655,14 @@ def _text_rows(M: DenseMatrix, blocks, format_distinct, sep: str, pad=False) -> 
     return [sep.join(row) for row in cells]
 
 
-def matrix_to_json(M: DenseMatrix, blocks=None) -> str:
+def matrix_to_json(M: DenseMatrix) -> str:
     """json.dumps(matrix_to_json_obj(M)), byte for byte.
 
     Float64 entries get json's own text for each value, formatted once
-    per distinct value (_text_rows): by slices of each block's first row
-    when M is exactly the alpha layout of ``blocks``, a list of
-    (start, PermTuple) diagonal blocks (None: one alpha block), and
-    otherwise from a table of the distinct bit patterns.  Other dtypes,
-    exact (Fraction) matrices among them, keep the per-entry path.
+    per distinct value (_text_rows): by slices of the first row when M is
+    exactly its alpha layout, and otherwise from a table of the distinct
+    bit patterns.  Other dtypes, exact (Fraction) matrices among them,
+    keep the per-entry path.
 
     Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.45 s):
     about 0.03x for an alpha matrix (12 ms, of which the layout check is
@@ -687,7 +672,7 @@ def matrix_to_json(M: DenseMatrix, blocks=None) -> str:
     """
     if M.data.dtype != np.float64:
         return json.dumps(matrix_to_json_obj(M))
-    rows = _text_rows(M, blocks, _json_floats, ", ")
+    rows = _text_rows(M, _json_floats, ", ")
     # "[[" + "], [".join(rows) + "]]" without two more copies of the text.
     rows[0] = "[[" + rows[0]
     rows[-1] += "]]"
@@ -712,15 +697,15 @@ def format_scalar(v: Scalar) -> str:
     return "%.17g" % v
 
 
-def matrix_to_csv(M: DenseMatrix, blocks=None) -> str:
-    """One row per line, entries by format_scalar; blocks as in matrix_to_json."""
-    return "\n".join([*_text_rows(M, blocks, _scalar_texts, ","), ""])
+def matrix_to_csv(M: DenseMatrix) -> str:
+    """One row per line, entries by format_scalar (see _text_rows)."""
+    return "\n".join([*_text_rows(M, _scalar_texts, ","), ""])
 
 
-def matrix_to_pretty(M: DenseMatrix, blocks=None) -> str:
+def matrix_to_pretty(M: DenseMatrix) -> str:
     """One line per row: two spaces, then the format_scalar texts right-aligned
-    to the widest and two spaces apart; blocks as in matrix_to_json."""
-    return "".join(f"  {row}\n" for row in _text_rows(M, blocks, _scalar_texts, "  ", pad=True))
+    to the widest and two spaces apart (see _text_rows)."""
+    return "".join(f"  {row}\n" for row in _text_rows(M, _scalar_texts, "  ", pad=True))
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:

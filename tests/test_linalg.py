@@ -49,7 +49,7 @@ from permrealize.linalg import (
     closed_eigensystem,
     closed_eigensystem_residuals,
     format_scalar,
-    _alpha_first_rows,
+    _alpha_first_row,
     _alpha_index,
     matrix_to_json_obj,
     matrix_to_pretty,
@@ -57,7 +57,6 @@ from permrealize.linalg import (
 )
 from permrealize.small_order import realize_small
 from permrealize.suleimanova import alpha_direct_sum
-from permrealize.verify import Realization
 
 entries = st.floats(
     min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
@@ -722,10 +721,10 @@ def _pretty_reference(M):
     return "".join("  " + "  ".join(c.rjust(width) for c in row) + "\n" for row in cells)
 
 
-def _assert_serialized_as_stored(M, blocks):
-    assert matrix_to_json(M, blocks) == json.dumps(M.data.tolist())
-    assert matrix_to_csv(M, blocks) == _matrix_to_csv_reference(M)
-    assert matrix_to_pretty(M, blocks) == _pretty_reference(M)
+def _assert_serialized_as_stored(M):
+    assert matrix_to_json(M) == json.dumps(M.data.tolist())
+    assert matrix_to_csv(M) == _matrix_to_csv_reference(M)
+    assert matrix_to_pretty(M) == _pretty_reference(M)
 
 
 def _suleimanova_values(rng, n):
@@ -734,50 +733,46 @@ def _suleimanova_values(rng, n):
 
 
 def _alpha_layouts():
-    """(matrix, recorded blocks) pairs that are exactly their alpha layout."""
+    """(matrix, is one alpha block) for alpha blocks and direct sums of them."""
     rng = np.random.default_rng(41)
     for n in (1, 2, 5, 300):
-        r = realize_suleimanova(make_spectrum(_suleimanova_values(rng, n)))
-        yield r.matrix, r.params["blocks"]
+        yield realize_suleimanova(make_spectrum(_suleimanova_values(rng, n))).matrix, True
     for values, case in (([3.0, 1.0, -2.0], "N3-DirectSum"),
                          ([4.0, 3.0, 2.5, -3.0], "N4-PairedDirectSum")):
         r = realize_small(make_spectrum(values))
         assert r.params["case"] == case
-        yield r.matrix, r.params["blocks"]
+        yield r.matrix, False
     groups = [_suleimanova_values(rng, int(rng.integers(1, 5))) for _ in range(200)]
     sigma = make_spectrum([v for g in groups for v in g])
     r = alpha_direct_sum(groups, "test", sigma)
     assert len(r.params["blocks"]) == 200
-    yield r.matrix, r.params["blocks"]
+    yield r.matrix, False
     # First rows with -0.0 and repeated values, alone and in a direct sum.
     odd = assemble(alpha_tuple(6), [-0.0, 1.5, 1.5, 0.0, 2.0, -0.0])
-    yield odd, [(0, alpha_tuple(6))]
-    yield (direct_sum([odd, from_rows([[-0.0]]), odd]),
-           [(0, alpha_tuple(6)), (6, alpha_tuple(1)), (7, alpha_tuple(6))])
+    yield odd, True
+    yield direct_sum([odd, from_rows([[-0.0]]), odd]), False
 
 
-def test_serializers_slice_the_alpha_layout_of_the_blocks():
-    for M, blocks in _alpha_layouts():
-        assert _alpha_first_rows(M.data, blocks) is not None
-        _assert_serialized_as_stored(M, blocks)
-        if len(blocks) == 1:  # None means one alpha block
-            _assert_serialized_as_stored(M, None)
+def test_serializers_slice_one_alpha_block_and_print_direct_sums_as_stored():
+    for M, one_block in _alpha_layouts():
+        # Only a whole-matrix alpha block takes the sliced path; a direct
+        # sum of several blocks is printed entry by entry.
+        assert (_alpha_first_row(M.data) is not None) == one_block
+        _assert_serialized_as_stored(M)
 
 
-def test_serializers_print_entries_off_the_recorded_layout_as_stored():
-    # One ulp (or one sign bit) off the recorded layout, anywhere in it:
-    # the output shows the stored entry, never the first row's value.
-    odd = assemble(alpha_tuple(5), [0.5, 1.5, 1.5, 0.25, 3.0])
-    M0 = direct_sum([odd, from_rows([[2.0]])])
-    blocks = [(0, alpha_tuple(5)), (5, alpha_tuple(1))]
-    sigma = make_spectrum([6.75, 0.0, -1.0, -1.25, -2.5, 2.0])
+def test_serializers_print_entries_off_the_alpha_layout_as_stored():
+    # One ulp (or one sign bit) off the alpha layout, anywhere in it: the
+    # output shows the stored entry, never the first row's value.
+    M0 = assemble(alpha_tuple(5), [0.5, 1.5, 1.5, 0.0, 3.0])
+    assert _alpha_first_row(M0.data) is not None
     for i, j, new in ((3, 0, None), (2, 2, None), (4, 1, None), (1, 3, None),
-                      (0, 4, None), (5, 0, -0.0), (2, 5, 5e-324), (0, 0, None)):
+                      (0, 4, None), (3, 0, -0.0), (1, 3, -0.0), (2, 3, 5e-324),
+                      (0, 0, None)):
         data = M0.data.copy()
         data[i, j] = np.nextafter(data[i, j], np.inf) if new is None else new
-        r = Realization(matrix=DenseMatrix(data), method="", target=sigma,
-                        params={"blocks": blocks})
-        assert _alpha_first_rows(r.matrix.data, blocks) is None
-        _assert_serialized_as_stored(r.matrix, r.params["blocks"])
+        M = DenseMatrix(data)
+        assert _alpha_first_row(M.data) is None
+        _assert_serialized_as_stored(M)
         text = format_scalar(data[i, j])
-        assert matrix_to_csv(r.matrix, blocks).splitlines()[i].split(",")[j] == text
+        assert matrix_to_csv(M).splitlines()[i].split(",")[j] == text
