@@ -24,6 +24,7 @@ subcommand accepts only the options it reads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -197,8 +198,8 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     verdict = r.certificate.verdict
     certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
     if ns.fmt == "json":
-        # The bytes of json.dumps of the whole dict and a newline, with the
-        # matrix formatted by matrix_to_json, joined once.
+        # The bytes of json.dumps of the whole dict and a newline, built by
+        # matrix_to_json as one string around the matrix.
         rest = json.dumps(
             {
                 "method": r.method,
@@ -207,8 +208,7 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
                 "certificate": r.certificate.to_json_obj(),
             }
         )
-        matrix = matrix_to_json(r.matrix)
-        sys.stdout.write("".join(('{"matrix": ', matrix, ", ", rest[1:], "\n")))
+        sys.stdout.write(matrix_to_json(r.matrix, '{"matrix": ', ", " + rest[1:] + "\n"))
     elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
         sys.stdout.write(matrix_to_csv(r.matrix))
@@ -334,7 +334,10 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parse_args leaves it as it
+    was, and every call gets a new namespace."""
     parser = _Parser(
         prog="permrealize",
         description=(

@@ -13,6 +13,7 @@ float64 recurrence for search loops.  Monic polynomials store their leading
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -142,7 +143,9 @@ def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
             f"{M.n_rows}x{M.n_cols}"
         )
     rows = np.sort(M.data, axis=1)
-    dev = rows[1:] - rows[0]
+    # A difference past the float range means the entries differ.
+    with np.errstate(over="ignore"):
+        dev = rows[1:] - rows[0]
     return bool((np.abs(dev, out=dev) <= tol).all())
 
 
@@ -299,28 +302,60 @@ def closed_eigensystem(x) -> tuple[Scalar, np.ndarray, np.ndarray]:
     return s, x[0] - x[1:], V
 
 
-def closed_eigensystem_residuals(
-    P: np.ndarray,
-) -> tuple[Scalar, np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of the closed eigensystem of P's first row x, on P itself.
+#: Bytes of one row chunk in closed_eigensystem_residuals: small enough that
+#: a chunk and its temporaries stay in a core's cache, large enough that a
+#: block of up to 32768 float64 entries (order 181) is one chunk.
+_RESIDUAL_CHUNK_BYTES = 1 << 18
 
-    Returns (s, deltas, P e - s e, P V - V diag(deltas)) with s, deltas and
-    V as closed_eigensystem(x) gives them, in O(n^2) and without forming V:
-    column k of V is x_{k+1} e + c_k e_{k+1} with c_k = x_0 - s - x_{k+1},
-    so with the row sums rs of P, entry (i, k) of the second residual is
-    x_{k+1} (rs_i - d_k) + c_k P[i, k+1] - [i = k+1] d_k c_k.  P is read
-    entry by entry, not rebuilt from x, so the residuals measure P.
+
+def closed_eigensystem_residuals(
+    P: np.ndarray, t: Scalar = 1
+) -> tuple[Scalar, np.ndarray, Scalar, Optional[Scalar]]:
+    """The closed eigensystem of t x, x the first row of P, and its residuals.
+
+    Returns (s, deltas, max |Q e - s e|, max |Q V - V diag(deltas)|) for
+    Q = t P, with s, deltas and V as closed_eigensystem(t x) gives them;
+    the last is None when n = 1 (V has no columns).  In O(n^2) and without
+    forming V: column k of V is y_{k+1} e + c_k e_{k+1} with y = t x and
+    c_k = y_0 - s - y_{k+1}, so with the row sums rs of Q, entry (i, k) of
+    the second residual is y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1]
+    d_k c_k.  P is read entry by entry, not rebuilt from x, so the
+    residuals measure P.
+
+    Q is formed and reduced in chunks of rows of about 256 KB, so no n x n
+    temporary leaves the cache.  Every entry and every row sum is computed
+    as on the whole of Q at once, so the maxima are the same bit for bit.
     """
-    x = P[0]
-    s = sum(x[1:], start=x[0])
-    deltas = x[0] - x[1:]
-    c = (x[0] - s) - x[1:]
-    rs = P.sum(axis=1)
-    R = np.subtract.outer(rs, deltas)
-    R *= x[1:]
-    R += P[:, 1:] * c
-    R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
-    return s, deltas, rs - s, R
+    n = len(P)
+    rows = _RESIDUAL_CHUNK_BYTES // (P.itemsize * n) or 1
+    Q = (P if n <= rows else P[:rows]) * t
+    y, y1 = Q[0], Q[0, 1:]
+    s = np.add.accumulate(y)[-1]  # left to right, as closed_eigensystem sums
+    deltas = y[0] - y1
+    c = (y[0] - s) - y1
+    dc = deltas * c
+    row_max = pair_max = None
+    for a in range(0, n, rows):
+        if a:
+            Q = P[a : a + rows] * t
+        rs = Q.sum(axis=1)
+        if n > 1:
+            R = np.subtract.outer(rs, deltas)
+            R *= y1
+            R += Q[:, 1:] * c
+            # Entries (i, i - 1) for the chunk's rows i >= 1: flat offsets
+            # n - 1, 2n - 1, ... of R in the first chunk, and a - 1,
+            # n + a - 1, ... in a chunk from row a > 0.
+            if a:
+                R.reshape(-1)[a - 1 :: n] -= dc[a - 1 : a - 1 + len(R)]
+            else:
+                R.reshape(-1)[n - 1 :: n] -= dc[: len(R) - 1]
+            m = np.abs(R, out=R).max()
+            pair_max = m if pair_max is None else np.maximum(pair_max, m)
+        rs -= s
+        m = np.abs(rs, out=rs).max()
+        row_max = m if row_max is None else np.maximum(row_max, m)
+    return s, deltas, row_max, pair_max
 
 
 @dataclass(frozen=True)
@@ -655,8 +690,12 @@ def _text_rows(M: DenseMatrix, format_distinct, sep: str, pad=False) -> list[str
     return [sep.join(row) for row in cells]
 
 
-def matrix_to_json(M: DenseMatrix) -> str:
-    """json.dumps(matrix_to_json_obj(M)), byte for byte.
+def matrix_to_json(M: DenseMatrix, head: str = "", tail: str = "") -> str:
+    """head + json.dumps(matrix_to_json_obj(M)) + tail, byte for byte.
+
+    head and tail go into the one join of the rows, so a document that
+    holds the matrix (the CLI's realize output) is built as one string,
+    with no copy of the matrix text on its own.
 
     Float64 entries get json's own text for each value, formatted once
     per distinct value (_text_rows): by slices of the first row when M is
@@ -671,11 +710,12 @@ def matrix_to_json(M: DenseMatrix) -> str:
     formatting).
     """
     if M.data.dtype != np.float64:
-        return json.dumps(matrix_to_json_obj(M))
+        return "".join((head, json.dumps(matrix_to_json_obj(M)), tail))
     rows = _text_rows(M, _json_floats, ", ")
-    # "[[" + "], [".join(rows) + "]]" without two more copies of the text.
-    rows[0] = "[[" + rows[0]
-    rows[-1] += "]]"
+    # head + "[[" + "], [".join(rows) + "]]" + tail without two more copies
+    # of the text.
+    rows[0] = head + "[[" + rows[0]
+    rows[-1] += "]]" + tail
     return "], [".join(rows)
 
 
@@ -713,8 +753,49 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
 
     In float mode every entry is float(Fraction(token)), the correctly
     rounded value, and an entry beyond the float range is a ParseError.
+    Lines are those of str.splitlines.  A float text is read by numpy's
+    loadtxt first (_loadtxt_floats); any text it does not read to the same
+    values, and every error, takes the token-by-token path below.
     """
+    if not exact:
+        data = _loadtxt_floats(text)
+        if data is not None:
+            return DenseMatrix(data)
     lines = [line.split(",") for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyInputError("CSV matrix text contains no rows")
     return from_rows([parse_scalars(ts, exact) for ts in lines], exact=exact)
+
+
+#: The ASCII line breaks of str.splitlines other than the newline.  loadtxt
+#: reads "\r" as a line end or an error and the others as whitespace around
+#: a field, so a text holding any of them is read line by line instead.
+_OTHER_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+#: The uint64 bit pattern of -0.0.
+_MINUS_ZERO_BITS = np.float64(-0.0).view(np.uint64)
+
+
+def _loadtxt_floats(text: str) -> Optional[np.ndarray]:
+    """The float64 matrix of a CSV text, read by numpy's C parser, or None.
+
+    None unless the text is ASCII, has a non-blank line, breaks lines only
+    at newlines, and loadtxt reads it to finite values with no -0.0.  Then
+    the result is bit for bit the line reader's: loadtxt reads each field
+    as float(field) does (correctly rounded, surrounding whitespace
+    ignored, no underscores), float(t) equals float(Fraction(t)) wherever
+    it is finite and not -0.0 (see parse_scalars), and both skip empty
+    lines.  A whitespace-only line, a ragged row or any token float()
+    rejects ("1/3", "#", a quoted or empty field) makes loadtxt raise.
+    """
+    if not text or text.isspace() or not text.isascii():
+        return None
+    if any(c in text for c in _OTHER_ASCII_BREAKS):
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(data).all() or (data.view(np.uint64) == _MINUS_ZERO_BITS).any():
+        return None
+    return data

@@ -222,8 +222,9 @@ def _alpha_eigensystem_residuals(
 
     For each block P with first row x, checks P e = s e and P v_i = d_i v_i
     for the closed-form eigenpairs of closed_eigensystem(x), in O(n^2)
-    (closed_eigensystem_residuals); then that the blocks' eigenvalues
-    {s, d_i} together reproduce the target spectrum, at the target's scale.
+    over row chunks of the block (closed_eigensystem_residuals); then that
+    the blocks' eigenvalues {s, d_i} together reproduce the target
+    spectrum, at the target's scale.
 
     The pair residuals are taken on t P with t = 2^-e, where 2^e is the
     least power of two >= max(1, |x|_inf), so every sum and product stays
@@ -247,12 +248,12 @@ def _alpha_eigensystem_residuals(
             x_inf = np.abs(P[0]).max()
             e = _pow2_at_or_above(x_inf)
             t = Fraction(1, 1 << e) if exact else math.ldexp(1.0, -e)
-            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P * t)
+            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P, t)
             xt = x_inf * t
-            out.append((np.abs(row_res).max(), max(absolute * t, relative * max(t, xt * x_inf))))
-            if pair_res.size:
+            out.append((row_res, max(absolute * t, relative * max(t, xt * x_inf))))
+            if pair_res is not None:
                 band = max(absolute * t * t, relative * max(t * t, xt * xt))
-                out.append((np.abs(pair_res, out=pair_res).max(), band))
+                out.append((pair_res, band))
             eigs.append(np.concatenate(([s], deltas)) / t)
     eigs = np.sort(np.concatenate(eigs))[::-1]
     id_res = np.abs(eigs - np.asarray(target.values)).max()
@@ -273,9 +274,10 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     mode; see CHARPOLY_FLOAT_CERTIFY_MAX_N).  When neither of those
     spectral checks runs, the report's verdict is inconclusive, never pass.
 
-    Nonnegativity, structure and the eigenpair residuals are whole-array
-    numpy operations over the n^2 entries, one code path for float64 and
-    Fraction entries alike; magnitudes beyond the float range read as inf.
+    Nonnegativity, structure and the eigenpair residuals (by chunks of
+    rows) are numpy operations over the n^2 entries, one code path for
+    float64 and Fraction entries alike; magnitudes beyond the float range
+    read as inf.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()

@@ -604,6 +604,65 @@ def test_bench_smoke(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
+    from permrealize.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    built = _build_parser.cache_info().misses
+    out_file = tmp_path / "m.csv"
+    code, out, _ = run(capsys, "realize", "7,-1,-2,-3", "--exact", "--format", "csv",
+                       "--out", str(out_file))
+    assert code == 0
+    assert out.splitlines()[0] == "1/4,5/4,9/4,13/4"
+    # --exact, --format csv and --out do not carry over to the next calls.
+    float_file = tmp_path / "f.csv"
+    float_file.write_text("".join(
+        ",".join(repr(float(Fraction(t))) for t in line.split(",")) + "\n"
+        for line in out.splitlines()
+    ))
+    out_file.unlink()
+    code, out, _ = run(capsys, "verify", "7,-1,-2,-3", "--matrix", str(float_file),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"absolute": 1e-10, "relative": 1e-9}
+    code, out, err = run(capsys, "verify", "7,-1,-2,-3")
+    assert (code, out) == (1, "")
+    assert "--matrix" in err
+    code, out, _ = run(capsys, "realize", "7,-1,-2,-3")
+    assert code == 0
+    assert out.startswith("method: suleimanova-permutative")
+    assert "1.25" in out and "5/4" not in out
+    assert not out_file.exists()
+    assert run(capsys, "verify", "7,-1,-2,-2.9", "--matrix", str(float_file))[0] == 2
+    assert run(capsys, "realize", "3,1,0,-1,-1")[0] == 3
+    assert run(capsys, "check", "7,-1,-2,-3", "--exact")[0] == 0
+    assert _build_parser.cache_info().misses == built
+
+
+def test_verify_rows_beyond_the_float_range_apart_exit_2_without_warnings(tmp_path):
+    # Sorted rows (-1e308, 1e308) and (1e308, 1e308) differ by more than the
+    # float maximum: the structure check counts that as a mismatch, quietly.
+    f = tmp_path / "m.csv"
+    f.write_text("1e308,-1e308\n1e308,1e308\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = "import sys; from permrealize.cli import main; sys.exit(main(sys.argv[1:]))"
+    p = subprocess.run(
+        [sys.executable, "-c", code, "verify", "1,0", "--matrix", str(f)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert p.returncode == 2, p.stderr
+    assert "Warning" not in p.stderr
+    assert p.stderr == ""
+
+
+# ---------------------------------------------------------------------------
 # tolerance profile resolution
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,7 @@ from permrealize import (
     realize_companion,
     realize_suleimanova,
 )
+from permrealize import linalg as linalg_mod
 from permrealize.linalg import (
     char_poly_coeffs,
     closed_eigensystem,
@@ -593,19 +595,112 @@ def _csv_tokens(rng):
     )
 
 
+def _csv_text(tokens, width=8):
+    tokens = tokens + ["0"] * (-len(tokens) % width)
+    rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
+    return "\n".join(",".join(r) for r in rows) + "\n", rows
+
+
+def _read_by_lines(text):
+    """matrix_from_csv's token-by-token path, with its errors."""
+    lines = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise EmptyInputError("CSV matrix text contains no rows")
+    return from_rows([linalg_mod.parse_scalars(ts, False) for ts in lines])
+
+
+def _is_plain_float(t):
+    """float(t) reads t, written without underscores, to a finite value
+    other than -0.0."""
+    try:
+        v = float(t)
+    except ValueError:
+        return False
+    return "_" not in t and math.isfinite(v) and (v != 0 or math.copysign(1.0, v) > 0)
+
+
 def test_matrix_from_csv_values_match_fraction_parse():
     tokens = list(_csv_tokens(random.Random(5)))
-    width = 8
-    tokens += ["0"] * (-len(tokens) % width)
-    rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
-    M = matrix_from_csv("\n".join(",".join(r) for r in rows) + "\n")
-    want = np.array([[float(Fraction(t)) for t in r] for r in rows])
-    assert_array_equal(M.data.view(np.uint64), want.view(np.uint64))
+    plain = [t for t in tokens if _is_plain_float(t)]
+    assert 300 < len(plain) < len(tokens)
+    # Plain float tokens are read by loadtxt, every token else line by line;
+    # both give float(Fraction(t)) bit for bit.
+    for toks, fast in ((plain, True), (tokens, False)):
+        text, rows = _csv_text(toks)
+        assert (linalg_mod._loadtxt_floats(text) is not None) is fast
+        M = matrix_from_csv(text)
+        want = np.array([[float(Fraction(t)) for t in r] for r in rows])
+        assert_array_equal(M.data.view(np.uint64), want.view(np.uint64))
     # -0 is read as 0.0, as float(Fraction("-0")) is; a negative value that
     # underflows keeps its sign, as float(Fraction("-1e-400")) does.
     got = matrix_from_csv("-0,-1e-400\n").data[0]
     assert math.copysign(1.0, got[0]) == 1.0
     assert math.copysign(1.0, got[1]) == -1.0
+
+
+@pytest.mark.parametrize("text", [
+    "1,-0\n2,3\n",
+    "1,-1e-400\n2,3\n",
+    "1,1/3\n2,3\n",
+    "1,1_000.5\n2,3\n",
+    "1,2\n \t\n3,4\n",
+    "1,2\r\n3,4\r\n",
+    "1,2\r3,4",
+    "1,2\x0b3,4\n",
+    "1\x0b,2\n3,4\n",
+    "1,2\x0c\n3,4\n",
+    "1\u2028,2\n3,4\n",
+    "1,2\u20283,4\n",
+    "1,2,\n3,4,\n",
+    "1,2\n#3,4\n",
+    '1,"2"\n3,4\n',
+    "1,2\n3\n",
+    "1,2\n3,4,5\n",
+    "",
+    "\n \n\t\n",
+    "\u2028",
+])
+def test_matrix_from_csv_falls_back_to_the_line_reader(text):
+    # Each text holds something loadtxt reads differently from str.splitlines
+    # and the Fraction grammar, or not at all: it takes the line reader,
+    # with the line reader's values and error messages, and no warning.
+    assert linalg_mod._loadtxt_floats(text) is None
+    try:
+        want = _read_by_lines(text)
+    except (ParseError, DimensionMismatchError, EmptyInputError) as e:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(e)) as got:
+                matrix_from_csv(text)
+        assert str(got.value) == str(e)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matrix_from_csv(text)
+        assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def test_matrix_from_csv_errors_keep_their_messages():
+    with pytest.raises(DimensionMismatchError, match="^row 1 has 1 entries, expected 2$"):
+        matrix_from_csv("1,2\n3\n")
+    # \x0b ends a line, so ",2" is a line with an empty entry; loadtxt
+    # would read [[1, 2], [3, 4]].
+    with pytest.raises(ParseError, match="^cannot parse matrix entry ''$"):
+        matrix_from_csv("1\x0b,2\n3,4\n")
+    for text in ("", "\n\n", " \r\n"):
+        with pytest.raises(EmptyInputError, match="^CSV matrix text contains no rows$"):
+            matrix_from_csv(text)
+    with pytest.raises(ParseError, match="^cannot parse matrix entry '#3'$"):
+        matrix_from_csv("1,2\n#3,4\n")
+
+
+def test_matrix_from_csv_fast_path_shapes():
+    for text, shape in (("1.5\n", (1, 1)), ("1,2,3\n", (1, 3)), ("1\n2\n\n3", (3, 1)),
+                        (" 1 ,\t2\n3,4\x1f\n", (2, 2))):
+        assert linalg_mod._loadtxt_floats(text) is not None
+        got = matrix_from_csv(text).data
+        assert got.shape == shape
+        assert_array_equal(got.view(np.uint64), _read_by_lines(text).data.view(np.uint64))
 
 
 def test_format_scalar():
@@ -652,17 +747,51 @@ def _pair_band(P):
     return Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
 
 
+def _whole_block_residuals(P, t=1):
+    """closed_eigensystem_residuals on the whole scaled block t P at once,
+    the residual arrays' maxima taken last: the reference for its chunks."""
+    P = P * t
+    x = P[0]
+    s = sum(x[1:], start=x[0])
+    deltas = x[0] - x[1:]
+    c = (x[0] - s) - x[1:]
+    rs = P.sum(axis=1)
+    R = np.subtract.outer(rs, deltas)
+    R *= x[1:]
+    R += P[:, 1:] * c
+    R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
+    return s, deltas, np.abs(rs - s).max(), np.abs(R).max() if R.size else None
+
+
+def _assert_residuals_match(P, t=1):
+    """closed_eigensystem_residuals(P, t) is the whole-block reference bit for
+    bit, and lies within the pair band of the dense product on t P."""
+    got = closed_eigensystem_residuals(P, t)
+    want = _whole_block_residuals(P, t)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    if P.dtype == object:
+        assert got[2:] == want[2:]
+    else:
+        assert np.float64(got[2]).view(np.uint64) == np.float64(want[2]).view(np.uint64)
+        if len(P) > 1:
+            assert np.float64(got[3]).view(np.uint64) == np.float64(want[3]).view(np.uint64)
+    assert (got[3] is None) == (len(P) == 1)
+    row_ref, pair_ref = _dense_residuals(P * t)
+    band = _pair_band(P * t)
+    assert abs(got[2] - np.abs(row_ref).max()) <= band
+    if len(P) > 1:
+        assert abs(got[3] - np.abs(pair_ref).max()) <= band
+    return got
+
+
 def test_closed_eigensystem_residuals_match_the_dense_product():
     for P in _residual_blocks():
-        s, deltas, row, pair = closed_eigensystem_residuals(P)
+        s, deltas, row, pair = _assert_residuals_match(P)
         s_ref, deltas_ref, _ = closed_eigensystem(P[0])
-        row_ref, pair_ref = _dense_residuals(P)
         assert s == s_ref and (deltas == deltas_ref).all()
-        assert pair.shape == pair_ref.shape == (len(P), len(P) - 1)
         band = _pair_band(P)
-        assert (np.abs(row - row_ref) <= band).all()
-        assert (np.abs(pair - pair_ref) <= band).all()
-        assert (np.abs(pair) <= band).all()
+        assert row <= band
+        assert pair is None if len(P) == 1 else pair <= band
 
 
 def test_closed_eigensystem_residuals_see_a_one_entry_perturbation():
@@ -673,8 +802,47 @@ def test_closed_eigensystem_residuals_see_a_one_entry_perturbation():
         P = P.copy()
         P[n - 1, 0] += 1
         band = _pair_band(P)
-        for _, pair in (closed_eigensystem_residuals(P)[2:], _dense_residuals(P)):
-            assert np.abs(pair).max() > band
+        assert closed_eigensystem_residuals(P)[3] > band
+        assert np.abs(_dense_residuals(P)[1]).max() > band
+
+
+CHUNK_ROWS = 4
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2])
+def test_closed_eigensystem_residuals_across_chunk_boundaries(monkeypatch, exact, n):
+    # Chunks of CHUNK_ROWS rows at this order; a perturbed entry in the last
+    # row of the first chunk, and one on the subdiagonal (k+1, k) with row
+    # k+1 the first of the next chunk, each change the maxima as they do on
+    # the whole block.
+    monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", CHUNK_ROWS * 8 * n)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.5, 5.0, n)
+    if exact:
+        x = [Fraction(int(v * 64), 64) for v in x]
+        t, bump = Fraction(1, 8), Fraction(1, 3)
+    else:
+        x, t, bump = x.tolist(), 0.125, 0.75
+    P = assemble(alpha_tuple(n), x).data
+    _assert_residuals_match(P, t)
+    k = CHUNK_ROWS - 1
+    if n > k + 1:
+        for i, j in ((k, n - 1), (k + 1, k)):
+            Q = P.copy()
+            Q[i, j] += bump
+            got = _assert_residuals_match(Q, t)
+            assert got[3] > _assert_residuals_match(P, t)[3]
+
+
+def test_closed_eigensystem_residuals_at_the_default_chunk_size():
+    # 181 rows of 181 float64 entries fit one 256 KB chunk, 182 do not.
+    rng = np.random.default_rng(7)
+    for n in (181, 182, 363):
+        P = assemble(alpha_tuple(n), rng.uniform(0.5, 5.0, n).tolist()).data.copy()
+        P[n - 1, 0] += 1e-3
+        P[180, 179] -= 1e-3
+        _assert_residuals_match(P, 2.0**-3)
 
 
 # ---------------------------------------------------------------------------

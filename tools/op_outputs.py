@@ -3,11 +3,16 @@
 Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
 1-3 through ``permrealize.cli.main`` in this process, and each realize op
 once more with ``--format pretty`` and once with ``--format csv``; the
-realize ops' own runs also get ``--out FILE``.  For each run it records the
-exit code and the sha256 of stdout, of stderr and of the ``--out`` file
-(null when none was written), keyed by workload, seed, op index and
-format, and writes them as JSON.  With a baseline file it then lists every
-run whose record differs from the baseline's and exits 1 if any does.
+realize ops' own runs also get ``--out FILE``.  Each verify op runs once
+more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
+last entry written as -0 or as 1/3 and a whitespace-only line after the
+first row, which the float CSV reader leaves to its line-by-line path, and
+CRLF line ends, which the CLI's text-mode read turns into newlines.  For
+each run it records the exit code and the sha256 of stdout, of stderr and
+of the ``--out`` file (null when none was written), keyed by workload,
+seed, op index and run name (format or CSV edit), and writes them as
+JSON.  With a baseline file it then lists every run whose record differs
+from the baseline's and exits 1 if any does.
 
 Usage, from the repository root:
 
@@ -37,6 +42,19 @@ from permrealize.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2, 3)
 RERUN_FORMATS = ("pretty", "csv")
+
+
+def _last_entry(text: str, token: str) -> str:
+    first, rest = text.split("\n", 1)
+    return first.rsplit(",", 1)[0] + "," + token + "\n" + rest
+
+
+CSV_VARIANTS = {
+    "minus-zero": lambda text: _last_entry(text, "-0"),
+    "fraction": lambda text: _last_entry(text, "1/3"),
+    "blank-line": lambda text: text.replace("\n", "\n \t\n", 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
 
 
 def _sha(text: str) -> str:
@@ -77,6 +95,14 @@ def fingerprint() -> dict:
                         runs += [(f, _with_format(op.argv, f)) for f in RERUN_FORMATS]
                     else:
                         runs = [("default", op.argv)]
+                    if op.kind == "verify":
+                        text = Path(op.matrix_path).read_text(encoding="utf-8")
+                        for name, edit in CSV_VARIANTS.items():
+                            path = Path(workdir) / f"{i}-{name}.csv"
+                            path.write_bytes(edit(text).encode("utf-8"))
+                            argv = list(op.argv)
+                            argv[argv.index(op.matrix_path)] = str(path)
+                            runs.append((f"csv-{name}", argv))
                     for fmt, argv in runs:
                         shown = [a.replace(workdir, "<workdir>") for a in argv]
                         record = {"argv": shown, **_run(argv, out_file)}
