@@ -24,7 +24,6 @@ subcommand accepts only the options it reads.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -334,10 +333,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
-    """The CLI's parser, built once per process: parse_args leaves it as it
-    was, and every call gets a new namespace."""
     parser = _Parser(
         prog="permrealize",
         description=(

@@ -13,7 +13,6 @@ float64 recurrence for search loops.  Monic polynomials store their leading
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -767,11 +766,6 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
     return from_rows([parse_scalars(ts, exact) for ts in lines], exact=exact)
 
 
-#: The ASCII line breaks of str.splitlines other than the newline.  loadtxt
-#: reads "\r" as a line end or an error and the others as whitespace around
-#: a field, so a text holding any of them is read line by line instead.
-_OTHER_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-
 #: The uint64 bit pattern of -0.0.
 _MINUS_ZERO_BITS = np.float64(-0.0).view(np.uint64)
 
@@ -779,21 +773,21 @@ _MINUS_ZERO_BITS = np.float64(-0.0).view(np.uint64)
 def _loadtxt_floats(text: str) -> Optional[np.ndarray]:
     """The float64 matrix of a CSV text, read by numpy's C parser, or None.
 
-    None unless the text is ASCII, has a non-blank line, breaks lines only
-    at newlines, and loadtxt reads it to finite values with no -0.0.  Then
-    the result is bit for bit the line reader's: loadtxt reads each field
-    as float(field) does (correctly rounded, surrounding whitespace
-    ignored, no underscores), float(t) equals float(Fraction(t)) wherever
-    it is finite and not -0.0 (see parse_scalars), and both skip empty
-    lines.  A whitespace-only line, a ragged row or any token float()
-    rejects ("1/3", "#", a quoted or empty field) makes loadtxt raise.
+    None unless the text is ASCII, has a non-blank line, and loadtxt reads
+    its lines, those of str.splitlines, to finite values with no -0.0.
+    Then the result is bit for bit the line reader's: loadtxt reads each
+    field as float(field) does (correctly rounded, surrounding whitespace
+    ignored), but takes no underscores or hex (numpy 1.23 and later, whose
+    loadtxt parses in C; older ones call float() on each field), float(t)
+    equals float(Fraction(t)) wherever it is finite and not -0.0 (see
+    parse_scalars), and both skip empty lines.  A
+    whitespace-only line, a ragged row or any token float() rejects
+    ("1/3", "#", a quoted or empty field) makes loadtxt raise.
     """
     if not text or text.isspace() or not text.isascii():
         return None
-    if any(c in text for c in _OTHER_ASCII_BREAKS):
-        return None
     try:
-        data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(text.splitlines(), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if not np.isfinite(data).all() or (data.view(np.uint64) == _MINUS_ZERO_BITS).any():

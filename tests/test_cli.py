@@ -604,15 +604,11 @@ def test_bench_smoke(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# consecutive calls in one process
 # ---------------------------------------------------------------------------
 
 
-def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
-    from permrealize.cli import _build_parser
-
-    assert _build_parser() is _build_parser()
-    built = _build_parser.cache_info().misses
+def test_consecutive_calls_share_nothing(tmp_path, capsys):
     out_file = tmp_path / "m.csv"
     code, out, _ = run(capsys, "realize", "7,-1,-2,-3", "--exact", "--format", "csv",
                        "--out", str(out_file))
@@ -640,7 +636,6 @@ def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
     assert run(capsys, "verify", "7,-1,-2,-2.9", "--matrix", str(float_file))[0] == 2
     assert run(capsys, "realize", "3,1,0,-1,-1")[0] == 3
     assert run(capsys, "check", "7,-1,-2,-3", "--exact")[0] == 0
-    assert _build_parser.cache_info().misses == built
 
 
 def test_verify_rows_beyond_the_float_range_apart_exit_2_without_warnings(tmp_path):

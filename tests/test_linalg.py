@@ -644,11 +644,7 @@ def test_matrix_from_csv_values_match_fraction_parse():
     "1,1/3\n2,3\n",
     "1,1_000.5\n2,3\n",
     "1,2\n \t\n3,4\n",
-    "1,2\r\n3,4\r\n",
-    "1,2\r3,4",
-    "1,2\x0b3,4\n",
     "1\x0b,2\n3,4\n",
-    "1,2\x0c\n3,4\n",
     "1\u2028,2\n3,4\n",
     "1,2\u20283,4\n",
     "1,2,\n3,4,\n",
@@ -661,8 +657,8 @@ def test_matrix_from_csv_values_match_fraction_parse():
     "\u2028",
 ])
 def test_matrix_from_csv_falls_back_to_the_line_reader(text):
-    # Each text holds something loadtxt reads differently from str.splitlines
-    # and the Fraction grammar, or not at all: it takes the line reader,
+    # Each text holds something loadtxt reads differently from the Fraction
+    # grammar, or not at all, or is not ASCII: it takes the line reader,
     # with the line reader's values and error messages, and no warning.
     assert linalg_mod._loadtxt_floats(text) is None
     try:
@@ -683,8 +679,7 @@ def test_matrix_from_csv_falls_back_to_the_line_reader(text):
 def test_matrix_from_csv_errors_keep_their_messages():
     with pytest.raises(DimensionMismatchError, match="^row 1 has 1 entries, expected 2$"):
         matrix_from_csv("1,2\n3\n")
-    # \x0b ends a line, so ",2" is a line with an empty entry; loadtxt
-    # would read [[1, 2], [3, 4]].
+    # \x0b ends a line, so ",2" is a line with an empty entry.
     with pytest.raises(ParseError, match="^cannot parse matrix entry ''$"):
         matrix_from_csv("1\x0b,2\n3,4\n")
     for text in ("", "\n\n", " \r\n"):
@@ -695,8 +690,12 @@ def test_matrix_from_csv_errors_keep_their_messages():
 
 
 def test_matrix_from_csv_fast_path_shapes():
+    # loadtxt reads the lines of str.splitlines, breaks other than "\n"
+    # among them.
     for text, shape in (("1.5\n", (1, 1)), ("1,2,3\n", (1, 3)), ("1\n2\n\n3", (3, 1)),
-                        (" 1 ,\t2\n3,4\x1f\n", (2, 2))):
+                        (" 1 ,\t2\n3,4\x1f\n", (2, 2)), ("1,2\r\n3,4\r\n", (2, 2)),
+                        ("1,2\r3,4", (2, 2)), ("1,2\x0b3,4\n", (2, 2)),
+                        ("1,2\x0c\n3,4\n", (2, 2)), ("1,2\x1c3,4\x1d5,6\x1e", (3, 2))):
         assert linalg_mod._loadtxt_floats(text) is not None
         got = matrix_from_csv(text).data
         assert got.shape == shape
@@ -748,8 +747,9 @@ def _pair_band(P):
 
 
 def _whole_block_residuals(P, t=1):
-    """closed_eigensystem_residuals on the whole scaled block t P at once,
-    the residual arrays' maxima taken last: the reference for its chunks."""
+    """(s, deltas, Q e - s e, Q V - V diag(deltas)) for Q = t P, computed on
+    the whole of Q at once: the reference for closed_eigensystem_residuals'
+    chunks and maxima."""
     P = P * t
     x = P[0]
     s = sum(x[1:], start=x[0])
@@ -760,14 +760,15 @@ def _whole_block_residuals(P, t=1):
     R *= x[1:]
     R += P[:, 1:] * c
     R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
-    return s, deltas, np.abs(rs - s).max(), np.abs(R).max() if R.size else None
+    return s, deltas, rs - s, R
 
 
 def _assert_residuals_match(P, t=1):
     """closed_eigensystem_residuals(P, t) is the whole-block reference bit for
     bit, and lies within the pair band of the dense product on t P."""
     got = closed_eigensystem_residuals(P, t)
-    want = _whole_block_residuals(P, t)
+    s, deltas, row, pair = _whole_block_residuals(P, t)
+    want = (s, deltas, np.abs(row).max(), np.abs(pair).max() if pair.size else None)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
     if P.dtype == object:
         assert got[2:] == want[2:]
@@ -786,12 +787,16 @@ def _assert_residuals_match(P, t=1):
 
 def test_closed_eigensystem_residuals_match_the_dense_product():
     for P in _residual_blocks():
-        s, deltas, row, pair = _assert_residuals_match(P)
+        _assert_residuals_match(P)
+        s, deltas, row, pair = _whole_block_residuals(P)
         s_ref, deltas_ref, _ = closed_eigensystem(P[0])
+        row_ref, pair_ref = _dense_residuals(P)
         assert s == s_ref and (deltas == deltas_ref).all()
+        assert pair.shape == pair_ref.shape == (len(P), len(P) - 1)
         band = _pair_band(P)
-        assert row <= band
-        assert pair is None if len(P) == 1 else pair <= band
+        assert (np.abs(row - row_ref) <= band).all()
+        assert (np.abs(pair - pair_ref) <= band).all()
+        assert (np.abs(pair) <= band).all()
 
 
 def test_closed_eigensystem_residuals_see_a_one_entry_perturbation():
