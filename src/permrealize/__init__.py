@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionOutOfRangeError,
     DimensionTooLargeError,
-    DimensionTooSmallError,
     EmptyInputError,
     InternalCaseGapError,
     NecessaryConditionViolationError,
@@ -85,7 +84,6 @@ __all__ = [
     "DimensionMismatchError",
     "DimensionOutOfRangeError",
     "DimensionTooLargeError",
-    "DimensionTooSmallError",
     "EmptyInputError",
     "InternalCaseGapError",
     "NecessaryConditionViolationError",

@@ -235,14 +235,7 @@ def _print_matrix(r: Realization) -> None:
 def cmd_realize(ns: argparse.Namespace) -> int:
     sigma = _load_spectrum(ns)
     tol = _tolerances(ns)
-    try:
-        r = realize(sigma, ns.method, tol, ns.strategy, ns.budget, ns.seed)
-    except NecessaryConditionViolationError as e:
-        print(f"not realizable: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    except NotApplicableError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    r = realize(sigma, ns.method, tol, ns.strategy, ns.budget, ns.seed)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(matrix_to_csv(r.matrix))
@@ -303,17 +296,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 def cmd_explore(ns: argparse.Namespace) -> int:
     sigma = _load_spectrum(ns)
     tol = _tolerances(ns)
-    try:
-        require_necessary(sigma)
-        results = explorer_mod.explore(
-            sigma, strategy=ns.strategy, budget=ns.budget, seed=ns.seed, tol=tol
-        )
-    except NecessaryConditionViolationError as e:
-        print(f"not realizable: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    except NotApplicableError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    require_necessary(sigma)
+    results = explorer_mod.explore(
+        sigma, strategy=ns.strategy, budget=ns.budget, seed=ns.seed, tol=tol
+    )
     log = explorer_mod.results_to_jsonl(results)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -330,7 +316,10 @@ def cmd_explore(ns: argparse.Namespace) -> int:
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    sizes = tuple(int(tok) for tok in text.split(","))
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"matrix orders must be >= 1, got {text!r}")
+    return sizes
 
 
 def _build_parser() -> _Parser:
@@ -425,6 +414,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[ns.subcommand](ns)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_PARSE
+    # Both subclass ValueError, so they are caught before it.
+    except NecessaryConditionViolationError as e:
+        print(f"not realizable: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except NotApplicableError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

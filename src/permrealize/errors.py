@@ -29,10 +29,6 @@ class DimensionTooLargeError(RealizationError, ValueError):
     pass
 
 
-class DimensionTooSmallError(RealizationError, ValueError):
-    pass
-
-
 class NotApplicableError(RealizationError, ValueError):
     """The construction does not cover this spectrum; says nothing of realizability."""
 

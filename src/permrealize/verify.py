@@ -1,10 +1,12 @@
 """Certification of realizations without any general eigensolver.
 
-A certificate is assembled from four checks: entrywise nonnegativity,
-structure (the permutative blocks a realization records, if any),
-characteristic-polynomial coefficient matching against the target spectrum,
-and — when every recorded block has the alpha pattern — closed-form eigenpair
-residuals ||P v - d v||_inf together with the row-sum eigenpair P e = s e.
+A certificate is assembled from nonnegativity, structure (the permutative
+blocks a realization records, if any) and one spectral check.  When every
+recorded block has the alpha pattern and holds, the spectral check is the
+paper's closed form: eigenpair residuals ||P v - d v||_inf and the row-sum
+eigenpair P e = s e per block, at any n.  Any other matrix (companion
+matrices, search hits of other patterns, files given to verify) gets the
+exact characteristic-polynomial coefficient match up to a size limit.
 Checks that do not apply to a given realization are reported as
 not-applicable rather than silently passed, and a certificate on which
 neither spectral check (charpoly, eigenpairs) ran is inconclusive.
@@ -42,8 +44,10 @@ METHOD_SMALL_ORDER = "small-order"
 METHOD_COMPANION = "companion"
 METHOD_EXPLORER = "explorer-permutative"
 
-#: Largest order at which a float matrix gets the characteristic-polynomial
-#: check.  Float64 Faddeev-LeVerrier is numerically treacherous (its own
+#: Largest order at which a float matrix without alpha evidence (see
+#: certify) gets the characteristic-polynomial check; recorded alpha blocks
+#: are certified by their closed form at every order instead.
+#: Float64 Faddeev-LeVerrier is numerically treacherous (its own
 #: rounding noise reaches ~1e-9 relative by n = 9 even for a perfect
 #: matrix), so the check compares the exact coefficients of the matrix as
 #: stored (char_poly) with those of the exactly lifted target; the limit
@@ -265,14 +269,18 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     """Run every applicable check on a Realization; failures are reported.
 
     The structure check is strict for the blocks a realization records in
-    ``params["blocks"]`` (see _blocks_hold); when they hold and all have
-    the alpha pattern, closed-form eigenpair residuals run per block at
-    every size, direct sums included.  Without recorded blocks it is
+    ``params["blocks"]`` (see _blocks_hold).  Without recorded blocks it is
     informational — pass when the matrix decomposes into permutative
-    diagonal blocks, not-applicable otherwise.  The exact characteristic
-    polynomial is compared up to n = 30 in float mode (n = 64 in exact
-    mode; see CHARPOLY_FLOAT_CERTIFY_MAX_N).  When neither of those
-    spectral checks runs, the report's verdict is inconclusive, never pass.
+    diagonal blocks, not-applicable otherwise.  One spectral check runs:
+
+    - alpha evidence (recorded blocks that all have the alpha pattern and
+      hold): the closed-form eigenpair residuals per block, then the
+      blocks' eigenvalues against the target, at every size, direct sums
+      included; charpoly is not-applicable;
+    - otherwise, the exact characteristic polynomial against the target's,
+      up to n = 30 in float mode (n = 64 in exact mode; see
+      CHARPOLY_FLOAT_CERTIFY_MAX_N);
+    - otherwise neither runs, and the verdict is inconclusive, never pass.
 
     Nonnegativity, structure and the eigenpair residuals (by chunks of
     rows) are numpy operations over the n^2 entries, one code path for
@@ -303,30 +311,23 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
         )
         structure = CheckState.PASS if ok else CheckState.NOT_APPLICABLE
 
-    charpoly_limit = (
-        CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N
-    )
-    if n <= charpoly_limit:
-        # char_poly is exact for float entries too, so the comparison
-        # measures the matrix's true coefficient deviation, not float
-        # Faddeev-LeVerrier noise.
-        p = char_poly(M)
-        q = poly_from_roots(make_spectrum(r.target.values, exact=True))
-        charpoly = (
-            CheckState.PASS if polys_close(p, q, tol) else CheckState.FAIL
-        )
-        residuals.append(max_coeff_diff(p, q))
-    else:
-        charpoly = CheckState.NOT_APPLICABLE
-
+    charpoly = eig = CheckState.NOT_APPLICABLE
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
+        # The paper's closed form is the spectral evidence at every n: the
+        # alpha block with first row x has eigenvalues sum(x) and x_1 - x_i.
         eig = CheckState.PASS
         for res, band in _alpha_eigensystem_residuals(A, blocks, r.target, tol):
             residuals.append(float_or_inf(res))
             if res > band:
                 eig = CheckState.FAIL
-    else:
-        eig = CheckState.NOT_APPLICABLE
+    elif n <= (CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N):
+        # char_poly is exact for float entries too, so the comparison
+        # measures the matrix's true coefficient deviation, not float
+        # Faddeev-LeVerrier noise.
+        p = char_poly(M)
+        q = poly_from_roots(make_spectrum(r.target.values, exact=True))
+        charpoly = CheckState.PASS if polys_close(p, q, tol) else CheckState.FAIL
+        residuals.append(max_coeff_diff(p, q))
 
     return VerificationReport(
         nonneg_ok=nonneg,

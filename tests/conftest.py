@@ -10,7 +10,6 @@ import pytest
 from permrealize import (
     DenseMatrix,
     DimensionOutOfRangeError,
-    DimensionTooSmallError,
     InternalCaseGapError,
     NecessaryConditionViolationError,
     NotSuleimanovaError,
@@ -54,6 +53,17 @@ def random_suleimanova(
     return make_spectrum(random_suleimanova_values(rng, n, scale))
 
 
+def wide_spread_suleimanova_text(n: int, head_exponent: int) -> str:
+    """A float Suleimanova spectrum as CLI text, seeded by (n, head_exponent):
+    head 10^h and n - 1 negatives at head / n times 10^-u, u uniform in
+    [0, h], so the negatives spread over up to as many decades as the
+    head's exponent and the trace stays positive."""
+    rng = np.random.default_rng([n, head_exponent])
+    head = 10.0**head_exponent
+    tail = -head / n * 10.0 ** -rng.uniform(0, head_exponent, size=n - 1)
+    return ",".join(repr(float(v)) for v in (head, *tail))
+
+
 def _diag_sum(arr: np.ndarray):
     # numpy scalars keep sum() on plain additions on every Python version:
     # its compensated float path (3.12 on) needs an exact float start.
@@ -85,7 +95,7 @@ def float_char_poly_reference(A: np.ndarray) -> tuple:
 def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
     """The bordered matrix M_n = [[1, e^T], [e, -I]] (n >= 2)."""
     if n < 2:
-        raise DimensionTooSmallError(f"mn_matrix needs n >= 2, got {n}")
+        raise ValueError(f"mn_matrix needs n >= 2, got {n}")
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
     rows = [[one] * n]
@@ -100,7 +110,7 @@ def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
 def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     """Closed-form inverse (1/n) [[1, e^T], [e, J - nI]] of mn_matrix(n)."""
     if n < 2:
-        raise DimensionTooSmallError(f"mn_inverse needs n >= 2, got {n}")
+        raise ValueError(f"mn_inverse needs n >= 2, got {n}")
     if exact:
         inv_n = Fraction(1, n)
         diag = Fraction(1 - n, n)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import wide_spread_suleimanova_text
 from permrealize import (
     Realization,
     as_realization,
@@ -347,8 +348,9 @@ def test_round_trip_realize_then_verify(tmp_path, capsys):
 
 
 def test_round_trip_survives_large_n(tmp_path, capsys):
-    # n = 30 is within the float charpoly limit, so the exact polynomial
-    # check of the realized matrix, as written and read back, backs exit 0.
+    # realize certifies its alpha blocks by their closed form; a file
+    # records no blocks, so at n = 30 (the float charpoly limit) verify
+    # backs exit 0 with the exact polynomial of the matrix as read back.
     values = ",".join(["30"] + ["-1"] * 29)
     out_file = tmp_path / "m30.csv"
     assert run(capsys, "realize", values, "--out", str(out_file))[0] == 0
@@ -603,6 +605,13 @@ def test_bench_smoke(capsys):
     assert "note" in obj
 
 
+@pytest.mark.parametrize("sizes", ["0", "4,-2"])
+def test_bench_orders_below_1_are_usage_errors(capsys, sizes):
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert (code, out) == (1, "")
+    assert "matrix orders must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # consecutive calls in one process
 # ---------------------------------------------------------------------------
@@ -720,10 +729,31 @@ def test_realize_near_the_float_limit_passes_without_warnings(spectrum):
     assert p.returncode == 0, p.stderr
     assert p.stderr == ""
     cert = json.loads(p.stdout)["certificate"]
+    assert cert["charpoly"] == "not-applicable"
     assert cert["eigenpairs"] == "pass"
     assert cert["verdict"] == "pass"
-    if cert["charpoly"] == "not-applicable":
-        assert math.isfinite(cert["max_residual"])
+    assert math.isfinite(cert["max_residual"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])
+def test_wide_spread_suleimanova_spectra_pass(capsys, n):
+    # The closed form is the spectral check at every order and exponent
+    # spread; a coefficient comparison would fail such matrices at n <= 30.
+    for h in (0, 8, 12, 16, 50, 100, 200, 300):
+        text = wide_spread_suleimanova_text(n, h)
+        code, out, err = run(capsys, "realize", text, "--format", "json")
+        assert (code, err) == (0, ""), (n, h)
+        cert = json.loads(out)["certificate"]
+        assert (cert["charpoly"], cert["eigenpairs"]) == ("not-applicable", "pass")
+
+
+@pytest.mark.parametrize("n", [4, 12, 30, 31, 64])
+def test_wide_spread_float_and_exact_agree(capsys, n):
+    for h in (12, 300):
+        text = wide_spread_suleimanova_text(n, h)
+        codes = [run(capsys, "realize", text, "--format", "csv", *flag)[0]
+                 for flag in ((), ("--exact",))]
+        assert codes == [0, 0], (n, h)
 
 
 @pytest.mark.parametrize("spectrum", ["3,1,1,1,-3.5", "3,-1,-1,-1,-1"])

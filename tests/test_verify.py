@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_suleimanova
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -163,7 +165,8 @@ def test_certify_full_pass(sigma_integer_example):
     assert report.passed
     assert report.nonneg_ok is CheckState.PASS
     assert report.structure_ok is CheckState.PASS
-    assert report.charpoly_ok is CheckState.PASS
+    # The closed form is the spectral check of recorded alpha blocks.
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE
     assert report.eigenpair_ok is CheckState.PASS
     assert report.max_residual == 0.0
 
@@ -223,6 +226,27 @@ def test_certify_unknown_method_passes_block_permutative():
     report = certify(r)
     assert report.structure_ok is CheckState.PASS
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [12, 30, 31, 64])
+def test_certify_perturbed_alpha_realization_fails(n):
+    r = realize_suleimanova(random_suleimanova(np.random.default_rng(n), n))
+    report = certify(r)
+    assert report.verdict is Verdict.PASS
+    band = report.tolerances.band(max(1.0, r.matrix.max_abs()))
+    data = r.matrix.data.copy()
+    data[n // 2, 1] += 4 * band
+    report = certify(replace(r, matrix=DenseMatrix(data)))
+    assert report.structure_ok is CheckState.FAIL
+    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert report.verdict is Verdict.FAIL
+    # The right matrix against a wrong target fails the closed form.
+    values = list(r.target.values)
+    values[-1] -= 4 * report.tolerances.band(r.target.scale())
+    report = certify(replace(r, target=make_spectrum(values)))
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE
+    assert report.eigenpair_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
 
 
 def test_certify_charpoly_gate_beyond_float_limit():
@@ -342,7 +366,7 @@ def test_certify_recorded_direct_sum_passes_through_eigenpairs():
     report = certify(Realization(matrix=DenseMatrix(data), method="",
                                  target=sigma, params={"blocks": blocks}))
     assert report.structure_ok is CheckState.PASS
-    assert report.charpoly_ok is CheckState.NOT_APPLICABLE  # n = 40 > 30
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE  # alpha evidence
     assert report.eigenpair_ok is CheckState.PASS
     assert report.verdict is Verdict.PASS
 

@@ -1,7 +1,9 @@
 """Fingerprint the CLI's output on every benchmark op, and diff two fingerprints.
 
 Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
-1-3 through ``permrealize.cli.main`` in this process, and each realize op
+1-3, and a fixed list of float Suleimanova spectra whose negatives spread
+over many decades (WIDE_SPREAD, realized in float and ``--exact`` mode),
+through ``permrealize.cli.main`` in this process, and each realize op
 once more with ``--format pretty`` and once with ``--format csv``; the
 realize ops' own runs also get ``--out FILE``.  Each verify op runs once
 more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
@@ -10,7 +12,8 @@ first row, which the float CSV reader leaves to its line-by-line path, and
 CRLF line ends, which the CLI's text-mode read turns into newlines.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
-seed, op index and run name (format or CSV edit), and writes them as
+seed, op index and run name (format or CSV edit; the wide-spread ops
+are keyed ``wide-spread:<index>:<run name>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
 
@@ -35,6 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
@@ -42,6 +47,23 @@ from permrealize.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2, 3)
 RERUN_FORMATS = ("pretty", "csv")
+
+
+def _wide_spread(n: int, head_exponent: int) -> str:
+    """Head 10^h and n - 1 negatives at head / n times 10^-u, u uniform in
+    [0, h] (seeded by n and h): the trace stays positive."""
+    rng = np.random.default_rng([n, head_exponent])
+    head = 10.0**head_exponent
+    tail = -head / n * 10.0 ** -rng.uniform(0, head_exponent, size=n - 1)
+    return ",".join(repr(float(v)) for v in (head, *tail))
+
+
+WIDE_SPREAD = [
+    ("realize", text, "--format", "json", *mode)
+    for text in ["1e10,-1e6,-1,-1e-3"]
+    + [_wide_spread(n, h) for n in (4, 12, 30, 31) for h in (8, 16, 100, 300)]
+    for mode in ((), ("--exact",))
+]
 
 
 def _last_entry(text: str, token: str) -> str:
@@ -82,17 +104,31 @@ def _with_format(argv, fmt: str) -> list[str]:
     return argv
 
 
+def _realize_runs(argv, out_file: Path) -> list:
+    runs = [("default", (*argv, "--out", str(out_file)))]
+    return runs + [(f, _with_format(argv, f)) for f in RERUN_FORMATS]
+
+
 def fingerprint() -> dict:
     """{key: {"argv", "exit", "stdout", "stderr", "out"}} for every run."""
     records = {}
+
+    def record(prefix, runs, workdir, out_file):
+        for fmt, argv in runs:
+            shown = [a.replace(workdir, "<workdir>") for a in argv]
+            records[f"{prefix}:{fmt}"] = {"argv": shown, **_run(argv, out_file)}
+
+    with tempfile.TemporaryDirectory() as workdir:
+        out_file = Path(workdir) / "out.csv"
+        for i, argv in enumerate(WIDE_SPREAD):
+            record(f"wide-spread:{i}", _realize_runs(argv, out_file), workdir, out_file)
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
                 out_file = Path(workdir) / "out.csv"
                 for i, op in enumerate(workloads.make_ops(workload, seed, workdir)):
                     if op.kind == "realize":
-                        runs = [("default", (*op.argv, "--out", str(out_file)))]
-                        runs += [(f, _with_format(op.argv, f)) for f in RERUN_FORMATS]
+                        runs = _realize_runs(op.argv, out_file)
                     else:
                         runs = [("default", op.argv)]
                     if op.kind == "verify":
@@ -103,10 +139,7 @@ def fingerprint() -> dict:
                             argv = list(op.argv)
                             argv[argv.index(op.matrix_path)] = str(path)
                             runs.append((f"csv-{name}", argv))
-                    for fmt, argv in runs:
-                        shown = [a.replace(workdir, "<workdir>") for a in argv]
-                        record = {"argv": shown, **_run(argv, out_file)}
-                        records[f"{workload}:{seed}:{i}:{fmt}"] = record
+                    record(f"{workload}:{seed}:{i}", runs, workdir, out_file)
     return records
 
 
