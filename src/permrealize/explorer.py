@@ -9,6 +9,12 @@ sum of squared characteristic-coefficient mismatches, which vanishes
 exactly when the matrix realizes the target.  Failure to reach zero proves
 nothing (the search is local and budgeted); near-exact hits are re-checked
 through the strict certification path before being reported as realized.
+
+The descent evaluates its candidate moves in batches: one stacked float
+Faddeev-LeVerrier call (linalg.char_poly_coeffs on an (m, n, n) stack)
+scores up to one sweep's worth of moves at once, and the results are
+walked in the order a one-at-a-time search would try them, so its steps,
+logs and budgets are the same as evaluating each move on its own.
 """
 
 from __future__ import annotations
@@ -149,19 +155,23 @@ def objective(pt: PermTuple, x, sigma: Spectrum) -> float:
             f"spectrum size {sigma.n} != pattern size {pt.n}"
         )
     # Row 0 of the assembled matrix is x as float64: p_0 is the identity.
-    return _make_objective(pt, sigma)(assemble(pt, x).data[0])
+    return float(_make_objective(pt, sigma)(assemble(pt, x).data[:1])[0])
 
 
 def _make_objective(
     pt: PermTuple, sigma: Spectrum
-) -> Callable[[np.ndarray], float]:
-    """The objective of pt against sigma as a function of a float64 first row."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The objective of pt against sigma on a stack of float64 first rows.
+
+    Takes an (m, n) array and returns the m objectives, from one stacked
+    char_poly_coeffs call; each row's sum equals np.sum of that row alone.
+    """
     target, w = _weights(sigma)
     idx = pt.index
 
-    def f(x: np.ndarray) -> float:
-        coeffs = np.array(char_poly_coeffs(x[idx])[:-1], dtype=np.float64)
-        return float(np.sum(w * (coeffs - target) ** 2))
+    def f(X: np.ndarray) -> np.ndarray:
+        coeffs = char_poly_coeffs(X[:, idx])[:, :-1]
+        return np.sum(w * (coeffs - target) ** 2, axis=1)
 
     return f
 
@@ -199,31 +209,60 @@ def fit_first_row(
     evals = 0
 
     def descend(x0: np.ndarray) -> tuple[float, np.ndarray]:
+        """Coordinate descent from x0, evaluated a batch of moves per call.
+
+        A sweep has 2n slots: slot s moves coordinate s // 2 by +step (s
+        even) or -step (s odd), clamped at zero, and a move that changes
+        nothing is skipped.  A sweep that improves nothing halves the step,
+        and the descent ends once the step falls to 1e-14 * scale.
+
+        The moves the search would take next if it accepted none of them,
+        the rest of this sweep and then the next sweep's at that sweep's
+        step, up to 2n and the evaluations left, are evaluated in one
+        stacked call from the current x.  The results are walked in that
+        order, each counting as one evaluation: the first improvement is
+        accepted and the rest are dropped, and the next batch starts at
+        the slot after it, built from the new x.  So the search takes the
+        same steps, with the same values, as one evaluation at a time.
+        """
         nonlocal evals
         x = np.maximum(x0, 0.0)
-        best = f(x)
+        best = float(f(x[None])[0])
         evals += 1
-        step = 0.5 * scale
-        while step > 1e-14 * scale and evals < iters and best > CONVERGED:
-            improved = False
-            for i in range(n):
-                for delta in (step, -step):
-                    cand = max(0.0, x[i] + delta)
-                    if cand == x[i]:
-                        continue
-                    old = x[i]
+        # The cursor: the sweep's step, whether the sweep has improved x
+        # yet, and the sweep's next slot.
+        step, improved, slot = 0.5 * scale, False, 0
+        while evals < iters and best > CONVERGED:
+            # The batch advances the cursor past its moves, which is where
+            # the search stands after them if it accepts none.
+            xs = x.tolist()
+            moves = []  # (step, slot, coordinate, candidate)
+            limit = min(2 * n, iters - evals)
+            while len(moves) < limit:
+                if slot == 2 * n:
+                    step, improved, slot = (step if improved else 0.5 * step), False, 0
+                if not step > 1e-14 * scale:
+                    break
+                i = slot // 2
+                cand = max(0.0, xs[i] + (-step if slot % 2 else step))
+                if cand != xs[i]:
+                    moves.append((step, slot, i, cand))
+                slot += 1
+            if not moves:
+                break
+            X = np.repeat(x[None], len(moves), axis=0)
+            X[range(len(moves)), [mv[2] for mv in moves]] = [mv[3] for mv in moves]
+            for (st, s, i, cand), val in zip(moves, f(X).tolist()):
+                evals += 1
+                accepted = val < best
+                if accepted:
+                    best = val
                     x[i] = cand
-                    val = f(x)
-                    evals += 1
-                    if val < best:
-                        best = val
-                        improved = True
-                    else:
-                        x[i] = old
-                    if evals >= iters or best <= CONVERGED:
-                        return best, x
-            if not improved:
-                step *= 0.5
+                if evals >= iters or best <= CONVERGED:
+                    return best, x
+                if accepted:
+                    step, improved, slot = st, True, s + 1
+                    break
         return best, x
 
     warm = np.maximum(

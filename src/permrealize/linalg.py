@@ -376,16 +376,23 @@ class Polynomial:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
 
-def _check_char_poly_order(A: np.ndarray) -> None:
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSquareError(
-            f"characteristic polynomial needs a square matrix, got shape "
-            f"{A.shape}"
+def _check_char_poly_order(A: np.ndarray, stack: bool = False) -> None:
+    """Refuse what char_poly_coeffs (stack=True) or char_poly cannot take."""
+    if stack and A.ndim == 3 and A.dtype == object:
+        raise TypeError(
+            "char_poly_coeffs takes a stack of float matrices only; exact "
+            "(object) entries go one 2-D matrix at a time"
         )
-    if A.shape[0] > CHAR_POLY_MAX_N:
+    ndims = (2, 3) if stack else (2,)
+    if A.ndim not in ndims or A.shape[-1] != A.shape[-2]:
+        raise NotSquareError(
+            f"characteristic polynomial needs a square matrix"
+            f"{' or a stack of them' if stack else ''}, got shape {A.shape}"
+        )
+    if A.shape[-1] > CHAR_POLY_MAX_N:
         raise DimensionTooLargeError(
             f"char_poly is limited to n <= {CHAR_POLY_MAX_N}, got "
-            f"{A.shape[0]}"
+            f"{A.shape[-1]}"
         )
 
 
@@ -397,35 +404,55 @@ def _float_eye(n: int) -> np.ndarray:
     return eye
 
 
-def char_poly_coeffs(A: np.ndarray) -> tuple[Scalar, ...]:
+def char_poly_coeffs(A: np.ndarray) -> Union[tuple[Scalar, ...], np.ndarray]:
     """Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending.
 
-    Works directly on a square array, for search loops that avoid wrapper
-    overhead: an object array of Fractions gets the exact coefficients of
-    char_poly; a float64 array runs the recurrence in float64, whose
-    rounding the explorer's search trajectories inherit and which is
-    therefore fixed: one np.dot per step, each trace summed left to right
-    from the first diagonal entry by plain float additions (not sum(),
-    which compensates float sums from Python 3.12 on), and B + c * I, not
-    an in-place diagonal add, whose off-diagonal b + 0.0 (inf * 0.0 is
-    nan) decides convergence on overflowing first rows.
+    Works directly on arrays, for search loops that avoid wrapper
+    overhead.  An object array of Fractions gets the exact coefficients of
+    char_poly, as a tuple.  A float stack (m, n, n) gets an (m, n + 1)
+    float64 array, one row per matrix; a 2-D float matrix is the stack of
+    one and gets that row as a tuple of floats.
+
+    The float recurrence runs on the whole stack at once, a few numpy calls
+    per step whatever m is, and its rounding is fixed, since the explorer's
+    search trajectories inherit it: each trace is summed left to right from
+    the first diagonal entry by plain float additions (np.add.accumulate,
+    not np.sum's pairwise sum, nor sum(), which compensates float sums from
+    Python 3.12 on); B + c * I is c * I written out and then added, not an
+    in-place diagonal add, whose off-diagonal b + 0.0 (inf * 0.0 is nan)
+    decides convergence on overflowing first rows; and the product is one
+    matmul, one dgemm per matrix as np.dot runs it.  Each matrix's
+    coefficients are those of its own recurrence: a matrix that overflows
+    leaves the others in its stack unchanged.
     """
-    _check_char_poly_order(A)
+    _check_char_poly_order(A, stack=True)
     if A.dtype == object:
         return _exact_char_poly_coeffs(A)
-    n = A.shape[0]
+    A = np.asarray(A, dtype=np.float64)
+    coeffs = _float_char_poly_stack(A[None] if A.ndim == 2 else A)
+    return tuple(coeffs[0].tolist()) if A.ndim == 2 else coeffs
+
+
+def _float_char_poly_stack(A: np.ndarray) -> np.ndarray:
+    m, n = A.shape[0], A.shape[-1]
     eye = _float_eye(n)
-    coeffs: list[Scalar] = [1.0] * (n + 1)
+    coeffs = np.ones((m, n + 1))
+    # column j of coeffs as an (m, 1, 1) view, to scale the stacked I by
+    cols = coeffs[:, :, None, None]
+    # running sums along the diagonals; their last column is the traces
+    sums = np.empty((m, n))
+    tr = sums[:, -1:, None]
+    S = np.empty_like(A)
+    P = np.empty_like(A)
     B = A
     for k in range(1, n + 1):
-        d = B.diagonal().tolist()
-        tr = d[0]
-        for v in d[1:]:
-            tr += v
-        coeffs[n - k] = -tr / k
+        np.add.accumulate(B.diagonal(0, 1, 2), 1, out=sums)
+        c = np.divide(tr, -float(k), out=cols[:, n - k])
         if k < n:
-            B = np.dot(A, B + coeffs[n - k] * eye)
-    return tuple(coeffs)
+            np.multiply(c, eye, out=S)
+            np.add(B, S, out=S)
+            B = np.matmul(A, S, out=P)
+    return coeffs
 
 
 def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:

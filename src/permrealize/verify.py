@@ -4,9 +4,10 @@ A certificate is assembled from nonnegativity, structure (the permutative
 blocks a realization records, if any) and one spectral check.  When every
 recorded block has the alpha pattern and holds, the spectral check is the
 paper's closed form: eigenpair residuals ||P v - d v||_inf and the row-sum
-eigenpair P e = s e per block, at any n.  Any other matrix (companion
-matrices, search hits of other patterns, files given to verify) gets the
-exact characteristic-polynomial coefficient match up to a size limit.
+eigenpair P e = s e per block, at any n; a float matrix that is bit for bit
+one alpha block counts as recorded.  Any other matrix (companion matrices,
+search hits of other patterns, other files given to verify) gets the exact
+characteristic-polynomial coefficient match up to a size limit.
 Checks that do not apply to a given realization are reported as
 not-applicable rather than silently passed, and a certificate on which
 neither spectral check (charpoly, eigenpairs) ran is inconclusive.
@@ -27,6 +28,8 @@ from .linalg import (
     CHAR_POLY_MAX_N,
     DenseMatrix,
     PermTuple,
+    _alpha_first_row,
+    alpha_tuple,
     char_poly,
     closed_eigensystem_residuals,
     is_nonnegative,
@@ -269,9 +272,13 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     """Run every applicable check on a Realization; failures are reported.
 
     The structure check is strict for the blocks a realization records in
-    ``params["blocks"]`` (see _blocks_hold).  Without recorded blocks it is
-    informational — pass when the matrix decomposes into permutative
-    diagonal blocks, not-applicable otherwise.  One spectral check runs:
+    ``params["blocks"]`` (see _blocks_hold).  A float64 matrix without
+    recorded blocks that is bit for bit the alpha layout of its first row
+    (linalg._alpha_first_row; a file given to verify, say) counts as that
+    one recorded alpha block.  Without recorded blocks otherwise, the
+    structure check is informational — pass when the matrix decomposes into
+    permutative diagonal blocks, not-applicable otherwise.  One spectral
+    check runs:
 
     - alpha evidence (recorded blocks that all have the alpha pattern and
       hold): the closed-form eigenpair residuals per block, then the
@@ -302,6 +309,11 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     if blocks:
         ok = _blocks_hold(A, blocks, entry_band)
         structure = CheckState.PASS if ok else CheckState.FAIL
+    elif _alpha_first_row(A) is not None:
+        # A matrix file records no blocks: one that is bit for bit the alpha
+        # layout of its first row holds as that one alpha block.
+        blocks = [(0, alpha_tuple(n))]
+        structure = CheckState.PASS
     else:
         # No recorded structure: report permutative block structure when
         # present, but do not fail a matrix that never claimed it.

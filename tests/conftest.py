@@ -85,6 +85,77 @@ def float_char_poly_reference(A: np.ndarray) -> tuple:
     return tuple(coeffs)
 
 
+def float_char_poly_stack_reference(A: np.ndarray) -> np.ndarray:
+    """float_char_poly_reference of each matrix of an (m, n, n) stack, as
+    the (m, n + 1) array that char_poly_coeffs returns for a stack."""
+    return np.array([float_char_poly_reference(a) for a in A]).reshape(
+        len(A), A.shape[-1] + 1
+    )
+
+
+def reference_fit_first_row(pt, sigma, seed=0, iters=5000):
+    """explorer.fit_first_row as it ran before its moves were batched: one
+    objective evaluation at a time, each through float_char_poly_reference.
+    The batched descent must take the same steps and return the same x and
+    objective, bit for bit."""
+    from permrealize.explorer import CONVERGED, SearchResult, _weights
+    from permrealize.suleimanova import suleimanova_first_row
+
+    n = sigma.n
+    target, w = _weights(sigma)
+    idx = pt.index
+
+    def f(x):
+        coeffs = np.array(float_char_poly_reference(x[idx])[:-1], dtype=np.float64)
+        return float(np.sum(w * (coeffs - target) ** 2))
+
+    scale = max(1.0, float(sigma.spectral_radius))
+    rng = np.random.default_rng(seed)
+    evals = 0
+
+    def descend(x0):
+        nonlocal evals
+        x = np.maximum(x0, 0.0)
+        best = f(x)
+        evals += 1
+        step = 0.5 * scale
+        while step > 1e-14 * scale and evals < iters and best > CONVERGED:
+            improved = False
+            for i in range(n):
+                for delta in (step, -step):
+                    cand = max(0.0, x[i] + delta)
+                    if cand == x[i]:
+                        continue
+                    old = x[i]
+                    x[i] = cand
+                    val = f(x)
+                    evals += 1
+                    if val < best:
+                        best = val
+                        improved = True
+                    else:
+                        x[i] = old
+                    if evals >= iters or best <= CONVERGED:
+                        return best, x
+            if not improved:
+                step *= 0.5
+        return best, x
+
+    warm = np.maximum(
+        np.array(suleimanova_first_row(sigma), dtype=np.float64), 0.0
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_val, best_x = descend(warm)
+        while evals < iters and best_val > CONVERGED:
+            start = rng.random(n) * 2.0 * scale
+            val, x = descend(start)
+            if val < best_val:
+                best_val, best_x = val, x
+    return SearchResult(
+        tuple=pt, x=tuple(float(v) for v in best_x), objective=best_val
+    )
+
+
 # ---------------------------------------------------------------------------
 # References: the paper's bordered matrix M_n (M_n x = lambda for the alpha
 # first row x) with its closed-form inverse, and polynomial evaluation and

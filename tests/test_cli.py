@@ -756,6 +756,56 @@ def test_wide_spread_float_and_exact_agree(capsys, n):
         assert codes == [0, 0], (n, h)
 
 
+def _verify_json(capsys, text, path, *flags):
+    code, out, err = run(capsys, "verify", text, "--matrix", str(path),
+                         "--format", "json", *flags)
+    assert err == ""
+    cert = json.loads(out)
+    return code, (cert["charpoly"], cert["eigenpairs"])
+
+
+def test_verify_passes_the_csv_realize_wrote(capsys, tmp_path):
+    # A matrix file records no blocks; realize's CSV is the alpha layout of
+    # its first row bit for bit, so verify certifies it by the closed form.
+    path = tmp_path / "m.csv"
+    text = "1e10,-1e6,-1,-1e-3"
+    assert run(capsys, "realize", text, "--out", str(path))[0] == 0
+    assert run(capsys, "verify", text, "--matrix", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])
+def test_wide_spread_verify_round_trip(capsys, tmp_path, n):
+    path = tmp_path / "m.csv"
+    for h in (0, 12, 100, 300):
+        text = wide_spread_suleimanova_text(n, h)
+        code, _, _ = run(capsys, "realize", text, "--format", "csv", "--out", str(path))
+        assert code == 0, (n, h)
+        assert _verify_json(capsys, text, path) == (0, ("not-applicable", "pass")), (n, h)
+        if n <= 16:
+            # Exact mode reads the file's decimal texts as Fractions: no
+            # alpha evidence there, so the exact charpoly stays its check.
+            _, checks = _verify_json(capsys, text, path, "--exact")
+            assert checks[1] == "not-applicable" != checks[0], (n, h)
+
+
+@pytest.mark.parametrize("n", [4, 12, 30, 31, 64])
+def test_verify_of_an_alpha_file_one_ulp_off_takes_the_charpoly_path(capsys, tmp_path, n):
+    # One entry one ulp off is not the alpha layout bit for bit: the exact
+    # charpoly runs up to n = 30, and beyond it no spectral check does.
+    text = wide_spread_suleimanova_text(n, 8)
+    path = tmp_path / "m.csv"
+    assert run(capsys, "realize", text, "--format", "csv", "--out", str(path))[0] == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[n - 1][n // 2] = repr(math.nextafter(float(rows[n - 1][n // 2]), math.inf))
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    code, (charpoly, eigenpairs) = _verify_json(capsys, text, path)
+    assert eigenpairs == "not-applicable"
+    if n <= 30:
+        assert charpoly != "not-applicable"
+    else:
+        assert (code, charpoly) == (3, "not-applicable")
+
+
 @pytest.mark.parametrize("spectrum", ["3,1,1,1,-3.5", "3,-1,-1,-1,-1"])
 def test_explore_runs_the_feasibility_gate_first(monkeypatch, capsys, spectrum):
     def refuse(*args, **kwargs):

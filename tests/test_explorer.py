@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import float_char_poly_reference, random_suleimanova
+from conftest import (
+    float_char_poly_stack_reference,
+    random_suleimanova,
+    reference_fit_first_row,
+)
 from permrealize import (
     DimensionMismatchError,
     DimensionOutOfRangeError,
@@ -195,9 +199,58 @@ def test_explore_logs_match_reference_kernel(strategy, monkeypatch):
             args = dict(strategy=strategy, budget=400 * n, seed=seed)
             new = results_to_jsonl(explore(sigma, **args))
             with monkeypatch.context() as m:
-                m.setattr(explorer, "char_poly_coeffs", float_char_poly_reference)
+                m.setattr(
+                    explorer, "char_poly_coeffs", float_char_poly_stack_reference
+                )
                 ref = results_to_jsonl(explore(sigma, **args))
             assert new == ref, (strategy, n, sigma.values, seed)
+
+
+def _descent_targets(n: int):
+    """A Suleimanova spectrum (the alpha tuple converges on it); one with
+    two positive values, which at n >= 4 is 1, 1 and negatives summing to
+    -2, none of whose subsets sums to -1, so not realizable; and one whose
+    largest coefficient is near 1e150, so squared mismatches reach the
+    float range."""
+    yield random_suleimanova(np.random.default_rng(n), n, scale=5.0)
+    if n <= 3:
+        yield make_spectrum([1.0, 0.6, -0.9][:n])
+    else:
+        neg = [-2.0 / (n - 2) - 0.01 * k for k in range(n - 3)]
+        yield make_spectrum([1.0, 1.0, -2.0 - sum(neg)] + neg)
+    head = 10.0 ** (150 / n)
+    yield make_spectrum([head] + [-head * 2 * (k + 1) / n**2 for k in range(n - 1)])
+
+
+def _hex(result):
+    return [float.hex(v) for v in result.x] + [float.hex(result.objective)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_batched_descent_matches_sequential_reference(strategy, monkeypatch):
+    # fit_first_row evaluates a batch of moves per call and walks the
+    # results in order; it must take the steps of the one-at-a-time
+    # descent, including budgets that end mid-sweep and converging hits.
+    converged = 0
+    for n in range(2, 9):
+        for sigma in _descent_targets(n):
+            for budget in sorted({1, 2, 3, 2 * n + 1, 7 * n + 3, 400 * n}):
+                args = dict(strategy=strategy, budget=budget, seed=n)
+                new = explore(sigma, **args)
+                with monkeypatch.context() as m:
+                    m.setattr(explorer, "fit_first_row", reference_fit_first_row)
+                    ref = explore(sigma, **args)
+                assert results_to_jsonl(new) == results_to_jsonl(ref), (
+                    strategy, n, sigma.values, budget,
+                )
+                converged += any(r.certified for r in new)
+            pt = cyclic_tuple(n) if strategy == "cyclic" else alpha_tuple(n)
+            for iters in (1, 2, 2 * n, 2 * n + 1, 5 * n + 2, 400):
+                got = fit_first_row(pt, sigma, seed=7, iters=iters)
+                ref = reference_fit_first_row(pt, sigma, seed=7, iters=iters)
+                assert _hex(got) == _hex(ref), (strategy, n, sigma.values, iters)
+    if strategy == "alpha":
+        assert converged
 
 
 def test_explore_size_guard():

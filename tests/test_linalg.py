@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import eval_poly, float_char_poly_reference, poly_mul
+from conftest import (
+    eval_poly,
+    float_char_poly_reference,
+    float_char_poly_stack_reference,
+    poly_mul,
+)
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -391,6 +396,68 @@ def test_char_poly_coeffs_float_trace_is_plain_left_to_right_sum():
     A = np.diag([1.0, 1e16, -1e16])
     assert float.hex(char_poly_coeffs(A)[2]) == float.hex(-0.0)
     assert float.hex(float_char_poly_reference(A)[2]) == float.hex(-0.0)
+
+
+def _hexes(coeffs) -> list[str]:
+    return [float.hex(float(c)) for c in coeffs]
+
+
+def test_char_poly_coeffs_stack_slices_match_2d_call_and_reference():
+    by_order: dict[int, list[np.ndarray]] = {}
+    for A in _float_kernel_inputs():
+        by_order.setdefault(A.shape[0], []).append(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, mats in by_order.items():
+            for m in (1, 2, 2 * n):
+                for start in range(0, len(mats), m):
+                    stack = np.stack([mats[(start + j) % len(mats)] for j in range(m)])
+                    for S in (stack, stack.transpose(0, 2, 1)):
+                        got = char_poly_coeffs(S)
+                        assert got.shape == (m, n + 1)
+                        ref = float_char_poly_stack_reference(S)
+                        for row, A, r in zip(got, S, ref):
+                            assert _hexes(row) == _hexes(char_poly_coeffs(A))
+                            assert _hexes(row) == _hexes(r)
+
+
+def test_char_poly_coeffs_stack_keeps_each_slice_to_itself():
+    # -0.0 trace, inf and nan entries, and a slice whose products overflow
+    # (its c * I then holds inf * 0.0 = nan): each row is its slice's own
+    # recurrence, whatever sits next to it in the stack.
+    rng = np.random.default_rng(11)
+    n = 4
+    finite = [rng.standard_normal((n, n)) for _ in range(3)]
+    neg_zero = np.full((n, n), -0.0)
+    with_inf = finite[0].copy()
+    with_inf[1, 2] = np.inf
+    with_nan = finite[1].copy()
+    with_nan[3, 0] = np.nan
+    overflow = np.ones((n, n)) + np.diag(np.full(n, 1e308))
+    odd = [neg_zero, with_inf, with_nan, overflow]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = char_poly_coeffs(np.stack(finite))
+        mixed = char_poly_coeffs(np.stack([finite[0], overflow, finite[1], with_inf,
+                                           neg_zero, with_nan, finite[2]]))
+        for got, want in zip(mixed[[0, 2, 6]], alone):
+            assert _hexes(got) == _hexes(want)
+        for got, A in zip(mixed[[4, 3, 5, 1]], odd):
+            assert _hexes(got) == _hexes(float_char_poly_reference(A))
+        assert _hexes(mixed[4][n - 1 : n]) == [float.hex(0.0)]  # -(-0.0) / 1
+        assert np.isnan(mixed[[1, 3, 5], 0]).all()
+    assert np.isfinite(alone).all()
+
+
+def test_char_poly_coeffs_stack_guards():
+    with pytest.raises(NotSquareError, match="stack"):
+        char_poly_coeffs(np.zeros((2, 3, 4)))
+    with pytest.raises(NotSquareError):
+        char_poly_coeffs(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(DimensionTooLargeError, match="n <= 64"):
+        char_poly_coeffs(np.zeros((2, 65, 65)))
+    exact = np.empty((2, 2, 2), dtype=object)
+    exact[:] = Fraction(1)
+    with pytest.raises(TypeError, match="float"):
+        char_poly_coeffs(exact)
 
 
 def test_poly_from_roots_known():

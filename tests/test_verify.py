@@ -267,9 +267,17 @@ def _alpha_matrix_at(n):
     return realize_suleimanova(sigma).matrix, sigma
 
 
+def _reversed(M: DenseMatrix) -> DenseMatrix:
+    """Q M Q^T for the order-reversing permutation Q: the same entries and
+    spectrum, but not the alpha layout of its first row, so certify has no
+    alpha evidence for it."""
+    return DenseMatrix(M.data[::-1, ::-1].copy())
+
+
 def test_certify_charpoly_at_float_limit():
     n = CHARPOLY_FLOAT_CERTIFY_MAX_N
     M, sigma = _alpha_matrix_at(n)
+    M = _reversed(M)
     # Unknown origin, so the polynomial is the only spectral check.
     report = certify(Realization(matrix=M, method="", target=sigma))
     assert report.charpoly_ok is CheckState.PASS
@@ -286,9 +294,12 @@ def test_certify_charpoly_at_float_limit():
 
 def test_certify_charpoly_beyond_float_range():
     # c_0 is near 1e360 here: the comparison must stay exact, not overflow.
+    # Distinct negatives: with equal ones the alpha matrix is (x_0 - y) I +
+    # y J, which every relabeling leaves the alpha layout.
     n = 30
-    sigma = make_spectrum([1e12 * n] + [-1e12] * (n - 1))
-    M = realize_suleimanova(sigma).matrix
+    tail = [-1e12 * (1 + k / 64) for k in range(n - 1)]
+    sigma = make_spectrum([1e12 - sum(tail)] + tail)
+    M = _reversed(realize_suleimanova(sigma).matrix)
     report = certify(Realization(matrix=M, method="", target=sigma))
     assert report.charpoly_ok is CheckState.PASS
     data = M.data.copy()
@@ -314,10 +325,28 @@ def test_certify_exact_entries_beyond_float_range():
     assert report.max_residual == 0.0
 
 
+def test_certify_alpha_evidence_needs_every_bit():
+    # 3, 1, -1 has the first row (1, 0, 2): a zero entry written -0.0 is no
+    # longer the alpha layout bit for bit, so the charpoly judges it.
+    for values in ([1.0, -1.0], [3.0, 1.0, -1.0]):
+        sigma = make_spectrum(values)
+        M = realize_suleimanova(sigma).matrix
+        report = certify(Realization(matrix=M, method="", target=sigma))
+        assert (report.charpoly_ok, report.eigenpair_ok) == (
+            CheckState.NOT_APPLICABLE, CheckState.PASS)
+        data = M.data.copy()
+        i, j = np.argwhere(data == 0.0)[-1]
+        data[i, j] = -0.0
+        report = certify(Realization(matrix=DenseMatrix(data), method="", target=sigma))
+        assert (report.charpoly_ok, report.eigenpair_ok) == (
+            CheckState.PASS, CheckState.NOT_APPLICABLE)
+        assert report.verdict is Verdict.PASS
+
+
 def test_certify_without_spectral_check_is_inconclusive():
     n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1
     M, sigma = _alpha_matrix_at(n)
-    report = certify(Realization(matrix=M, method="", target=sigma))
+    report = certify(Realization(matrix=_reversed(M), method="", target=sigma))
     assert report.charpoly_ok is CheckState.NOT_APPLICABLE
     assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
     assert CheckState.FAIL not in (report.nonneg_ok, report.structure_ok)
@@ -423,7 +452,9 @@ def _constructions():
     yield "explorer", hit.realization, "pass"
     yield "companion", as_realization(realize_companion(sigma), sigma), "not-applicable"
     M = realize_suleimanova(sigma).matrix
-    yield "unknown", Realization(matrix=M, method="", target=sigma), "not-applicable"
+    # A matrix file records no blocks; one alpha block bit for bit is one.
+    yield "alpha file", Realization(matrix=M, method="", target=sigma), "pass"
+    yield "unknown", Realization(matrix=_reversed(M), method="", target=sigma), "not-applicable"
 
 
 def test_certify_eigenpairs_follow_the_recorded_blocks():
@@ -433,7 +464,7 @@ def test_certify_eigenpairs_follow_the_recorded_blocks():
         assert report.eigenpair_ok.value == eigenpairs, name
         assert report.verdict is Verdict.PASS, name
         seen.append(name)
-    assert len(seen) == 12
+    assert len(seen) == 13
 
 
 def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():

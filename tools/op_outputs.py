@@ -1,11 +1,12 @@
 """Fingerprint the CLI's output on every benchmark op, and diff two fingerprints.
 
 Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
-1-3, and a fixed list of float Suleimanova spectra whose negatives spread
+1-3, a fixed list of float Suleimanova spectra whose negatives spread
 over many decades (WIDE_SPREAD, realized in float and ``--exact`` mode),
-through ``permrealize.cli.main`` in this process, and each realize op
-once more with ``--format pretty`` and once with ``--format csv``; the
-realize ops' own runs also get ``--out FILE``.  Each verify op runs once
+and a fixed list of small searches (EXPLORE, each run as ``explore`` and
+as ``realize --method explore``) through ``permrealize.cli.main`` in this
+process, and each realize op once more with ``--format pretty`` and once
+with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
 more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
 last entry written as -0 or as 1/3 and a whitespace-only line after the
 first row, which the float CSV reader leaves to its line-by-line path, and
@@ -13,7 +14,8 @@ CRLF line ends, which the CLI's text-mode read turns into newlines.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
-are keyed ``wide-spread:<index>:<run name>``), and writes them as
+are keyed ``wide-spread:<index>:<run name>`` and the searches
+``explore:<index>:<run name>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
 
@@ -63,6 +65,25 @@ WIDE_SPREAD = [
     for text in ["1e10,-1e6,-1,-1e-3"]
     + [_wide_spread(n, h) for n in (4, 12, 30, 31) for h in (8, 16, 100, 300)]
     for mode in ((), ("--exact",))
+]
+
+
+def _scaled_1e150(n: int) -> str:
+    """Head 10^(150/n) and n - 1 negatives: the characteristic coefficients
+    reach about 1e150, so the search's squared mismatches overflow."""
+    head = 10.0 ** (150 / n)
+    return ",".join(repr(v) for v in [head] + [-head * 2 * (k + 1) / n**2 for k in range(n - 1)])
+
+
+#: Searches at n = 2..4 on a Suleimanova spectrum (the alpha pattern's warm
+#: start is a certified hit) and a 1e150-scale one, by the alpha and the
+#: cyclic pattern, with budgets of one evaluation and of one sweep plus one.
+EXPLORE = [
+    (text, "--strategy", strategy, "--budget", str(budget))
+    for n, suleimanova in ((2, "3,-1"), (3, "5,-2,-3"), (4, "10,-1,-2,-3"))
+    for text in (suleimanova, _scaled_1e150(n))
+    for strategy in ("alpha", "cyclic")
+    for budget in (1, 2 * n + 1)
 ]
 
 
@@ -122,6 +143,10 @@ def fingerprint() -> dict:
         out_file = Path(workdir) / "out.csv"
         for i, argv in enumerate(WIDE_SPREAD):
             record(f"wide-spread:{i}", _realize_runs(argv, out_file), workdir, out_file)
+        for i, args in enumerate(EXPLORE):
+            realize = ("realize", *args, "--method", "explore", "--format", "json")
+            runs = [("explore", ("explore", *args))] + _realize_runs(realize, out_file)
+            record(f"explore:{i}", runs, workdir, out_file)
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
