@@ -43,7 +43,6 @@ from .linalg import (
     alpha_tuple,
     assemble,
     char_poly,
-    closed_eigensystem,
     direct_sum,
     from_rows,
     identity,
@@ -109,7 +108,6 @@ __all__ = [
     "char_poly",
     "check_necessary",
     "classify",
-    "closed_eigensystem",
     "cyclic_tuple",
     "detect_blocks",
     "direct_sum",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -107,10 +106,7 @@ def _tolerances(ns: argparse.Namespace) -> Tolerances:
         abs_tol = ns.abs_tol
     if ns.rel_tol is not None:
         rel_tol = ns.rel_tol
-    if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
-        raise ParseError(
-            f"tolerances must be finite, got abs {abs_tol!r}, rel {rel_tol!r}"
-        )
+    # Tolerances rejects a negative or non-finite value (ValueError, exit 1).
     return Tolerances(absolute=abs_tol, relative=rel_tol)
 
 
@@ -322,7 +318,90 @@ def _sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _build_parser() -> _Parser:
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "spectrum",
+        nargs="?",
+        help="inline comma-separated spectrum, e.g. \"10,-1,-2,-3\"",
+    )
+    p.add_argument("--file", help="spectrum file (JSON array or one value per line)")
+    p.add_argument("--exact", action="store_true",
+                   help="exact rational arithmetic, zero tolerances")
+
+
+def _tolerance_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--abs-tol", type=float, default=None)
+    p.add_argument("--rel-tol", type=float, default=None)
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", choices=explorer_mod.STRATEGIES, default="alpha",
+                   help="pattern-search strategy (realize: --method explore only)")
+    p.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET,
+                   help="pattern-search budget (realize: --method explore only)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="pattern-search seed (realize: --method explore only)")
+
+
+def _format_arg(p: argparse.ArgumentParser, *choices: str) -> None:
+    p.add_argument("--format", dest="fmt", choices=choices, default="pretty")
+
+
+def _check_args(p: argparse.ArgumentParser) -> None:
+    _spectrum_args(p)
+    _format_arg(p, "json", "pretty")
+    p.add_argument("--power-depth", dest="K", type=int, default=DEFAULT_POWER_DEPTH)
+
+
+def _realize_args(p: argparse.ArgumentParser) -> None:
+    _spectrum_args(p)
+    _tolerance_args(p)
+    _search_args(p)
+    _format_arg(p, "json", "csv", "pretty")
+    p.add_argument("--method", choices=METHODS, default="auto",
+                   help="auto (default) runs the paper's closed forms only")
+    p.add_argument("--out", help="also write the matrix as CSV to this file")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _spectrum_args(p)
+    _tolerance_args(p)
+    _format_arg(p, "json", "pretty")
+    p.add_argument("--matrix", dest="matrix_path", required=True,
+                   help="matrix file (CSV rows or JSON nested arrays)")
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", type=_sizes, default=None,
+                   help="comma list of matrix orders")
+
+
+def _explore_args(p: argparse.ArgumentParser) -> None:
+    _spectrum_args(p)
+    _tolerance_args(p)
+    _search_args(p)
+    p.add_argument("--out", help="write the JSON-lines log to this file")
+
+
+#: Each subcommand's function, help line and argument wiring.
+_COMMANDS = {
+    "check": (cmd_check, "necessary conditions + classification", _check_args),
+    "realize": (cmd_realize, "construct and certify a matrix", _realize_args),
+    "verify": (cmd_verify, "certify a matrix file against a spectrum", _verify_args),
+    "bench": (cmd_bench, "timing report (JSON)", _bench_args),
+    "explore": (cmd_explore, "pattern search (JSON-lines log)", _explore_args),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI's parser, with only the subparser of command when it names one.
+
+    Every call builds a new parser.  The subparsers of the commands not
+    being run are never read, so they are built only when command is not a
+    subcommand (help, no arguments, an unknown word), where the top-level
+    parser prints or reports them.  The one-command parser's usage line
+    still lists every subcommand, as the full parser's does.
+    """
     parser = _Parser(
         prog="permrealize",
         description=(
@@ -330,88 +409,25 @@ def _build_parser() -> _Parser:
             "prescribed real spectra."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    spectrum_input = argparse.ArgumentParser(add_help=False)
-    spectrum_input.add_argument(
-        "spectrum",
-        nargs="?",
-        help="inline comma-separated spectrum, e.g. \"10,-1,-2,-3\"",
-    )
-    spectrum_input.add_argument(
-        "--file", help="spectrum file (JSON array or one value per line)"
-    )
-    spectrum_input.add_argument("--exact", action="store_true",
-                                help="exact rational arithmetic, zero tolerances")
-
-    tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--abs-tol", type=float, default=None)
-    tolerances.add_argument("--rel-tol", type=float, default=None)
-
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--strategy", choices=explorer_mod.STRATEGIES,
-                        default="alpha",
-                        help="pattern-search strategy (realize: --method explore only)")
-    search.add_argument("--budget", type=int, default=explorer_mod.DEFAULT_BUDGET,
-                        help="pattern-search budget (realize: --method explore only)")
-    search.add_argument("--seed", type=int, default=0,
-                        help="pattern-search seed (realize: --method explore only)")
-
-    def output_format(p, *choices):
-        p.add_argument("--format", dest="fmt", choices=choices, default="pretty")
-
-    p = sub.add_parser(
-        "check", parents=[spectrum_input],
-        help="necessary conditions + classification",
-    )
-    output_format(p, "json", "pretty")
-    p.add_argument("--power-depth", dest="K", type=int,
-                   default=DEFAULT_POWER_DEPTH)
-
-    p = sub.add_parser(
-        "realize", parents=[spectrum_input, tolerances, search],
-        help="construct and certify a matrix",
-    )
-    output_format(p, "json", "csv", "pretty")
-    p.add_argument("--method", choices=METHODS, default="auto",
-                   help="auto (default) runs the paper's closed forms only")
-    p.add_argument("--out", help="also write the matrix as CSV to this file")
-
-    p = sub.add_parser(
-        "verify", parents=[spectrum_input, tolerances],
-        help="certify a matrix file against a spectrum",
-    )
-    output_format(p, "json", "pretty")
-    p.add_argument("--matrix", dest="matrix_path", required=True,
-                   help="matrix file (CSV rows or JSON nested arrays)")
-
-    p = sub.add_parser("bench", help="timing report (JSON)")
-    p.add_argument("--sizes", type=_sizes, default=None,
-                   help="comma list of matrix orders")
-
-    p = sub.add_parser(
-        "explore", parents=[spectrum_input, tolerances, search],
-        help="pattern search (JSON-lines log)",
-    )
-    p.add_argument("--out", help="write the JSON-lines log to this file")
-
+    if command in _COMMANDS:
+        built = {command: _COMMANDS[command]}
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        # The full parser names its subcommand action "subcommand" in its
+        # errors (an unknown or missing command); a metavar would rename it.
+        built, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, (_, help_line, add_args) in built.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "realize": cmd_realize,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "explore": cmd_explore,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
-        return _COMMANDS[ns.subcommand](ns)
+        return _COMMANDS[ns.subcommand][0](ns)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_PARSE
     # Both subclass ValueError, so they are caught before it.

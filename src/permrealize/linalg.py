@@ -52,12 +52,28 @@ def _array(rows: Sequence[Sequence], exact: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Immutable dense real matrix (float64 or exact-Fraction entries)."""
+    """Immutable dense real matrix (float64 or exact-Fraction entries).
+
+    ``__post_init__`` makes ``data`` read-only, so what is derived from the
+    entries holds for as long as the matrix lives: ``alpha_row`` is
+    computed once per matrix and read by every check and printer that only
+    needs the layout.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
         self.data.setflags(write=False)
+
+    @functools.cached_property
+    def alpha_row(self) -> Optional[list[float]]:
+        """The first row when the float64 data is bit for bit its alpha
+        layout (_alpha_first_row), else None; one O(n^2) scan per matrix.
+
+        Such a matrix holds exactly the values of its first row, so its
+        maximum, its sign and its layout are read off that row.
+        """
+        return _alpha_first_row(self.data)
 
     @property
     def n_rows(self) -> int:
@@ -80,8 +96,9 @@ class DenseMatrix:
         return sum(d[1:], start=d[0])
 
     def max_abs(self) -> float:
-        """Largest entry magnitude as a float (inf beyond the float range)."""
-        return float_or_inf(np.abs(self.data).max())
+        """Largest entry magnitude as a float (inf beyond the float range);
+        max |x| when the matrix is the alpha layout of its first row x."""
+        return float_or_inf(np.abs(_entry_values(self)).max())
 
     def to_lists(self) -> list[list[Scalar]]:
         return self.data.tolist()
@@ -123,9 +140,15 @@ def identity(n: int, exact: bool = False) -> DenseMatrix:
     return assemble(alpha_tuple(n), (one,) + (zero,) * (n - 1))
 
 
+def _entry_values(M: DenseMatrix) -> np.ndarray:
+    """An array holding exactly the values of M's entries: the first row
+    when M is its alpha layout (DenseMatrix.alpha_row), else all of them."""
+    return M.data if M.alpha_row is None else M.data[0]
+
+
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
-    """True iff every entry is >= -tol."""
-    return bool((M.data >= -tol).all())
+    """True iff every entry is >= -tol (read off x when M.alpha_row is x)."""
+    return bool((_entry_values(M) >= -tol).all())
 
 
 def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
@@ -284,23 +307,6 @@ def _block_holds(P: np.ndarray, pt: PermTuple, eq) -> bool:
     return bool(ok.all())
 
 
-def closed_eigensystem(x) -> tuple[Scalar, np.ndarray, np.ndarray]:
-    """The eigensystem of the alpha matrix with first row x, in closed form.
-
-    Returns (s, deltas, V): s = sum(x) belongs to the all-ones vector e, and
-    deltas[k] = x_1 - x_{k+2} to column k of V, which is x_{k+2} everywhere
-    except x_1 - s at position k+2 (1-based).  This holds for every x.
-    """
-    x = np.asarray(x)
-    n = len(x)
-    s = sum(x[1:], start=x[0])
-    V = np.empty((n, n - 1), dtype=x.dtype)
-    V[:] = x[1:]
-    cols = np.arange(n - 1)
-    V[cols + 1, cols] = x[0] - s
-    return s, x[0] - x[1:], V
-
-
 #: Bytes of one row chunk in closed_eigensystem_residuals: small enough that
 #: a chunk and its temporaries stay in a core's cache, large enough that a
 #: block of up to 32768 float64 entries (order 181) is one chunk.
@@ -312,14 +318,16 @@ def closed_eigensystem_residuals(
 ) -> tuple[Scalar, np.ndarray, Scalar, Optional[Scalar]]:
     """The closed eigensystem of t x, x the first row of P, and its residuals.
 
-    Returns (s, deltas, max |Q e - s e|, max |Q V - V diag(deltas)|) for
-    Q = t P, with s, deltas and V as closed_eigensystem(t x) gives them;
-    the last is None when n = 1 (V has no columns).  In O(n^2) and without
-    forming V: column k of V is y_{k+1} e + c_k e_{k+1} with y = t x and
-    c_k = y_0 - s - y_{k+1}, so with the row sums rs of Q, entry (i, k) of
-    the second residual is y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1]
-    d_k c_k.  P is read entry by entry, not rebuilt from x, so the
-    residuals measure P.
+    The alpha matrix with first row y = t x has the eigenvalue s = sum(y)
+    on the all-ones vector e, and d_k = y_0 - y_{k+1} on column k of V,
+    which is y_{k+1} everywhere except y_0 - s at row k + 1 (0-based), for
+    every y.  Returns (s, deltas, max |Q e - s e|, max |Q V - V
+    diag(deltas)|) for Q = t P; the last is None when n = 1 (V has no
+    columns).  In O(n^2) and without forming V: column k of V is
+    y_{k+1} e + c_k e_{k+1} with c_k = y_0 - s - y_{k+1}, so with the row
+    sums rs of Q, entry (i, k) of the second residual is
+    y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1] d_k c_k.  P is read
+    entry by entry, not rebuilt from x, so the residuals measure P.
 
     Q is formed and reduced in chunks of rows of about 256 KB, so no n x n
     temporary leaves the cache.  Every entry and every row sum is computed
@@ -329,7 +337,7 @@ def closed_eigensystem_residuals(
     rows = _RESIDUAL_CHUNK_BYTES // (P.itemsize * n) or 1
     Q = (P if n <= rows else P[:rows]) * t
     y, y1 = Q[0], Q[0, 1:]
-    s = np.add.accumulate(y)[-1]  # left to right, as closed_eigensystem sums
+    s = np.add.accumulate(y)[-1]  # summed left to right
     deltas = y[0] - y1
     c = (y[0] - s) - y1
     dc = deltas * c
@@ -693,13 +701,13 @@ def _text_rows(M: DenseMatrix, format_distinct, sep: str, pad=False) -> list[str
 
     format_distinct maps a list of values to their texts; pad right-aligns
     every text to the widest.  When M is exactly the alpha layout of its
-    first row (_alpha_first_row), only those n values are formatted and
+    first row (M.alpha_row), only those n values are formatted and
     every row is sliced from the row's joined text (_alpha_rows), in O(n^2)
     character copies and no per-entry work.  Any other matrix, direct sums
     of several blocks among them, is printed entry by entry (_entry_texts),
     so the text always shows M as stored.
     """
-    first = _alpha_first_row(M.data)
+    first = M.alpha_row
     if first is not None:
         texts = format_distinct(first)
         if pad:
@@ -730,10 +738,10 @@ def matrix_to_json(M: DenseMatrix, head: str = "", tail: str = "") -> str:
     keep the per-entry path.
 
     Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.45 s):
-    about 0.03x for an alpha matrix (12 ms, of which the layout check is
-    about 2 ms), 0.9x with n^2 / 2 distinct entries, and 1.6x when all n^2
-    entries differ (the sort and the string table on top of the same
-    formatting).
+    about 0.02x for an alpha matrix (9 ms, of which the layout scan is
+    about 1 ms, none when certify has already made it: M.alpha_row), 0.9x
+    with n^2 / 2 distinct entries, and 1.6x when all n^2 entries differ
+    (the sort and the string table on top of the same formatting).
     """
     if M.data.dtype != np.float64:
         return "".join((head, json.dumps(matrix_to_json_obj(M)), tail))

@@ -44,11 +44,20 @@ class Tolerances:
 
     The band at a given magnitude ``scale`` is ``max(absolute, relative *
     scale)``.  ``Tolerances.exact()`` is the all-zero profile used with
-    Fraction arithmetic, where every comparison must hold exactly.
+    Fraction arithmetic, where every comparison must hold exactly.  Both
+    values must be finite and >= 0 (ValueError otherwise): a negative band
+    fails an exact match, and an infinite one accepts everything.
     """
 
     absolute: float = 1e-10
     relative: float = 1e-9
+
+    def __post_init__(self):
+        a, r = self.absolute, self.relative
+        if not (math.isfinite(a) and math.isfinite(r) and a >= 0 and r >= 0):
+            raise ValueError(
+                f"tolerances must be finite and >= 0, got abs {a!r}, rel {r!r}"
+            )
 
     @staticmethod
     def exact() -> "Tolerances":

@@ -28,7 +28,6 @@ from .linalg import (
     CHAR_POLY_MAX_N,
     DenseMatrix,
     PermTuple,
-    _alpha_first_row,
     alpha_tuple,
     char_poly,
     closed_eigensystem_residuals,
@@ -228,7 +227,7 @@ def _alpha_eigensystem_residuals(
     """(residual, band) pairs certifying each alpha block's closed eigensystem.
 
     For each block P with first row x, checks P e = s e and P v_i = d_i v_i
-    for the closed-form eigenpairs of closed_eigensystem(x), in O(n^2)
+    for the closed-form eigenpairs of the alpha matrix of x, in O(n^2)
     over row chunks of the block (closed_eigensystem_residuals); then that
     the blocks' eigenvalues {s, d_i} together reproduce the target
     spectrum, at the target's scale.
@@ -272,13 +271,14 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     """Run every applicable check on a Realization; failures are reported.
 
     The structure check is strict for the blocks a realization records in
-    ``params["blocks"]`` (see _blocks_hold).  A float64 matrix without
-    recorded blocks that is bit for bit the alpha layout of its first row
-    (linalg._alpha_first_row; a file given to verify, say) counts as that
-    one recorded alpha block.  Without recorded blocks otherwise, the
-    structure check is informational — pass when the matrix decomposes into
-    permutative diagonal blocks, not-applicable otherwise.  One spectral
-    check runs:
+    ``params["blocks"]`` (see _blocks_hold); one recorded alpha block over
+    the whole matrix holds at once when the matrix is bit for bit the
+    alpha layout of its first row (DenseMatrix.alpha_row).  A float64
+    matrix without recorded blocks that is that layout (a file given to
+    verify, say) counts as that one recorded alpha block.  Without
+    recorded blocks otherwise, the structure check is informational — pass
+    when the matrix decomposes into permutative diagonal blocks,
+    not-applicable otherwise.  One spectral check runs:
 
     - alpha evidence (recorded blocks that all have the alpha pattern and
       hold): the closed-form eigenpair residuals per block, then the
@@ -292,13 +292,17 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     Nonnegativity, structure and the eigenpair residuals (by chunks of
     rows) are numpy operations over the n^2 entries, one code path for
     float64 and Fraction entries alike; magnitudes beyond the float range
-    read as inf.
+    read as inf.  On a matrix that is its alpha layout, the scale and
+    nonnegativity read the first row alone, which holds every value.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
     M = r.matrix
     A = M.data
     n = M.n_rows
+    # One bit-level scan per matrix proves or rules out its alpha layout;
+    # the scale, nonnegativity, structure and the printers all read it.
+    alpha_layout = M.alpha_row is not None
     entry_scale = max(1.0, M.max_abs())
     entry_band = tol.band(entry_scale)
     residuals: list[float] = [0.0]
@@ -307,9 +311,12 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     blocks = r.params.get("blocks")
     if blocks:
-        ok = _blocks_hold(A, blocks, entry_band)
+        # One recorded alpha block over the whole matrix holds when the
+        # matrix is its bit layout; other blocks are checked in the band.
+        whole_alpha = blocks == [(0, alpha_tuple(n))]
+        ok = (whole_alpha and alpha_layout) or _blocks_hold(A, blocks, entry_band)
         structure = CheckState.PASS if ok else CheckState.FAIL
-    elif _alpha_first_row(A) is not None:
+    elif alpha_layout:
         # A matrix file records no blocks: one that is bit for bit the alpha
         # layout of its first row holds as that one alpha block.
         blocks = [(0, alpha_tuple(n))]

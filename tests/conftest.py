@@ -158,8 +158,9 @@ def reference_fit_first_row(pt, sigma, seed=0, iters=5000):
 
 # ---------------------------------------------------------------------------
 # References: the paper's bordered matrix M_n (M_n x = lambda for the alpha
-# first row x) with its closed-form inverse, and polynomial evaluation and
-# products, against which the constructions are checked.
+# first row x) with its closed-form inverse, the alpha matrix's dense
+# closed-form eigensystem, and polynomial evaluation and products, against
+# which the constructions are checked.
 # ---------------------------------------------------------------------------
 
 
@@ -176,6 +177,23 @@ def mn_matrix(n: int, exact: bool = False) -> DenseMatrix:
         row[i] = -one
         rows.append(row)
     return from_rows(rows, exact=exact)
+
+
+def closed_eigensystem(x) -> tuple:
+    """The eigensystem of the alpha matrix with first row x, in closed form.
+
+    Returns (s, deltas, V): s = sum(x) belongs to the all-ones vector e, and
+    deltas[k] = x_1 - x_{k+2} to column k of V, which is x_{k+2} everywhere
+    except x_1 - s at position k+2 (1-based).  This holds for every x.
+    """
+    x = np.asarray(x)
+    n = len(x)
+    s = sum(x[1:], start=x[0])
+    V = np.empty((n, n - 1), dtype=x.dtype)
+    V[:] = x[1:]
+    cols = np.arange(n - 1)
+    V[cols + 1, cols] = x[0] - s
+    return s, x[0] - x[1:], V
 
 
 def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:

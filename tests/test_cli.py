@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -21,8 +23,9 @@ from permrealize import (
     realize_companion,
     realize_suleimanova,
 )
-from permrealize import dispatch
+from permrealize import cli, dispatch
 from permrealize import explorer as explorer_mod
+from permrealize import linalg as linalg_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
 from permrealize.linalg import format_scalar
@@ -188,6 +191,46 @@ def test_exact_beyond_float_range_exits_0(capsys, argv):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert run(capsys, "frobnicate", "1")[0] == 1
+
+
+#: Every help text, and a missing argument, a bad choice and an unknown
+#: option for each subcommand, and unknown commands.
+PARSER_ERRORS = [
+    (), ("-h",), ("--help",), ("--bogus",), ("foo",), ("foo", "3,-1,-1"),
+    *((cmd, flag) for cmd in cli._COMMANDS for flag in ("-h", "--help", "--bogus")),
+    ("realize", "3,-1,-1", "--help"),
+    ("check", "3,-1,-1", "--power-depth"),
+    ("check", "3,-1,-1", "--format", "csv"),
+    ("realize", "3,-1,-1", "--format"),
+    ("realize", "3,-1,-1", "--format", "xml"),
+    ("realize", "3,-1,-1", "--method", "foo"),
+    ("realize", "3,-1,-1", "--budget", "x"),
+    ("realize", "3,-1,-1", "extra"),
+    ("verify", "3,-1,-1"),
+    ("verify", "3,-1,-1", "--matrix", "m.csv", "--format", "csv"),
+    ("bench", "--sizes", "0"),
+    ("explore", "3,-1,-1", "--strategy", "foo"),
+    ("explore", "3,-1,-1", "--format", "json"),
+]
+
+
+def _parse_output(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args(list(argv))
+    return e.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ERRORS)
+def test_one_command_parser_prints_as_the_full_parser(capsys, argv):
+    parser = cli._build_parser(argv[0] if argv else None)
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == ([argv[0]] if argv and argv[0] in cli._COMMANDS
+                                else list(cli._COMMANDS))
+    expected = _parse_output(cli._build_parser(), argv)
+    assert _parse_output(parser, argv) == expected
+    assert run(capsys, *argv) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +690,27 @@ def test_consecutive_calls_share_nothing(tmp_path, capsys):
     assert run(capsys, "check", "7,-1,-2,-3", "--exact")[0] == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_one_alpha_layout_scan_per_op(tmp_path, monkeypatch, capsys, fmt):
+    # Certify and the printers read the layout from the matrix's memo: one
+    # scan per realize op (also with --out) and one per verify op.
+    calls = []
+
+    def counted(data):
+        calls.append(data.shape)
+        return alpha_first_row(data)
+
+    alpha_first_row = linalg_mod._alpha_first_row
+    monkeypatch.setattr(linalg_mod, "_alpha_first_row", counted)
+    out_file = tmp_path / "m.csv"
+    for argv in (("realize", "10,-1,-2,-3", "--format", fmt, "--out", str(out_file)),
+                 ("realize", "5,4,-3,-3", "--method", "small", "--format", fmt),
+                 ("verify", "10,-1,-2,-3", "--matrix", str(out_file))):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [(4, 4)]
+
+
 def test_verify_rows_beyond_the_float_range_apart_exit_2_without_warnings(tmp_path):
     # Sorted rows (-1e308, 1e308) and (1e308, 1e308) differ by more than the
     # float maximum: the structure check counts that as a mismatch, quietly.
@@ -698,6 +762,34 @@ def test_non_finite_tolerances_exit_1(monkeypatch, capsys, flags, env):
     code, _, err = run(capsys, "realize", "10,-1,-2,-3", *flags)
     assert code == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("realize", "3,-1,-1", "--abs-tol", "-1", "--rel-tol", "-1"), None),
+        (("realize", "3,-1,-1", "--rel-tol", "-1e-9"), None),
+        (("explore", "3,-1,-1", "--abs-tol", "-1e-300"), None),
+        (("realize", "3,-1,-1"), "-1,-1"),
+        (("realize", "3,-1,-1", "--abs-tol", "0"), "1e-10,-1e-9"),
+    ],
+)
+def test_negative_tolerances_exit_1(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tolerances must be finite and >= 0")
+
+
+def test_negative_tolerances_exit_1_on_verify(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "id.csv"
+    path.write_text("1,0\n0,1\n")
+    assert run(capsys, "verify", "1,1", "--matrix", str(path))[0] == 0
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "-1,-1")
+    code, out, err = run(capsys, "verify", "1,1", "--matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tolerances must be finite and >= 0")
 
 
 def test_flags_override_env_var(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
+    closed_eigensystem,
     eval_poly,
     float_char_poly_reference,
     float_char_poly_stack_reference,
@@ -53,7 +54,6 @@ from permrealize import (
 from permrealize import linalg as linalg_mod
 from permrealize.linalg import (
     char_poly_coeffs,
-    closed_eigensystem,
     closed_eigensystem_residuals,
     format_scalar,
     _alpha_first_row,
@@ -197,6 +197,48 @@ def test_vectorized_checks_match_per_entry_references(exact):
                 outcomes.add(got)
     # Both outcomes occur, so the agreement is not vacuous.
     assert outcomes == {False, True}
+
+
+def _alpha_edits():
+    """An alpha matrix, then copies with one entry edited by one ulp either
+    way, by its sign bit, or to -0.0: in row 0, in column 0, on the
+    diagonal and off it.  Every copy is off the alpha layout."""
+    M0 = assemble(alpha_tuple(5), [0.5, -1.5, 0.0, 3.0, -3.5])
+    yield M0
+    for i, j in ((0, 3), (0, 2), (3, 0), (2, 0), (1, 1), (2, 2), (1, 3), (4, 2), (3, 4)):
+        v = M0.data[i, j]
+        for new in (np.nextafter(v, np.inf), np.nextafter(v, -np.inf), -v, -0.0):
+            data = M0.data.copy()
+            data[i, j] = new
+            yield DenseMatrix(data)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_max_abs_and_nonneg_read_the_alpha_row_as_the_whole_array(exact):
+    mats = list(_alpha_edits())
+    if exact:
+        mats = [from_rows(M.to_lists(), exact=True) for M in mats]
+    for k, M in enumerate(mats):
+        # Only the unedited float matrix reads its first row alone.
+        assert (M.alpha_row is not None) == (k == 0 and not exact)
+        assert M.max_abs() == linalg_mod.float_or_inf(np.abs(M.data).max())
+        for tol in (0.0, 1.5, 3.5, 4.0):
+            assert is_nonnegative(M, tol) == bool((M.data >= -tol).all())
+
+
+def test_alpha_row_is_computed_once_per_matrix(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(data.shape)
+        return _alpha_first_row(data)
+
+    monkeypatch.setattr(linalg_mod, "_alpha_first_row", counted)
+    M = assemble(alpha_tuple(6), [0.5, 1.5, 1.5, 0.0, 2.0, 0.25])
+    for _ in range(3):
+        M.max_abs(), is_nonnegative(M), matrix_to_csv(M), matrix_to_json(M), matrix_to_pretty(M)
+    assert M.alpha_row == [0.5, 1.5, 1.5, 0.0, 2.0, 0.25]
+    assert calls == [(6, 6)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import mn_inverse, mn_matrix, random_suleimanova
+from conftest import closed_eigensystem, mn_inverse, mn_matrix, random_suleimanova
 from permrealize import (
     EmptyInputError,
     NonFiniteEntryError,
@@ -19,7 +19,6 @@ from permrealize import (
     alpha_tuple,
     assemble,
     certify,
-    closed_eigensystem,
     identity,
     is_permutative,
     make_spectrum,

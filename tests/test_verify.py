@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_suleimanova
+from conftest import closed_eigensystem, random_suleimanova
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -19,7 +19,6 @@ from permrealize import (
     as_realization,
     assemble,
     certify,
-    closed_eigensystem,
     detect_blocks,
     direct_sum,
     explore,
@@ -247,6 +246,35 @@ def test_certify_perturbed_alpha_realization_fails(n):
     assert report.charpoly_ok is CheckState.NOT_APPLICABLE
     assert report.eigenpair_ok is CheckState.FAIL
     assert report.verdict is Verdict.FAIL
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("i, j", [(0, 2), (3, 0), (2, 2), (1, 3)])
+def test_recorded_alpha_block_off_its_bit_layout_is_judged_in_the_band(exact, i, j):
+    # One ulp off the layout (or any exact matrix) takes the band check and
+    # holds; four bands off it fails, wherever the entry is.
+    values = [Fraction(10), Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-7, 2)]
+    r = realize_suleimanova(make_spectrum(values if exact else [float(v) for v in values]))
+    assert r.params["blocks"] == [(0, alpha_tuple(5))]
+    band = Tolerances().band(max(1.0, r.matrix.max_abs()))
+    v = float(r.matrix.data[i, j])
+    for moved, structure in ((np.nextafter(v, np.inf), CheckState.PASS),
+                             (v + 4 * band, CheckState.FAIL)):
+        data = r.matrix.data.copy()
+        data[i, j] = Fraction(moved) if exact else moved
+        M = DenseMatrix(data)
+        assert M.alpha_row is None
+        report = certify(replace(r, matrix=M), Tolerances())
+        assert report.structure_ok is structure
+        assert report.verdict is (Verdict.PASS if structure is CheckState.PASS else Verdict.FAIL)
+
+
+def test_negative_tolerances_are_refused():
+    r = realize_suleimanova(make_spectrum([3.0, -1.0, -1.0]))
+    for a, b in ((-1, -1), (-1e-300, 1e-9), (1e-10, -1e-9), (float("nan"), 0.0)):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            certify(r, Tolerances(a, b))
+    assert certify(r, Tolerances(0.0, 0.0)).structure_ok is CheckState.PASS
 
 
 def test_certify_charpoly_gate_beyond_float_limit():

@@ -4,7 +4,8 @@ Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
 1-3, a fixed list of float Suleimanova spectra whose negatives spread
 over many decades (WIDE_SPREAD, realized in float and ``--exact`` mode),
 and a fixed list of small searches (EXPLORE, each run as ``explore`` and
-as ``realize --method explore``) through ``permrealize.cli.main`` in this
+as ``realize --method explore``), and a fixed list of usage errors, help
+texts and negative tolerances (CLI_TEXT) through ``permrealize.cli.main`` in this
 process, and each realize op once more with ``--format pretty`` and once
 with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
 more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
@@ -14,8 +15,8 @@ CRLF line ends, which the CLI's text-mode read turns into newlines.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
-are keyed ``wide-spread:<index>:<run name>`` and the searches
-``explore:<index>:<run name>``), and writes them as
+are keyed ``wide-spread:<index>:<run name>``, the searches
+``explore:<index>:<run name>`` and CLI_TEXT ``cli-text:<index>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
 
@@ -36,9 +37,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -87,6 +90,39 @@ EXPLORE = [
 ]
 
 
+#: Every help text, and a missing argument, a bad choice and an unknown
+#: option for each subcommand, and unknown commands.
+PARSER_ERRORS = [
+    (), ("-h",), ("--help",), ("--bogus",), ("foo",), ("foo", "3,-1,-1"),
+    *((cmd, flag) for cmd in ("check", "realize", "verify", "bench", "explore")
+      for flag in ("-h", "--help", "--bogus")),
+    ("realize", "3,-1,-1", "--help"),
+    ("check", "3,-1,-1", "--power-depth"),
+    ("check", "3,-1,-1", "--format", "csv"),
+    ("realize", "3,-1,-1", "--format"),
+    ("realize", "3,-1,-1", "--format", "xml"),
+    ("realize", "3,-1,-1", "--method", "foo"),
+    ("realize", "3,-1,-1", "--budget", "x"),
+    ("realize", "3,-1,-1", "extra"),
+    ("verify", "3,-1,-1"),
+    ("verify", "3,-1,-1", "--matrix", "m.csv", "--format", "csv"),
+    ("bench", "--sizes", "0"),
+    ("explore", "3,-1,-1", "--strategy", "foo"),
+    ("explore", "3,-1,-1", "--format", "json"),
+]
+
+#: CLI_TEXT's runs: (PERMREALIZE_TOLERANCES or None, argv).  ID_CSV in the
+#: argv is a file holding the 2 x 2 identity, an alpha matrix of 1,1.
+CLI_TEXT = [(None, argv) for argv in PARSER_ERRORS] + [
+    (None, ("realize", "3,-1,-1", "--abs-tol", "-1", "--rel-tol", "-1")),
+    (None, ("realize", "3,-1,-1", "--rel-tol", "-1e-9", "--format", "json")),
+    (None, ("explore", "3,-1,-1", "--abs-tol", "-1", "--budget", "1")),
+    (None, ("verify", "1,1", "--matrix", "ID_CSV", "--abs-tol", "-1", "--rel-tol", "-1")),
+    ("-1,-1", ("realize", "3,-1,-1")),
+    ("-1,-1", ("verify", "1,1", "--matrix", "ID_CSV")),
+]
+
+
 def _last_entry(text: str, token: str) -> str:
     first, rest = text.split("\n", 1)
     return first.rsplit(",", 1)[0] + "," + token + "\n" + rest
@@ -104,10 +140,15 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(argv, out_file: Path) -> dict:
+def _run(argv, out_file: Path, tolerances_env=None) -> dict:
     out, err = io.StringIO(), io.StringIO()
     out_file.unlink(missing_ok=True)
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    env = {} if tolerances_env is None else {"PERMREALIZE_TOLERANCES": tolerances_env}
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        mock.patch.dict(os.environ, env),
+    ):
         code = cli_main(list(argv))
     written = _sha(out_file.read_text(encoding="utf-8")) if out_file.exists() else None
     return {
@@ -141,6 +182,14 @@ def fingerprint() -> dict:
 
     with tempfile.TemporaryDirectory() as workdir:
         out_file = Path(workdir) / "out.csv"
+        id_csv = Path(workdir) / "id.csv"
+        id_csv.write_text("1,0\n0,1\n", encoding="utf-8")
+        for i, (env, argv) in enumerate(CLI_TEXT):
+            argv = [str(id_csv) if a == "ID_CSV" else a for a in argv]
+            shown = [a.replace(workdir, "<workdir>") for a in argv]
+            if env is not None:
+                shown.insert(0, f"PERMREALIZE_TOLERANCES={env}")
+            records[f"cli-text:{i}"] = {"argv": shown, **_run(argv, out_file, env)}
         for i, argv in enumerate(WIDE_SPREAD):
             record(f"wide-spread:{i}", _realize_runs(argv, out_file), workdir, out_file)
         for i, args in enumerate(EXPLORE):
