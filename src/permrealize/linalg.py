@@ -314,7 +314,7 @@ _RESIDUAL_CHUNK_BYTES = 1 << 18
 
 
 def closed_eigensystem_residuals(
-    P: np.ndarray, t: Scalar = 1
+    P: np.ndarray, t: Scalar = 1, alpha_layout: bool = False
 ) -> tuple[Scalar, np.ndarray, Scalar, Optional[Scalar]]:
     """The closed eigensystem of t x, x the first row of P, and its residuals.
 
@@ -329,9 +329,18 @@ def closed_eigensystem_residuals(
     y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1] d_k c_k.  P is read
     entry by entry, not rebuilt from x, so the residuals measure P.
 
-    Q is formed and reduced in chunks of rows of about 256 KB, so no n x n
+    Q is formed and summed in chunks of rows of about 256 KB, so no n x n
     temporary leaves the cache.  Every entry and every row sum is computed
     as on the whole of Q at once, so the maxima are the same bit for bit.
+
+    alpha_layout says that P is bit for bit the alpha layout of its first
+    row (DenseMatrix.alpha_row).  Then Q[i, k+1] is y_{k+1} for every
+    i != k+1, so off the subdiagonal entry (i, k) is the same rounded
+    expression in rs_i alone, and rounding is monotone: the largest |entry|
+    of column k lies at the least or the greatest row sum outside row k+1.
+    Those two entries per column and the n - 1 subdiagonal entries give
+    the same maximum, bit for bit, in O(n) after the row sums, which still
+    read every entry of P.
     """
     n = len(P)
     rows = _RESIDUAL_CHUNK_BYTES // (P.itemsize * n) or 1
@@ -341,13 +350,14 @@ def closed_eigensystem_residuals(
     deltas = y[0] - y1
     c = (y[0] - s) - y1
     dc = deltas * c
-    row_max = pair_max = None
+    rs = np.empty(n, dtype=Q.dtype)
+    pair_max = None
     for a in range(0, n, rows):
         if a:
             Q = P[a : a + rows] * t
-        rs = Q.sum(axis=1)
-        if n > 1:
-            R = np.subtract.outer(rs, deltas)
+        rs[a : a + len(Q)] = Q.sum(axis=1)
+        if n > 1 and not alpha_layout:
+            R = np.subtract.outer(rs[a : a + len(Q)], deltas)
             R *= y1
             R += Q[:, 1:] * c
             # Entries (i, i - 1) for the chunk's rows i >= 1: flat offsets
@@ -359,9 +369,26 @@ def closed_eigensystem_residuals(
                 R.reshape(-1)[n - 1 :: n] -= dc[: len(R) - 1]
             m = np.abs(R, out=R).max()
             pair_max = m if pair_max is None else np.maximum(pair_max, m)
-        rs -= s
-        m = np.abs(rs, out=rs).max()
-        row_max = m if row_max is None else np.maximum(row_max, m)
+    if n > 1 and alpha_layout:
+        # ext[0, k] and ext[1, k] are the least and greatest row sums over
+        # the rows i != k+1 of column k, and ext[2, k] that of row k+1,
+        # whose entry (k+1, k) is on the subdiagonal.
+        lo, hi = rs.argmin(), rs.argmax()
+        ext = np.empty((3, n - 1), dtype=rs.dtype)
+        ext[0], ext[1] = rs[lo], rs[hi]
+        if lo:
+            ext[0, lo - 1] = np.delete(rs, lo).min()
+        if hi:
+            ext[1, hi - 1] = np.delete(rs, hi).max()
+        ext[2] = rs[1:]
+        ext -= deltas
+        ext *= y1
+        ext[:2] += y1 * c
+        ext[2] += (P.diagonal()[1:] * t) * c  # Q[k+1, k+1]
+        ext[2] -= dc
+        pair_max = np.abs(ext, out=ext).max()
+    rs -= s
+    row_max = np.abs(rs, out=rs).max()
     return s, deltas, row_max, pair_max
 
 

@@ -222,7 +222,11 @@ def _pow2_at_or_above(m) -> int:
 
 
 def _alpha_eigensystem_residuals(
-    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum, tol: Tolerances
+    A: np.ndarray,
+    blocks: list[tuple[int, PermTuple]],
+    target: Spectrum,
+    tol: Tolerances,
+    alpha_layout: bool = False,
 ) -> list[tuple[Scalar, Scalar]]:
     """(residual, band) pairs certifying each alpha block's closed eigensystem.
 
@@ -230,7 +234,10 @@ def _alpha_eigensystem_residuals(
     for the closed-form eigenpairs of the alpha matrix of x, in O(n^2)
     over row chunks of the block (closed_eigensystem_residuals); then that
     the blocks' eigenvalues {s, d_i} together reproduce the target
-    spectrum, at the target's scale.
+    spectrum, at the target's scale.  alpha_layout says that A is bit for
+    bit the alpha layout of its first row (DenseMatrix.alpha_row): a block
+    over the whole of such an A gets its eigenvector residual from the row
+    sums' extremes, in O(n) after the row sums, with the same result.
 
     The pair residuals are taken on t P with t = 2^-e, where 2^e is the
     least power of two >= max(1, |x|_inf), so every sum and product stays
@@ -254,7 +261,9 @@ def _alpha_eigensystem_residuals(
             x_inf = np.abs(P[0]).max()
             e = _pow2_at_or_above(x_inf)
             t = Fraction(1, 1 << e) if exact else math.ldexp(1.0, -e)
-            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P, t)
+            s, deltas, row_res, pair_res = closed_eigensystem_residuals(
+                P, t, alpha_layout and pt.n == len(A)
+            )
             xt = x_inf * t
             out.append((row_res, max(absolute * t, relative * max(t, xt * x_inf))))
             if pair_res is not None:
@@ -293,7 +302,11 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     rows) are numpy operations over the n^2 entries, one code path for
     float64 and Fraction entries alike; magnitudes beyond the float range
     read as inf.  On a matrix that is its alpha layout, the scale and
-    nonnegativity read the first row alone, which holds every value.
+    nonnegativity read the first row alone, which holds every value, and
+    the eigenvector residual of its one block is the maximum at the row
+    sums' extremes (closed_eigensystem_residuals): only the row sums read
+    all n^2 entries.  Exact matrices and the blocks of direct sums get the
+    per-entry residual.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
@@ -335,7 +348,8 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
         # The paper's closed form is the spectral evidence at every n: the
         # alpha block with first row x has eigenvalues sum(x) and x_1 - x_i.
         eig = CheckState.PASS
-        for res, band in _alpha_eigensystem_residuals(A, blocks, r.target, tol):
+        pairs = _alpha_eigensystem_residuals(A, blocks, r.target, tol, alpha_layout)
+        for res, band in pairs:
             residuals.append(float_or_inf(res))
             if res > band:
                 eig = CheckState.FAIL

@@ -26,6 +26,7 @@ from permrealize import (
 from permrealize import cli, dispatch
 from permrealize import explorer as explorer_mod
 from permrealize import linalg as linalg_mod
+from permrealize import verify as verify_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
 from permrealize.linalg import format_scalar
@@ -863,6 +864,26 @@ def test_verify_passes_the_csv_realize_wrote(capsys, tmp_path):
     text = "1e10,-1e6,-1,-1e-3"
     assert run(capsys, "realize", text, "--out", str(path))[0] == 0
     assert run(capsys, "verify", text, "--matrix", str(path))[0] == 0
+
+
+def test_verify_of_realize_csv_reports_its_certificate_at_n_1024(capsys, tmp_path, monkeypatch):
+    # Both certify the same proven layout, one block recorded and one read
+    # from the file, through the row sums' extremes.
+    flags = []
+    original = verify_mod.closed_eigensystem_residuals
+
+    def routed(P, t, alpha_layout=False):
+        flags.append(alpha_layout)
+        return original(P, t, alpha_layout)
+
+    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", routed)
+    path = tmp_path / "m.csv"
+    text = wide_spread_suleimanova_text(1024, 8)
+    code, out, _ = run(capsys, "realize", text, "--format", "json", "--out", str(path))
+    realized = json.loads(out)["certificate"]
+    assert run(capsys, "verify", text, "--matrix", str(path), "--format", "json")[:2] == \
+        (code, json.dumps(realized) + "\n")
+    assert (code, realized["verdict"], flags) == (0, "pass", [True, True])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])

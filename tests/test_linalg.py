@@ -64,6 +64,7 @@ from permrealize.linalg import (
 )
 from permrealize.small_order import realize_small
 from permrealize.suleimanova import alpha_direct_sum
+from permrealize.verify import _pow2_at_or_above
 
 entries = st.floats(
     min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
@@ -957,6 +958,81 @@ def test_closed_eigensystem_residuals_at_the_default_chunk_size():
         P[n - 1, 0] += 1e-3
         P[180, 179] -= 1e-3
         _assert_residuals_match(P, 2.0**-3)
+
+
+def _first_rows(rng, n):
+    """Seeded first rows of one order: uniform of both signs, small integers
+    (tied row sums), zeros and -0.0, subnormals, and magnitudes across the
+    float range."""
+    yield rng.uniform(-5.0, 5.0, n)
+    yield rng.integers(-3, 4, n).astype(float)
+    x = rng.uniform(0.0, 1.0, n)
+    x[rng.random(n) < 0.3] = -0.0
+    x[rng.random(n) < 0.2] = 0.0
+    yield x
+    yield rng.uniform(-1.0, 1.0, n) * 5e-320
+    yield np.exp(rng.uniform(-700.0, 700.0, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _certify_scale(P) -> float:
+    """certify's scale t = 2^-e, 2^e the least power of two >= max(1, |x|_inf)."""
+    return math.ldexp(1.0, -_pow2_at_or_above(np.abs(P[0]).max()))
+
+
+def _assert_proven_matches_whole_block(P, t):
+    """The proven-layout maxima are the whole-block reference's, bit for bit."""
+    got = closed_eigensystem_residuals(P, t, alpha_layout=True)
+    s, deltas, row, pair = _whole_block_residuals(P, t)
+    assert got[0] == s and np.array_equal(got[1], deltas)
+    assert np.float64(got[2]).view(np.uint64) == np.float64(np.abs(row).max()).view(np.uint64)
+    if len(P) == 1:
+        assert got[3] is None
+    else:
+        want = np.float64(np.abs(pair).max())
+        assert np.float64(got[3]).view(np.uint64) == want.view(np.uint64)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 181, 182, 363, 1024])
+def test_proven_alpha_layout_residuals_match_the_whole_block(n):
+    # The row sums read every entry of a proven layout; the eigenvector
+    # residual's maximum comes from their extremes.  Across these rows the
+    # extremes also fall on rows i >= 1, the row left out of column i - 1.
+    rng = np.random.default_rng([17, n])
+    off_row_0 = 0
+    for x in _first_rows(rng, n):
+        P = assemble(alpha_tuple(n), x.tolist()).data
+        assert DenseMatrix(P).alpha_row is not None
+        t = _certify_scale(P)
+        assert np.abs(P[0] * t).max() <= 1
+        _assert_proven_matches_whole_block(P, t)
+        rs = (P * t).sum(axis=1)
+        off_row_0 += rs.argmin() > 0 or rs.argmax() > 0
+    assert off_row_0 or n <= 3
+
+
+def test_proven_alpha_layout_residuals_leave_out_row_k_plus_1():
+    # Row 2's sum is the largest, and column 1's entry at it would exceed
+    # every entry of the residual: left in, it would change the maximum.
+    P = assemble(alpha_tuple(4), [1.0, 2.0**53, -(2.0**53), 0.5]).data
+    t = _certify_scale(P)
+    s, deltas, _, pair_max = _assert_proven_matches_whole_block(P, t)
+    Q = P * t
+    rs = Q.sum(axis=1)
+    assert rs.argmax() == 2
+    y2 = Q[0, 2]
+    c1 = (Q[0, 0] - s) - y2
+    assert abs((rs[2] - deltas[1]) * y2 + y2 * c1) > pair_max
+
+
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_proven_alpha_layout_residuals_across_chunk_boundaries(monkeypatch, n):
+    rng = np.random.default_rng([19, n])
+    for chunk_rows in (1, 2, 3):
+        monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", chunk_rows * 8 * n)
+        for x in _first_rows(rng, n):
+            P = assemble(alpha_tuple(n), x.tolist()).data
+            _assert_proven_matches_whole_block(P, _certify_scale(P))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from permrealize import (
     realize_suleimanova,
     realize_small,
 )
+from permrealize import verify as verify_mod
 from permrealize.verify import (
     CHARPOLY_FLOAT_CERTIFY_MAX_N,
     CheckState,
@@ -505,6 +507,104 @@ def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():
     assert report.structure_ok is CheckState.PASS
     assert report.eigenpair_ok is CheckState.FAIL
     assert report.verdict is Verdict.FAIL
+
+
+# ---------------------------------------------------------------------------
+# which blocks take the proven-layout residual
+# ---------------------------------------------------------------------------
+
+
+def _routed_certify(monkeypatch, r, tol=None):
+    """certify(r, tol) and the alpha_layout flag of each closed-form residual
+    call it makes.  The report is asserted equal, max_residual bit for bit,
+    to the one certify gives when every call takes the per-entry formula."""
+    original = verify_mod.closed_eigensystem_residuals
+    flags = []
+
+    def run(per_entry):
+        def routed(P, t, alpha_layout=False):
+            flags.append(alpha_layout)
+            return original(P, t, alpha_layout and not per_entry)
+
+        monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", routed)
+        return certify(r, tol)
+
+    report = run(per_entry=False)
+    taken = flags.copy()
+    ref = run(per_entry=True)
+    assert report == ref
+    assert np.float64(report.max_residual).view(np.uint64) == \
+        np.float64(ref.max_residual).view(np.uint64)
+    return report, taken
+
+
+def _alpha_realization(x, recorded):
+    """The alpha matrix of x against its closed-form spectrum, with its
+    block recorded or (as a file given to verify) not."""
+    M = assemble(alpha_tuple(len(x)), x)
+    s, deltas, _ = closed_eigensystem(M.data[0])
+    params = {"blocks": [(0, alpha_tuple(len(x)))]} if recorded else {}
+    return Realization(matrix=M, method="", target=make_spectrum([s, *deltas]), params=params)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 200])
+def test_proven_layouts_take_the_row_sum_extremes(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    r = realize_suleimanova(random_suleimanova(rng, n))
+    report, flags = _routed_certify(monkeypatch, r)
+    assert flags == [True] and report.verdict is Verdict.PASS
+    # The same matrix as a file records no blocks and counts as one.
+    report, flags = _routed_certify(monkeypatch, replace(r, params={}))
+    assert flags == [True] and report.verdict is Verdict.PASS
+
+
+# x has zeros at positions 0 and 2: entry (0, 2) in row 0, (2, 0) in column
+# 0, (1, 1) on the diagonal and (3, 2) off it are 0; (0, 3), (3, 0), (5, 5)
+# and (5, 7) are not.
+EDIT_X = [0.0, 3.0, 0.0, 1.0] + [0.25 * k for k in range(1, 37)]
+EDITED_ENTRIES = [(0, 2), (2, 0), (1, 1), (3, 2), (0, 3), (3, 0), (5, 5), (5, 7)]
+
+
+@pytest.mark.parametrize("i, j", EDITED_ENTRIES)
+@pytest.mark.parametrize("edit", ["ulp-up", "ulp-down", "sign-bit"])
+def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i, j, edit):
+    r0 = _alpha_realization(EDIT_X, recorded=True)
+    v = float(r0.matrix.data[i, j])
+    data = r0.matrix.data.copy()
+    data[i, j] = {"ulp-up": math.nextafter(v, math.inf),
+                  "ulp-down": math.nextafter(v, -math.inf), "sign-bit": -v}[edit]
+    M = DenseMatrix(data)
+    assert M.alpha_row is None
+    report, flags = _routed_certify(monkeypatch, replace(r0, matrix=M))
+    assert True not in flags
+    # An edit within the band keeps the structure and runs the residual.
+    held = edit != "sign-bit" or v == 0.0
+    assert (report.structure_ok is CheckState.PASS) == held
+    assert flags == ([False] if held else [])
+    # As a file, the edited matrix is no alpha evidence, and at n = 40 no
+    # spectral check runs.
+    report, flags = _routed_certify(monkeypatch, replace(r0, matrix=M, params={}))
+    assert flags == [] and report.eigenpair_ok is report.charpoly_ok is CheckState.NOT_APPLICABLE
+
+
+def test_exact_and_direct_sum_blocks_take_the_per_entry_formula(monkeypatch):
+    values = [Fraction(10), Fraction(-1), Fraction(-2), Fraction(-7, 2)]
+    r = realize_suleimanova(make_spectrum(values, exact=True))
+    assert r.matrix.is_exact
+    report, flags = _routed_certify(monkeypatch, r)
+    assert flags == [False] and report.verdict is Verdict.PASS
+    data, sigma, blocks = _two_alpha_blocks()
+    r = Realization(matrix=DenseMatrix(data), method="", target=sigma, params={"blocks": blocks})
+    report, flags = _routed_certify(monkeypatch, r)
+    assert flags == [False, False] and report.verdict is Verdict.PASS
+    # diag(2, 2) is bit for bit the alpha layout of [2, 0], yet recorded as
+    # two 1 x 1 blocks: neither block is the whole matrix.
+    r = Realization(matrix=from_rows([[2.0, 0.0], [0.0, 2.0]]), method="",
+                    target=make_spectrum([2.0, 2.0]),
+                    params={"blocks": [(0, alpha_tuple(1)), (1, alpha_tuple(1))]})
+    assert r.matrix.alpha_row == [2.0, 0.0]
+    report, flags = _routed_certify(monkeypatch, r)
+    assert flags == [False, False] and report.verdict is Verdict.PASS
 
 
 def test_report_json_shape(sigma_integer_example):
