@@ -270,16 +270,18 @@ def assemble(pt: PermTuple, x: Sequence[Scalar]) -> DenseMatrix:
     return DenseMatrix(data)
 
 
-def layout_holds(A: np.ndarray, blocks, eq) -> bool:
-    """True iff the (start, PermTuple) diagonal blocks hold in A under eq.
+def layout_holds(A: np.ndarray, blocks) -> bool:
+    """True iff the (start, PermTuple) diagonal blocks are A's entries exactly.
 
     The blocks must tile [0, n) in order, each block must be its first row
     laid out by its pattern, and every entry off the blocks must be zero.
-    eq(a, b) compares an array with an array or a scalar and returns their
-    elementwise verdict as a boolean array.  An alpha block is checked by
-    slices, with no index: column 0 against x[1:], the diagonal against
-    x[0], and the rest of each row against x.
+    Float64 entries are compared as uint64 bit patterns, so -0.0 is neither
+    0.0 nor an off-block zero; exact entries as equal Fractions.  An alpha
+    block is checked by slices, with no index: column 0 against x[1:], the
+    diagonal against x[0], and the rest of each row against x.
     """
+    if A.dtype == np.float64:
+        A = A.view(np.uint64)
     pos = 0
     for start, pt in blocks:
         stop = start + pt.n
@@ -287,89 +289,71 @@ def layout_holds(A: np.ndarray, blocks, eq) -> bool:
             return False
         rows = A[start:stop]
         if not (
-            _block_holds(rows[:, start:stop], pt, eq)
-            and eq(rows[:, :start], 0).all()
-            and eq(rows[:, stop:], 0).all()
+            _block_holds(rows[:, start:stop], pt)
+            and (rows[:, :start] == 0).all()
+            and (rows[:, stop:] == 0).all()
         ):
             return False
         pos = stop
     return pos == len(A)
 
 
-def _block_holds(P: np.ndarray, pt: PermTuple, eq) -> bool:
+def _block_holds(P: np.ndarray, pt: PermTuple) -> bool:
     x = P[0]
     if not pt.is_alpha:
-        return bool(eq(P, x[pt.index]).all())
-    if not (eq(P[1:, 0], x[1:]).all() and eq(P.diagonal()[1:], x[0]).all()):
+        return bool((P == x[pt.index]).all())
+    if not ((P[1:, 0] == x[1:]).all() and (P.diagonal()[1:] == x[0]).all()):
         return False
-    ok = eq(P[1:, 1:], x[1:])
+    ok = P[1:, 1:] == x[1:]
     np.fill_diagonal(ok, True)  # entries (i, i), checked against x[0] above
     return bool(ok.all())
 
 
 #: Bytes of one row chunk in closed_eigensystem_residuals: small enough that
-#: a chunk and its temporaries stay in a core's cache, large enough that a
+#: a chunk and its temporary stay in a core's cache, large enough that a
 #: block of up to 32768 float64 entries (order 181) is one chunk.
 _RESIDUAL_CHUNK_BYTES = 1 << 18
 
 
 def closed_eigensystem_residuals(
-    P: np.ndarray, t: Scalar = 1, alpha_layout: bool = False
+    P: np.ndarray, t: Scalar = 1
 ) -> tuple[Scalar, np.ndarray, Scalar, Optional[Scalar]]:
     """The closed eigensystem of t x, x the first row of P, and its residuals.
 
+    P must be exactly the alpha layout of its first row x (layout_holds).
     The alpha matrix with first row y = t x has the eigenvalue s = sum(y)
     on the all-ones vector e, and d_k = y_0 - y_{k+1} on column k of V,
     which is y_{k+1} everywhere except y_0 - s at row k + 1 (0-based), for
     every y.  Returns (s, deltas, max |Q e - s e|, max |Q V - V
     diag(deltas)|) for Q = t P; the last is None when n = 1 (V has no
-    columns).  In O(n^2) and without forming V: column k of V is
-    y_{k+1} e + c_k e_{k+1} with c_k = y_0 - s - y_{k+1}, so with the row
-    sums rs of Q, entry (i, k) of the second residual is
-    y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1] d_k c_k.  P is read
-    entry by entry, not rebuilt from x, so the residuals measure P.
+    columns).
 
-    Q is formed and summed in chunks of rows of about 256 KB, so no n x n
-    temporary leaves the cache.  Every entry and every row sum is computed
-    as on the whole of Q at once, so the maxima are the same bit for bit.
+    Column k of V is y_{k+1} e + c_k e_{k+1} with c_k = y_0 - s - y_{k+1},
+    so with the row sums rs of Q, entry (i, k) of the second residual is
+    y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1] d_k c_k.  Off the
+    subdiagonal Q[i, k+1] is y_{k+1}, so entry (i, k) is one expression in
+    rs_i alone: linear in exact arithmetic, and in float64 a chain of
+    roundings, each monotone.  Either way the largest |entry| of column k
+    lies at the least or the greatest row sum outside row k+1.  Those two
+    entries per column and the n - 1 subdiagonal entries give the maximum
+    over all n^2 entries, bit for bit, in O(n) after the row sums.
 
-    alpha_layout says that P is bit for bit the alpha layout of its first
-    row (DenseMatrix.alpha_row).  Then Q[i, k+1] is y_{k+1} for every
-    i != k+1, so off the subdiagonal entry (i, k) is the same rounded
-    expression in rs_i alone, and rounding is monotone: the largest |entry|
-    of column k lies at the least or the greatest row sum outside row k+1.
-    Those two entries per column and the n - 1 subdiagonal entries give
-    the same maximum, bit for bit, in O(n) after the row sums, which still
-    read every entry of P.
+    The row sums are the one pass over P: Q is formed and summed in chunks
+    of rows of about 256 KB, so no n x n temporary leaves the cache, and
+    each row sum is computed as on the whole of Q at once.
     """
     n = len(P)
     rows = _RESIDUAL_CHUNK_BYTES // (P.itemsize * n) or 1
-    Q = (P if n <= rows else P[:rows]) * t
-    y, y1 = Q[0], Q[0, 1:]
+    rs = np.empty(n, dtype=P.dtype)
+    for a in range(0, n, rows):
+        rs[a : a + rows] = (P[a : a + rows] * t).sum(axis=1)
+    y = P[0] * t
+    y1 = y[1:]
     s = np.add.accumulate(y)[-1]  # summed left to right
     deltas = y[0] - y1
-    c = (y[0] - s) - y1
-    dc = deltas * c
-    rs = np.empty(n, dtype=Q.dtype)
     pair_max = None
-    for a in range(0, n, rows):
-        if a:
-            Q = P[a : a + rows] * t
-        rs[a : a + len(Q)] = Q.sum(axis=1)
-        if n > 1 and not alpha_layout:
-            R = np.subtract.outer(rs[a : a + len(Q)], deltas)
-            R *= y1
-            R += Q[:, 1:] * c
-            # Entries (i, i - 1) for the chunk's rows i >= 1: flat offsets
-            # n - 1, 2n - 1, ... of R in the first chunk, and a - 1,
-            # n + a - 1, ... in a chunk from row a > 0.
-            if a:
-                R.reshape(-1)[a - 1 :: n] -= dc[a - 1 : a - 1 + len(R)]
-            else:
-                R.reshape(-1)[n - 1 :: n] -= dc[: len(R) - 1]
-            m = np.abs(R, out=R).max()
-            pair_max = m if pair_max is None else np.maximum(pair_max, m)
-    if n > 1 and alpha_layout:
+    if n > 1:
+        c = (y[0] - s) - y1
         # ext[0, k] and ext[1, k] are the least and greatest row sums over
         # the rows i != k+1 of column k, and ext[2, k] that of row k+1,
         # whose entry (k+1, k) is on the subdiagonal.
@@ -385,7 +369,7 @@ def closed_eigensystem_residuals(
         ext *= y1
         ext[:2] += y1 * c
         ext[2] += (P.diagonal()[1:] * t) * c  # Q[k+1, k+1]
-        ext[2] -= dc
+        ext[2] -= deltas * c
         pair_max = np.abs(ext, out=ext).max()
     rs -= s
     row_max = np.abs(rs, out=rs).max()
@@ -692,18 +676,12 @@ def _scalar_texts(values: list) -> list[str]:
 
 
 def _alpha_first_row(data: np.ndarray) -> Optional[list[float]]:
-    """data's first row, if data is exactly that row's alpha layout.
-
-    None unless data is square float64 and, compared as uint64 bit patterns
-    (so -0.0 is not 0.0), its column 0 and diagonal and the rest of each
-    row are the first row laid out by the alpha pattern.
-    """
+    """data's first row, if data is square float64 and exactly that row's
+    alpha layout (layout_holds of one alpha block), else None."""
     n = len(data)
     if n == 0 or data.dtype != np.float64 or data.shape != (n, n):
         return None
-    if not _block_holds(data.view(np.uint64), alpha_tuple(n), np.equal):
-        return None
-    return data[0].tolist()
+    return data[0].tolist() if layout_holds(data, [(0, alpha_tuple(n))]) else None
 
 
 def _alpha_rows(t: list[str], sep: str) -> list[str]:

@@ -1,13 +1,15 @@
 """Certification of realizations without any general eigensolver.
 
 A certificate is assembled from nonnegativity, structure (the permutative
-blocks a realization records, if any) and one spectral check.  When every
-recorded block has the alpha pattern and holds, the spectral check is the
-paper's closed form: eigenpair residuals ||P v - d v||_inf and the row-sum
-eigenpair P e = s e per block, at any n; a float matrix that is bit for bit
-one alpha block counts as recorded.  Any other matrix (companion matrices,
-search hits of other patterns, other files given to verify) gets the exact
-characteristic-polynomial coefficient match up to a size limit.
+blocks a realization records, if any, which must be its entries exactly)
+and one spectral check.  When every recorded block has the alpha pattern
+and holds, the spectral check is the paper's closed form: eigenpair
+residuals ||P v - d v||_inf and the row-sum eigenpair P e = s e per block,
+at any n; a matrix whose exact zeros split it into alpha blocks that hold
+(a direct sum given to verify) counts as recorded.  Any other matrix
+(companion matrices, search hits of other patterns, other files given to
+verify) gets the exact characteristic-polynomial coefficient match up to a
+size limit.
 Checks that do not apply to a given realization are reported as
 not-applicable rather than silently passed, and a certificate on which
 neither spectral check (charpoly, eigenpairs) ran is inconclusive.
@@ -198,22 +200,6 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
     return ranges
 
 
-def _blocks_hold(A: np.ndarray, blocks: list[tuple[int, PermTuple]], band: float) -> bool:
-    """True iff the recorded blocks hold within band (linalg.layout_holds).
-
-    They must tile [0, n) in order, each block must be its first row laid
-    out by its pattern, and every entry off the blocks must be zero.
-    """
-
-    def near(a, b):
-        d = a - b
-        return np.abs(d, out=d) <= band
-
-    # A difference past the float range means the entries differ.
-    with np.errstate(over="ignore"):
-        return layout_holds(A, blocks, near)
-
-
 def _pow2_at_or_above(m) -> int:
     """The least e >= 0 with 2^e >= m, for a float or Fraction m >= 0."""
     p, q = m.as_integer_ratio()
@@ -226,18 +212,14 @@ def _alpha_eigensystem_residuals(
     blocks: list[tuple[int, PermTuple]],
     target: Spectrum,
     tol: Tolerances,
-    alpha_layout: bool = False,
 ) -> list[tuple[Scalar, Scalar]]:
     """(residual, band) pairs certifying each alpha block's closed eigensystem.
 
     For each block P with first row x, checks P e = s e and P v_i = d_i v_i
-    for the closed-form eigenpairs of the alpha matrix of x, in O(n^2)
-    over row chunks of the block (closed_eigensystem_residuals); then that
-    the blocks' eigenvalues {s, d_i} together reproduce the target
-    spectrum, at the target's scale.  alpha_layout says that A is bit for
-    bit the alpha layout of its first row (DenseMatrix.alpha_row): a block
-    over the whole of such an A gets its eigenvector residual from the row
-    sums' extremes, in O(n) after the row sums, with the same result.
+    for the closed-form eigenpairs of the alpha matrix of x, from the
+    block's row sums (closed_eigensystem_residuals; every block holds
+    exactly, layout_holds); then that the blocks' eigenvalues {s, d_i}
+    together reproduce the target spectrum, at the target's scale.
 
     The pair residuals are taken on t P with t = 2^-e, where 2^e is the
     least power of two >= max(1, |x|_inf), so every sum and product stays
@@ -261,9 +243,7 @@ def _alpha_eigensystem_residuals(
             x_inf = np.abs(P[0]).max()
             e = _pow2_at_or_above(x_inf)
             t = Fraction(1, 1 << e) if exact else math.ldexp(1.0, -e)
-            s, deltas, row_res, pair_res = closed_eigensystem_residuals(
-                P, t, alpha_layout and pt.n == len(A)
-            )
+            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P, t)
             xt = x_inf * t
             out.append((row_res, max(absolute * t, relative * max(t, xt * x_inf))))
             if pair_res is not None:
@@ -279,34 +259,35 @@ def _alpha_eigensystem_residuals(
 def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationReport:
     """Run every applicable check on a Realization; failures are reported.
 
-    The structure check is strict for the blocks a realization records in
-    ``params["blocks"]`` (see _blocks_hold); one recorded alpha block over
-    the whole matrix holds at once when the matrix is bit for bit the
-    alpha layout of its first row (DenseMatrix.alpha_row).  A float64
-    matrix without recorded blocks that is that layout (a file given to
-    verify, say) counts as that one recorded alpha block.  Without
-    recorded blocks otherwise, the structure check is informational — pass
-    when the matrix decomposes into permutative diagonal blocks,
-    not-applicable otherwise.  One spectral check runs:
+    Structure has one rule: the stored entries are the blocks' layout
+    exactly (linalg.layout_holds: float64 entries bit for bit, exact ones
+    as equal Fractions), so a matrix one ulp off its pattern is not
+    permutative.  The blocks a realization records in ``params["blocks"]``
+    must hold; one recorded alpha block over the whole matrix holds at
+    once when DenseMatrix.alpha_row is set.  A matrix without recorded
+    blocks (a file given to verify, say) is split at its exact zeros
+    (detect_blocks); when every part is the alpha layout of its first row,
+    those alpha blocks count as recorded.  Otherwise structure is
+    informational: pass when every part is permutative (is_permutative at
+    tol 0), not-applicable otherwise.  One spectral check runs:
 
-    - alpha evidence (recorded blocks that all have the alpha pattern and
-      hold): the closed-form eigenpair residuals per block, then the
-      blocks' eigenvalues against the target, at every size, direct sums
+    - alpha evidence (blocks that all have the alpha pattern and hold):
+      the closed-form eigenpair residuals per block, then the blocks'
+      eigenvalues against the target, at every size, direct sums
       included; charpoly is not-applicable;
     - otherwise, the exact characteristic polynomial against the target's,
       up to n = 30 in float mode (n = 64 in exact mode; see
       CHARPOLY_FLOAT_CERTIFY_MAX_N);
     - otherwise neither runs, and the verdict is inconclusive, never pass.
 
-    Nonnegativity, structure and the eigenpair residuals (by chunks of
-    rows) are numpy operations over the n^2 entries, one code path for
-    float64 and Fraction entries alike; magnitudes beyond the float range
-    read as inf.  On a matrix that is its alpha layout, the scale and
-    nonnegativity read the first row alone, which holds every value, and
-    the eigenvector residual of its one block is the maximum at the row
-    sums' extremes (closed_eigensystem_residuals): only the row sums read
-    all n^2 entries.  Exact matrices and the blocks of direct sums get the
-    per-entry residual.
+    Structure takes no tolerance; bands apply to nonnegativity and to the
+    spectral comparisons.  Nonnegativity, structure and the row sums are
+    numpy operations over the n^2 entries, one code path for float64 and
+    Fraction entries alike; magnitudes beyond the float range read as inf.
+    On a matrix that is its alpha layout, the scale and nonnegativity read
+    the first row alone, which holds every value.  Each block's
+    eigenvector residual is the maximum at its row sums' extremes
+    (closed_eigensystem_residuals), in O(n) after the row sums.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
@@ -324,10 +305,8 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     blocks = r.params.get("blocks")
     if blocks:
-        # One recorded alpha block over the whole matrix holds when the
-        # matrix is its bit layout; other blocks are checked in the band.
         whole_alpha = blocks == [(0, alpha_tuple(n))]
-        ok = (whole_alpha and alpha_layout) or _blocks_hold(A, blocks, entry_band)
+        ok = (whole_alpha and alpha_layout) or layout_holds(A, blocks)
         structure = CheckState.PASS if ok else CheckState.FAIL
     elif alpha_layout:
         # A matrix file records no blocks: one that is bit for bit the alpha
@@ -335,20 +314,25 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
         blocks = [(0, alpha_tuple(n))]
         structure = CheckState.PASS
     else:
-        # No recorded structure: report permutative block structure when
-        # present, but do not fail a matrix that never claimed it.
-        ok = all(
-            is_permutative(DenseMatrix(A[a:b, a:b]), entry_band)
-            for a, b in detect_blocks(M, entry_band)
-        )
-        structure = CheckState.PASS if ok else CheckState.NOT_APPLICABLE
+        # Read the blocks off the exact zeros: alpha blocks that hold count
+        # as recorded; otherwise report permutative parts, but do not fail
+        # a matrix that never claimed them.
+        split = detect_blocks(M)
+        blocks = [(a, alpha_tuple(b - a)) for a, b in split]
+        # One float part is the layout alpha_row has already ruled out.
+        if (M.is_exact or len(split) > 1) and layout_holds(A, blocks):
+            structure = CheckState.PASS
+        else:
+            blocks = None
+            ok = all(is_permutative(DenseMatrix(A[a:b, a:b])) for a, b in split)
+            structure = CheckState.PASS if ok else CheckState.NOT_APPLICABLE
 
     charpoly = eig = CheckState.NOT_APPLICABLE
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         # The paper's closed form is the spectral evidence at every n: the
         # alpha block with first row x has eigenvalues sum(x) and x_1 - x_i.
         eig = CheckState.PASS
-        pairs = _alpha_eigensystem_residuals(A, blocks, r.target, tol, alpha_layout)
+        pairs = _alpha_eigensystem_residuals(A, blocks, r.target, tol)
         for res, band in pairs:
             residuals.append(float_or_inf(res))
             if res > band:

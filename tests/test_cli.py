@@ -867,23 +867,23 @@ def test_verify_passes_the_csv_realize_wrote(capsys, tmp_path):
 
 
 def test_verify_of_realize_csv_reports_its_certificate_at_n_1024(capsys, tmp_path, monkeypatch):
-    # Both certify the same proven layout, one block recorded and one read
+    # Both certify the same proven layout as one block, recorded and read
     # from the file, through the row sums' extremes.
-    flags = []
+    orders = []
     original = verify_mod.closed_eigensystem_residuals
 
-    def routed(P, t, alpha_layout=False):
-        flags.append(alpha_layout)
-        return original(P, t, alpha_layout)
+    def counted(P, t):
+        orders.append(len(P))
+        return original(P, t)
 
-    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", routed)
+    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", counted)
     path = tmp_path / "m.csv"
     text = wide_spread_suleimanova_text(1024, 8)
     code, out, _ = run(capsys, "realize", text, "--format", "json", "--out", str(path))
     realized = json.loads(out)["certificate"]
     assert run(capsys, "verify", text, "--matrix", str(path), "--format", "json")[:2] == \
         (code, json.dumps(realized) + "\n")
-    assert (code, realized["verdict"], flags) == (0, "pass", [True, True])
+    assert (code, realized["verdict"], orders) == (0, "pass", [1024, 1024])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])
@@ -895,10 +895,10 @@ def test_wide_spread_verify_round_trip(capsys, tmp_path, n):
         assert code == 0, (n, h)
         assert _verify_json(capsys, text, path) == (0, ("not-applicable", "pass")), (n, h)
         if n <= 16:
-            # Exact mode reads the file's decimal texts as Fractions: no
-            # alpha evidence there, so the exact charpoly stays its check.
+            # Exact mode reads the file's decimal texts as Fractions, which
+            # are the alpha layout exactly: the closed form is its check.
             _, checks = _verify_json(capsys, text, path, "--exact")
-            assert checks[1] == "not-applicable" != checks[0], (n, h)
+            assert checks[0] == "not-applicable" != checks[1], (n, h)
 
 
 @pytest.mark.parametrize("n", [4, 12, 30, 31, 64])

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
+    assert_matches_whole_block,
     closed_eigensystem,
     eval_poly,
     float_char_poly_reference,
     float_char_poly_stack_reference,
     poly_mul,
+    whole_block_residuals,
 )
 from permrealize import (
     DenseMatrix,
@@ -54,8 +56,8 @@ from permrealize import (
 from permrealize import linalg as linalg_mod
 from permrealize.linalg import (
     char_poly_coeffs,
-    closed_eigensystem_residuals,
     format_scalar,
+    layout_holds,
     _alpha_first_row,
     _alpha_index,
     matrix_to_json_obj,
@@ -856,37 +858,10 @@ def _pair_band(P):
     return Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
 
 
-def _whole_block_residuals(P, t=1):
-    """(s, deltas, Q e - s e, Q V - V diag(deltas)) for Q = t P, computed on
-    the whole of Q at once: the reference for closed_eigensystem_residuals'
-    chunks and maxima."""
-    P = P * t
-    x = P[0]
-    s = sum(x[1:], start=x[0])
-    deltas = x[0] - x[1:]
-    c = (x[0] - s) - x[1:]
-    rs = P.sum(axis=1)
-    R = np.subtract.outer(rs, deltas)
-    R *= x[1:]
-    R += P[:, 1:] * c
-    R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
-    return s, deltas, rs - s, R
-
-
 def _assert_residuals_match(P, t=1):
-    """closed_eigensystem_residuals(P, t) is the whole-block reference bit for
+    """closed_eigensystem_residuals(P, t) is the per-entry reference bit for
     bit, and lies within the pair band of the dense product on t P."""
-    got = closed_eigensystem_residuals(P, t)
-    s, deltas, row, pair = _whole_block_residuals(P, t)
-    want = (s, deltas, np.abs(row).max(), np.abs(pair).max() if pair.size else None)
-    assert got[0] == want[0] and np.array_equal(got[1], want[1])
-    if P.dtype == object:
-        assert got[2:] == want[2:]
-    else:
-        assert np.float64(got[2]).view(np.uint64) == np.float64(want[2]).view(np.uint64)
-        if len(P) > 1:
-            assert np.float64(got[3]).view(np.uint64) == np.float64(want[3]).view(np.uint64)
-    assert (got[3] is None) == (len(P) == 1)
+    got = assert_matches_whole_block(P, t)
     row_ref, pair_ref = _dense_residuals(P * t)
     band = _pair_band(P * t)
     assert abs(got[2] - np.abs(row_ref).max()) <= band
@@ -898,7 +873,7 @@ def _assert_residuals_match(P, t=1):
 def test_closed_eigensystem_residuals_match_the_dense_product():
     for P in _residual_blocks():
         _assert_residuals_match(P)
-        s, deltas, row, pair = _whole_block_residuals(P)
+        s, deltas, row, pair = whole_block_residuals(P)
         s_ref, deltas_ref, _ = closed_eigensystem(P[0])
         row_ref, pair_ref = _dense_residuals(P)
         assert s == s_ref and (deltas == deltas_ref).all()
@@ -909,28 +884,44 @@ def test_closed_eigensystem_residuals_match_the_dense_product():
         assert (np.abs(pair) <= band).all()
 
 
-def test_closed_eigensystem_residuals_see_a_one_entry_perturbation():
+def test_layout_holds_sees_a_one_entry_perturbation():
+    # The closed form needs the layout exactly: one entry moved is caught by
+    # the structure check, and would move the per-entry residual past the
+    # band.
     for P in _residual_blocks():
         n = len(P)
         if n == 1:
             continue  # the only entry is the first row itself
         P = P.copy()
         P[n - 1, 0] += 1
+        assert not layout_holds(P, [(0, alpha_tuple(n))])
         band = _pair_band(P)
-        assert closed_eigensystem_residuals(P)[3] > band
+        assert np.abs(whole_block_residuals(P)[3]).max() > band
         assert np.abs(_dense_residuals(P)[1]).max() > band
 
 
 CHUNK_ROWS = 4
 
 
+def _assert_perturbations_fail_the_layout(P, t, entries, bump):
+    """Each entry moved by bump fails layout_holds, and would raise the
+    per-entry residual's maximum above that of P."""
+    n = len(P)
+    base = np.abs(whole_block_residuals(P, t)[3]).max()
+    for i, j in entries:
+        Q = P.copy()
+        Q[i, j] += bump
+        assert not layout_holds(Q, [(0, alpha_tuple(n))]), (i, j)
+        assert np.abs(whole_block_residuals(Q, t)[3]).max() > base, (i, j)
+
+
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2])
 def test_closed_eigensystem_residuals_across_chunk_boundaries(monkeypatch, exact, n):
-    # Chunks of CHUNK_ROWS rows at this order; a perturbed entry in the last
-    # row of the first chunk, and one on the subdiagonal (k+1, k) with row
-    # k+1 the first of the next chunk, each change the maxima as they do on
-    # the whole block.
+    # Row sums in chunks of CHUNK_ROWS rows at this order give the
+    # per-entry reference's maxima.  An entry moved in the last row of the
+    # first chunk, or on the subdiagonal (k+1, k) with row k+1 the first of
+    # the next chunk, fails the structure check that gates the closed form.
     monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", CHUNK_ROWS * 8 * n)
     rng = np.random.default_rng(n)
     x = rng.uniform(0.5, 5.0, n)
@@ -943,21 +934,16 @@ def test_closed_eigensystem_residuals_across_chunk_boundaries(monkeypatch, exact
     _assert_residuals_match(P, t)
     k = CHUNK_ROWS - 1
     if n > k + 1:
-        for i, j in ((k, n - 1), (k + 1, k)):
-            Q = P.copy()
-            Q[i, j] += bump
-            got = _assert_residuals_match(Q, t)
-            assert got[3] > _assert_residuals_match(P, t)[3]
+        _assert_perturbations_fail_the_layout(P, t, ((k, n - 1), (k + 1, k)), bump)
 
 
 def test_closed_eigensystem_residuals_at_the_default_chunk_size():
     # 181 rows of 181 float64 entries fit one 256 KB chunk, 182 do not.
     rng = np.random.default_rng(7)
     for n in (181, 182, 363):
-        P = assemble(alpha_tuple(n), rng.uniform(0.5, 5.0, n).tolist()).data.copy()
-        P[n - 1, 0] += 1e-3
-        P[180, 179] -= 1e-3
+        P = assemble(alpha_tuple(n), rng.uniform(0.5, 5.0, n).tolist()).data
         _assert_residuals_match(P, 2.0**-3)
+        _assert_perturbations_fail_the_layout(P, 2.0**-3, ((n - 1, 0), (180, 179)), 1e-3)
 
 
 def _first_rows(rng, n):
@@ -979,20 +965,6 @@ def _certify_scale(P) -> float:
     return math.ldexp(1.0, -_pow2_at_or_above(np.abs(P[0]).max()))
 
 
-def _assert_proven_matches_whole_block(P, t):
-    """The proven-layout maxima are the whole-block reference's, bit for bit."""
-    got = closed_eigensystem_residuals(P, t, alpha_layout=True)
-    s, deltas, row, pair = _whole_block_residuals(P, t)
-    assert got[0] == s and np.array_equal(got[1], deltas)
-    assert np.float64(got[2]).view(np.uint64) == np.float64(np.abs(row).max()).view(np.uint64)
-    if len(P) == 1:
-        assert got[3] is None
-    else:
-        want = np.float64(np.abs(pair).max())
-        assert np.float64(got[3]).view(np.uint64) == want.view(np.uint64)
-    return got
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 181, 182, 363, 1024])
 def test_proven_alpha_layout_residuals_match_the_whole_block(n):
     # The row sums read every entry of a proven layout; the eigenvector
@@ -1005,7 +977,7 @@ def test_proven_alpha_layout_residuals_match_the_whole_block(n):
         assert DenseMatrix(P).alpha_row is not None
         t = _certify_scale(P)
         assert np.abs(P[0] * t).max() <= 1
-        _assert_proven_matches_whole_block(P, t)
+        assert_matches_whole_block(P, t)
         rs = (P * t).sum(axis=1)
         off_row_0 += rs.argmin() > 0 or rs.argmax() > 0
     assert off_row_0 or n <= 3
@@ -1016,7 +988,7 @@ def test_proven_alpha_layout_residuals_leave_out_row_k_plus_1():
     # every entry of the residual: left in, it would change the maximum.
     P = assemble(alpha_tuple(4), [1.0, 2.0**53, -(2.0**53), 0.5]).data
     t = _certify_scale(P)
-    s, deltas, _, pair_max = _assert_proven_matches_whole_block(P, t)
+    s, deltas, _, pair_max = assert_matches_whole_block(P, t)
     Q = P * t
     rs = Q.sum(axis=1)
     assert rs.argmax() == 2
@@ -1032,7 +1004,7 @@ def test_proven_alpha_layout_residuals_across_chunk_boundaries(monkeypatch, n):
         monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", chunk_rows * 8 * n)
         for x in _first_rows(rng, n):
             P = assemble(alpha_tuple(n), x.tolist()).data
-            _assert_proven_matches_whole_block(P, _certify_scale(P))
+            assert_matches_whole_block(P, _certify_scale(P))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import closed_eigensystem, random_suleimanova
+from conftest import (
+    assert_matches_whole_block,
+    closed_eigensystem,
+    random_suleimanova,
+)
 from permrealize import (
     DenseMatrix,
     DimensionMismatchError,
@@ -36,8 +40,9 @@ from permrealize.verify import (
     METHOD_SULEIMANOVA,
     Verdict,
     _alpha_eigensystem_residuals,
-    _blocks_hold,
 )
+from permrealize.linalg import layout_holds
+from permrealize.suleimanova import alpha_direct_sum
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +258,64 @@ def test_certify_perturbed_alpha_realization_fails(n):
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("i, j", [(0, 2), (3, 0), (2, 2), (1, 3)])
 def test_recorded_alpha_block_off_its_bit_layout_is_judged_in_the_band(exact, i, j):
-    # One ulp off the layout (or any exact matrix) takes the band check and
-    # holds; four bands off it fails, wherever the entry is.
+    # A recorded block holds only exactly: one ulp off the layout fails
+    # structure, wherever the entry is, and so does 10^-3 off.  The
+    # spectrum is then judged in the band by the charpoly (n = 5): the ulp
+    # passes it, 10^-3 does not.
     values = [Fraction(10), Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-7, 2)]
     r = realize_suleimanova(make_spectrum(values if exact else [float(v) for v in values]))
     assert r.params["blocks"] == [(0, alpha_tuple(5))]
-    band = Tolerances().band(max(1.0, r.matrix.max_abs()))
     v = float(r.matrix.data[i, j])
-    for moved, structure in ((np.nextafter(v, np.inf), CheckState.PASS),
-                             (v + 4 * band, CheckState.FAIL)):
+    for moved, charpoly in ((np.nextafter(v, np.inf), CheckState.PASS),
+                            (v + 1e-3, CheckState.FAIL)):
         data = r.matrix.data.copy()
         data[i, j] = Fraction(moved) if exact else moved
         M = DenseMatrix(data)
         assert M.alpha_row is None
         report = certify(replace(r, matrix=M), Tolerances())
-        assert report.structure_ok is structure
-        assert report.verdict is (Verdict.PASS if structure is CheckState.PASS else Verdict.FAIL)
+        assert report.structure_ok is CheckState.FAIL
+        assert (report.charpoly_ok, report.eigenpair_ok) == (charpoly, CheckState.NOT_APPLICABLE)
+        assert report.verdict is Verdict.FAIL
+
+
+def _zeros_direct_sum():
+    """A recorded direct sum whose blocks hold 0.0 and -0.0: the alpha
+    blocks of 3,1,-1 (first row 1, 0, 2) and of first row 2, -0.0, 1."""
+    first = realize_suleimanova(make_spectrum([3.0, 1.0, -1.0])).matrix
+    second = assemble(alpha_tuple(3), [2.0, -0.0, 1.0])
+    s, deltas, _ = closed_eigensystem(second.data[0])
+    sigma = make_spectrum([3.0, 1.0, -1.0, s, *deltas])
+    blocks = [(0, alpha_tuple(3)), (3, alpha_tuple(3))]
+    return Realization(matrix=direct_sum([first, second]), method="", target=sigma,
+                       params={"blocks": blocks})
+
+
+@pytest.mark.parametrize("edit", [
+    "ulp-up", "ulp-down", "sign-bit", "zero-to-minus-zero", "minus-zero-to-zero",
+    "off-block-subnormal", "exact-1e-30",
+])
+def test_recorded_blocks_hold_only_exactly(edit):
+    r = _zeros_direct_sum()
+    if edit == "exact-1e-30":
+        r = replace(r, matrix=from_rows(r.matrix.to_lists(), exact=True),
+                    target=make_spectrum([Fraction(v) for v in r.target.values], exact=True))
+    assert certify(r).verdict is Verdict.PASS
+    data = r.matrix.data.copy()
+    i, j, new = {
+        "ulp-up": (4, 5, lambda v: np.nextafter(v, np.inf)),
+        "ulp-down": (1, 2, lambda v: np.nextafter(v, -np.inf)),
+        "sign-bit": (2, 0, lambda v: -v),
+        "zero-to-minus-zero": (2, 1, lambda v: -0.0),
+        "minus-zero-to-zero": (3, 4, lambda v: 0.0),
+        "off-block-subnormal": (4, 1, lambda v: 5e-324),
+        "exact-1e-30": (5, 3, lambda v: v + Fraction(1, 10**30)),
+    }[edit]
+    old, data[i, j] = data[i, j], new(data[i, j])
+    assert str(data[i, j]) != str(old)
+    report = certify(replace(r, matrix=DenseMatrix(data)))
+    assert report.structure_ok is CheckState.FAIL
+    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert report.verdict is Verdict.FAIL
 
 
 def test_negative_tolerances_are_refused():
@@ -344,9 +391,17 @@ def test_certify_exact_entries_beyond_float_range():
     # instead of raising; exact mode's bands do not depend on them.
     big = Fraction(10) ** 400
     sigma = make_spectrum([big, Fraction(1)], exact=True)
+    # diag(big, 1) splits at its zeros into two 1 x 1 alpha blocks; the
+    # triangular matrix has no alpha evidence and takes the charpoly.
     M = from_rows([[big, 0], [0, 1]], exact=True)
     report = certify(Realization(matrix=M, method="", target=sigma))
-    assert report.charpoly_ok is CheckState.PASS
+    assert (report.charpoly_ok, report.eigenpair_ok) == (
+        CheckState.NOT_APPLICABLE, CheckState.PASS)
+    assert report.verdict is Verdict.PASS
+    M = from_rows([[big, 1], [0, 1]], exact=True)
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert (report.charpoly_ok, report.eigenpair_ok) == (
+        CheckState.PASS, CheckState.NOT_APPLICABLE)
     assert report.verdict is Verdict.PASS
     r = realize_suleimanova(make_spectrum([big, Fraction(-1)], exact=True))
     report = certify(r)
@@ -510,32 +565,23 @@ def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():
 
 
 # ---------------------------------------------------------------------------
-# which blocks take the proven-layout residual
+# every certified block takes the row sums' extremes
 # ---------------------------------------------------------------------------
 
 
-def _routed_certify(monkeypatch, r, tol=None):
-    """certify(r, tol) and the alpha_layout flag of each closed-form residual
-    call it makes.  The report is asserted equal, max_residual bit for bit,
-    to the one certify gives when every call takes the per-entry formula."""
+def _certified_blocks(monkeypatch, r, tol=None):
+    """certify(r, tol) and the order of the block of each closed-form
+    residual call it makes, each checked against the per-entry reference."""
     original = verify_mod.closed_eigensystem_residuals
-    flags = []
+    calls = []
 
-    def run(per_entry):
-        def routed(P, t, alpha_layout=False):
-            flags.append(alpha_layout)
-            return original(P, t, alpha_layout and not per_entry)
+    def checked(P, t):
+        calls.append(len(P))
+        assert_matches_whole_block(P, t)
+        return original(P, t)
 
-        monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", routed)
-        return certify(r, tol)
-
-    report = run(per_entry=False)
-    taken = flags.copy()
-    ref = run(per_entry=True)
-    assert report == ref
-    assert np.float64(report.max_residual).view(np.uint64) == \
-        np.float64(ref.max_residual).view(np.uint64)
-    return report, taken
+    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", checked)
+    return certify(r, tol), calls
 
 
 def _alpha_realization(x, recorded):
@@ -551,11 +597,87 @@ def _alpha_realization(x, recorded):
 def test_proven_layouts_take_the_row_sum_extremes(monkeypatch, n):
     rng = np.random.default_rng(n)
     r = realize_suleimanova(random_suleimanova(rng, n))
-    report, flags = _routed_certify(monkeypatch, r)
-    assert flags == [True] and report.verdict is Verdict.PASS
+    report, calls = _certified_blocks(monkeypatch, r)
+    assert calls == [n] and report.verdict is Verdict.PASS
     # The same matrix as a file records no blocks and counts as one.
-    report, flags = _routed_certify(monkeypatch, replace(r, params={}))
-    assert flags == [True] and report.verdict is Verdict.PASS
+    report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
+    assert calls == [n] and report.verdict is Verdict.PASS
+
+
+def _exact_alpha(n):
+    rng = np.random.default_rng([31, n])
+    values = [Fraction(int(v), 8) for v in -rng.integers(1, 80, n - 1)]
+    sigma = make_spectrum([-sum(values, Fraction(0)) + Fraction(3, 8)] + values, exact=True)
+    return realize_suleimanova(sigma), [n]
+
+
+def _small_order(values, case):
+    r = realize_small(make_spectrum(values))
+    assert r.params["case"] == case
+    return r, [pt.n for _, pt in r.params["blocks"]]
+
+
+def _wide_groups():
+    """Three groups of head 1e12 and three negatives down to about -4e-3:
+    the charpoly's coefficient band fails their direct sum."""
+    negs = -4e11 * 10.0 ** -np.random.default_rng(5).uniform(0, 14, size=9)
+    groups = [[1e12, *map(float, negs[3 * g : 3 * g + 3])] for g in range(3)]
+    sigma = make_spectrum([v for g in groups for v in g])
+    return alpha_direct_sum(groups, "", sigma), [4, 4, 4]
+
+
+def _many_blocks():
+    rng = np.random.default_rng(37)
+    groups = [random_suleimanova(rng, int(rng.integers(1, 5))).values for _ in range(200)]
+    sigma = make_spectrum([v for g in groups for v in g])
+    return alpha_direct_sum(groups, "", sigma), [len(g) for g in groups]
+
+
+#: (realization, block orders) of every kind of alpha block certify gives
+#: the closed form.
+BLOCK_KINDS = {
+    **{f"exact-{n}": lambda n=n: _exact_alpha(n) for n in (1, 2, 5, 40)},
+    "N3-DirectSum": lambda: _small_order([5.0, 2.0, -3.0], "N3-DirectSum"),
+    "N4-PairedDirectSum": lambda: _small_order([9.5, 9.0, 2.5, -0.75], "N4-PairedDirectSum"),
+    "200-blocks": _many_blocks,
+    "wide": _wide_groups,
+    # The small block's entries lie below the band of the largest entry.
+    "tiny-beside-huge": lambda: (
+        alpha_direct_sum([[1e12, -1.0], [1e-3, -1e-4]], "",
+                         make_spectrum([1e12, -1.0, 1e-3, -1e-4])),
+        [2, 2]),
+    # diag(2, 2) is bit for bit the alpha layout of [2, 0]; recorded as two
+    # 1 x 1 blocks, it holds as those.
+    "diag-as-two-blocks": lambda: (
+        Realization(matrix=from_rows([[2.0, 0.0], [0.0, 2.0]]), method="",
+                    target=make_spectrum([2.0, 2.0]),
+                    params={"blocks": [(0, alpha_tuple(1)), (1, alpha_tuple(1))]}),
+        [1, 1]),
+    "zeros": lambda: (_zeros_direct_sum(), [3, 3]),
+    "zeros-alone": lambda: (_alpha_realization([0.0, 3.0, -0.0, 1.0, 0.5], recorded=True), [5]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
+def test_every_certified_block_matches_the_per_entry_reference(monkeypatch, kind):
+    # One residual formula for every block that holds: the whole matrix,
+    # each block of a direct sum, exact entries, zeros of either sign.
+    r, orders = BLOCK_KINDS[kind]()
+    report, calls = _certified_blocks(monkeypatch, r)
+    assert calls == orders
+    assert report.eigenpair_ok is CheckState.PASS and report.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize(
+    "kind", ["N3-DirectSum", "N4-PairedDirectSum", "200-blocks", "wide", "tiny-beside-huge", "zeros"])
+def test_verify_reads_a_direct_sum_off_its_exact_zeros(monkeypatch, kind):
+    # As a file (no recorded blocks) a direct sum splits at its exact zeros
+    # into alpha blocks that hold, and gets the closed form: no charpoly.
+    r, _ = BLOCK_KINDS[kind]()
+    report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
+    assert len(calls) > 1 and sum(calls) == r.matrix.n_rows
+    assert report.charpoly_ok is CheckState.NOT_APPLICABLE
+    assert report.eigenpair_ok is CheckState.PASS and report.verdict is Verdict.PASS
 
 
 # x has zeros at positions 0 and 2: entry (0, 2) in row 0, (2, 0) in column
@@ -568,43 +690,25 @@ EDITED_ENTRIES = [(0, 2), (2, 0), (1, 1), (3, 2), (0, 3), (3, 0), (5, 5), (5, 7)
 @pytest.mark.parametrize("i, j", EDITED_ENTRIES)
 @pytest.mark.parametrize("edit", ["ulp-up", "ulp-down", "sign-bit"])
 def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i, j, edit):
+    # The per-entry formula is the tests' reference alone: an entry off the
+    # bit layout, even a zero's sign, gets no closed form.  Recorded, the
+    # block fails structure; as a file it is no alpha evidence, and at
+    # n = 40 no spectral check runs.
     r0 = _alpha_realization(EDIT_X, recorded=True)
     v = float(r0.matrix.data[i, j])
     data = r0.matrix.data.copy()
     data[i, j] = {"ulp-up": math.nextafter(v, math.inf),
                   "ulp-down": math.nextafter(v, -math.inf), "sign-bit": -v}[edit]
     M = DenseMatrix(data)
-    assert M.alpha_row is None
-    report, flags = _routed_certify(monkeypatch, replace(r0, matrix=M))
-    assert True not in flags
-    # An edit within the band keeps the structure and runs the residual.
-    held = edit != "sign-bit" or v == 0.0
-    assert (report.structure_ok is CheckState.PASS) == held
-    assert flags == ([False] if held else [])
-    # As a file, the edited matrix is no alpha evidence, and at n = 40 no
-    # spectral check runs.
-    report, flags = _routed_certify(monkeypatch, replace(r0, matrix=M, params={}))
-    assert flags == [] and report.eigenpair_ok is report.charpoly_ok is CheckState.NOT_APPLICABLE
-
-
-def test_exact_and_direct_sum_blocks_take_the_per_entry_formula(monkeypatch):
-    values = [Fraction(10), Fraction(-1), Fraction(-2), Fraction(-7, 2)]
-    r = realize_suleimanova(make_spectrum(values, exact=True))
-    assert r.matrix.is_exact
-    report, flags = _routed_certify(monkeypatch, r)
-    assert flags == [False] and report.verdict is Verdict.PASS
-    data, sigma, blocks = _two_alpha_blocks()
-    r = Realization(matrix=DenseMatrix(data), method="", target=sigma, params={"blocks": blocks})
-    report, flags = _routed_certify(monkeypatch, r)
-    assert flags == [False, False] and report.verdict is Verdict.PASS
-    # diag(2, 2) is bit for bit the alpha layout of [2, 0], yet recorded as
-    # two 1 x 1 blocks: neither block is the whole matrix.
-    r = Realization(matrix=from_rows([[2.0, 0.0], [0.0, 2.0]]), method="",
-                    target=make_spectrum([2.0, 2.0]),
-                    params={"blocks": [(0, alpha_tuple(1)), (1, alpha_tuple(1))]})
-    assert r.matrix.alpha_row == [2.0, 0.0]
-    report, flags = _routed_certify(monkeypatch, r)
-    assert flags == [False, False] and report.verdict is Verdict.PASS
+    assert M.alpha_row is None and not layout_holds(data, r0.params["blocks"])
+    report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M))
+    assert calls == [] and report.structure_ok is CheckState.FAIL
+    report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M, params={}))
+    assert calls == [] and report.eigenpair_ok is report.charpoly_ok is CheckState.NOT_APPLICABLE
+    # Informationally its rows are permutations of the first row only where
+    # the edit leaves every value as it was: a zero's sign.
+    permutative = edit == "sign-bit" and v == 0.0
+    assert report.structure_ok is (CheckState.PASS if permutative else CheckState.NOT_APPLICABLE)
 
 
 def test_report_json_shape(sigma_integer_example):
@@ -655,54 +759,58 @@ def test_eigenpairs_stay_finite_near_the_float_limit(values):
     assert certify(wrong).eigenpair_ok is CheckState.FAIL
 
 
-def _unscaled_dense_verdict(P, tol):
+def _unscaled_verdict(P, target, tol):
     """The eigenpair judgement on the block as stored: a dense P V at the
-    band tol.band(max(1, |x|_inf^2)); None when the residual lies so near
-    the band that rounding may decide it."""
+    band tol.band(max(1, |x|_inf^2)), then its closed-form eigenvalues
+    against the target at tol.band(target.scale()); None when a residual
+    lies so near its band that rounding may decide it."""
     s, deltas, V = closed_eigensystem(P[0])
     x_inf = float(np.abs(P[0]).max())
-    band = tol.band(max(1.0, x_inf * x_inf))
-    res = max(np.abs(P.sum(axis=1) - s).max(), np.abs(P @ V - V * deltas).max())
-    if abs(res - band) <= 1e-6 * band:
+    checks = [
+        (max(np.abs(P.sum(axis=1) - s).max(), np.abs(P @ V - V * deltas).max()),
+         tol.band(max(1.0, x_inf * x_inf))),
+        (np.abs(np.sort([s, *deltas])[::-1] - np.asarray(target.values)).max(),
+         tol.band(target.scale())),
+    ]
+    if any(abs(res - band) <= 1e-6 * band for res, band in checks):
         return None
-    return CheckState.PASS if res <= band else CheckState.FAIL
+    return CheckState.PASS if all(res <= band for res, band in checks) else CheckState.FAIL
 
 
 @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(1e-3, 1e-12)])
 @pytest.mark.parametrize("x_inf", [0.3, 1.2, 1.7, 1e3, 1e150])
 def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
     # Where the unscaled band is finite, judging the scaled block changes
-    # no verdict: perturbations from far below to far above the band give
-    # the states the dense, unscaled rule gives.
+    # no verdict: targets moved from far below to far above the band give
+    # the states the dense, unscaled rule gives.  (The block holds exactly,
+    # as structure requires; a moved entry would fail structure instead.)
     rng = np.random.default_rng(17)
     n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1  # keeps the exact charpoly out
     x = rng.uniform(0.1, 1.0, n)
     x *= x_inf / x.max()
-    P0 = assemble(alpha_tuple(n), x.tolist()).data
-    s, deltas, _ = closed_eigensystem(P0[0])
-    target = make_spectrum([s, *deltas])
+    P = assemble(alpha_tuple(n), x.tolist()).data
+    s, deltas, _ = closed_eigensystem(P[0])
+    values = sorted([s, *deltas], reverse=True)
     seen = set()
-    for h in np.geomspace(1e-7, 1e2, 61) * tol.band(max(1.0, x_inf)):
-        P = P0.copy()
-        P[3, 3] += h
-        expected = _unscaled_dense_verdict(P, tol)
+    for h in np.geomspace(1e-7, 1e2, 61) * tol.band(make_spectrum(values).scale()):
+        target = make_spectrum([values[0] + h, *values[1:]])
+        expected = _unscaled_verdict(P, target, tol)
         if expected is None:
             continue
         r = Realization(matrix=DenseMatrix(P), method="", target=target,
                         params={"blocks": [(0, alpha_tuple(n))]})
         report = certify(r, tol)
-        if report.structure_ok is not CheckState.PASS:
-            continue
+        assert report.structure_ok is CheckState.PASS
         assert report.eigenpair_ok is expected, h
         seen.add(expected)
     assert seen == {CheckState.PASS, CheckState.FAIL}
 
 
-def _blocks_hold_by_index(A, blocks, band):
-    """The structure check as first written: each block against P[0][pt.index]."""
-    def near(a, b):
-        return bool((np.abs(a - b) <= band).all())
-
+def _blocks_hold_by_index(A, blocks):
+    """The structure check as first written, made exact: each block against
+    P[0][pt.index], float64 entries as uint64 bit patterns."""
+    if A.dtype == np.float64:
+        A = A.view(np.uint64)
     pos = 0
     for start, pt in blocks:
         stop = start + pt.n
@@ -710,8 +818,8 @@ def _blocks_hold_by_index(A, blocks, band):
             return False
         rows = A[start:stop]
         P = rows[:, start:stop]
-        if not (near(P, P[0][pt.index]) and near(rows[:, :start], 0)
-                and near(rows[:, stop:], 0)):
+        if not ((P == P[0][pt.index]).all() and (rows[:, :start] == 0).all()
+                and (rows[:, stop:] == 0).all()):
             return False
         pos = stop
     return pos == len(A)
@@ -719,12 +827,17 @@ def _blocks_hold_by_index(A, blocks, band):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_blocks_hold_by_slices_matches_the_index_version(exact):
-    # One-entry perturbations below and above the band, in column 0, on
-    # the diagonal, in the interior and off the blocks, of seeded alpha
-    # blocks and the N4-Group pattern.
+    # One-entry edits of the smallest size (an ulp, 10^-30) and of size 2,
+    # up and down, in column 0, on the diagonal, in the interior and off the
+    # blocks, of seeded alpha blocks and the N4-Group pattern.
     rng = np.random.default_rng(23)
-    band = Fraction(1, 1000) if exact else 1e-3
     group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0]))
+    if exact:
+        edits = [lambda v, d=d: v + d for d in (Fraction(1, 10**30), -Fraction(1, 10**30), 2, -2)]
+    else:
+        edits = [lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf),
+                 lambda v: v + 2, lambda v: v - 2]
+    seen = set()
     for sizes in ((7,), (1, 4, 2), (3, 1)):
         mats, blocks, start = [], [], 0
         for k in sizes:
@@ -738,15 +851,14 @@ def test_blocks_hold_by_slices_matches_the_index_version(exact):
         A0 = direct_sum(mats).data
         n = len(A0)
         alone = {(s, s) for s, pt in blocks if pt.n == 1}  # any value is its layout
-        assert _blocks_hold(A0, blocks, band) and _blocks_hold_by_index(A0, blocks, band)
-        seen = set()
+        assert layout_holds(A0, blocks) and _blocks_hold_by_index(A0, blocks)
         for i in range(n):
             for j in {0, i, (i + 1) % n, int(rng.integers(n))}:
-                for h in (band / 2, -band / 2, 2 * band, -2 * band):
+                for edit in edits:
                     A = A0.copy()
-                    A[i, j] += h
-                    got = _blocks_hold(A, blocks, band)
-                    assert got == _blocks_hold_by_index(A, blocks, band), (sizes, i, j, h)
-                    assert got == (abs(h) < band or (i, j) in alone)
+                    A[i, j] = edit(A[i, j])
+                    got = layout_holds(A, blocks)
+                    assert got == _blocks_hold_by_index(A, blocks), (sizes, i, j)
+                    assert got == ((i, j) in alone)
                     seen.add(got)
-        assert seen == {True, False}
+    assert seen == {True, False}

@@ -4,9 +4,11 @@ Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
 1-3, a fixed list of float Suleimanova spectra whose negatives spread
 over many decades (WIDE_SPREAD, realized in float and ``--exact`` mode),
 and a fixed list of small searches (EXPLORE, each run as ``explore`` and
-as ``realize --method explore``), and a fixed list of usage errors, help
-texts and negative tolerances (CLI_TEXT) through ``permrealize.cli.main`` in this
-process, and each realize op once more with ``--format pretty`` and once
+as ``realize --method explore``), a fixed list of usage errors, help
+texts and negative tolerances (CLI_TEXT), and ``verify`` of the CSV files
+of a fixed list of alpha direct sums (DIRECT_SUM), each as written and with
+one entry edited, through ``permrealize.cli.main`` in this process, and
+each realize op once more with ``--format pretty`` and once
 with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
 more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
 last entry written as -0 or as 1/3 and a whitespace-only line after the
@@ -16,7 +18,8 @@ each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
 are keyed ``wide-spread:<index>:<run name>``, the searches
-``explore:<index>:<run name>`` and CLI_TEXT ``cli-text:<index>``), and writes them as
+``explore:<index>:<run name>``, the direct sums
+``direct-sum:<index>:<run name>`` and CLI_TEXT ``cli-text:<index>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
 
@@ -48,7 +51,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+from permrealize import make_spectrum  # noqa: E402
 from permrealize.cli import main as cli_main  # noqa: E402
+from permrealize.suleimanova import alpha_direct_sum  # noqa: E402
 
 SEEDS = (1, 2, 3)
 RERUN_FORMATS = ("pretty", "csv")
@@ -121,6 +126,40 @@ CLI_TEXT = [(None, argv) for argv in PARSER_ERRORS] + [
     ("-1,-1", ("realize", "3,-1,-1")),
     ("-1,-1", ("verify", "1,1", "--matrix", "ID_CSV")),
 ]
+
+
+def _wide_groups() -> list[list[float]]:
+    """Three groups of head 10^12 and three negatives -4e11 * 10^-u, u
+    uniform in [0, 14] (seed 5): 12 values spanning 26 decades."""
+    negs = -4e11 * 10.0 ** -np.random.default_rng(5).uniform(0, 14, size=9)
+    return [[1e12, *map(float, negs[3 * g : 3 * g + 3])] for g in range(3)]
+
+
+#: The groups of alpha direct sums whose CSV files verify reads: 4, 10 and
+#: 22 blocks of 3,-1,-1 (n = 12, 30, 66) and the wide 12-value sum.
+DIRECT_SUM = [[[3.0, -1.0, -1.0]] * k for k in (4, 10, 22)] + [_wide_groups()]
+
+
+def _direct_sum_files(groups, workdir: str, i: int) -> tuple[str, list]:
+    """The spectrum text and (run name, CSV path) of the alpha direct sum of
+    groups as written, with its last diagonal entry one ulp up, and with
+    that entry's sign bit flipped."""
+    values = [v for g in groups for v in g]
+    data = np.array(alpha_direct_sum(groups, "", make_spectrum(values)).matrix.data)
+    edits = {
+        "as-written": lambda v: v,
+        "ulp": lambda v: np.nextafter(v, np.inf),
+        "sign-bit": lambda v: -v,
+    }
+    files = []
+    for name, edit in edits.items():
+        M = data.copy()
+        M[-1, -1] = edit(M[-1, -1])
+        path = os.path.join(workdir, f"direct-sum-{i}-{name}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in M.tolist())
+        files.append((name, path))
+    return ",".join(map(repr, values)), files
 
 
 def _last_entry(text: str, token: str) -> str:
@@ -196,6 +235,10 @@ def fingerprint() -> dict:
             realize = ("realize", *args, "--method", "explore", "--format", "json")
             runs = [("explore", ("explore", *args))] + _realize_runs(realize, out_file)
             record(f"explore:{i}", runs, workdir, out_file)
+        for i, groups in enumerate(DIRECT_SUM):
+            text, files = _direct_sum_files(groups, workdir, i)
+            runs = [(name, ("verify", text, "--matrix", path)) for name, path in files]
+            record(f"direct-sum:{i}", runs, workdir, out_file)
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
