@@ -4,8 +4,9 @@ Construct explicit nonnegative realizing matrices — one permutative matrix
 whenever the paper's first row is nonnegative (every Suleimanova spectrum
 among them), direct sums of permutative blocks for every realizable
 spectrum of order at most 4, companion matrices as a baseline —
-and certify each output by characteristic-polynomial matching and
-closed-form eigenpair residuals.  A budgeted pattern search explores
+and certify each output by characteristic-polynomial matching or by
+identifying its alpha blocks' closed-form eigenvalues exactly.  A budgeted
+pattern search explores
 permutative realizations beyond the closed-form range (orders 5 to 8).
 """
 

@@ -151,13 +151,13 @@ def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
     return bool((_entry_values(M) >= -tol).all())
 
 
-def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
-    """True iff every row is a permutation of the first row, within tol.
+def is_permutative(M: DenseMatrix) -> bool:
+    """True iff every row is a permutation of the first row.
 
     Rows are compared as sorted multisets: one sort of every row, then
-    each sorted row against the sorted first row, entries matching when they
-    differ by at most tol.  The identity matrix is permutative under this
-    definition (each row is a permutation of (1, 0, ..., 0)).
+    each sorted row against the sorted first row with ==, so 0.0 and -0.0
+    match.  The identity matrix is permutative under this definition (each
+    row is a permutation of (1, 0, ..., 0)).
     """
     if not M.is_square:
         raise NotSquareError(
@@ -165,10 +165,7 @@ def is_permutative(M: DenseMatrix, tol: float = 0.0) -> bool:
             f"{M.n_rows}x{M.n_cols}"
         )
     rows = np.sort(M.data, axis=1)
-    # A difference past the float range means the entries differ.
-    with np.errstate(over="ignore"):
-        dev = rows[1:] - rows[0]
-    return bool((np.abs(dev, out=dev) <= tol).all())
+    return bool((rows[1:] == rows[0]).all())
 
 
 class PermTuple:
@@ -309,73 +306,6 @@ def _block_holds(P: np.ndarray, pt: PermTuple) -> bool:
     return bool(ok.all())
 
 
-#: Bytes of one row chunk in closed_eigensystem_residuals: small enough that
-#: a chunk and its temporary stay in a core's cache, large enough that a
-#: block of up to 32768 float64 entries (order 181) is one chunk.
-_RESIDUAL_CHUNK_BYTES = 1 << 18
-
-
-def closed_eigensystem_residuals(
-    P: np.ndarray, t: Scalar = 1
-) -> tuple[Scalar, np.ndarray, Scalar, Optional[Scalar]]:
-    """The closed eigensystem of t x, x the first row of P, and its residuals.
-
-    P must be exactly the alpha layout of its first row x (layout_holds).
-    The alpha matrix with first row y = t x has the eigenvalue s = sum(y)
-    on the all-ones vector e, and d_k = y_0 - y_{k+1} on column k of V,
-    which is y_{k+1} everywhere except y_0 - s at row k + 1 (0-based), for
-    every y.  Returns (s, deltas, max |Q e - s e|, max |Q V - V
-    diag(deltas)|) for Q = t P; the last is None when n = 1 (V has no
-    columns).
-
-    Column k of V is y_{k+1} e + c_k e_{k+1} with c_k = y_0 - s - y_{k+1},
-    so with the row sums rs of Q, entry (i, k) of the second residual is
-    y_{k+1} (rs_i - d_k) + c_k Q[i, k+1] - [i = k+1] d_k c_k.  Off the
-    subdiagonal Q[i, k+1] is y_{k+1}, so entry (i, k) is one expression in
-    rs_i alone: linear in exact arithmetic, and in float64 a chain of
-    roundings, each monotone.  Either way the largest |entry| of column k
-    lies at the least or the greatest row sum outside row k+1.  Those two
-    entries per column and the n - 1 subdiagonal entries give the maximum
-    over all n^2 entries, bit for bit, in O(n) after the row sums.
-
-    The row sums are the one pass over P: Q is formed and summed in chunks
-    of rows of about 256 KB, so no n x n temporary leaves the cache, and
-    each row sum is computed as on the whole of Q at once.
-    """
-    n = len(P)
-    rows = _RESIDUAL_CHUNK_BYTES // (P.itemsize * n) or 1
-    rs = np.empty(n, dtype=P.dtype)
-    for a in range(0, n, rows):
-        rs[a : a + rows] = (P[a : a + rows] * t).sum(axis=1)
-    y = P[0] * t
-    y1 = y[1:]
-    s = np.add.accumulate(y)[-1]  # summed left to right
-    deltas = y[0] - y1
-    pair_max = None
-    if n > 1:
-        c = (y[0] - s) - y1
-        # ext[0, k] and ext[1, k] are the least and greatest row sums over
-        # the rows i != k+1 of column k, and ext[2, k] that of row k+1,
-        # whose entry (k+1, k) is on the subdiagonal.
-        lo, hi = rs.argmin(), rs.argmax()
-        ext = np.empty((3, n - 1), dtype=rs.dtype)
-        ext[0], ext[1] = rs[lo], rs[hi]
-        if lo:
-            ext[0, lo - 1] = np.delete(rs, lo).min()
-        if hi:
-            ext[1, hi - 1] = np.delete(rs, hi).max()
-        ext[2] = rs[1:]
-        ext -= deltas
-        ext *= y1
-        ext[:2] += y1 * c
-        ext[2] += (P.diagonal()[1:] * t) * c  # Q[k+1, k+1]
-        ext[2] -= deltas * c
-        pair_max = np.abs(ext, out=ext).max()
-    rs -= s
-    row_max = np.abs(rs, out=rs).max()
-    return s, deltas, row_max, pair_max
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial, coefficients degree-ascending, leading term explicit.
@@ -474,19 +404,28 @@ def _float_char_poly_stack(A: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def integer_lift(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(B, D) with values[k] == B[k] / D exactly, D the lcm of the denominators.
+
+    Every float and Fraction is rational (a float is a dyadic one, so D is
+    a power of two for floats), and integer arithmetic on B is exact.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return [p * (D // d) for p, d in ratios], D
+
+
 def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:
     """Exact coefficients of det(tI - A) by Faddeev-LeVerrier over the integers.
 
-    Every entry is rational (a float is a dyadic one), so A = B / D with B
-    an integer matrix and D the lcm of the entries' denominators, a power
-    of two for floats.  The recurrence runs on B in Python ints: the
+    A = B / D with B an integer matrix (integer_lift of the entries).  The
+    recurrence runs on B in Python ints: the
     coefficients of an integer matrix are integers, so each division by k
     is exact.  Then c_j(A) = c_j(B) / D^(n-j).
     """
     n = A.shape[0]
-    ratios = [v.as_integer_ratio() for v in A.ravel().tolist()]
-    D = math.lcm(*(d for _, d in ratios))
-    B = np.array([p * (D // d) for p, d in ratios], dtype=object).reshape(n, n)
+    ints, D = integer_lift(A.ravel().tolist())
+    B = np.array(ints, dtype=object).reshape(n, n)
     coeffs = [1] * (n + 1)
     Bk = B.copy()
     for k in range(1, n + 1):

@@ -38,6 +38,16 @@ def float_or_inf(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def running_sum(values) -> Scalar:
+    """The sum of a sequence, left to right; when a float sum is not finite
+    (it overflowed partway, though every value is finite), the exact sum
+    as a Fraction instead."""
+    s = sum(values[1:], start=values[0])
+    if isinstance(s, float) and not math.isfinite(s):
+        return sum(map(Fraction, values), start=Fraction(0))
+    return s
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Mixed absolute/relative tolerance profile threaded through all checks.
@@ -119,8 +129,10 @@ class Spectrum:
 
     @cached_property
     def trace(self) -> Scalar:
-        """s_1: the sum of the targets, in sorted order."""
-        return sum(self.values[1:], start=self.values[0])
+        """s_1: the sum of the targets, in sorted order (running_sum); a
+        float sum that overflows partway is the exact sum, rounded."""
+        s = running_sum(self.values)
+        return s if self.is_exact else float_or_inf(s)
 
     @cached_property
     def spectral_radius(self) -> Scalar:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import NotSuleimanovaError
 from .linalg import alpha_tuple, assemble, direct_sum
-from .spectrum import Spectrum, value_band
+from .spectrum import Spectrum, running_sum, value_band
 from .verify import METHOD_SULEIMANOVA, Realization
 
 Scalar = Union[float, Fraction]
@@ -39,13 +39,17 @@ def suleimanova_first_row(values) -> tuple[Scalar, ...]:
 
     Exact for Fractions.  For floats a sum s within ``value_band(|l_1|)``
     counts as exactly 0, so a zero-trace row is (0, -l_2, ..., -l_n) bit
-    for bit.
+    for bit, and a sum that overflows partway gives s/n as the exact
+    s/n, rounded (running_sum).
     """
     values = tuple(values)
-    s = sum(values[1:], start=values[0])
-    if not isinstance(s, Fraction) and abs(s) <= value_band(abs(values[0])):
-        s = 0.0
-    m = s / len(values)
+    s = running_sum(values)
+    if isinstance(values[0], Fraction):
+        m = s / len(values)
+    elif abs(s) <= value_band(abs(values[0])):
+        m = 0.0
+    else:
+        m = float(s / len(values))
     return (m,) + tuple(m - v for v in values[1:])
 
 

@@ -3,10 +3,12 @@
 A certificate is assembled from nonnegativity, structure (the permutative
 blocks a realization records, if any, which must be its entries exactly)
 and one spectral check.  When every recorded block has the alpha pattern
-and holds, the spectral check is the paper's closed form: eigenpair
-residuals ||P v - d v||_inf and the row-sum eigenpair P e = s e per block,
-at any n; a matrix whose exact zeros split it into alpha blocks that hold
-(a direct sum given to verify) counts as recorded.  Any other matrix
+and holds, the spectral check is the paper's closed form: the alpha matrix
+with first row x has the eigenvalues sum(x) and x_0 - x_i for every x, so
+the blocks' eigenvalues are read off their first rows and compared with
+the target exactly, at any n; a matrix whose exact zeros split it into
+alpha blocks that hold (a direct sum given to verify) counts as recorded.
+Any other matrix
 (companion matrices, search hits of other patterns, other files given to
 verify) gets the exact characteristic-polynomial coefficient match up to a
 size limit.
@@ -18,7 +20,6 @@ neither spectral check (charpoly, eigenpairs) ran is inconclusive.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +33,7 @@ from .linalg import (
     PermTuple,
     alpha_tuple,
     char_poly,
-    closed_eigensystem_residuals,
+    integer_lift,
     is_nonnegative,
     is_permutative,
     layout_holds,
@@ -165,13 +166,13 @@ class Realization:
         return replace(self, certificate=report)
 
 
-def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
-    """Finest contiguous block-diagonal decomposition under threshold tol.
+def detect_blocks(M: DenseMatrix) -> list[tuple[int, int]]:
+    """Finest contiguous block-diagonal decomposition at M's exact zeros.
 
     Returns half-open index ranges (start, stop).  An entry couples indices
-    i and j when |M[i,j]| > tol or |M[j,i]| > tol; blocks are the contiguous
-    ranges closed under coupling.  The zero matrix decomposes into n 1x1
-    blocks.
+    i and j when M[i,j] != 0 or M[j,i] != 0 (0.0 and -0.0 both count as
+    zero); blocks are the contiguous ranges closed under coupling.  The
+    zero matrix decomposes into n 1x1 blocks.
 
     Each index i of a block is scanned once, as one numpy comparison of
     row i and column i beyond the block's current end, and the scan stops
@@ -190,7 +191,7 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
         i = start
         while i <= end < n - 1:
             tail = end + 1
-            coupled = (np.abs(A[i, tail:]) > tol) | (np.abs(A[tail:, i]) > tol)
+            coupled = (A[i, tail:] != 0) | (A[tail:, i] != 0)
             hits = np.flatnonzero(coupled)
             if hits.size:
                 end = tail + int(hits[-1])
@@ -200,60 +201,35 @@ def detect_blocks(M: DenseMatrix, tol: float = 0.0) -> list[tuple[int, int]]:
     return ranges
 
 
-def _pow2_at_or_above(m) -> int:
-    """The least e >= 0 with 2^e >= m, for a float or Fraction m >= 0."""
-    p, q = m.as_integer_ratio()
-    e = max(0, p.bit_length() - q.bit_length())
-    return e + 1 if p > q << e else e
+def _alpha_identification_residual(
+    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum
+) -> Fraction:
+    """Largest gap between the alpha blocks' exact eigenvalues and the target.
 
-
-def _alpha_eigensystem_residuals(
-    A: np.ndarray,
-    blocks: list[tuple[int, PermTuple]],
-    target: Spectrum,
-    tol: Tolerances,
-) -> list[tuple[Scalar, Scalar]]:
-    """(residual, band) pairs certifying each alpha block's closed eigensystem.
-
-    For each block P with first row x, checks P e = s e and P v_i = d_i v_i
-    for the closed-form eigenpairs of the alpha matrix of x, from the
-    block's row sums (closed_eigensystem_residuals; every block holds
-    exactly, layout_holds); then that the blocks' eigenvalues {s, d_i}
-    together reproduce the target spectrum, at the target's scale.
-
-    The pair residuals are taken on t P with t = 2^-e, where 2^e is the
-    least power of two >= max(1, |x|_inf), so every sum and product stays
-    finite.  The row-sum residual scales by t and the eigenvector residual
-    by t^2, and each is judged against tol.band(max(1, |x|_inf^2)) scaled
-    the same way.  A power-of-two scaling is exact (Fractions, and floats
-    short of the subnormal range), so the verdict is that of the unscaled
-    block wherever its band is finite, and both sides stay finite.
+    The alpha matrix with first row x has the eigenvalues sum(x) and
+    x_0 - x_i (i >= 1), for every x, so a matrix that is exactly the
+    direct sum of the alpha layouts of its blocks' first rows has exactly
+    those values as its spectrum.  The first rows and the target are lifted
+    to integers over one denominator D (integer_lift), each block's
+    eigenvalues are formed there, and the two sorted lists are compared
+    entry by entry: the result is max |mu_k - l_k| as an exact Fraction,
+    for float64 and Fraction entries alike.
     """
-    exact = A.dtype == object
-    absolute, relative = tol.absolute, tol.relative
-    if exact:
-        absolute, relative = Fraction(absolute), Fraction(relative)
-    out: list[tuple[Scalar, Scalar]] = []
-    eigs = []
-    # The scaled residuals stay finite; an eigenvalue s / t or d_i / t
-    # past the float range reads as inf.
-    with np.errstate(over="ignore"):
-        for start, pt in blocks:
-            P = A[start : start + pt.n, start : start + pt.n]
-            x_inf = np.abs(P[0]).max()
-            e = _pow2_at_or_above(x_inf)
-            t = Fraction(1, 1 << e) if exact else math.ldexp(1.0, -e)
-            s, deltas, row_res, pair_res = closed_eigensystem_residuals(P, t)
-            xt = x_inf * t
-            out.append((row_res, max(absolute * t, relative * max(t, xt * x_inf))))
-            if pair_res is not None:
-                band = max(absolute * t * t, relative * max(t * t, xt * xt))
-                out.append((pair_res, band))
-            eigs.append(np.concatenate(([s], deltas)) / t)
-    eigs = np.sort(np.concatenate(eigs))[::-1]
-    id_res = np.abs(eigs - np.asarray(target.values)).max()
-    out.append((id_res, tol.band(target.scale())))
-    return out
+    rows: list[Scalar] = []
+    for start, pt in blocks:
+        rows += A[start, start : start + pt.n].tolist()
+    ints, D = integer_lift(rows + list(target.values))
+    eigs: list[int] = []
+    pos = 0
+    for _, pt in blocks:
+        x = ints[pos : pos + pt.n]
+        x0 = x[0]
+        eigs.append(sum(x))
+        eigs += [x0 - v for v in x[1:]]
+        pos += pt.n
+    eigs.sort()
+    want = sorted(ints[pos:])
+    return Fraction(max(abs(a - b) for a, b in zip(eigs, want)), D)
 
 
 def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationReport:
@@ -268,26 +244,26 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     blocks (a file given to verify, say) is split at its exact zeros
     (detect_blocks); when every part is the alpha layout of its first row,
     those alpha blocks count as recorded.  Otherwise structure is
-    informational: pass when every part is permutative (is_permutative at
-    tol 0), not-applicable otherwise.  One spectral check runs:
+    informational: pass when every part is permutative (is_permutative),
+    not-applicable otherwise.  One spectral check runs:
 
     - alpha evidence (blocks that all have the alpha pattern and hold):
-      the closed-form eigenpair residuals per block, then the blocks'
-      eigenvalues against the target, at every size, direct sums
-      included; charpoly is not-applicable;
+      the blocks' exact eigenvalues, read off their first rows, against
+      the target in tol.band(target.scale()) (_alpha_identification_residual),
+      at every size, direct sums included; charpoly is not-applicable, and
+      max_residual is that exact gap, rounded to a float;
     - otherwise, the exact characteristic polynomial against the target's,
       up to n = 30 in float mode (n = 64 in exact mode; see
       CHARPOLY_FLOAT_CERTIFY_MAX_N);
     - otherwise neither runs, and the verdict is inconclusive, never pass.
 
     Structure takes no tolerance; bands apply to nonnegativity and to the
-    spectral comparisons.  Nonnegativity, structure and the row sums are
-    numpy operations over the n^2 entries, one code path for float64 and
-    Fraction entries alike; magnitudes beyond the float range read as inf.
-    On a matrix that is its alpha layout, the scale and nonnegativity read
-    the first row alone, which holds every value.  Each block's
-    eigenvector residual is the maximum at its row sums' extremes
-    (closed_eigensystem_residuals), in O(n) after the row sums.
+    spectral comparisons.  Nonnegativity and structure are numpy operations
+    over the n^2 entries, and the identification is O(n) integer work, one
+    code path for float64 and Fraction entries alike; magnitudes beyond the
+    float range read as inf.  On a matrix that is its alpha layout, the
+    scale and nonnegativity read the first row alone, which holds every
+    value.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
@@ -330,13 +306,10 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     charpoly = eig = CheckState.NOT_APPLICABLE
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         # The paper's closed form is the spectral evidence at every n: the
-        # alpha block with first row x has eigenvalues sum(x) and x_1 - x_i.
-        eig = CheckState.PASS
-        pairs = _alpha_eigensystem_residuals(A, blocks, r.target, tol)
-        for res, band in pairs:
-            residuals.append(float_or_inf(res))
-            if res > band:
-                eig = CheckState.FAIL
+        # stored blocks' spectrum is exactly their first rows' closed form.
+        res = _alpha_identification_residual(A, blocks, r.target)
+        eig = CheckState.PASS if res <= tol.band(r.target.scale()) else CheckState.FAIL
+        residuals.append(float_or_inf(res))
     elif n <= (CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N):
         # char_poly is exact for float entries too, so the comparison
         # measures the matrix's true coefficient deviation, not float

@@ -17,13 +17,11 @@ from permrealize import (
     Polynomial,
     Realization,
     Spectrum,
-    alpha_tuple,
     assemble,
     from_rows,
     make_spectrum,
     quarter_sums,
 )
-from permrealize.linalg import closed_eigensystem_residuals, layout_holds
 from permrealize.small_order import (
     CASE_N1,
     CASE_N2,
@@ -198,40 +196,24 @@ def closed_eigensystem(x) -> tuple:
     return s, x[0] - x[1:], V
 
 
-def whole_block_residuals(P, t=1):
-    """(s, deltas, Q e - s e, Q V - V diag(deltas)) for Q = t P, computed on
-    the whole of Q at once and entry by entry: the per-entry reference for
-    closed_eigensystem_residuals, which reads the residual's maximum off the
-    row sums' extremes."""
-    P = P * t
-    x = P[0]
-    s = sum(x[1:], start=x[0])
-    deltas = x[0] - x[1:]
-    c = (x[0] - s) - x[1:]
-    rs = P.sum(axis=1)
-    R = np.subtract.outer(rs, deltas)
-    R *= x[1:]
-    R += P[:, 1:] * c
-    R.reshape(-1)[len(x) - 1 :: len(x)] -= deltas * c  # entries (k+1, k)
-    return s, deltas, rs - s, R
+def exact_alpha_spectrum(A, blocks) -> list[Fraction]:
+    """The eigenvalues of a matrix that is exactly the direct sum of the
+    alpha layouts of its (start, PermTuple) blocks, ascending: sum(x) and
+    x_0 - x_i for each block's first row x, in Fractions."""
+    mu = []
+    for start, pt in blocks:
+        x = [Fraction(v) for v in A[start, start : start + pt.n].tolist()]
+        mu.append(sum(x, Fraction(0)))
+        mu += [x[0] - v for v in x[1:]]
+    return sorted(mu)
 
 
-def assert_matches_whole_block(P, t=1):
-    """closed_eigensystem_residuals(P, t) on an alpha block P that holds
-    exactly is the per-entry reference: float maxima bit for bit, exact ones
-    equal.  Returns its result."""
-    assert layout_holds(P, [(0, alpha_tuple(len(P)))])
-    got = closed_eigensystem_residuals(P, t)
-    s, deltas, row, pair = whole_block_residuals(P, t)
-    want = (np.abs(row).max(), np.abs(pair).max() if pair.size else None)
-    assert got[0] == s and np.array_equal(got[1], deltas)
-    if P.dtype == object:
-        assert got[2:] == want
-    else:
-        assert [np.float64(v).view(np.uint64) for v in got[2:] if v is not None] == \
-            [np.float64(v).view(np.uint64) for v in want if v is not None]
-    assert (got[3] is None) == (len(P) == 1)
-    return got
+def alpha_identification_reference(A, blocks, target) -> Fraction:
+    """max |mu_k - l_k| over the ascending exact_alpha_spectrum mu and the
+    ascending target values l, each value a Fraction: the reference for
+    certify's eigenpairs residual on alpha blocks."""
+    want = sorted(Fraction(v) for v in target.values)
+    return max(abs(m - l) for m, l in zip(exact_alpha_spectrum(A, blocks), want))
 
 
 def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:

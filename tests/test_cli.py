@@ -175,6 +175,19 @@ def test_realize_exact_beyond_float_range(capsys):
     assert obj["certificate"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("realize", "1e308,1e308"), 0),
+    (("realize", "1.5e308,1e308,-1e308"), 0),
+    (("realize", "1e308,1e308,1e308,-1e308", "--method", "small"), 0),
+    (("realize", "1.7e308,1.7e308,-1.7e308"), 0),
+    (("realize", "1e308,1e308,-1e308,-1e308,-1e308"), 2),
+])
+def test_a_float_sum_that_overflows_partway_exits_as_exact_mode(capsys, argv, code):
+    # Every value is in range, but the left-to-right float sum overflows.
+    assert run(capsys, *argv, "--format", "json")[0] == code
+    assert run(capsys, *argv, "--format", "json", "--exact")[0] == code
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -868,22 +881,22 @@ def test_verify_passes_the_csv_realize_wrote(capsys, tmp_path):
 
 def test_verify_of_realize_csv_reports_its_certificate_at_n_1024(capsys, tmp_path, monkeypatch):
     # Both certify the same proven layout as one block, recorded and read
-    # from the file, through the row sums' extremes.
+    # from the file, by one identification each.
     orders = []
-    original = verify_mod.closed_eigensystem_residuals
+    original = verify_mod._alpha_identification_residual
 
-    def counted(P, t):
-        orders.append(len(P))
-        return original(P, t)
+    def counted(A, blocks, target):
+        orders.append([pt.n for _, pt in blocks])
+        return original(A, blocks, target)
 
-    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", counted)
+    monkeypatch.setattr(verify_mod, "_alpha_identification_residual", counted)
     path = tmp_path / "m.csv"
     text = wide_spread_suleimanova_text(1024, 8)
     code, out, _ = run(capsys, "realize", text, "--format", "json", "--out", str(path))
     realized = json.loads(out)["certificate"]
     assert run(capsys, "verify", text, "--matrix", str(path), "--format", "json")[:2] == \
         (code, json.dumps(realized) + "\n")
-    assert (code, realized["verdict"], orders) == (0, "pass", [1024, 1024])
+    assert (code, realized["verdict"], orders) == (0, "pass", [[1024], [1024]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])

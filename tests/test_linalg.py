@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
-    assert_matches_whole_block,
+    alpha_identification_reference,
     closed_eigensystem,
     eval_poly,
     float_char_poly_reference,
+    exact_alpha_spectrum,
     float_char_poly_stack_reference,
     poly_mul,
-    whole_block_residuals,
 )
 from permrealize import (
     DenseMatrix,
@@ -66,7 +66,8 @@ from permrealize.linalg import (
 )
 from permrealize.small_order import realize_small
 from permrealize.suleimanova import alpha_direct_sum
-from permrealize.verify import _pow2_at_or_above
+from permrealize.spectrum import float_or_inf
+from permrealize.verify import _alpha_identification_residual
 
 entries = st.floats(
     min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
@@ -154,11 +155,11 @@ def _is_nonnegative_reference(M, tol=0.0):
     return all(v >= -tol for v in M.data.flat)
 
 
-def _is_permutative_reference(M, tol=0.0):
+def _is_permutative_reference(M):
     ref = np.sort(M.data[0])
     for i in range(1, M.n_rows):
         row = np.sort(M.data[i])
-        if not all(abs(a - b) <= tol for a, b in zip(ref, row)):
+        if not all(abs(a - b) <= 0 for a, b in zip(ref, row)):
             return False
     return True
 
@@ -195,9 +196,9 @@ def test_vectorized_checks_match_per_entry_references(exact):
                 got = is_nonnegative(A, tol)
                 assert got == _is_nonnegative_reference(A, tol)
                 assert type(got) is bool
-                got = is_permutative(A, tol)
-                assert got == _is_permutative_reference(A, tol)
-                outcomes.add(got)
+            got = is_permutative(A)
+            assert got == _is_permutative_reference(A)
+            outcomes.add(got)
     # Both outcomes occur, so the agreement is not vacuous.
     assert outcomes == {False, True}
 
@@ -829,7 +830,7 @@ def test_csv_round_trip_property(rows):
 
 
 # ---------------------------------------------------------------------------
-# closed-form eigensystem residuals against the dense product
+# the alpha layout's spectrum is its closed form, exactly
 # ---------------------------------------------------------------------------
 
 
@@ -853,102 +854,27 @@ def _residual_blocks():
     yield D[3:, 3:]
 
 
-def _pair_band(P):
-    x_inf = float(np.abs(P[0]).max())
-    return Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
-
-
-def _assert_residuals_match(P, t=1):
-    """closed_eigensystem_residuals(P, t) is the per-entry reference bit for
-    bit, and lies within the pair band of the dense product on t P."""
-    got = assert_matches_whole_block(P, t)
-    row_ref, pair_ref = _dense_residuals(P * t)
-    band = _pair_band(P * t)
-    assert abs(got[2] - np.abs(row_ref).max()) <= band
-    if len(P) > 1:
-        assert abs(got[3] - np.abs(pair_ref).max()) <= band
-    return got
-
-
-def test_closed_eigensystem_residuals_match_the_dense_product():
-    for P in _residual_blocks():
-        _assert_residuals_match(P)
-        s, deltas, row, pair = whole_block_residuals(P)
-        s_ref, deltas_ref, _ = closed_eigensystem(P[0])
-        row_ref, pair_ref = _dense_residuals(P)
-        assert s == s_ref and (deltas == deltas_ref).all()
-        assert pair.shape == pair_ref.shape == (len(P), len(P) - 1)
-        band = _pair_band(P)
-        assert (np.abs(row - row_ref) <= band).all()
-        assert (np.abs(pair - pair_ref) <= band).all()
-        assert (np.abs(pair) <= band).all()
-
-
 def test_layout_holds_sees_a_one_entry_perturbation():
     # The closed form needs the layout exactly: one entry moved is caught by
-    # the structure check, and would move the per-entry residual past the
-    # band.
+    # the structure check, and moves the dense eigenvector residual past
+    # the band.
     for P in _residual_blocks():
         n = len(P)
         if n == 1:
             continue  # the only entry is the first row itself
+        assert layout_holds(P, [(0, alpha_tuple(n))])
+        x_inf = float(np.abs(P[0]).max())
+        band = Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
+        assert np.abs(_dense_residuals(P)[1]).max() <= band
         P = P.copy()
         P[n - 1, 0] += 1
         assert not layout_holds(P, [(0, alpha_tuple(n))])
-        band = _pair_band(P)
-        assert np.abs(whole_block_residuals(P)[3]).max() > band
         assert np.abs(_dense_residuals(P)[1]).max() > band
-
-
-CHUNK_ROWS = 4
-
-
-def _assert_perturbations_fail_the_layout(P, t, entries, bump):
-    """Each entry moved by bump fails layout_holds, and would raise the
-    per-entry residual's maximum above that of P."""
-    n = len(P)
-    base = np.abs(whole_block_residuals(P, t)[3]).max()
-    for i, j in entries:
-        Q = P.copy()
-        Q[i, j] += bump
-        assert not layout_holds(Q, [(0, alpha_tuple(n))]), (i, j)
-        assert np.abs(whole_block_residuals(Q, t)[3]).max() > base, (i, j)
-
-
-@pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2])
-def test_closed_eigensystem_residuals_across_chunk_boundaries(monkeypatch, exact, n):
-    # Row sums in chunks of CHUNK_ROWS rows at this order give the
-    # per-entry reference's maxima.  An entry moved in the last row of the
-    # first chunk, or on the subdiagonal (k+1, k) with row k+1 the first of
-    # the next chunk, fails the structure check that gates the closed form.
-    monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", CHUNK_ROWS * 8 * n)
-    rng = np.random.default_rng(n)
-    x = rng.uniform(0.5, 5.0, n)
-    if exact:
-        x = [Fraction(int(v * 64), 64) for v in x]
-        t, bump = Fraction(1, 8), Fraction(1, 3)
-    else:
-        x, t, bump = x.tolist(), 0.125, 0.75
-    P = assemble(alpha_tuple(n), x).data
-    _assert_residuals_match(P, t)
-    k = CHUNK_ROWS - 1
-    if n > k + 1:
-        _assert_perturbations_fail_the_layout(P, t, ((k, n - 1), (k + 1, k)), bump)
-
-
-def test_closed_eigensystem_residuals_at_the_default_chunk_size():
-    # 181 rows of 181 float64 entries fit one 256 KB chunk, 182 do not.
-    rng = np.random.default_rng(7)
-    for n in (181, 182, 363):
-        P = assemble(alpha_tuple(n), rng.uniform(0.5, 5.0, n).tolist()).data
-        _assert_residuals_match(P, 2.0**-3)
-        _assert_perturbations_fail_the_layout(P, 2.0**-3, ((n - 1, 0), (180, 179)), 1e-3)
 
 
 def _first_rows(rng, n):
     """Seeded first rows of one order: uniform of both signs, small integers
-    (tied row sums), zeros and -0.0, subnormals, and magnitudes across the
+    (tied eigenvalues), zeros and -0.0, subnormals, and magnitudes across the
     float range."""
     yield rng.uniform(-5.0, 5.0, n)
     yield rng.integers(-3, 4, n).astype(float)
@@ -960,51 +886,28 @@ def _first_rows(rng, n):
     yield np.exp(rng.uniform(-700.0, 700.0, n)) * rng.choice([-1.0, 1.0], n)
 
 
-def _certify_scale(P) -> float:
-    """certify's scale t = 2^-e, 2^e the least power of two >= max(1, |x|_inf)."""
-    return math.ldexp(1.0, -_pow2_at_or_above(np.abs(P[0]).max()))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 181, 182, 363, 1024])
 def test_proven_alpha_layout_residuals_match_the_whole_block(n):
-    # The row sums read every entry of a proven layout; the eigenvector
-    # residual's maximum comes from their extremes.  Across these rows the
-    # extremes also fall on rows i >= 1, the row left out of column i - 1.
+    # The identification of a proven layout is exact: against the block's
+    # own spectrum (its closed form in Fractions, which is det(tI - P) at
+    # small n) it is 0, and against that spectrum rounded to floats it is
+    # the rounding, to the last bit of the Fraction.
     rng = np.random.default_rng([17, n])
-    off_row_0 = 0
+    blocks = [(0, alpha_tuple(n))]
     for x in _first_rows(rng, n):
         P = assemble(alpha_tuple(n), x.tolist()).data
         assert DenseMatrix(P).alpha_row is not None
-        t = _certify_scale(P)
-        assert np.abs(P[0] * t).max() <= 1
-        assert_matches_whole_block(P, t)
-        rs = (P * t).sum(axis=1)
-        off_row_0 += rs.argmin() > 0 or rs.argmax() > 0
-    assert off_row_0 or n <= 3
-
-
-def test_proven_alpha_layout_residuals_leave_out_row_k_plus_1():
-    # Row 2's sum is the largest, and column 1's entry at it would exceed
-    # every entry of the residual: left in, it would change the maximum.
-    P = assemble(alpha_tuple(4), [1.0, 2.0**53, -(2.0**53), 0.5]).data
-    t = _certify_scale(P)
-    s, deltas, _, pair_max = assert_matches_whole_block(P, t)
-    Q = P * t
-    rs = Q.sum(axis=1)
-    assert rs.argmax() == 2
-    y2 = Q[0, 2]
-    c1 = (Q[0, 0] - s) - y2
-    assert abs((rs[2] - deltas[1]) * y2 + y2 * c1) > pair_max
-
-
-@pytest.mark.parametrize("n", [2, 5, 40])
-def test_proven_alpha_layout_residuals_across_chunk_boundaries(monkeypatch, n):
-    rng = np.random.default_rng([19, n])
-    for chunk_rows in (1, 2, 3):
-        monkeypatch.setattr(linalg_mod, "_RESIDUAL_CHUNK_BYTES", chunk_rows * 8 * n)
-        for x in _first_rows(rng, n):
-            P = assemble(alpha_tuple(n), x.tolist()).data
-            assert_matches_whole_block(P, _certify_scale(P))
+        mu = exact_alpha_spectrum(P, blocks)
+        if n <= 3:
+            assert char_poly(DenseMatrix(P)) == poly_from_roots(make_spectrum(mu, exact=True))
+        exact = make_spectrum(mu, exact=True)
+        assert _alpha_identification_residual(P, blocks, exact) == 0
+        rounded = [float_or_inf(v) for v in mu]
+        if all(map(math.isfinite, rounded)):
+            target = make_spectrum(rounded)
+            got = _alpha_identification_residual(P, blocks, target)
+            assert got == alpha_identification_reference(P, blocks, target)
+            assert got == max(abs(Fraction(f) - v) for f, v in zip(rounded, mu))
 
 
 # ---------------------------------------------------------------------------

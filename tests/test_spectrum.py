@@ -21,7 +21,8 @@ from permrealize import (
     classify,
     make_spectrum,
 )
-from permrealize.spectrum import CLASSIFY_TOL, Tolerances, require_necessary
+from permrealize.spectrum import CLASSIFY_TOL, Tolerances, require_necessary, running_sum
+from permrealize.suleimanova import suleimanova_first_row
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -57,6 +58,17 @@ def test_trace_and_spectral_radius():
     assert sigma.spectral_radius == 4.0
     assert sigma.scale() == 3.0
     assert make_spectrum([0.25]).scale() == 1.0
+
+
+def test_a_float_sum_that_overflows_partway_is_the_exact_sum_rounded():
+    # 1e308 + 1e308 is inf in floats, although every value is finite.
+    assert make_spectrum([1e308, 1e308, -1e308]).trace == 1e308
+    assert make_spectrum([1e308, 1e308, -1e308, -1e308, -1e308]).trace == -1e308
+    assert make_spectrum([1e308, 1e308]).trace == math.inf  # the sum itself is past the range
+    assert running_sum((1e308, 1e308, -1e308)) == Fraction(1e308)
+    assert running_sum((0.1, 0.2)) == 0.1 + 0.2  # a finite float sum is kept
+    assert suleimanova_first_row((1e308, 1e308)) == (1e308, 0.0)
+    assert suleimanova_first_row((1.5e308, 1e308, -1e308)) == (5e307, -5e307, 1.5e308)
 
 
 def test_power_sum_known_values():

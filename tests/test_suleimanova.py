@@ -67,8 +67,10 @@ def test_alpha_pattern_matches_explorer_assembly():
 
 
 def test_alpha_pattern_rejects_overflowed_first_row():
-    # The sum s overflows to inf here, and with it every x_i = s/n - l_i.
-    with pytest.raises(NonFiniteEntryError):
+    # The float sum overflows partway here, so s/n is the exact s/n,
+    # rounded: the first row (s/n, s/n - 1.7e308, inf) has a negative
+    # entry, and the formula does not apply.
+    with pytest.raises(NotSuleimanovaError):
         realize_suleimanova(make_spectrum([1.7e308, 1.7e308, -1.7e308]))
     # Entries never exceed s, so a finite s gives a finite row: s/n - l_i
     # does not form n * l_i, which overflows here.

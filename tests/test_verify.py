@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import (
-    assert_matches_whole_block,
+    alpha_identification_reference,
     closed_eigensystem,
+    exact_alpha_spectrum,
     random_suleimanova,
 )
 from permrealize import (
@@ -39,9 +40,9 @@ from permrealize.verify import (
     CheckState,
     METHOD_SULEIMANOVA,
     Verdict,
-    _alpha_eigensystem_residuals,
 )
 from permrealize.linalg import layout_holds
+from permrealize.spectrum import float_or_inf
 from permrealize.suleimanova import alpha_direct_sum
 
 
@@ -68,12 +69,13 @@ def test_detect_blocks_full_matrix():
 
 
 def test_detect_blocks_threshold():
-    M = from_rows([[1.0, 1e-14], [0.0, 2.0]])
-    assert detect_blocks(M, tol=1e-12) == [(0, 1), (1, 2)]
-    assert detect_blocks(M, tol=0.0) == [(0, 2)]
+    # Blocks split at exact zeros only: a tiny entry couples, -0.0 does not.
+    assert detect_blocks(from_rows([[1.0, 1e-14], [0.0, 2.0]])) == [(0, 2)]
+    assert detect_blocks(from_rows([[1.0, 5e-324], [0.0, 2.0]])) == [(0, 2)]
+    assert detect_blocks(from_rows([[1.0, -0.0], [0.0, 2.0]])) == [(0, 1), (1, 2)]
 
 
-def _detect_blocks_reference(M, tol=0.0):
+def _detect_blocks_reference(M):
     """The entry-by-entry scan detect_blocks replaced."""
     n = M.n_rows
     ranges = []
@@ -83,7 +85,7 @@ def _detect_blocks_reference(M, tol=0.0):
         i = start
         while i <= end:
             for j in range(n - 1, end, -1):
-                if abs(M.data[i, j]) > tol or abs(M.data[j, i]) > tol:
+                if abs(M.data[i, j]) > 0 or abs(M.data[j, i]) > 0:
                     end = j
                     break
             i += 1
@@ -113,10 +115,9 @@ def test_detect_blocks_matches_reference_scan():
     seen = set()
     for data in _block_test_matrices(rng):
         M = DenseMatrix(data)
-        for tol in (0.0, 1e-12):
-            got = detect_blocks(M, tol)
-            assert got == _detect_blocks_reference(M, tol), (data, tol)
-            seen.add(len(got) > 1)
+        got = detect_blocks(M)
+        assert got == _detect_blocks_reference(M), data
+        seen.add(len(got) > 1)
     assert seen == {True, False}
     E = direct_sum([from_rows([[Fraction(1, 3)]], exact=True),
                     from_rows([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
@@ -565,23 +566,29 @@ def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():
 
 
 # ---------------------------------------------------------------------------
-# every certified block takes the row sums' extremes
+# every certified block joins one exact identification
 # ---------------------------------------------------------------------------
 
 
 def _certified_blocks(monkeypatch, r, tol=None):
-    """certify(r, tol) and the order of the block of each closed-form
-    residual call it makes, each checked against the per-entry reference."""
-    original = verify_mod.closed_eigensystem_residuals
-    calls = []
+    """certify(r, tol) and, for each identification call it makes, the
+    orders of the blocks identified.  Each call's residual must be the
+    Fraction reference exactly, and the report's max_residual its float."""
+    original = verify_mod._alpha_identification_residual
+    calls, residuals = [], []
 
-    def checked(P, t):
-        calls.append(len(P))
-        assert_matches_whole_block(P, t)
-        return original(P, t)
+    def checked(A, blocks, target):
+        calls.append([pt.n for _, pt in blocks])
+        got = original(A, blocks, target)
+        assert got == alpha_identification_reference(A, blocks, target)
+        residuals.append(got)
+        return got
 
-    monkeypatch.setattr(verify_mod, "closed_eigensystem_residuals", checked)
-    return certify(r, tol), calls
+    monkeypatch.setattr(verify_mod, "_alpha_identification_residual", checked)
+    report = certify(r, tol)
+    if residuals:
+        assert report.max_residual == float_or_inf(residuals[0])
+    return report, calls
 
 
 def _alpha_realization(x, recorded):
@@ -598,10 +605,10 @@ def test_proven_layouts_take_the_row_sum_extremes(monkeypatch, n):
     rng = np.random.default_rng(n)
     r = realize_suleimanova(random_suleimanova(rng, n))
     report, calls = _certified_blocks(monkeypatch, r)
-    assert calls == [n] and report.verdict is Verdict.PASS
+    assert calls == [[n]] and report.verdict is Verdict.PASS
     # The same matrix as a file records no blocks and counts as one.
     report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
-    assert calls == [n] and report.verdict is Verdict.PASS
+    assert calls == [[n]] and report.verdict is Verdict.PASS
 
 
 def _exact_alpha(n):
@@ -660,12 +667,56 @@ BLOCK_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
 def test_every_certified_block_matches_the_per_entry_reference(monkeypatch, kind):
-    # One residual formula for every block that holds: the whole matrix,
-    # each block of a direct sum, exact entries, zeros of either sign.
+    # One identification for every set of blocks that holds: the whole
+    # matrix, the blocks of a direct sum, exact entries, zeros of either
+    # sign.  Its residual is the reference's, value by value in Fractions.
     r, orders = BLOCK_KINDS[kind]()
     report, calls = _certified_blocks(monkeypatch, r)
-    assert calls == orders
+    assert calls == [orders]
     assert report.eigenpair_ok is CheckState.PASS and report.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), Tolerances.exact()])
+@pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
+def test_float_and_exact_matrices_get_the_same_certificate(kind, tol):
+    # The identification reads the same values off float64 and Fraction
+    # entries, so both give one verdict and one max_residual.
+    r, _ = BLOCK_KINDS[kind]()
+    exact = replace(r, matrix=from_rows(r.matrix.to_lists(), exact=True))
+    a, b = certify(r, tol), certify(exact, tol)
+    assert (a.verdict, a.max_residual) == (b.verdict, b.max_residual)
+    assert a.eigenpair_ok is b.eigenpair_ok is not CheckState.NOT_APPLICABLE
+
+
+def _thousandths(rng, n):
+    """A float Suleimanova spectrum in thousandths, which binary floats
+    cannot hold: its float first row misses the target by a rounding."""
+    negs = [-int(v) / 1000 for v in rng.integers(100, 4000, n - 1)]
+    return make_spectrum([round(-sum(negs) + 0.125, 3)] + negs)
+
+
+def test_zero_tolerance_takes_the_exact_eigenvalues_verdict():
+    # At zero tolerance the verdict is exactly whether the blocks' exact
+    # eigenvalues are the target: 10,-1,-2,-3 has an exact float first row;
+    # a thousandths spectrum fails by its rounding, and passes in the
+    # default band.
+    zero = Tolerances.exact()
+    r = realize_suleimanova(make_spectrum([10.0, -1.0, -2.0, -3.0]))
+    assert certify(r, zero).verdict is Verdict.PASS
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for n in (3, 5, 8, 12, 40):
+        r = realize_suleimanova(_thousandths(rng, n))
+        blocks = r.params["blocks"]
+        mu = exact_alpha_spectrum(r.matrix.data, blocks)
+        same = mu == sorted(map(Fraction, r.target.values))
+        report = certify(r, zero)
+        assert report.verdict is (Verdict.PASS if same else Verdict.FAIL), n
+        assert report.max_residual == float_or_inf(
+            alpha_identification_reference(r.matrix.data, blocks, r.target))
+        assert certify(r).verdict is Verdict.PASS
+        verdicts.add(report.verdict)
+    assert Verdict.FAIL in verdicts
 
 
 @pytest.mark.parametrize(
@@ -675,7 +726,7 @@ def test_verify_reads_a_direct_sum_off_its_exact_zeros(monkeypatch, kind):
     # into alpha blocks that hold, and gets the closed form: no charpoly.
     r, _ = BLOCK_KINDS[kind]()
     report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
-    assert len(calls) > 1 and sum(calls) == r.matrix.n_rows
+    assert len(calls) == 1 and len(calls[0]) > 1 and sum(calls[0]) == r.matrix.n_rows
     assert report.charpoly_ok is CheckState.NOT_APPLICABLE
     assert report.eigenpair_ok is CheckState.PASS and report.verdict is Verdict.PASS
 
@@ -738,7 +789,7 @@ def test_certify_custom_tolerances(sigma_integer_example):
 
 
 # ---------------------------------------------------------------------------
-# eigenpair residuals on the scaled block
+# the identification near the float limit and near its band
 # ---------------------------------------------------------------------------
 
 
@@ -748,11 +799,9 @@ def test_certify_custom_tolerances(sigma_integer_example):
 ])
 def test_eigenpairs_stay_finite_near_the_float_limit(values):
     r = realize_suleimanova(make_spectrum(values))
-    tol = Tolerances()
-    pairs = _alpha_eigensystem_residuals(r.matrix.data, r.params["blocks"], r.target, tol)
-    assert all(np.isfinite(float(res)) and np.isfinite(float(band)) and res <= band
-               for res, band in pairs)
-    assert certify(r).eigenpair_ok is CheckState.PASS
+    report = certify(r)
+    assert report.eigenpair_ok is CheckState.PASS
+    assert np.isfinite(report.max_residual)
     shifted = make_spectrum([values[0]] + [1.25 * v for v in values[1:]])
     wrong = Realization(matrix=r.matrix, method=r.method, target=shifted,
                         params=r.params)
@@ -780,10 +829,11 @@ def _unscaled_verdict(P, target, tol):
 @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(1e-3, 1e-12)])
 @pytest.mark.parametrize("x_inf", [0.3, 1.2, 1.7, 1e3, 1e150])
 def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
-    # Where the unscaled band is finite, judging the scaled block changes
-    # no verdict: targets moved from far below to far above the band give
-    # the states the dense, unscaled rule gives.  (The block holds exactly,
-    # as structure requires; a moved entry would fail structure instead.)
+    # The exact identification gives the verdict of the dense rule on the
+    # block as stored wherever rounding cannot decide that rule: targets
+    # moved from far below to far above the band give its states.  (The
+    # block holds exactly, as structure requires; a moved entry would fail
+    # structure instead.)
     rng = np.random.default_rng(17)
     n = CHARPOLY_FLOAT_CERTIFY_MAX_N + 1  # keeps the exact charpoly out
     x = rng.uniform(0.1, 1.0, n)

@@ -7,7 +7,9 @@ and a fixed list of small searches (EXPLORE, each run as ``explore`` and
 as ``realize --method explore``), a fixed list of usage errors, help
 texts and negative tolerances (CLI_TEXT), and ``verify`` of the CSV files
 of a fixed list of alpha direct sums (DIRECT_SUM), each as written and with
-one entry edited, through ``permrealize.cli.main`` in this process, and
+one entry edited, and a fixed list of realize runs at tight tolerances and
+of spectra whose float sum overflows partway (TIGHT), through
+``permrealize.cli.main`` in this process, and
 each realize op once more with ``--format pretty`` and once
 with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
 more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
@@ -19,7 +21,8 @@ of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
 are keyed ``wide-spread:<index>:<run name>``, the searches
 ``explore:<index>:<run name>``, the direct sums
-``direct-sum:<index>:<run name>`` and CLI_TEXT ``cli-text:<index>``), and writes them as
+``direct-sum:<index>:<run name>``, TIGHT ``tight:<index>:<run name>`` and
+CLI_TEXT ``cli-text:<index>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
 
@@ -125,6 +128,40 @@ CLI_TEXT = [(None, argv) for argv in PARSER_ERRORS] + [
     (None, ("verify", "1,1", "--matrix", "ID_CSV", "--abs-tol", "-1", "--rel-tol", "-1")),
     ("-1,-1", ("realize", "3,-1,-1")),
     ("-1,-1", ("verify", "1,1", "--matrix", "ID_CSV")),
+]
+
+
+def _tight_spectrum(n: int, seed: int, thousandths: bool = True) -> str:
+    """A Suleimanova spectrum (seeded by n and seed): n - 1 negatives of
+    quarters, plus up to 0.199 in thousandths if asked, and a head that
+    leaves the trace an odd number of quarters.  A float first row misses
+    thousandths, which are no binary fractions, by its rounding; quarters
+    it holds exactly."""
+    rng = np.random.default_rng([n, seed])
+    negs = -(rng.integers(1, 65, n - 1) / 4 + thousandths * rng.integers(1, 200, n - 1) / 1000)
+    head = -negs.sum() + 0.25 * (2 * int(rng.integers(n)) + 1)
+    return ",".join(repr(round(float(v), 3)) for v in (head, *sorted(negs, reverse=True)))
+
+
+#: Realize runs whose verdict the last bits of the certificate decide: an
+#: integer spectrum, the wide-spread example, two thousandths spectra (the
+#: float first row of the first has it as its exact spectrum, that of the
+#: second misses it by a rounding) and a quarters spectrum at n = 256, each at zero
+#: tolerance and at relative 1e-15 (run names "rel-0" and "rel-1e-15");
+#: then spectra whose
+#: float sum overflows partway although every value is finite, in float and
+#: exact mode (run names "float" and "exact").
+TIGHT = [
+    {f"rel-{rel}": ("realize", text, "--format", "json", "--abs-tol", "0", "--rel-tol", rel)
+     for rel in ("0", "1e-15")}
+    for text in ("10,-1,-2,-3", "1e10,-1e6,-1,-1e-3", _tight_spectrum(6, 31),
+                 _tight_spectrum(7, 8), _tight_spectrum(256, 0, thousandths=False))
+] + [
+    {mode: ("realize", *argv, "--format", "json", *flags)
+     for mode, flags in (("float", ()), ("exact", ("--exact",)))}
+    for argv in (("1e308,1e308",), ("1.5e308,1e308,-1e308",),
+                 ("1e308,1e308,1e308,-1e308", "--method", "small"),
+                 ("1.7e308,1.7e308,-1.7e308",), ("1e308,1e308,-1e308,-1e308,-1e308",))
 ]
 
 
@@ -239,6 +276,8 @@ def fingerprint() -> dict:
             text, files = _direct_sum_files(groups, workdir, i)
             runs = [(name, ("verify", text, "--matrix", path)) for name, path in files]
             record(f"direct-sum:{i}", runs, workdir, out_file)
+        for i, runs in enumerate(TIGHT):
+            record(f"tight:{i}", runs.items(), workdir, out_file)
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
