@@ -39,7 +39,6 @@ from .explorer import (
 from .linalg import (
     DenseMatrix,
     PermTuple,
-    Polynomial,
     Tolerances,
     alpha_tuple,
     assemble,
@@ -54,7 +53,6 @@ from .linalg import (
     matrix_to_csv,
     matrix_to_json,
     poly_from_roots,
-    polys_close,
 )
 from .small_order import quarter_sums, realize_small
 from .spectrum import (
@@ -94,7 +92,6 @@ __all__ = [
     "ParseError",
     "PermTuple",
     "PerronViolationError",
-    "Polynomial",
     "Realization",
     "RealizationError",
     "SearchResult",
@@ -125,7 +122,6 @@ __all__ = [
     "matrix_to_json",
     "objective",
     "poly_from_roots",
-    "polys_close",
     "quarter_sums",
     "realize",
     "realize_companion",

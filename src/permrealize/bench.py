@@ -130,7 +130,7 @@ BENCH_NOTE = (
 def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
     """Time the constructions over the given sizes and tabulate ratios."""
     sigmas = [synthetic_spectrum(n) for n in sizes]
-    peaks = [max(abs(float(c)) for c in poly_from_roots(s).coeffs) for s in sigmas]
+    peaks = [max(abs(float(c)) for c in poly_from_roots(s)) for s in sigmas]
     # Where the coefficients overflow, the companion matrix cannot be built
     # in float64 at all, so it is not timed.
     finite = [math.isfinite(p) for p in peaks]

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DenseMatrix, Polynomial, from_rows, poly_from_roots
-from .spectrum import Spectrum, value_band
+from .linalg import DenseMatrix, from_rows, poly_from_roots
+from .spectrum import Scalar, Spectrum
 from .verify import METHOD_COMPANION, Realization
 
 
@@ -25,15 +25,13 @@ from .verify import METHOD_COMPANION, Realization
 class CompanionRealization:
     """Companion form of the target's characteristic polynomial.
 
-    Orientation: subdiagonal of ones, coefficients in the last column
-    (entry (i, n-1) is -c_i for the degree-ascending coefficients c_0 ..
-    c_{n-1}).  ``nonneg`` reports whether the matrix is a valid nonnegative
-    realization, i.e. whether every c_k is nonpositive within tolerance.
+    ``poly`` holds its degree-ascending coefficients c_0 .. c_n
+    (poly_from_roots).  Orientation: subdiagonal of ones, coefficients in
+    the last column (entry (i, n-1) is -c_i for i < n).
     """
 
-    poly: Polynomial
+    poly: tuple[Scalar, ...]
     matrix: DenseMatrix
-    nonneg: bool
 
 
 def realize_companion(sigma: Spectrum) -> CompanionRealization:
@@ -47,18 +45,10 @@ def realize_companion(sigma: Spectrum) -> CompanionRealization:
     for i in range(1, n):
         rows[i][i - 1] = one
     for i in range(n):
-        rows[i][n - 1] = -poly.coeffs[i]
-    matrix = from_rows(rows, exact=exact)
-    band = value_band(max(abs(c) for c in poly.coeffs))
-    nonneg = all(c <= band for c in poly.coeffs[:-1])
-    return CompanionRealization(poly=poly, matrix=matrix, nonneg=nonneg)
+        rows[i][n - 1] = -poly[i]
+    return CompanionRealization(poly=poly, matrix=from_rows(rows, exact=exact))
 
 
 def as_realization(cr: CompanionRealization, sigma: Spectrum) -> Realization:
     """Wrap a companion construction for the shared certification path."""
-    return Realization(
-        matrix=cr.matrix,
-        method=METHOD_COMPANION,
-        target=sigma,
-        params={"nonneg": cr.nonneg, "orientation": "last-column"},
-    )
+    return Realization(matrix=cr.matrix, method=METHOD_COMPANION, target=sigma)

@@ -135,7 +135,7 @@ def _weights(sigma: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     information, and evaluating it would overflow.
     """
     target = np.array(
-        [float_or_inf(c) for c in poly_from_roots(sigma).coeffs[:-1]],
+        [float_or_inf(c) for c in poly_from_roots(sigma)[:-1]],
         dtype=np.float64,
     )
     with np.errstate(over="ignore"):
@@ -343,7 +343,7 @@ def explore(
                 matrix=assemble(r.tuple, r.x),
                 method=METHOD_EXPLORER,
                 target=sigma,
-                params={"x": r.x, "blocks": [(0, r.tuple)]},
+                params={"blocks": [(0, r.tuple)]},
             )
             real = real.with_certificate(certify(real, tol))
             if real.certificate.passed:

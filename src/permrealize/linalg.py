@@ -6,8 +6,9 @@ when exact rational arithmetic is requested.  Characteristic polynomials are
 computed by the Faddeev-LeVerrier trace recurrence, no eigensolver involved:
 ``char_poly`` is exact in both modes (it clears the entries' denominators and
 runs the recurrence on Python integers), while ``char_poly_coeffs`` keeps a
-float64 recurrence for search loops.  Monic polynomials store their leading
-1 explicitly with degree-ascending coefficients.
+float64 recurrence over stacks of matrices for search loops.  A polynomial
+is a plain tuple of degree-ascending coefficients, with the leading 1 of a
+monic one stored explicitly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +30,7 @@ from .errors import (
     NotSquareError,
     ParseError,
 )
-from .spectrum import Spectrum, Tolerances, float_or_inf
-
-Scalar = Union[float, Fraction]
+from .spectrum import Scalar, Spectrum, Tolerances
 
 #: Largest order accepted by char_poly (the recurrence is O(n^4)).
 CHAR_POLY_MAX_N = 64
@@ -95,10 +94,11 @@ class DenseMatrix:
         d = [self.data[i, i] for i in range(min(self.data.shape))]
         return sum(d[1:], start=d[0])
 
-    def max_abs(self) -> float:
-        """Largest entry magnitude as a float (inf beyond the float range);
-        max |x| when the matrix is the alpha layout of its first row x."""
-        return float_or_inf(np.abs(_entry_values(self)).max())
+    def max_abs(self) -> Scalar:
+        """Largest entry magnitude, a Fraction for exact entries; max |x|
+        when the matrix is the alpha layout of its first row x."""
+        m = np.abs(_entry_values(self)).max()
+        return m if self.is_exact else float(m)
 
     def to_lists(self) -> list[list[Scalar]]:
         return self.data.tolist()
@@ -306,37 +306,12 @@ def _block_holds(P: np.ndarray, pt: PermTuple) -> bool:
     return bool(ok.all())
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial, coefficients degree-ascending, leading term explicit.
-
-    Characteristic polynomials are monic: ``coeffs[-1] == 1`` and
-    ``degree == n`` for an n x n matrix.
-    """
-
-    coeffs: tuple[Scalar, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
-
-
 def _check_char_poly_order(A: np.ndarray, stack: bool = False) -> None:
     """Refuse what char_poly_coeffs (stack=True) or char_poly cannot take."""
-    if stack and A.ndim == 3 and A.dtype == object:
-        raise TypeError(
-            "char_poly_coeffs takes a stack of float matrices only; exact "
-            "(object) entries go one 2-D matrix at a time"
-        )
-    ndims = (2, 3) if stack else (2,)
-    if A.ndim not in ndims or A.shape[-1] != A.shape[-2]:
+    if A.ndim != (3 if stack else 2) or A.shape[-1] != A.shape[-2]:
+        what = "an (m, n, n) stack of square matrices" if stack else "a square matrix"
         raise NotSquareError(
-            f"characteristic polynomial needs a square matrix"
-            f"{' or a stack of them' if stack else ''}, got shape {A.shape}"
+            f"characteristic polynomial needs {what}, got shape {A.shape}"
         )
     if A.shape[-1] > CHAR_POLY_MAX_N:
         raise DimensionTooLargeError(
@@ -353,16 +328,13 @@ def _float_eye(n: int) -> np.ndarray:
     return eye
 
 
-def char_poly_coeffs(A: np.ndarray) -> Union[tuple[Scalar, ...], np.ndarray]:
-    """Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending.
+def char_poly_coeffs(A: np.ndarray) -> np.ndarray:
+    """Float64 Faddeev-LeVerrier coefficients of det(tI - A), degree-ascending,
+    for each matrix of an (m, n, n) stack: an (m, n + 1) array, one row per
+    matrix.  Works directly on arrays, for search loops that avoid wrapper
+    overhead; exact coefficients come from char_poly.
 
-    Works directly on arrays, for search loops that avoid wrapper
-    overhead.  An object array of Fractions gets the exact coefficients of
-    char_poly, as a tuple.  A float stack (m, n, n) gets an (m, n + 1)
-    float64 array, one row per matrix; a 2-D float matrix is the stack of
-    one and gets that row as a tuple of floats.
-
-    The float recurrence runs on the whole stack at once, a few numpy calls
+    The recurrence runs on the whole stack at once, a few numpy calls
     per step whatever m is, and its rounding is fixed, since the explorer's
     search trajectories inherit it: each trace is summed left to right from
     the first diagonal entry by plain float additions (np.add.accumulate,
@@ -375,14 +347,7 @@ def char_poly_coeffs(A: np.ndarray) -> Union[tuple[Scalar, ...], np.ndarray]:
     leaves the others in its stack unchanged.
     """
     _check_char_poly_order(A, stack=True)
-    if A.dtype == object:
-        return _exact_char_poly_coeffs(A)
     A = np.asarray(A, dtype=np.float64)
-    coeffs = _float_char_poly_stack(A[None] if A.ndim == 2 else A)
-    return tuple(coeffs[0].tolist()) if A.ndim == 2 else coeffs
-
-
-def _float_char_poly_stack(A: np.ndarray) -> np.ndarray:
     m, n = A.shape[0], A.shape[-1]
     eye = _float_eye(n)
     coeffs = np.ones((m, n + 1))
@@ -439,8 +404,8 @@ def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs))
 
 
-def char_poly(M: DenseMatrix) -> Polynomial:
-    """Exact characteristic polynomial det(tI - M), Fraction coefficients.
+def char_poly(M: DenseMatrix) -> tuple[Fraction, ...]:
+    """Exact coefficients of det(tI - M), degree-ascending, as Fractions.
 
     Float entries are taken at their exact binary values, so the result is
     the true polynomial of the matrix as stored, free of the rounding noise
@@ -451,11 +416,12 @@ def char_poly(M: DenseMatrix) -> Polynomial:
     cost is O(n^4) products of growing integers.
     """
     _check_char_poly_order(M.data)
-    return Polynomial(_exact_char_poly_coeffs(M.data))
+    return _exact_char_poly_coeffs(M.data)
 
 
-def poly_from_roots(sigma: Spectrum) -> Polynomial:
-    """Monic expansion of prod (t - l_k), one root at a time, O(n^2).
+def poly_from_roots(sigma: Spectrum) -> tuple[Scalar, ...]:
+    """Degree-ascending coefficients of prod (t - l_k), leading 1 included,
+    expanded one root at a time, O(n^2).
 
     Roots are folded in sorted-descending order (the Spectrum's own order)
     so the result is deterministic; with Fraction entries it is exact.
@@ -469,30 +435,7 @@ def poly_from_roots(sigma: Spectrum) -> Polynomial:
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] = coeffs[k] - r * coeffs[k - 1]
     coeffs.reverse()
-    return Polynomial(tuple(coeffs))
-
-
-def polys_close(p: Polynomial, q: Polynomial, tol: Tolerances) -> bool:
-    """Coefficientwise comparison within tol.band(max coefficient size).
-
-    Coefficients and band are lifted to Fractions (exact for floats) and
-    compared exactly, since exact coefficients can exceed the float range
-    (c_0 of a 30 x 30 matrix with entries near 1e12 is near 1e360).
-    """
-    if len(p.coeffs) != len(q.coeffs):
-        return False
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    scale = max(1, max(abs(c) for c in (*a, *b)))
-    band = max(Fraction(tol.absolute), Fraction(tol.relative) * scale)
-    return all(abs(x - y) <= band for x, y in zip(a, b))
-
-
-def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
-    """Largest |p_k - q_k| as a float; inf on length mismatch or overflow."""
-    if len(p.coeffs) != len(q.coeffs):
-        return math.inf
-    return float_or_inf(max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)))
+    return tuple(coeffs)
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:

@@ -53,10 +53,13 @@ class Tolerances:
     """Mixed absolute/relative tolerance profile threaded through all checks.
 
     The band at a given magnitude ``scale`` is ``max(absolute, relative *
-    scale)``.  ``Tolerances.exact()`` is the all-zero profile used with
-    Fraction arithmetic, where every comparison must hold exactly.  Both
-    values must be finite and >= 0 (ValueError otherwise): a negative band
-    fails an exact match, and an infinite one accepts everything.
+    scale)``, formed in the scale's own arithmetic: exactly, as a
+    Fraction, for a Fraction scale, and in float64 for a float one, so an
+    exact scale beyond the float range gets a finite band.
+    ``Tolerances.exact()`` is the all-zero profile used with Fraction
+    arithmetic, where every comparison must hold exactly.  Both values must
+    be finite and >= 0 (ValueError otherwise): a negative band fails an
+    exact match, and an infinite one accepts everything.
     """
 
     absolute: float = 1e-10
@@ -74,17 +77,10 @@ class Tolerances:
         return Tolerances(absolute=0.0, relative=0.0)
 
     def band(self, scale: Scalar) -> Scalar:
-        """The band at ``scale``; absolute alone when relative is 0.
-
-        An infinite band would accept every comparison, so an exact scale
-        beyond the float range gets its band as a Fraction.
-        """
-        if self.relative == 0.0:
-            return self.absolute
-        s = float_or_inf(scale)
-        if s == math.inf and isinstance(scale, Fraction):
+        """max(absolute, relative * scale), exact for a Fraction scale."""
+        if isinstance(scale, Fraction):
             return max(Fraction(self.absolute), Fraction(self.relative) * scale)
-        return max(self.absolute, self.relative * s)
+        return max(self.absolute, self.relative * scale)
 
 
 #: The band used to call a float entry "positive" or a float trace "zero",
@@ -138,12 +134,11 @@ class Spectrum:
     def spectral_radius(self) -> Scalar:
         return max(abs(v) for v in self.values)
 
-    def scale(self) -> float:
-        """max(1, |l_1|) as a float: the reference magnitude for tolerance bands.
-
-        inf when an exact l_1 lies beyond the float range.
-        """
-        return max(1.0, float_or_inf(abs(self.values[0])))
+    def scale(self) -> Scalar:
+        """max(1, |l_1|), the reference magnitude for tolerance bands, in
+        l_1's own arithmetic: a Fraction for an exact spectrum."""
+        m = abs(self.values[0])
+        return max(type(m)(1), m)
 
     def __iter__(self):
         return iter(self.values)

@@ -37,9 +37,7 @@ from .linalg import (
     is_nonnegative,
     is_permutative,
     layout_holds,
-    max_coeff_diff,
     poly_from_roots,
-    polys_close,
 )
 from .spectrum import Scalar, Spectrum, Tolerances, float_or_inf, make_spectrum
 
@@ -245,23 +243,28 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     (detect_blocks); when every part is the alpha layout of its first row,
     those alpha blocks count as recorded.  Otherwise structure is
     informational: pass when every part is permutative (is_permutative),
-    not-applicable otherwise.  One spectral check runs:
+    not-applicable otherwise.  One spectral check runs, and both follow
+    one rule, "exact residual <= tol.band(scale)":
 
     - alpha evidence (blocks that all have the alpha pattern and hold):
       the blocks' exact eigenvalues, read off their first rows, against
-      the target in tol.band(target.scale()) (_alpha_identification_residual),
-      at every size, direct sums included; charpoly is not-applicable, and
-      max_residual is that exact gap, rounded to a float;
-    - otherwise, the exact characteristic polynomial against the target's,
-      up to n = 30 in float mode (n = 64 in exact mode; see
-      CHARPOLY_FLOAT_CERTIFY_MAX_N);
+      the target (_alpha_identification_residual), at scale
+      target.scale(), at every size, direct sums included; charpoly is
+      not-applicable;
+    - otherwise, the exact characteristic polynomial's coefficients
+      against the target's, max |p_k - q_k| at scale max(1, largest
+      |coefficient| of either), up to n = 30 in float mode (n = 64 in
+      exact mode; see CHARPOLY_FLOAT_CERTIFY_MAX_N);
     - otherwise neither runs, and the verdict is inconclusive, never pass.
 
-    Structure takes no tolerance; bands apply to nonnegativity and to the
-    spectral comparisons.  Nonnegativity and structure are numpy operations
-    over the n^2 entries, and the identification is O(n) integer work, one
-    code path for float64 and Fraction entries alike; magnitudes beyond the
-    float range read as inf.  On a matrix that is its alpha layout, the
+    max_residual is that exact residual, rounded to a float.  Structure
+    takes no tolerance; bands apply to nonnegativity, at scale max(1,
+    largest |entry|), and to the spectral comparisons.  Every band is
+    formed in its scale's own arithmetic (Tolerances.band), so exact
+    magnitudes beyond the float range get finite bands.  Nonnegativity and
+    structure are numpy operations over the n^2 entries, and the
+    identification is O(n) integer work, one code path for float64 and
+    Fraction entries alike.  On a matrix that is its alpha layout, the
     scale and nonnegativity read the first row alone, which holds every
     value.
     """
@@ -275,7 +278,6 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     alpha_layout = M.alpha_row is not None
     entry_scale = max(1.0, M.max_abs())
     entry_band = tol.band(entry_scale)
-    residuals: list[float] = [0.0]
 
     nonneg = CheckState.PASS if is_nonnegative(M, entry_band) else CheckState.FAIL
 
@@ -303,27 +305,31 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
             ok = all(is_permutative(DenseMatrix(A[a:b, a:b])) for a, b in split)
             structure = CheckState.PASS if ok else CheckState.NOT_APPLICABLE
 
+    def judge(res: Fraction, scale: Scalar) -> CheckState:
+        # The one rule of both spectral checks.
+        return CheckState.PASS if res <= tol.band(scale) else CheckState.FAIL
+
     charpoly = eig = CheckState.NOT_APPLICABLE
+    res = Fraction(0)
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         # The paper's closed form is the spectral evidence at every n: the
         # stored blocks' spectrum is exactly their first rows' closed form.
         res = _alpha_identification_residual(A, blocks, r.target)
-        eig = CheckState.PASS if res <= tol.band(r.target.scale()) else CheckState.FAIL
-        residuals.append(float_or_inf(res))
+        eig = judge(res, r.target.scale())
     elif n <= (CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N):
-        # char_poly is exact for float entries too, so the comparison
-        # measures the matrix's true coefficient deviation, not float
-        # Faddeev-LeVerrier noise.
+        # char_poly is exact for float entries too, so the residual is the
+        # matrix's true coefficient deviation, not float Faddeev-LeVerrier
+        # noise; its band is at the largest coefficient of either side.
         p = char_poly(M)
         q = poly_from_roots(make_spectrum(r.target.values, exact=True))
-        charpoly = CheckState.PASS if polys_close(p, q, tol) else CheckState.FAIL
-        residuals.append(max_coeff_diff(p, q))
+        res = max(abs(a - b) for a, b in zip(p, q))
+        charpoly = judge(res, max(1, *map(abs, p), *map(abs, q)))
 
     return VerificationReport(
         nonneg_ok=nonneg,
         structure_ok=structure,
         charpoly_ok=charpoly,
         eigenpair_ok=eig,
-        max_residual=max(residuals),
+        max_residual=float_or_inf(res),
         tolerances=tol,
     )

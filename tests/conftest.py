@@ -14,9 +14,9 @@ from permrealize import (
     NecessaryConditionViolationError,
     NotSuleimanovaError,
     PerronViolationError,
-    Polynomial,
     Realization,
     Spectrum,
+    Tolerances,
     assemble,
     from_rows,
     make_spectrum,
@@ -234,23 +234,36 @@ def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     return from_rows(rows, exact=exact)
 
 
-def eval_poly(p: Polynomial, t):
-    """Horner evaluation."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+def eval_poly(p: tuple, t):
+    """Horner evaluation of degree-ascending coefficients."""
+    acc = p[-1]
+    for c in reversed(p[:-1]):
         acc = acc * t + c
     return acc
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+def poly_mul(p: tuple, q: tuple) -> tuple:
     """Coefficient convolution (used to cross-check direct sums)."""
-    exact = p.is_exact and q.is_exact
+    exact = all(isinstance(c, Fraction) for c in (*p, *q))
     zero = Fraction(0) if exact else 0.0
-    out = [zero] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return Polynomial(tuple(out))
+    return tuple(out)
+
+
+def polys_close_reference(p: tuple, q: tuple, tol: Tolerances) -> bool:
+    """The coefficient comparison certify's charpoly check first made, as
+    its own function: coefficients and band lifted to Fractions, the band
+    at max(1, largest |coefficient| of either), every coefficient within it."""
+    if len(p) != len(q):
+        return False
+    a = [Fraction(c) for c in p]
+    b = [Fraction(c) for c in q]
+    scale = max(1, max(abs(c) for c in (*a, *b)))
+    band = max(Fraction(tol.absolute), Fraction(tol.relative) * scale)
+    return all(abs(x - y) <= band for x, y in zip(a, b))
 
 
 @pytest.fixture

@@ -142,7 +142,7 @@ def test_explorer_path_certifies_each_hit_once(monkeypatch):
     assert calls == ["explorer-permutative"]
     assert r == hits[0].realization
     assert r.certificate.passed
-    assert r.params == {"x": hits[0].x, "blocks": [(0, hits[0].tuple)]}
+    assert r.params == {"blocks": [(0, hits[0].tuple)]}
 
 
 def test_realize_writes_nothing(capsys):

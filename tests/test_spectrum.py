@@ -58,6 +58,9 @@ def test_trace_and_spectral_radius():
     assert sigma.spectral_radius == 4.0
     assert sigma.scale() == 3.0
     assert make_spectrum([0.25]).scale() == 1.0
+    assert type(make_spectrum([0.25]).scale()) is float
+    exact = make_spectrum([Fraction(1, 4)], exact=True).scale()
+    assert exact == 1 and type(exact) is Fraction
 
 
 def test_a_float_sum_that_overflows_partway_is_the_exact_sum_rounded():
@@ -171,7 +174,7 @@ def test_classify_counts_positives():
 def test_exact_spectrum_beyond_float_range():
     big = Fraction(10) ** 400
     sigma = make_spectrum([big, -1, -1], exact=True)
-    assert sigma.scale() == math.inf
+    assert sigma.scale() == big and type(sigma.scale()) is Fraction
     cls = classify(sigma)
     assert cls.kind is SpectrumKind.SULEIMANOVA
     assert cls.positives == 1
@@ -206,11 +209,14 @@ def test_random_suleimanova_samples_classify_correctly(n, seed):
 @pytest.mark.parametrize("mag", [0.0, 0.25, 1.0, 3.7, 1e12, 1e300, math.inf])
 def test_classify_tol_band_is_the_old_scaled_band(mag):
     # The classification band was tol * max(1, magnitude); the profile's
-    # max(tol, tol * magnitude) gives the same bits.
+    # max(tol, tol * magnitude) gives the same bits.  A Fraction magnitude
+    # gets the same rule in exact arithmetic.
     band = CLASSIFY_TOL.band(mag)
     assert band == 1e-12 * max(1.0, mag)
     if math.isfinite(mag):
-        assert CLASSIFY_TOL.band(Fraction(mag)) == band
+        exact = CLASSIFY_TOL.band(Fraction(mag))
+        assert exact == Fraction(1e-12) * max(1, Fraction(mag))
+        assert type(exact) is Fraction
 
 
 def test_tolerance_band_stays_exact_beyond_the_float_range():

@@ -13,6 +13,7 @@ from conftest import (
     alpha_identification_reference,
     closed_eigensystem,
     exact_alpha_spectrum,
+    polys_close_reference,
     random_suleimanova,
 )
 from permrealize import (
@@ -25,11 +26,13 @@ from permrealize import (
     as_realization,
     assemble,
     certify,
+    char_poly,
     detect_blocks,
     direct_sum,
     explore,
     from_rows,
     make_spectrum,
+    poly_from_roots,
     realize_companion,
     realize_suleimanova,
     realize_small,
@@ -388,7 +391,7 @@ def test_certify_charpoly_beyond_float_range():
 
 
 def test_certify_exact_entries_beyond_float_range():
-    # Magnitudes and residual scales past the float range read as inf
+    # Magnitudes and residual scales past the float range stay exact
     # instead of raising; exact mode's bands do not depend on them.
     big = Fraction(10) ** 400
     sigma = make_spectrum([big, Fraction(1)], exact=True)
@@ -409,6 +412,87 @@ def test_certify_exact_entries_beyond_float_range():
     assert report.eigenpair_ok is CheckState.PASS
     assert report.verdict is Verdict.PASS
     assert report.max_residual == 0.0
+
+
+def test_exact_scales_beyond_the_float_range_get_finite_bands():
+    # At the default tolerances the bands are 1e-9 of magnitudes near
+    # 1e400, formed exactly: a wrong target and a negative entry of that
+    # size fail, where an infinite band would let both pass.
+    big = Fraction(10) ** 400
+    r = realize_suleimanova(make_spectrum([big, -big / 2], exact=True))
+    assert certify(r, Tolerances()).verdict is Verdict.PASS
+    wrong = replace(r, target=make_spectrum([big, Fraction(3)], exact=True))
+    report = certify(wrong, Tolerances())
+    assert report.eigenpair_ok is CheckState.FAIL
+    assert report.verdict is Verdict.FAIL
+    # The alpha layout of (big, -big), spectrum {2 big, 0}: the spectral
+    # check passes, and the entries -big fail nonneg.
+    M = from_rows([[big, -big], [-big, big]], exact=True)
+    report = certify(
+        Realization(matrix=M, method="", target=make_spectrum([2 * big, 0], exact=True)),
+        Tolerances(),
+    )
+    assert (report.nonneg_ok, report.eigenpair_ok) == (CheckState.FAIL, CheckState.PASS)
+    assert report.verdict is Verdict.FAIL
+
+
+def _charpoly_cases(rng, exact):
+    """Seeded (matrix, target) pairs for the charpoly check, each with its
+    exact coefficient gap spread around the default band: companion
+    matrices with one coefficient moved by a multiple of the band, and in
+    float mode triangular matrices near 1e200, whose coefficients lie
+    beyond the float range, against targets moved by a relative step."""
+    factors = (0.0, 0.5, 1 - 2.0**-20, 1.0, 1 + 2.0**-20, 2.0)
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        if exact:
+            # Up to 1e200 in exact mode: coefficients up to about 1e1200.
+            mag = Fraction(10) ** int(rng.integers(0, 201))
+            values = [mag * Fraction(int(v), int(d)) for v, d in zip(
+                rng.integers(-40, 41, n), rng.integers(1, 9, n))]
+        else:
+            values = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 12)).tolist()
+        sigma = make_spectrum(values, exact=exact)
+        C = realize_companion(sigma).matrix
+        q = poly_from_roots(make_spectrum(sigma.values, exact=True))
+        band = Tolerances().band(max(1, *map(abs, q)))
+        for f in factors:
+            for sign in (1, -1):
+                k = int(rng.integers(0, n))
+                data = C.data.copy()
+                step = sign * Fraction(f) * band
+                data[k, n - 1] += step if exact else float(step)
+                yield DenseMatrix(data), sigma
+        if not exact:
+            d = rng.uniform(1.0, 2.0, n) * 1e200
+            T = np.triu(rng.uniform(0.5, 1.0, (n, n)) * 1e200, 1) + np.diag(d)
+            for eps in (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6):
+                moved = d.copy()
+                moved[int(rng.integers(0, n))] *= 1 + eps
+                yield DenseMatrix(T), make_spectrum(moved.tolist())
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_charpoly_verdict_matches_the_coefficient_reference(exact):
+    # certify's charpoly verdict is the coefficient comparison it first
+    # made (polys_close_reference), and max_residual is the exact largest
+    # coefficient gap, rounded.
+    rng = np.random.default_rng([21, exact])
+    seen = set()
+    beyond = 0
+    for M, sigma in _charpoly_cases(rng, exact):
+        p = char_poly(M)
+        q = poly_from_roots(make_spectrum(sigma.values, exact=True))
+        beyond += float_or_inf(max(map(abs, q))) == math.inf
+        for tol in (Tolerances(), Tolerances(0.0, 1e-6), Tolerances.exact()):
+            report = certify(Realization(matrix=M, method="", target=sigma), tol)
+            assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+            want = polys_close_reference(p, q, tol)
+            assert report.charpoly_ok is (CheckState.PASS if want else CheckState.FAIL)
+            assert report.max_residual == float_or_inf(max(abs(a - b) for a, b in zip(p, q)))
+            seen.add(want)
+    assert seen == {True, False}
+    assert beyond > 0
 
 
 def test_certify_alpha_evidence_needs_every_bit():
