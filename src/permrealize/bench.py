@@ -45,6 +45,7 @@ class BenchEntry:
     n: int
     suleimanova_s: float
     poly_s: float
+    poly_products: int  # coefficient multiplications of poly_from_roots
     companion_s: Optional[float]  # None when the matrix cannot be built
     peak_coeff: Optional[float]  # None when not finite
     coeff_overflow: bool
@@ -60,6 +61,7 @@ class BenchReport:
     entries: tuple[BenchEntry, ...]
     poly_ratios: tuple[float, ...]
     suleimanova_ratios: tuple[float, ...]
+    poly_product_ratios: tuple[float, ...]
     note: str
 
     def to_json_obj(self) -> dict:
@@ -69,6 +71,7 @@ class BenchReport:
             "entries": [e.to_json_obj() for e in self.entries],
             "poly_doubling_ratios": list(self.poly_ratios),
             "suleimanova_doubling_ratios": list(self.suleimanova_ratios),
+            "poly_product_doubling_ratios": list(self.poly_product_ratios),
             "note": self.note,
         }
 
@@ -76,6 +79,21 @@ class BenchReport:
 def synthetic_spectrum(n: int) -> Spectrum:
     """The unit-tail zero-trace family {n-1, -1, ..., -1}."""
     return make_spectrum([float(n - 1)] + [-1.0] * (n - 1))
+
+
+def poly_products(sigma: Spectrum) -> int:
+    """The coefficient multiplications poly_from_roots makes on sigma,
+    counted by its roots: a measure of its work that reads no clock."""
+    count = 0
+
+    class Root(float):
+        def __mul__(self, other):
+            nonlocal count
+            count += 1
+            return float(self) * other
+
+    poly_from_roots(Spectrum(tuple(map(Root, sigma.values))))
+    return count
 
 
 def _sample_rounds(fns: Sequence[Callable[[], object]]) -> list[list[float]]:
@@ -128,7 +146,8 @@ BENCH_NOTE = (
 
 
 def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
-    """Time the constructions over the given sizes and tabulate ratios."""
+    """Time the constructions over the given sizes, count poly_from_roots'
+    products, and tabulate the doubling ratios of both."""
     sigmas = [synthetic_spectrum(n) for n in sizes]
     peaks = [max(abs(float(c)) for c in poly_from_roots(s)) for s in sigmas]
     # Where the coefficients overflow, the companion matrix cannot be built
@@ -142,12 +161,14 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
         + [partial(realize_companion, s) for s, ok in zip(sigmas, finite) if ok]
     )
     k = len(sigmas)
+    products = [poly_products(s) for s in sigmas]
     sule, poly, companion = samples[:k], samples[k : 2 * k], iter(samples[2 * k :])
     entries = [
         BenchEntry(
             n=n,
             suleimanova_s=min(sule[i]),
             poly_s=min(poly[i]),
+            poly_products=products[i],
             companion_s=min(next(companion)) if finite[i] else None,
             peak_coeff=peaks[i] if finite[i] else None,
             coeff_overflow=not finite[i] or peaks[i] > OVERFLOW_LIMIT,
@@ -160,5 +181,6 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
         entries=tuple(entries),
         poly_ratios=_ratios(poly),
         suleimanova_ratios=_ratios(sule),
+        poly_product_ratios=tuple(b / a for a, b in zip(products, products[1:])),
         note=BENCH_NOTE,
     )

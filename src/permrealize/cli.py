@@ -39,9 +39,7 @@ from .linalg import (
     format_scalar,
     matrix_from_csv,
     matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    matrix_to_pretty,
+    matrix_pieces,
     parse_scalars,
 )
 from .spectrum import (
@@ -189,43 +187,41 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
+    """Print r in ns.fmt, the matrix a row at a time (matrix_pieces), all
+    else formatted before the first write."""
     case = r.params.get("case")
-    verdict = r.certificate.verdict
-    certified = "FAIL" if verdict is Verdict.FAIL else verdict.value
+    rep = r.certificate
+    certified = "FAIL" if rep.verdict is Verdict.FAIL else rep.verdict.value
+    out = sys.stdout
     if ns.fmt == "json":
-        # The bytes of json.dumps of the whole dict and a newline, built by
-        # matrix_to_json as one string around the matrix.
+        # The bytes of json.dumps of the whole dict and a newline.
         rest = json.dumps(
             {
                 "method": r.method,
                 "case": case,
                 "target": _spectrum_json(r.target),
-                "certificate": r.certificate.to_json_obj(),
+                "certificate": rep.to_json_obj(),
             }
         )
-        sys.stdout.write(matrix_to_json(r.matrix, '{"matrix": ', ", " + rest[1:] + "\n"))
+        out.write('{"matrix": ')
+        out.writelines(matrix_pieces(r.matrix, "json"))
+        out.write(", " + rest[1:] + "\n")
     elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
-        sys.stdout.write(matrix_to_csv(r.matrix))
         meta = f"method={r.method}" + (f" case={case}" if case else "")
-        print(
-            f"{meta} certified={certified}",
-            file=sys.stderr,
-        )
+        out.writelines(matrix_pieces(r.matrix, "csv"))
+        print(f"{meta} certified={certified}", file=sys.stderr)
     else:
+        checks = "".join(f"{k}={s.value} " for k, s in rep.checks.items())
+        summary = f"certificate: {checks}max_residual={rep.max_residual:.3g}"
         print(f"method: {r.method}" + (f"  case: {case}" if case else ""))
         _print_matrix(r)
-        rep = r.certificate
-        print(
-            "certificate: "
-            + "".join(f"{k}={s.value} " for k, s in rep.checks.items())
-            + f"max_residual={rep.max_residual:.3g}"
-        )
+        print(summary)
         print(f"certified: {certified}")
 
 
 def _print_matrix(r: Realization) -> None:
-    sys.stdout.write(matrix_to_pretty(r.matrix))
+    sys.stdout.writelines(matrix_pieces(r.matrix, "pretty"))
 
 
 def cmd_realize(ns: argparse.Namespace) -> int:
@@ -234,7 +230,7 @@ def cmd_realize(ns: argparse.Namespace) -> int:
     r = realize(sigma, ns.method, tol, ns.strategy, ns.budget, ns.seed)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(matrix_to_csv(r.matrix))
+            fh.writelines(matrix_pieces(r.matrix, "csv"))
     _emit_realization(ns, r)
     return _VERDICT_EXIT[r.certificate.verdict]
 

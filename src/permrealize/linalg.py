@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -519,24 +519,27 @@ def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
     return rows
 
 
-def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
-    """The text of every float64 entry, row by row, formatting each value once.
+def _entry_texts(data: np.ndarray, format_distinct) -> Iterator[list[str]]:
+    """The texts of a matrix's entries, one list per row, from one call of
+    format_distinct on the distinct values (see matrix_pieces).
 
     The serializers' fallback, for a matrix that is not the alpha layout of
-    its first row (see _text_rows).  Entries are told apart by their uint64
-    bit patterns, so -0.0 and 0.0 stay apart; format_distinct maps the list
-    of distinct values to their texts.  The first row holds every value of
-    a permutative matrix, so its sorted patterns make the table, and every
-    entry is found in it by binary search: no sort over the n^2 entries,
-    and n values formatted instead of n^2.  Entries the first row lacks
-    (zeros off the blocks of a direct sum, the other blocks' values, a
+    its first row.  Float64 entries are told apart by their uint64 bit
+    patterns, so -0.0 and 0.0 stay apart.  The first row holds every value
+    of a permutative matrix, so its sorted patterns make the table, and
+    every entry is found in it by binary search: no sort over the n^2
+    entries, and n values formatted instead of n^2.  Entries the first row
+    lacks (zeros off the blocks of a direct sum, the other blocks' values, a
     matrix that is not permutative) are sorted on their own and appended to
-    the table.
+    the table.  Other dtypes have every entry formatted.
 
     The first row is sorted, not np.unique'd: a repeated value costs one
     more formatting, while a plain np.unique imports numpy.ma on its first
     call, about 10 ms of every fresh process that prints a matrix.
     """
+    if data.dtype != np.float64:
+        texts, m = format_distinct(data.ravel().tolist()), data.shape[1]
+        return (texts[i : i + m] for i in range(0, len(texts), m))
     bits = data.view(np.uint64)
     table = np.sort(bits[0])
     pos = np.searchsorted(table, bits)
@@ -546,7 +549,7 @@ def _entry_texts(data: np.ndarray, format_distinct) -> list[list[str]]:
         pos[missed] = inverse + len(table)
         table = np.concatenate((table, rest))
     texts = np.array(format_distinct(table.view(np.float64).tolist()), dtype=object)
-    return texts[pos].tolist()
+    return (texts[row].tolist() for row in pos)
 
 
 def _json_floats(values: list) -> list[str]:
@@ -555,6 +558,12 @@ def _json_floats(values: list) -> list[str]:
 
 def _scalar_texts(values: list) -> list[str]:
     return [format_scalar(v) for v in values]
+
+
+def _padded_texts(values: list) -> list[str]:
+    texts = _scalar_texts(values)
+    width = max(map(len, texts))
+    return [t.rjust(width) for t in texts]
 
 
 def _alpha_first_row(data: np.ndarray) -> Optional[list[float]]:
@@ -566,78 +575,70 @@ def _alpha_first_row(data: np.ndarray) -> Optional[list[float]]:
     return data[0].tolist() if layout_holds(data, [(0, alpha_tuple(n))]) else None
 
 
-def _alpha_rows(t: list[str], sep: str) -> list[str]:
-    """The rows of the alpha layout of the first row's texts t, joined by sep.
-
-    t is joined once into J; row i is t_i, then J from the separator after
-    t_0 through the one before t_i, then t_0 and J after t_i.
-    """
-    gap = len(sep)
-    J = sep.join(t)
-    rows = [J]
-    head = at = len(t[0])  # at: offset in J of the separator before t_i
-    for ti in t[1:]:
-        tail = at + gap + len(ti)
-        rows.append("".join((ti, J[head : at + gap], t[0], J[tail:])))
-        at = tail
-    return rows
+#: Each text format: the entry texts of a list of values, the separator
+#: between a row's entries, and the text before the first row, between two
+#: rows and after the last.
+_FORMATS = {
+    "json": (_json_floats, ", ", "[[", "], [", "]]"),
+    "csv": (_scalar_texts, ",", "", "\n", "\n"),
+    "pretty": (_padded_texts, "  ", "  ", "\n  ", "\n"),
+}
 
 
-def _text_rows(M: DenseMatrix, format_distinct, sep: str, pad=False) -> list[str]:
-    """Every row of M as its entries' texts joined by sep, each padded if pad.
+def matrix_pieces(M: DenseMatrix, fmt: str) -> Iterator[str]:
+    """The text of matrix_to_<fmt>(M) (fmt "json", "csv" or "pretty") in
+    pieces of at most one row, for a stream's writelines; only a JSON
+    matrix whose entries are not float64 (exact ones among them) is one
+    json.dumps piece.
 
-    format_distinct maps a list of values to their texts; pad right-aligns
-    every text to the widest.  When M is exactly the alpha layout of its
-    first row (M.alpha_row), only those n values are formatted and
-    every row is sliced from the row's joined text (_alpha_rows), in O(n^2)
-    character copies and no per-entry work.  Any other matrix, direct sums
-    of several blocks among them, is printed entry by entry (_entry_texts),
+    One call of the format's texts covers every value of M, so pretty's
+    padding to the widest text holds across rows.  When M is
+    exactly the alpha layout of its first row (M.alpha_row), those n
+    values' texts t are joined once into J, and row i is yielded as t_i,
+    J from the separator after t_0 through the one before t_i, t_0, and J
+    after t_i: no per-entry work and no joined row, only the slices'
+    O(n^2) character copies.  Any other matrix, direct sums of several
+    blocks among them, is yielded a joined row at a time (_entry_texts),
     so the text always shows M as stored.
     """
-    first = M.alpha_row
-    if first is not None:
-        texts = format_distinct(first)
-        if pad:
-            width = max(map(len, texts))
-            texts = [t.rjust(width) for t in texts]
-        return _alpha_rows(texts, sep)
-    if M.data.dtype == np.float64:
-        cells = _entry_texts(M.data, format_distinct)
+    if fmt == "json" and M.data.dtype != np.float64:
+        yield json.dumps(matrix_to_json_obj(M))
+        return
+    format_distinct, sep, first, between, last = _FORMATS[fmt]
+    yield first
+    if M.alpha_row is None:
+        rows = map(sep.join, _entry_texts(M.data, format_distinct))
+        yield next(rows)
+        for text in rows:
+            yield between
+            yield text
     else:
-        cells = [format_distinct(row) for row in M.data.tolist()]
-    if pad:
-        width = max(len(c) for row in cells for c in row)
-        return [sep.join(c.rjust(width) for c in row) for row in cells]
-    return [sep.join(row) for row in cells]
+        t = format_distinct(M.alpha_row)
+        J = sep.join(t)
+        yield J
+        gap = len(sep)
+        head = at = len(t[0])  # at: offset in J of the separator before t_i
+        for ti in t[1:]:
+            tail = at + gap + len(ti)
+            yield between + ti
+            yield J[head : at + gap]
+            yield t[0]
+            yield J[tail:]
+            at = tail
+    yield last
 
 
-def matrix_to_json(M: DenseMatrix, head: str = "", tail: str = "") -> str:
-    """head + json.dumps(matrix_to_json_obj(M)) + tail, byte for byte.
+def matrix_to_json(M: DenseMatrix) -> str:
+    """json.dumps(matrix_to_json_obj(M)), byte for byte (see matrix_pieces).
 
-    head and tail go into the one join of the rows, so a document that
-    holds the matrix (the CLI's realize output) is built as one string,
-    with no copy of the matrix text on its own.
-
-    Float64 entries get json's own text for each value, formatted once
-    per distinct value (_text_rows): by slices of the first row when M is
-    exactly its alpha layout, and otherwise from a table of the distinct
-    bit patterns.  Other dtypes, exact (Fraction) matrices among them,
-    keep the per-entry path.
-
-    Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.45 s):
-    about 0.02x for an alpha matrix (9 ms, of which the layout scan is
-    about 1 ms, none when certify has already made it: M.alpha_row), 0.9x
-    with n^2 / 2 distinct entries, and 1.6x when all n^2 entries differ
-    (the sort and the string table on top of the same formatting).
+    Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.4-0.7 s):
+    about 0.01x for an alpha matrix (5 ms; its pieces written to /dev/null
+    take about 4 ms and hold no O(n^2) string; the layout scan adds 2-4 ms
+    when certify has not made it already: M.alpha_row), 1.4x with n^2 / 2
+    distinct entries, and 1.6x when all n^2 entries differ (the sort and
+    the string table on top of the same formatting).
     """
-    if M.data.dtype != np.float64:
-        return "".join((head, json.dumps(matrix_to_json_obj(M)), tail))
-    rows = _text_rows(M, _json_floats, ", ")
-    # head + "[[" + "], [".join(rows) + "]]" + tail without two more copies
-    # of the text.
-    rows[0] = head + "[[" + rows[0]
-    rows[-1] += "]]" + tail
-    return "], [".join(rows)
+    return "".join(matrix_pieces(M, "json"))
 
 
 def matrix_from_json(text: str, exact: bool = False) -> DenseMatrix:
@@ -659,14 +660,14 @@ def format_scalar(v: Scalar) -> str:
 
 
 def matrix_to_csv(M: DenseMatrix) -> str:
-    """One row per line, entries by format_scalar (see _text_rows)."""
-    return "\n".join([*_text_rows(M, _scalar_texts, ","), ""])
+    """One row per line, entries by format_scalar (see matrix_pieces)."""
+    return "".join(matrix_pieces(M, "csv"))
 
 
 def matrix_to_pretty(M: DenseMatrix) -> str:
     """One line per row: two spaces, then the format_scalar texts right-aligned
-    to the widest and two spaces apart (see _text_rows)."""
-    return "".join(f"  {row}\n" for row in _text_rows(M, _scalar_texts, "  ", pad=True))
+    to the widest and two spaces apart (see matrix_pieces)."""
+    return "".join(matrix_pieces(M, "pretty"))
 
 
 def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import wide_spread_suleimanova_text
+from conftest import random_suleimanova_values, wide_spread_suleimanova_text
 from permrealize import (
     Realization,
     as_realization,
@@ -29,7 +29,7 @@ from permrealize import linalg as linalg_mod
 from permrealize import verify as verify_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
-from permrealize.linalg import format_scalar
+from permrealize.linalg import format_scalar, matrix_to_csv, matrix_to_json, matrix_to_pretty
 
 
 def run(capsys, *argv):
@@ -723,6 +723,79 @@ def test_one_alpha_layout_scan_per_op(tmp_path, monkeypatch, capsys, fmt):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert calls == [(4, 4)]
+
+
+class _RecordingStream(io.StringIO):
+    """A text stream that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+def _longest_row(M, fmt):
+    text = {"json": matrix_to_json, "csv": matrix_to_csv, "pretty": matrix_to_pretty}[fmt](M)
+    rows = text[2:-2].split("], [") if fmt == "json" else text.splitlines()
+    return text, max(map(len, rows))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_realize_writes_no_piece_longer_than_a_row(monkeypatch, fmt):
+    # The matrix goes to stdout (and to --out) a row at a time: no write
+    # holds more than one row's text, or the text around the matrix.
+    values = random_suleimanova_values(np.random.default_rng(8), 512)
+    M = dispatch.realize(make_spectrum(values)).matrix
+    files = {}
+
+    def recording_open(path, mode, encoding):
+        assert (mode, encoding) == ("w", "utf-8")
+        files[path] = _RecordingStream()
+        return files[path]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = _RecordingStream()
+    argv = ["realize", ",".join(map(repr, values)), "--format", fmt, "--out", "m.csv"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    doc = "".join(out.writes)
+    text, row = _longest_row(M, fmt)
+    head, tail = doc.split(text)
+    assert max(map(len, out.writes)) <= row + max(len(head), len(tail))
+    assert len(doc) > 100 * (row + len(head) + len(tail))
+    csv_text, csv_row = _longest_row(M, "csv")
+    assert "".join(files["m.csv"].writes) == csv_text
+    assert max(map(len, files["m.csv"].writes)) <= csv_row
+
+
+#: realize runs for each exit code, with and without a matrix on stdout.
+_EXIT_PATHS = [
+    (("10,-1,-2,-3",), 0),
+    ((",".join(map(repr, random_suleimanova_values(np.random.default_rng(4), 300))),), 0),
+    (("1e10,-1e6,-1,-1e-3", "--abs-tol", "0", "--rel-tol", "0"), 2),
+    (("3,-2,-2",), 2),
+    ((",".join(["40"] + ["-1"] * 39), "--method", "companion"), 3),
+    (("3,1,0,-1,-1",), 3),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("argv,code", _EXIT_PATHS)
+def test_a_real_stream_gets_the_bytes_of_a_string_stream(argv, code, fmt):
+    argv = ["realize", *argv, "--format", fmt]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-8")
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
+    stream.flush()
+    assert raw.getvalue() == text.getvalue().encode("utf-8")
+    stream.detach()
 
 
 def test_verify_rows_beyond_the_float_range_apart_exit_2_without_warnings(tmp_path):

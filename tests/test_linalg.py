@@ -58,6 +58,7 @@ from permrealize.linalg import (
     layout_holds,
     _alpha_first_row,
     _alpha_index,
+    matrix_pieces,
     matrix_to_json_obj,
     matrix_to_pretty,
 )
@@ -996,3 +997,50 @@ def test_serializers_print_entries_off_the_alpha_layout_as_stored():
         _assert_serialized_as_stored(M)
         text = format_scalar(data[i, j])
         assert matrix_to_csv(M).splitlines()[i].split(",")[j] == text
+
+
+def _piece_inputs():
+    """(matrix, is its first row's alpha layout) for the piece serializers."""
+    rng = np.random.default_rng(17)
+    yield assemble(alpha_tuple(1), [0.5]), True
+    yield assemble(alpha_tuple(2), [1.5, -0.0]), True
+    yield from_rows([[-0.0]]), True
+    # First-row texts of different widths, 0.0 next to -0.0, subnormals.
+    wide = [123456.789, 0.1, 5e-324, -0.0, 0.0, 2.5e-310, 1e300, 7.0, -0.0]
+    yield assemble(alpha_tuple(len(wide)), wide), True
+    x = [round(v, int(d)) for v, d in zip(rng.uniform(0.0, 1e4, 40), rng.integers(0, 9, 40))]
+    yield assemble(alpha_tuple(40), x), True
+    # A multi-block direct sum, and the wide block one ulp off its layout.
+    blocks = [assemble(alpha_tuple(k), rng.uniform(0.0, 3.0, k).tolist()) for k in (3, 1, 4, 2)]
+    yield direct_sum([*blocks, from_rows([[-0.0]]), assemble(alpha_tuple(len(wide)), wide)]), False
+    for i, j in ((4, 0), (3, 3), (0, 8), (8, 5)):
+        data = assemble(alpha_tuple(len(wide)), wide).data.copy()
+        data[i, j] = np.nextafter(data[i, j], np.inf)
+        yield DenseMatrix(data), False
+    # Exact and integer matrices.
+    yield assemble(alpha_tuple(3), [Fraction(1, 3), Fraction(-22, 7), Fraction(0)]), False
+    yield direct_sum([assemble(alpha_tuple(2), [Fraction(5, 2), Fraction(10) ** 40]),
+                      from_rows([[Fraction(-1, 9)]], exact=True)]), False
+    yield DenseMatrix(np.array([[1, 0], [-2, 30]])), False
+
+
+def test_matrix_pieces_join_to_the_serializers_and_the_references():
+    references = {"json": _matrix_to_json_reference, "csv": _matrix_to_csv_reference,
+                  "pretty": _pretty_reference}
+    serializers = {"json": matrix_to_json, "csv": matrix_to_csv, "pretty": matrix_to_pretty}
+    for M, one_block in _piece_inputs():
+        assert (M.alpha_row is not None) == one_block
+        for fmt, reference in references.items():
+            pieces = list(matrix_pieces(M, fmt))
+            assert all(type(p) is str for p in pieces)
+            text = "".join(pieces)
+            assert text == serializers[fmt](M) == reference(M), (fmt, M.data)
+            if fmt == "json" and M.data.dtype != np.float64:
+                assert len(pieces) == 1
+                continue
+            # No piece is longer than the longest row's text.
+            rows = text[2:-2].split("], [") if fmt == "json" else text.splitlines()
+            assert max(map(len, pieces)) <= max(map(len, rows))
+    # Pretty output right-aligns every entry to the widest text.
+    lines = matrix_to_pretty(assemble(alpha_tuple(3), [10.5, -0.0, 2.0])).splitlines()
+    assert lines == ["  10.5    -0     2", "    -0  10.5     2", "     2    -0  10.5"]
