@@ -81,9 +81,9 @@ def synthetic_spectrum(n: int) -> Spectrum:
     return make_spectrum([float(n - 1)] + [-1.0] * (n - 1))
 
 
-def poly_products(sigma: Spectrum) -> int:
-    """The coefficient multiplications poly_from_roots makes on sigma,
-    counted by its roots: a measure of its work that reads no clock."""
+def counted_poly_from_roots(sigma: Spectrum) -> tuple[tuple[float, ...], int]:
+    """poly_from_roots(sigma) and its coefficient multiplications, counted
+    by its roots: a measure of its work that reads no clock."""
     count = 0
 
     class Root(float):
@@ -92,8 +92,7 @@ def poly_products(sigma: Spectrum) -> int:
             count += 1
             return float(self) * other
 
-    poly_from_roots(Spectrum(tuple(map(Root, sigma.values))))
-    return count
+    return poly_from_roots(Spectrum(tuple(map(Root, sigma.values)))), count
 
 
 def _sample_rounds(fns: Sequence[Callable[[], object]]) -> list[list[float]]:
@@ -149,7 +148,9 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
     """Time the constructions over the given sizes, count poly_from_roots'
     products, and tabulate the doubling ratios of both."""
     sigmas = [synthetic_spectrum(n) for n in sizes]
-    peaks = [max(abs(float(c)) for c in poly_from_roots(s)) for s in sigmas]
+    counted = [counted_poly_from_roots(s) for s in sigmas]
+    peaks = [max(map(abs, coeffs)) for coeffs, _ in counted]
+    products = [count for _, count in counted]
     # Where the coefficients overflow, the companion matrix cannot be built
     # in float64 at all, so it is not timed.
     finite = [math.isfinite(p) for p in peaks]
@@ -161,7 +162,6 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES) -> BenchReport:
         + [partial(realize_companion, s) for s, ok in zip(sigmas, finite) if ok]
     )
     k = len(sigmas)
-    products = [poly_products(s) for s in sigmas]
     sule, poly, companion = samples[:k], samples[k : 2 * k], iter(samples[2 * k :])
     entries = [
         BenchEntry(

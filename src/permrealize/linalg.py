@@ -632,11 +632,11 @@ def matrix_to_json(M: DenseMatrix) -> str:
     """json.dumps(matrix_to_json_obj(M)), byte for byte (see matrix_pieces).
 
     Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.4-0.7 s):
-    about 0.01x for an alpha matrix (5 ms; its pieces written to /dev/null
-    take about 4 ms and hold no O(n^2) string; the layout scan adds 2-4 ms
-    when certify has not made it already: M.alpha_row), 1.4x with n^2 / 2
-    distinct entries, and 1.6x when all n^2 entries differ (the sort and
-    the string table on top of the same formatting).
+    about 0.01x for an alpha matrix (3.4 ms; its pieces written to
+    /dev/null take 3.9 ms and hold no O(n^2) string; the layout scan adds
+    1.2-1.5 ms when certify has not made it already: M.alpha_row), 1.4x
+    with n^2 / 2 distinct entries, and 1.6x when all n^2 entries differ
+    (the sort and the string table on top of the same formatting).
     """
     return "".join(matrix_pieces(M, "json"))
 

@@ -2,7 +2,7 @@
 
 For ``realize --format json`` and ``--format csv`` of the large-n
 benchmark's spectra (n = 256, 512 and 1024) and for ``verify`` of its CSV
-files (n = 64, 128 and 256; perfbench/workloads.py, one seed), this starts
+files (n = 64, 128 and 256; perfbench/workloads.py, seed SEED), this starts
 one fresh Python process per op with stdout set to /dev/null.  The process
 imports the library, calls ``permrealize.cli.main(argv)`` once untimed and
 then REPEATS more times, each timed with its final flush of stdout; it
@@ -13,7 +13,7 @@ JSON object.
 
 Usage, from the repository root:
 
-    python3 tools/cli_wall.py [--seed 1] [--repeats 15] [--src src] [--json]
+    python3 tools/cli_wall.py [--src src] [--json]
 
 --src points at the ``src/`` of the checkout to measure, so two checkouts
 can be compared with the same ops.
@@ -32,6 +32,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
+
+#: The large-n seed whose ops are measured.
+SEED = 1
+#: Timed warm calls per process, after one untimed call.
+REPEATS = 15
 
 #: Run in each fresh process: sys.argv[1] is the src/ directory,
 #: sys.argv[2] the op's argv as JSON, sys.argv[3] the number of warm calls.
@@ -54,10 +59,10 @@ print(json.dumps({"rc": rc, "warm_ms": 1000 * statistics.median(walls),
 """
 
 
-def _ops(seed: int, workdir: str) -> list[tuple[str, int, list[str]]]:
+def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
     """(label, n, argv) of every op measured."""
     out = []
-    for op in workloads.make_ops("large-n", seed, workdir):
+    for op in workloads.make_ops("large-n", SEED, workdir):
         if op.kind == "realize":
             for fmt in ("json", "csv"):
                 argv = list(op.argv)
@@ -68,10 +73,10 @@ def _ops(seed: int, workdir: str) -> list[tuple[str, int, list[str]]]:
     return out
 
 
-def measure(src: str, argv: list[str], repeats: int) -> dict:
+def measure(src: str, argv: list[str]) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     p = subprocess.run(
-        [sys.executable, "-c", CHILD, src, json.dumps(argv), str(repeats)],
+        [sys.executable, "-c", CHILD, src, json.dumps(argv), str(REPEATS)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, check=True,
     )
     return json.loads(p.stderr.splitlines()[-1])
@@ -79,20 +84,18 @@ def measure(src: str, argv: list[str], repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--json", action="store_true", help="also print one JSON object")
     args = parser.parse_args(argv)
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
-        for label, n, op_argv in _ops(args.seed, workdir):
-            r = measure(os.path.abspath(args.src), op_argv, args.repeats)
+        for label, n, op_argv in _ops(workdir):
+            r = measure(os.path.abspath(args.src), op_argv)
             rows.append({"op": label, "n": n, **r})
             print(f"{label:<24} n={n:<5} exit {r['rc']}  warm {r['warm_ms']:7.2f} ms"
                   f"  ru_maxrss {r['maxrss_mb']:6.1f} MB", flush=True)
     if args.json:
-        print(json.dumps({"seed": args.seed, "repeats": args.repeats, "ops": rows}))
+        print(json.dumps({"seed": SEED, "repeats": REPEATS, "ops": rows}))
     return 0
 
 
