@@ -739,6 +739,25 @@ def test_matrix_from_csv_values_match_fraction_parse():
     assert math.copysign(1.0, got[1]) == -1.0
 
 
+def _assert_reads_like_lines(text):
+    """matrix_from_csv(text) is _read_by_lines(text) bit for bit, or raises
+    the same exception with the same message, and warns nothing."""
+    try:
+        want = _read_by_lines(text)
+    except (ParseError, DimensionMismatchError, EmptyInputError) as e:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(e)) as got:
+                matrix_from_csv(text)
+        assert str(got.value) == str(e)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matrix_from_csv(text).data
+        assert got.shape == want.data.shape
+        assert_array_equal(got.view(np.uint64), want.data.view(np.uint64))
+
+
 @pytest.mark.parametrize("text", [
     "1,-0\n2,3\n",
     "1,-1e-400\n2,3\n",
@@ -762,19 +781,7 @@ def test_matrix_from_csv_falls_back_to_the_line_reader(text):
     # grammar, or not at all, or is not ASCII: it takes the line reader,
     # with the line reader's values and error messages, and no warning.
     assert linalg_mod._loadtxt_floats(text) is None
-    try:
-        want = _read_by_lines(text)
-    except (ParseError, DimensionMismatchError, EmptyInputError) as e:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(type(e)) as got:
-                matrix_from_csv(text)
-        assert str(got.value) == str(e)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = matrix_from_csv(text)
-        assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    _assert_reads_like_lines(text)
 
 
 def test_matrix_from_csv_errors_keep_their_messages():
@@ -801,6 +808,133 @@ def test_matrix_from_csv_fast_path_shapes():
         got = matrix_from_csv(text).data
         assert got.shape == shape
         assert_array_equal(got.view(np.uint64), _read_by_lines(text).data.view(np.uint64))
+
+
+def _alpha_csv_rows(t):
+    """The rows of the alpha layout of the tokens t, as token lists."""
+    return [[t[j] for j in p] for p in _alpha_index(len(t)).tolist()]
+
+
+def _csv_of(rows):
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _edited(t, i, j, token):
+    rows = _alpha_csv_rows(t)
+    rows[i][j] = token
+    return _csv_of(rows)
+
+
+_LAYOUT_TOKENS = ["7.25", "0.5", "1e-3", "0.125", "3", "0.1", "2.75", "0"]
+
+
+@pytest.mark.parametrize("text, reads_layout", [
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)), True),
+    (matrix_to_csv(realize_suleimanova(make_spectrum([7.1, -0.3, -1.7, -2.9])).matrix), True),
+    (_edited(_LAYOUT_TOKENS, 0, 3, "0.25"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "0.25"), True),
+    (_edited(_LAYOUT_TOKENS, 7, 7, "9"), True),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "-0"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "1/3"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "x"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "0.5,1"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "1\t"), False),
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)).replace("\n", "\r\n"), False),
+    # Row 1 is two lines to the line reader, and blank row 3 keeps the
+    # row count at n.
+    (_csv_of([r if i not in (1, 3) else [] for i, r in enumerate(_alpha_csv_rows(_LAYOUT_TOKENS[:5]))])
+     .replace("\n\n", "\n1,2,3,4,5\r6,7,8,9,10\n", 1), False),
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS))[:-1], False),
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)).replace("\n", "\n\n", 3), False),
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)[:-1]), False),
+    (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS) * 2), False),
+    (matrix_to_csv(direct_sum([assemble(alpha_tuple(k), [float(k + 2)] + [0.5] * (k - 1))
+                               for k in (2, 2, 3, 2)])), False),
+    ("4.5\n", True),
+    ("-0\n", True),
+    ("1/3\n", True),
+    ("x\n", False),
+    ("1,2\n2,1\n", True),
+    ("1,2\n3,1\n", True),
+    ("1/3,-0\n-0,1/3\n", True),
+    ("1,2\n", False),
+    ("1,2\n2,1\n\n", False),
+    ("\n1,2\n2,1\n", False),
+])
+def test_matrix_from_csv_reads_the_alpha_layout_like_the_line_reader(text, reads_layout):
+    # A text that is mostly the alpha layout of its first line is read from
+    # that line's tokens and the rows that differ; any other text, and any
+    # doubt, goes to loadtxt and the line reader, with their values and
+    # messages.
+    assert (linalg_mod._alpha_csv_floats(text) is not None) is reads_layout
+    _assert_reads_like_lines(text)
+
+
+def _sweep_text(rng):
+    """A small alpha layout text with a few edits of entries, rows and line
+    ends."""
+    tokens = ["0", "1", "-0", "1/3", "2.5", "x", "", " 3", "1e-400", "-1e-400", "5e-324",
+              "1e400", "0.1"]
+    n = rng.randint(1, 6)
+    t = [rng.choice(tokens) if rng.random() < 0.3 else repr(rng.random()) for _ in range(n)]
+    rows = _alpha_csv_rows(t)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(rows))
+        kind = rng.random()
+        if kind < 0.6 and rows[i]:
+            rows[i][rng.randrange(len(rows[i]))] = rng.choice(tokens + [repr(rng.random())])
+        elif kind < 0.7:
+            rows[i].append("1")
+        elif kind < 0.8 and len(rows[i]) > 1:
+            rows[i].pop()
+        elif kind < 0.9 and len(rows) > 1:
+            rows.pop(i)
+        else:
+            rows.insert(i, list(rows[i]))
+    text = _csv_of(rows)
+    edit = rng.randrange(12)
+    return _LINE_EDITS[edit](text) if edit < len(_LINE_EDITS) else text
+
+
+#: CRLF, no final newline, a blank line, a whitespace-only line, a lone
+#: "\r" or "\x0b" line break, one row too many.
+_LINE_EDITS = (
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text[:-1],
+    lambda text: text.replace("\n", "\n\n", 1),
+    lambda text: text.replace("\n", "\n \n", 1),
+    lambda text: text.replace("\n", "\r", 1),
+    lambda text: text.replace(",", "\x0b", 1),
+    lambda text: text + "1\n",
+)
+
+
+def test_matrix_from_csv_alpha_sweep_matches_the_line_reader():
+    rng = random.Random(24)
+    laid_out = 0
+    for _ in range(3000):
+        text = _sweep_text(rng)
+        laid_out += linalg_mod._alpha_csv_floats(text) is not None
+        _assert_reads_like_lines(text)
+    assert 300 < laid_out < 2500
+
+
+def test_matrix_from_csv_parses_only_the_first_line_and_the_edited_row(monkeypatch):
+    x = [0.1 * k for k in range(64)]
+    rows = _alpha_csv_rows([repr(v) for v in x])
+    rows[30][17] = "1234.5"
+    text = _csv_of(rows)
+    calls = []
+    for name in ("_loadtxt_floats", "parse_scalars"):
+        real = getattr(linalg_mod, name)
+        monkeypatch.setattr(linalg_mod, name,
+                            lambda arg, *a, _real=real, _name=name: calls.append((_name, arg))
+                            or _real(arg, *a))
+    got = matrix_from_csv(text).data
+    assert calls == [("parse_scalars", rows[0]), ("_loadtxt_floats", ",".join(rows[30]))]
+    want = assemble(alpha_tuple(64), x).data.copy()
+    want[30, 17] = 1234.5
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_format_scalar():

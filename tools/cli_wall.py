@@ -1,9 +1,13 @@
 """Wall time and peak memory of the CLI writing to a real stream.
 
 For ``realize --format json`` and ``--format csv`` of the large-n
-benchmark's spectra (n = 256, 512 and 1024) and for ``verify`` of its CSV
-files (n = 64, 128 and 256; perfbench/workloads.py, seed SEED), this starts
-one fresh Python process per op with stdout set to /dev/null.  The process
+benchmark's spectra (n = 256, 512 and 1024), for ``verify`` of its CSV
+files, as written and with one entry edited (n = 64, 128 and 256;
+perfbench/workloads.py, seed SEED), and for ``verify`` of two kinds of CSV
+file that are not one alpha layout, at each of OTHER_ORDERS (a dense
+uniform random matrix, and a direct sum of order-2 alpha blocks; written
+like the benchmark's files), this starts one fresh Python process per op
+with stdout set to /dev/null.  The process
 imports the library, calls ``permrealize.cli.main(argv)`` once untimed and
 then REPEATS more times, each timed with its final flush of stdout; it
 reports the median of those warm calls and its own ``ru_maxrss``.  stderr
@@ -33,8 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
-#: The large-n seed whose ops are measured.
+import numpy as np  # noqa: E402
+
+#: The large-n seed whose ops are measured, and the seed of the other files.
 SEED = 1
+#: Orders of the verify ops on files that are not one alpha layout.
+OTHER_ORDERS = (64, 256, 512)
 #: Timed warm calls per process, after one untimed call.
 REPEATS = 15
 
@@ -68,8 +76,24 @@ def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
                 argv = list(op.argv)
                 argv[argv.index("--format") + 1] = fmt
                 out.append((f"realize --format {fmt}", op.n, argv))
-        elif not op.perturbed:
-            out.append(("verify", op.n, list(op.argv)))
+        else:
+            out.append(("verify perturbed" if op.perturbed else "verify", op.n, list(op.argv)))
+    rng = np.random.default_rng(SEED)
+    for n in OTHER_ORDERS:
+        # Order-2 blocks [[x0, x1], [x1, x0]] with eigenvalues x0 + x1 = a
+        # and x0 - x1 = b, in quarters, so every entry is exact.
+        a = rng.integers(4, 65, n // 2) / 4
+        b = -rng.integers(1, 4 * a + 1) / 4
+        dsum = np.zeros((n, n))
+        for k, (x0, x1) in enumerate(zip((a + b) / 2, (a - b) / 2)):
+            dsum[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[x0, x1], [x1, x0]]
+        # The dense file's target is any n values: its verdict is inconclusive.
+        for kind, M, values in (("dense", rng.random((n, n)), [n / 2] + [-0.25] * (n - 1)),
+                                ("direct sum", dsum, np.concatenate((a, b)))):
+            path = os.path.join(workdir, f"{kind.replace(' ', '_')}{n}.csv")
+            workloads._write_csv(path, M)
+            out.append((f"verify {kind}", n,
+                        ["verify", workloads._spectrum_arg(values), "--matrix", path]))
     return out
 
 

@@ -12,10 +12,12 @@ of spectra whose float sum overflows partway (TIGHT), through
 ``permrealize.cli.main`` in this process, and
 each realize op once more with ``--format pretty`` and once
 with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
-more on each of four edits of its CSV file (CSV_VARIANTS): the first row's
+more on each of six edits of its CSV file (CSV_VARIANTS): the first row's
 last entry written as -0 or as 1/3 and a whitespace-only line after the
-first row, which the float CSV reader leaves to its line-by-line path, and
-CRLF line ends, which the CLI's text-mode read turns into newlines.  For
+first row, which the float CSV reader leaves to its line-by-line path,
+CRLF line ends, which the CLI's text-mode read turns into newlines, and
+the final newline dropped or a middle row's last entry written as 1/3,
+which the reader of alpha layouts leaves to the readers after it.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
@@ -199,9 +201,13 @@ def _direct_sum_files(groups, workdir: str, i: int) -> tuple[str, list]:
     return ",".join(map(repr, values)), files
 
 
-def _last_entry(text: str, token: str) -> str:
-    first, rest = text.split("\n", 1)
-    return first.rsplit(",", 1)[0] + "," + token + "\n" + rest
+def _last_entry(text: str, token: str, middle: bool = False) -> str:
+    """text with the last entry of its first row, or of its middle row,
+    written as token."""
+    lines = text.split("\n")
+    i = (len(lines) - 1) // 2 if middle else 0
+    lines[i] = lines[i].rsplit(",", 1)[0] + "," + token
+    return "\n".join(lines)
 
 
 CSV_VARIANTS = {
@@ -209,6 +215,8 @@ CSV_VARIANTS = {
     "fraction": lambda text: _last_entry(text, "1/3"),
     "blank-line": lambda text: text.replace("\n", "\n \t\n", 1),
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "middle-fraction": lambda text: _last_entry(text, "1/3", middle=True),
 }
 
 
