@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,26 +54,17 @@ def _array(rows: Sequence[Sequence], exact: bool) -> np.ndarray:
 class DenseMatrix:
     """Immutable dense real matrix (float64 or exact-Fraction entries).
 
-    ``__post_init__`` makes ``data`` read-only, so what is derived from the
-    entries holds for as long as the matrix lives: ``alpha_row`` is
-    computed once per matrix and read by every check and printer that only
-    needs the layout.
+    ``layout``, set only by linalg's builders and read-only like ``data``,
+    is the tuple of (start, PermTuple) blocks the entries were built as
+    (see layout_holds), or None; checks and printers read the blocks'
+    first rows, which hold every value of the matrix.
     """
 
     data: np.ndarray
+    layout: Optional[tuple] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         self.data.setflags(write=False)
-
-    @functools.cached_property
-    def alpha_row(self) -> Optional[list[float]]:
-        """The first row when the float64 data is bit for bit its alpha
-        layout (_alpha_first_row), else None; one O(n^2) scan per matrix.
-
-        Such a matrix holds exactly the values of its first row, so its
-        maximum, its sign and its layout are read off that row.
-        """
-        return _alpha_first_row(self.data)
 
     @property
     def n_rows(self) -> int:
@@ -96,8 +87,8 @@ class DenseMatrix:
         return sum(d[1:], start=d[0])
 
     def max_abs(self) -> Scalar:
-        """Largest entry magnitude, a Fraction for exact entries; max |x|
-        when the matrix is the alpha layout of its first row x."""
+        """Largest entry magnitude, a Fraction for exact entries; read off
+        the recorded blocks' first rows when there are any."""
         m = np.abs(_entry_values(self)).max()
         return m if self.is_exact else float(m)
 
@@ -142,13 +133,19 @@ def identity(n: int, exact: bool = False) -> DenseMatrix:
 
 
 def _entry_values(M: DenseMatrix) -> np.ndarray:
-    """An array holding exactly the values of M's entries: the first row
-    when M is its alpha layout (DenseMatrix.alpha_row), else all of them."""
-    return M.data if M.alpha_row is None else M.data[0]
+    """An array holding exactly the values of M's entries: the first rows
+    of its recorded blocks (M.layout) plus, with several blocks, the zero
+    off them at (0, n - 1); else all of them."""
+    if M.layout is None:
+        return M.data
+    rows = [M.data[start, start : start + pt.n] for start, pt in M.layout]
+    if len(rows) > 1:
+        rows.append(M.data[0, -1:])
+    return np.concatenate(rows)
 
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
-    """True iff every entry is >= -tol (read off x when M.alpha_row is x)."""
+    """True iff every entry is >= -tol (read as in max_abs)."""
     return bool((_entry_values(M) >= -tol).all())
 
 
@@ -259,7 +256,15 @@ def assemble(pt: PermTuple, x: Sequence[Scalar]) -> DenseMatrix:
         raise DimensionMismatchError(
             f"first row has {len(x)} entries, pattern needs {pt.n}"
         )
-    return DenseMatrix(_alpha_layout(xv) if pt.is_alpha else xv[pt.index])
+    data = _alpha_layout(xv) if pt.is_alpha else xv[pt.index]
+    return _built(data, ((0, pt),))
+
+
+def _built(data: np.ndarray, layout) -> DenseMatrix:
+    """A DenseMatrix of data recording layout, the blocks data was built as."""
+    M = DenseMatrix(data)
+    object.__setattr__(M, "layout", layout)
+    return M
 
 
 def _alpha_layout(xv: np.ndarray) -> np.ndarray:
@@ -443,7 +448,9 @@ def poly_from_roots(sigma: Spectrum) -> tuple[Scalar, ...]:
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
-    """Block-diagonal assembly of square blocks, zeros elsewhere."""
+    """Block-diagonal assembly of square blocks, zeros elsewhere; exact when
+    every block is.  Records the blocks' shifted layouts when every block
+    has one and none is converted from exact to float."""
     blocks = list(blocks)
     if not blocks:
         raise EmptyInputError("direct_sum needs at least one block")
@@ -455,13 +462,17 @@ def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
     exact = all(b.is_exact for b in blocks)
     n = sum(b.n_rows for b in blocks)
     out = zeros(n, n, exact)
-    off = 0
+    layout, off = (), 0
     for b in blocks:
         k = b.n_rows
-        data = b.data if (exact or not b.is_exact) else b.data.astype(float)
-        out[off : off + k, off : off + k] = data
+        converted = b.is_exact and not exact
+        out[off : off + k, off : off + k] = b.data.astype(float) if converted else b.data
+        if converted or b.layout is None:
+            layout = None
+        elif layout is not None:
+            layout += tuple((off + start, pt) for start, pt in b.layout)
         off += k
-    return DenseMatrix(out)
+    return _built(out, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +581,6 @@ def _padded_texts(values: list) -> list[str]:
     return [t.rjust(width) for t in texts]
 
 
-def _alpha_first_row(data: np.ndarray) -> Optional[list[float]]:
-    """data's first row, if data is square float64 and exactly that row's
-    alpha layout (layout_holds of one alpha block), else None."""
-    n = len(data)
-    if n == 0 or data.dtype != np.float64 or data.shape != (n, n):
-        return None
-    return data[0].tolist() if layout_holds(data, [(0, alpha_tuple(n))]) else None
-
-
 #: Each text format: the entry texts of a list of values, the separator
 #: between a row's entries, and the text before the first row, between two
 #: rows and after the last.
@@ -596,23 +598,23 @@ def matrix_pieces(M: DenseMatrix, fmt: str) -> Iterator[str]:
     json.dumps piece.
 
     One call of the format's texts covers every value of M, so pretty's
-    padding to the widest text holds across rows.  When M is
-    exactly the alpha layout of its first row (M.alpha_row), its rows are
-    _alpha_pieces of those n values' texts: no per-entry work and no
+    padding to the widest text holds across rows.  When M records one
+    alpha block over the whole matrix (M.layout), its rows are
+    _alpha_pieces of its first row's n texts: no per-entry work and no
     joined row, only the slices' O(n^2) character copies.  Any other
     matrix, direct sums of several blocks among them, is yielded a joined
-    row at a time (_entry_texts), so the text always shows M as stored.
+    row at a time (_entry_texts).  Either way the text shows M as stored.
     The pieces come from itertools.chain, not from a generator around
     them, which would resume once more per piece.
     """
     if fmt == "json" and M.data.dtype != np.float64:
         return iter((json.dumps(matrix_to_json_obj(M)),))
     format_distinct, sep, first, between, last = _FORMATS[fmt]
-    if M.alpha_row is None:
+    if M.layout == ((0, alpha_tuple(M.n_rows)),):
+        body = _alpha_pieces(format_distinct(M.data[0].tolist()), sep, between)
+    else:
         rows = map(sep.join, _entry_texts(M.data, format_distinct))
         body = chain((next(rows),), chain.from_iterable(zip(repeat(between), rows)))
-    else:
-        body = _alpha_pieces(format_distinct(M.alpha_row), sep, between)
     return chain((first,), body, (last,))
 
 
@@ -640,11 +642,10 @@ def matrix_to_json(M: DenseMatrix) -> str:
     """json.dumps(matrix_to_json_obj(M)), byte for byte (see matrix_pieces).
 
     Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.4-0.7 s):
-    about 0.01x for an alpha matrix (3.4 ms; its pieces written to
-    /dev/null take 3.9 ms and hold no O(n^2) string; the layout scan adds
-    1.2-1.5 ms when certify has not made it already: M.alpha_row), 1.4x
-    with n^2 / 2 distinct entries, and 1.6x when all n^2 entries differ
-    (the sort and the string table on top of the same formatting).
+    about 0.01x for a matrix that records one alpha block (3.4 ms; its
+    pieces written to /dev/null take 3.9 ms and hold no O(n^2) string),
+    1.4x with n^2 / 2 distinct entries, and 1.6x when all n^2 entries
+    differ (the sort and the string table on top of the same formatting).
     """
     return "".join(matrix_pieces(M, "json"))
 
@@ -700,9 +701,10 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
     loadtxt does.
     """
     if not exact:
-        data = _alpha_csv_floats(text)
-        if data is None:
-            data = _loadtxt_floats(text)
+        M = _alpha_csv_floats(text)
+        if M is not None:
+            return M
+        data = _loadtxt_floats(text)
         if data is not None:
             return DenseMatrix(data)
     lines = [line.split(",") for line in text.splitlines() if line.strip()]
@@ -740,7 +742,7 @@ def _loadtxt_floats(text: str) -> Optional[np.ndarray]:
     return data
 
 
-def _alpha_csv_floats(text: str) -> Optional[np.ndarray]:
+def _alpha_csv_floats(text: str) -> Optional[DenseMatrix]:
     """The float64 matrix of a CSV text that is mostly the alpha layout of
     its first line's tokens t, or None.
 
@@ -748,6 +750,8 @@ def _alpha_csv_floats(text: str) -> Optional[np.ndarray]:
     that layout (_alpha_pieces of t, four pieces per row), with no
     parsing.  The matrix is that layout of parse_scalars(t), with the rows
     that differ read by one _loadtxt_floats call and written over theirs.
+    When no row differs, equal text parses to equal bits, so the matrix
+    records the one alpha block it was built as.
     None, so that the whole text is read as before, when:
     - the first line is not printable ASCII;
     - the text does not end in "\\n", or has not n = len(t) rows;
@@ -801,4 +805,5 @@ def _alpha_csv_floats(text: str) -> Optional[np.ndarray]:
         if other is None or other.shape != (len(edited), len(t)):
             return None
         data[edited] = other
-    return data
+        return DenseMatrix(data)
+    return _built(data, ((0, alpha_tuple(len(t))),))

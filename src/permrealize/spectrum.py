@@ -203,21 +203,25 @@ def check_necessary(sigma: Spectrum, K: int = DEFAULT_POWER_DEPTH) -> ConditionR
     power-sum condition quantifies over every k; here it is truncated at K
     (the constructions never rely on it for correctness), and each s_k with
     k >= 2 is compared against ``-value_band(sum|l_i|^k)`` so the test stays
-    meaningful at any magnitude.
+    meaningful at any magnitude.  Where a float s_k or sum|l_i|^k is not
+    finite (inf - inf is nan), s_k is judged, in the same relative band,
+    on the values divided by the spectral radius: both sides scale by r^k.
     """
     if K < 1:
         raise ValueError(f"power depth must be >= 1, got {K}")
     perron_ok, ok, _ = _gate(sigma)
     powers = list(sigma.values)
-    abs_powers = [abs(v) for v in sigma.values]
     sums = []
-    for k in range(K):
+    for k in range(1, K + 1):
         s_k = sum(powers[1:], start=powers[0])
         sums.append(s_k)
-        if k and not s_k >= -value_band(sum(abs_powers[1:], start=abs_powers[0])):
+        a_k = sum(map(abs, powers))
+        if isinstance(s_k, float) and not (math.isfinite(s_k) and math.isfinite(a_k)):
+            scaled = [(v / sigma.spectral_radius) ** k for v in sigma.values]
+            s_k, a_k = sum(scaled), sum(map(abs, scaled))
+        if k > 1 and not s_k >= -value_band(a_k):
             ok = False
         powers = [p * v for p, v in zip(powers, sigma.values)]
-        abs_powers = [p * a for p, a in zip(abs_powers, (abs(v) for v in sigma.values))]
     return ConditionReport(
         power_sums=tuple(sums),
         power_sum_ok=ok,

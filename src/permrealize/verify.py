@@ -236,15 +236,15 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     Structure has one rule: the stored entries are the blocks' layout
     exactly (linalg.layout_holds: float64 entries bit for bit, exact ones
     as equal Fractions), so a matrix one ulp off its pattern is not
-    permutative.  The blocks a realization records in ``params["blocks"]``
-    must hold; one recorded alpha block over the whole matrix holds at
-    once when DenseMatrix.alpha_row is set.  A matrix without recorded
-    blocks (a file given to verify, say) is split at its exact zeros
-    (detect_blocks); when every part is the alpha layout of its first row,
-    those alpha blocks count as recorded.  Otherwise structure is
-    informational: pass when every part is permutative (is_permutative),
-    not-applicable otherwise.  One spectral check runs, and both follow
-    one rule, "exact residual <= tol.band(scale)":
+    permutative.  The blocks a realization records in ``params["blocks"]``,
+    or else those its matrix was built as (DenseMatrix.layout), must hold:
+    blocks equal to that layout hold by construction, any others by
+    layout_holds.  A matrix without either (a file given to verify, say)
+    is split at its exact zeros (detect_blocks); when every part is the
+    alpha layout of its first row, those alpha blocks count as recorded.
+    Otherwise structure is informational: pass when every part is
+    permutative (is_permutative), not-applicable otherwise.  One spectral
+    check runs, and both follow one rule, "exact residual <= tol.band(scale)":
 
     - alpha evidence (blocks that all have the alpha pattern and hold):
       the blocks' exact eigenvalues, read off their first rows, against
@@ -262,43 +262,32 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     largest |entry|), and to the spectral comparisons.  Every band is
     formed in its scale's own arithmetic (Tolerances.band), so exact
     magnitudes beyond the float range get finite bands.  Nonnegativity and
-    structure are numpy operations over the n^2 entries, and the
+    structure are numpy operations over at most the n^2 entries, and the
     identification is O(n) integer work, one code path for float64 and
-    Fraction entries alike.  On a matrix that is its alpha layout, the
-    scale and nonnegativity read the first row alone, which holds every
-    value.
+    Fraction entries alike.  On a matrix with a layout, the scale and
+    nonnegativity read its blocks' first rows, which hold every value.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
     M = r.matrix
     A = M.data
     n = M.n_rows
-    # One bit-level scan per matrix proves or rules out its alpha layout;
-    # the scale, nonnegativity, structure and the printers all read it.
-    alpha_layout = M.alpha_row is not None
     entry_scale = max(1.0, M.max_abs())
     entry_band = tol.band(entry_scale)
 
     nonneg = CheckState.PASS if is_nonnegative(M, entry_band) else CheckState.FAIL
 
-    blocks = r.params.get("blocks")
+    blocks = r.params.get("blocks") or M.layout
     if blocks:
-        whole_alpha = blocks == [(0, alpha_tuple(n))]
-        ok = (whole_alpha and alpha_layout) or layout_holds(A, blocks)
+        ok = tuple(blocks) == M.layout or layout_holds(A, blocks)
         structure = CheckState.PASS if ok else CheckState.FAIL
-    elif alpha_layout:
-        # A matrix file records no blocks: one that is bit for bit the alpha
-        # layout of its first row holds as that one alpha block.
-        blocks = [(0, alpha_tuple(n))]
-        structure = CheckState.PASS
     else:
         # Read the blocks off the exact zeros: alpha blocks that hold count
         # as recorded; otherwise report permutative parts, but do not fail
         # a matrix that never claimed them.
         split = detect_blocks(M)
         blocks = [(a, alpha_tuple(b - a)) for a, b in split]
-        # One float part is the layout alpha_row has already ruled out.
-        if (M.is_exact or len(split) > 1) and layout_holds(A, blocks):
+        if layout_holds(A, blocks):
             structure = CheckState.PASS
         else:
             blocks = None

@@ -25,7 +25,6 @@ from permrealize import (
 )
 from permrealize import cli, dispatch
 from permrealize import explorer as explorer_mod
-from permrealize import linalg as linalg_mod
 from permrealize import verify as verify_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
@@ -54,6 +53,19 @@ def test_check_perron_failure_exits_2(capsys):
     code, out, _ = run(capsys, "check", "-1,0.5")
     assert code == 2
     assert "perron ok:       False" in out
+
+
+@pytest.mark.parametrize("spectrum, code", [
+    ("2e7,-1e7,-1e7", 0), ("1e200,-1e200", 0),
+    ("3e200,-3e200,1e200,1e200,-1.5e200", 2), ("3,-3,1,1,-1.5", 2),
+])
+def test_check_judges_power_sums_past_the_float_range(capsys, spectrum, code):
+    # The first two realize and certify; the last two fail s_3.
+    got, out, _ = run(capsys, "check", spectrum)
+    assert got == code
+    assert f"power sums ok:   {code == 0}" in out
+    if code == 0:
+        assert run(capsys, "realize", spectrum)[0] == 0
 
 
 def test_check_empty_spectrum_exits_1(capsys):
@@ -705,24 +717,29 @@ def test_consecutive_calls_share_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
-def test_one_alpha_layout_scan_per_op(tmp_path, monkeypatch, capsys, fmt):
-    # Certify and the printers read the layout from the matrix's memo: one
-    # scan per realize op (also with --out) and one per verify op.
+def test_no_layout_scan_for_a_recorded_layout(tmp_path, monkeypatch, capsys, fmt):
+    # A built matrix records its layout, and so does an alpha CSV file
+    # read back: certify and the printers prove no layout of theirs.
     calls = []
 
-    def counted(data):
-        calls.append(data.shape)
-        return alpha_first_row(data)
+    def counted(A, blocks):
+        calls.append(len(blocks))
+        return layout_holds(A, blocks)
 
-    alpha_first_row = linalg_mod._alpha_first_row
-    monkeypatch.setattr(linalg_mod, "_alpha_first_row", counted)
+    layout_holds = verify_mod.layout_holds
+    monkeypatch.setattr(verify_mod, "layout_holds", counted)
     out_file = tmp_path / "m.csv"
     for argv in (("realize", "10,-1,-2,-3", "--format", fmt, "--out", str(out_file)),
+                 ("realize", "10,-1,-2,-3", "--exact", "--format", fmt),
                  ("realize", "5,4,-3,-3", "--method", "small", "--format", fmt),
+                 ("realize", "6,1,-3,-3", "--method", "small", "--format", fmt),
                  ("verify", "10,-1,-2,-3", "--matrix", str(out_file))):
-        calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert calls == [(4, 4)]
+    assert calls == []
+    # A file that is no alpha layout is proved by its blocks at its zeros.
+    out_file.write_text("2,1,0\n1,2,0\n0,0,3\n")
+    assert run(capsys, "verify", "3,3,1", "--matrix", str(out_file))[0] == 0
+    assert calls == [2]
 
 
 class _RecordingStream(io.StringIO):

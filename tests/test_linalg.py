@@ -39,6 +39,7 @@ from permrealize import (
     make_spectrum,
     char_poly,
     direct_sum,
+    explore,
     from_rows,
     identity,
     is_nonnegative,
@@ -56,7 +57,6 @@ from permrealize.linalg import (
     char_poly_coeffs,
     format_scalar,
     layout_holds,
-    _alpha_first_row,
     _alpha_index,
     matrix_pieces,
     matrix_to_json_obj,
@@ -216,31 +216,18 @@ def _alpha_edits():
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_max_abs_and_nonneg_read_the_alpha_row_as_the_whole_array(exact):
+def test_max_abs_and_nonneg_read_the_recorded_first_row_as_the_whole_array(exact):
     mats = list(_alpha_edits())
     if exact:
-        mats = [from_rows(M.to_lists(), exact=True) for M in mats]
+        M0 = assemble(alpha_tuple(5), [Fraction(v) for v in mats[0].data[0].tolist()])
+        mats = [M0] + [from_rows(M.to_lists(), exact=True) for M in mats[1:]]
     for k, M in enumerate(mats):
-        # Only the unedited float matrix reads its first row alone.
-        assert (M.alpha_row is not None) == (k == 0 and not exact)
+        # Only the unedited matrix, as assemble built it, reads its first
+        # row alone.
+        assert (M.layout is not None) == (k == 0)
         assert M.max_abs() == np.abs(M.data).max()
         for tol in (0.0, 1.5, 3.5, 4.0):
             assert is_nonnegative(M, tol) == bool((M.data >= -tol).all())
-
-
-def test_alpha_row_is_computed_once_per_matrix(monkeypatch):
-    calls = []
-
-    def counted(data):
-        calls.append(data.shape)
-        return _alpha_first_row(data)
-
-    monkeypatch.setattr(linalg_mod, "_alpha_first_row", counted)
-    M = assemble(alpha_tuple(6), [0.5, 1.5, 1.5, 0.0, 2.0, 0.25])
-    for _ in range(3):
-        M.max_abs(), is_nonnegative(M), matrix_to_csv(M), matrix_to_json(M), matrix_to_pretty(M)
-    assert M.alpha_row == [0.5, 1.5, 1.5, 0.0, 2.0, 0.25]
-    assert calls == [(6, 6)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1018,7 +1005,7 @@ def test_proven_alpha_layout_residuals_match_the_whole_block(n):
     blocks = [(0, alpha_tuple(n))]
     for x in _first_rows(rng, n):
         P = assemble(alpha_tuple(n), x.tolist()).data
-        assert DenseMatrix(P).alpha_row is not None
+        assert layout_holds(P, blocks)
         mu = exact_alpha_spectrum(P, blocks)
         if n <= 3:
             assert char_poly(DenseMatrix(P)) == poly_from_roots(make_spectrum(mu, exact=True))
@@ -1112,7 +1099,7 @@ def test_serializers_slice_one_alpha_block_and_print_direct_sums_as_stored():
     for M, one_block in _alpha_layouts():
         # Only a whole-matrix alpha block takes the sliced path; a direct
         # sum of several blocks is printed entry by entry.
-        assert (_alpha_first_row(M.data) is not None) == one_block
+        assert _records_one_alpha_block(M) == one_block
         _assert_serialized_as_stored(M)
 
 
@@ -1120,25 +1107,31 @@ def test_serializers_print_entries_off_the_alpha_layout_as_stored():
     # One ulp (or one sign bit) off the alpha layout, anywhere in it: the
     # output shows the stored entry, never the first row's value.
     M0 = assemble(alpha_tuple(5), [0.5, 1.5, 1.5, 0.0, 3.0])
-    assert _alpha_first_row(M0.data) is not None
+    assert _records_one_alpha_block(M0)
     for i, j, new in ((3, 0, None), (2, 2, None), (4, 1, None), (1, 3, None),
                       (0, 4, None), (3, 0, -0.0), (1, 3, -0.0), (2, 3, 5e-324),
                       (0, 0, None)):
         data = M0.data.copy()
         data[i, j] = np.nextafter(data[i, j], np.inf) if new is None else new
         M = DenseMatrix(data)
-        assert _alpha_first_row(M.data) is None
+        assert not _records_one_alpha_block(M)
         _assert_serialized_as_stored(M)
         text = format_scalar(data[i, j])
         assert matrix_to_csv(M).splitlines()[i].split(",")[j] == text
 
 
+def _records_one_alpha_block(M):
+    """True iff M records one alpha block over the whole matrix, the
+    layout matrix_pieces prints by slices."""
+    return M.layout is not None and len(M.layout) == 1 and M.layout[0][1].is_alpha
+
+
 def _piece_inputs():
-    """(matrix, is its first row's alpha layout) for the piece serializers."""
+    """(matrix, records one alpha block) for the piece serializers."""
     rng = np.random.default_rng(17)
     yield assemble(alpha_tuple(1), [0.5]), True
     yield assemble(alpha_tuple(2), [1.5, -0.0]), True
-    yield from_rows([[-0.0]]), True
+    yield from_rows([[-0.0]]), False
     # First-row texts of different widths, 0.0 next to -0.0, subnormals.
     wide = [123456.789, 0.1, 5e-324, -0.0, 0.0, 2.5e-310, 1e300, 7.0, -0.0]
     yield assemble(alpha_tuple(len(wide)), wide), True
@@ -1152,7 +1145,7 @@ def _piece_inputs():
         data[i, j] = np.nextafter(data[i, j], np.inf)
         yield DenseMatrix(data), False
     # Exact and integer matrices.
-    yield assemble(alpha_tuple(3), [Fraction(1, 3), Fraction(-22, 7), Fraction(0)]), False
+    yield assemble(alpha_tuple(3), [Fraction(1, 3), Fraction(-22, 7), Fraction(0)]), True
     yield direct_sum([assemble(alpha_tuple(2), [Fraction(5, 2), Fraction(10) ** 40]),
                       from_rows([[Fraction(-1, 9)]], exact=True)]), False
     yield DenseMatrix(np.array([[1, 0], [-2, 30]])), False
@@ -1163,7 +1156,7 @@ def test_matrix_pieces_join_to_the_serializers_and_the_references():
                   "pretty": _pretty_reference}
     serializers = {"json": matrix_to_json, "csv": matrix_to_csv, "pretty": matrix_to_pretty}
     for M, one_block in _piece_inputs():
-        assert (M.alpha_row is not None) == one_block
+        assert _records_one_alpha_block(M) == one_block
         for fmt, reference in references.items():
             pieces = list(matrix_pieces(M, fmt))
             assert all(type(p) is str for p in pieces)
@@ -1178,3 +1171,87 @@ def test_matrix_pieces_join_to_the_serializers_and_the_references():
     # Pretty output right-aligns every entry to the widest text.
     lines = matrix_to_pretty(assemble(alpha_tuple(3), [10.5, -0.0, 2.0])).splitlines()
     assert lines == ["  10.5    -0     2", "    -0  10.5     2", "     2    -0  10.5"]
+
+
+# ---------------------------------------------------------------------------
+# the layout a built matrix records
+# ---------------------------------------------------------------------------
+
+
+def _recorded_matrices(rng):
+    """Matrices from every builder that records a layout: alpha blocks in
+    float and exact mode, other patterns, the N4-Group and paired direct
+    sums, alpha direct sums, direct sums of direct sums, explorer hits and
+    alpha CSV files read back."""
+    for n in (1, 2, 5, 40):
+        values = _suleimanova_values(rng, n)
+        yield realize_suleimanova(make_spectrum(values)).matrix
+        yield realize_suleimanova(make_spectrum(values, exact=True)).matrix
+        perm = PermTuple([list(range(n))] + [rng.permutation(n).tolist() for _ in range(n - 1)])
+        for pt in (cyclic_tuple(n), perm):
+            x = rng.uniform(-2.0, 3.0, n)
+            x[rng.random(n) < 0.3] = -0.0
+            yield assemble(pt, x.tolist())
+            yield assemble(pt, [Fraction(int(k), 3) for k in rng.integers(-9, 9, n)])
+    for values, case in (([6.0, 1.0, -3.0, -3.0], "N4-Group"),
+                         ([3.0, 1.0, -2.0], "N3-DirectSum"),
+                         ([4.0, 3.0, 2.5, -3.0], "N4-PairedDirectSum")):
+        for exact in (False, True):
+            r = realize_small(make_spectrum(values, exact=exact))
+            assert r.params["case"] == case
+            yield r.matrix
+    groups = [_suleimanova_values(rng, int(rng.integers(1, 5))) for _ in range(50)]
+    summed = alpha_direct_sum(groups, "test", make_spectrum([v for g in groups for v in g]))
+    yield summed.matrix
+    yield direct_sum([summed.matrix, identity(3), summed.matrix])
+    for values, strategy in (([10.0, -1.0, -2.0, -3.0], "alpha"), ([1.0] * 4, "cyclic")):
+        hits = [h for h in explore(make_spectrum(values), strategy=strategy, budget=400)
+                if h.certified]
+        assert hits
+        yield from (h.realization.matrix for h in hits)
+    for n in (1, 3, 64):
+        M = realize_suleimanova(make_spectrum(_suleimanova_values(rng, n))).matrix
+        yield matrix_from_csv(matrix_to_csv(M))
+
+
+def test_a_recorded_layout_holds_bit_for_bit():
+    # What certify and the printers take on trust is what layout_holds
+    # proves, and the recorded first rows hold every value of the matrix.
+    count = 0
+    for M in _recorded_matrices(np.random.default_rng(2026)):
+        assert M.layout is not None
+        assert layout_holds(M.data, M.layout), M.layout
+        assert M.max_abs() == np.abs(M.data).max()
+        for tol in (0.0, 1.0, -1e-9):
+            assert is_nonnegative(M, tol) == bool((M.data >= -tol).all())
+        count += 1
+    assert count > 30
+
+
+def test_layout_is_recorded_only_by_the_builders():
+    M = assemble(alpha_tuple(3), [2.0, 0.5, 1.0])
+    assert M.layout == ((0, alpha_tuple(3)),)
+    with pytest.raises(TypeError):
+        DenseMatrix(M.data, layout=M.layout)
+    assert not M.data.flags.writeable
+    # The same entries, not built from blocks, and a CSV file whose row 1
+    # is edited off the alpha layout of its first line.
+    for other in (DenseMatrix(M.data), from_rows(M.to_lists()),
+                  matrix_from_json(matrix_to_json(M)),
+                  matrix_from_csv(matrix_to_csv(M).replace("\n0.5,2,1\n", "\n0.5,2,1.5\n"))):
+        assert other.layout is None
+
+
+def test_direct_sum_records_the_shifted_union_in_one_scalar_mode():
+    a2, a3 = assemble(alpha_tuple(2), [1.0, 2.0]), assemble(cyclic_tuple(3), [0.0, 1.0, 2.0])
+    assert direct_sum([a2, a3, a2]).layout == (
+        (0, alpha_tuple(2)), (2, cyclic_tuple(3)), (5, alpha_tuple(2)))
+    q = assemble(alpha_tuple(2), [Fraction(1), Fraction(2)])
+    exact = direct_sum([q, direct_sum([q, q])])
+    assert exact.is_exact
+    assert exact.layout == ((0, alpha_tuple(2)), (2, alpha_tuple(2)), (4, alpha_tuple(2)))
+    # A block converted from exact to float, or one without a record,
+    # leaves the sum without one.
+    mixed = direct_sum([a2, q])
+    assert not mixed.is_exact and mixed.layout is None
+    assert direct_sum([a2, from_rows([[1.0]])]).layout is None

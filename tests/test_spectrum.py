@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_suleimanova
+from conftest import random_suleimanova, random_suleimanova_values
 from permrealize import (
     EmptyInputError,
     NecessaryConditionViolationError,
@@ -231,3 +231,30 @@ def test_one_tolerance_type():
     from permrealize import linalg, verify
 
     assert linalg.Tolerances is Tolerances is verify.Tolerances
+
+
+def test_power_sums_past_the_float_range_are_judged_on_the_scaled_values():
+    # |l|^k overflows for |l| above about 1.4e6 by k = 50, and inf - inf
+    # is nan: each such s_k is judged on sigma / radius instead, in the
+    # same band, and the float sums are reported as they came out.
+    for values in ([2e7, -1e7, -1e7], [1e200, -1e200], [1e308, -1e308]):
+        report = check_necessary(make_spectrum(values))
+        assert report.power_sum_ok and report.perron_ok
+        assert not all(map(math.isfinite, report.power_sums))
+    # s_3 < 0 at any scale; s_1 and s_2 are not.
+    for scale in (1.0, 1e200):
+        sigma = make_spectrum([v * scale for v in (3.0, -3.0, 1.0, 1.0, -1.5)])
+        assert check_necessary(sigma, K=2).power_sum_ok
+        assert not check_necessary(sigma, K=3).power_sum_ok
+
+
+def test_suleimanova_spectra_pass_the_power_sums_up_to_1e300():
+    # Float and exact mode agree: an exact sum never overflows.
+    rng = np.random.default_rng(20261020)
+    for i in range(200):
+        values = random_suleimanova_values(rng, int(rng.integers(2, 10)),
+                                           10.0 ** rng.uniform(0, 300))
+        assert check_necessary(make_spectrum(values)).power_sum_ok, values
+        if i % 10 == 0:
+            exact = make_spectrum(values, exact=True)
+            assert check_necessary(exact).power_sum_ok, values

@@ -27,6 +27,7 @@ from permrealize import (
     assemble,
     certify,
     char_poly,
+    cyclic_tuple,
     detect_blocks,
     direct_sum,
     explore,
@@ -275,7 +276,7 @@ def test_recorded_alpha_block_off_its_bit_layout_is_judged_in_the_band(exact, i,
         data = r.matrix.data.copy()
         data[i, j] = Fraction(moved) if exact else moved
         M = DenseMatrix(data)
-        assert M.alpha_row is None
+        assert M.layout is None
         report = certify(replace(r, matrix=M), Tolerances())
         assert report.structure_ok is CheckState.FAIL
         assert (report.charpoly_ok, report.eigenpair_ok) == (charpoly, CheckState.NOT_APPLICABLE)
@@ -835,7 +836,7 @@ def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i,
     data[i, j] = {"ulp-up": math.nextafter(v, math.inf),
                   "ulp-down": math.nextafter(v, -math.inf), "sign-bit": -v}[edit]
     M = DenseMatrix(data)
-    assert M.alpha_row is None and not layout_holds(data, r0.params["blocks"])
+    assert M.layout is None and not layout_holds(data, r0.params["blocks"])
     report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M))
     assert calls == [] and report.structure_ok is CheckState.FAIL
     report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M, params={}))
@@ -996,3 +997,34 @@ def test_blocks_hold_by_slices_matches_the_index_version(exact):
                     assert got == ((i, j) in alone)
                     seen.add(got)
     assert seen == {True, False}
+
+
+def test_recorded_blocks_are_proved_unless_they_are_the_matrix_layout(monkeypatch):
+    # Blocks equal to what the matrix was built as hold without a scan;
+    # any other recorded blocks, right or wrong, are proved by layout_holds.
+    calls = []
+
+    def counted(A, blocks):
+        calls.append(len(blocks))
+        return layout_holds(A, blocks)
+
+    monkeypatch.setattr(verify_mod, "layout_holds", counted)
+    r = realize_suleimanova(make_spectrum([3.0, 3.0, 3.0]))  # 3 * identity
+    assert r.matrix.layout == tuple(r.params["blocks"]) == ((0, alpha_tuple(3)),)
+    singles = [(k, alpha_tuple(1)) for k in range(3)]
+    for params, want, state in (
+        (r.params, [], CheckState.PASS),
+        ({"blocks": singles}, [3], CheckState.PASS),
+        ({"blocks": [(0, cyclic_tuple(3))]}, [1], CheckState.PASS),
+        ({"blocks": [(0, alpha_tuple(2))]}, [1], CheckState.FAIL),
+        ({}, [], CheckState.PASS),
+    ):
+        calls.clear()
+        report = certify(replace(r, params=params))
+        assert (calls, report.structure_ok) == (want, state), params
+    # The same entries without a record: the blocks are proved.
+    calls.clear()
+    unbuilt = replace(r, matrix=DenseMatrix(r.matrix.data))
+    assert certify(unbuilt).structure_ok is CheckState.PASS and calls == [1]
+    calls.clear()
+    assert certify(replace(unbuilt, params={})).verdict is Verdict.PASS and calls == [3]

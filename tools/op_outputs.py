@@ -12,12 +12,14 @@ of spectra whose float sum overflows partway (TIGHT), through
 ``permrealize.cli.main`` in this process, and
 each realize op once more with ``--format pretty`` and once
 with ``--format csv``; the realize ops' own runs also get ``--out FILE``.  Each verify op runs once
-more on each of six edits of its CSV file (CSV_VARIANTS): the first row's
+more on each of seven edits of its CSV file (CSV_VARIANTS): the first row's
 last entry written as -0 or as 1/3 and a whitespace-only line after the
 first row, which the float CSV reader leaves to its line-by-line path,
-CRLF line ends, which the CLI's text-mode read turns into newlines, and
+CRLF line ends, which the CLI's text-mode read turns into newlines,
 the final newline dropped or a middle row's last entry written as 1/3,
-which the reader of alpha layouts leaves to the readers after it.  For
+which the reader of alpha layouts leaves to the readers after it, and
+the same rows as JSON nested arrays, which the JSON reader reads to a
+matrix that records no layout.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
@@ -217,6 +219,7 @@ CSV_VARIANTS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "no-final-newline": lambda text: text[:-1],
     "middle-fraction": lambda text: _last_entry(text, "1/3", middle=True),
+    "json": lambda text: "[[" + "], [".join(text.splitlines()) + "]]\n",
 }
 
 
