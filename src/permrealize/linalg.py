@@ -535,36 +535,18 @@ def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
 
 
 def _entry_texts(data: np.ndarray, format_distinct) -> Iterator[list[str]]:
-    """The texts of a matrix's entries, one list per row, from one call of
-    format_distinct on the distinct values (see matrix_pieces).
+    """The texts of the entries of a matrix that records no layout, one
+    list per row, from one call of format_distinct on its distinct values.
 
-    The serializers' fallback, for a matrix that is not the alpha layout of
-    its first row.  Float64 entries are told apart by their uint64 bit
-    patterns, so -0.0 and 0.0 stay apart.  The first row holds every value
-    of a permutative matrix, so its sorted patterns make the table, and
-    every entry is found in it by binary search: no sort over the n^2
-    entries, and n values formatted instead of n^2.  Entries the first row
-    lacks (zeros off the blocks of a direct sum, the other blocks' values, a
-    matrix that is not permutative) are sorted on their own and appended to
-    the table.  Other dtypes have every entry formatted.
-
-    The first row is sorted, not np.unique'd: a repeated value costs one
-    more formatting, while a plain np.unique imports numpy.ma on its first
-    call, about 10 ms of every fresh process that prints a matrix.
+    Float64 entries are told apart by their uint64 bit patterns, so -0.0
+    and 0.0 stay apart; other dtypes have every entry formatted.
     """
     if data.dtype != np.float64:
         texts, m = format_distinct(data.ravel().tolist()), data.shape[1]
         return (texts[i : i + m] for i in range(0, len(texts), m))
-    bits = data.view(np.uint64)
-    table = np.sort(bits[0])
-    pos = np.searchsorted(table, bits)
-    missed = np.take(table, pos, mode="clip") != bits
-    if missed.any():
-        rest, inverse = np.unique(bits[missed], return_inverse=True)
-        pos[missed] = inverse + len(table)
-        table = np.concatenate((table, rest))
+    table, inverse = np.unique(data.view(np.uint64), return_inverse=True)
     texts = np.array(format_distinct(table.view(np.float64).tolist()), dtype=object)
-    return (texts[row].tolist() for row in pos)
+    return (texts[row].tolist() for row in inverse.reshape(data.shape))
 
 
 def _json_floats(values: list) -> list[str]:
@@ -598,31 +580,59 @@ def matrix_pieces(M: DenseMatrix, fmt: str) -> Iterator[str]:
     json.dumps piece.
 
     One call of the format's texts covers every value of M, so pretty's
-    padding to the widest text holds across rows.  When M records one
-    alpha block over the whole matrix (M.layout), its rows are
-    _alpha_pieces of its first row's n texts: no per-entry work and no
-    joined row, only the slices' O(n^2) character copies.  Any other
-    matrix, direct sums of several blocks among them, is yielded a joined
-    row at a time (_entry_texts).  Either way the text shows M as stored.
-    The pieces come from itertools.chain, not from a generator around
-    them, which would resume once more per piece.
+    padding holds across rows: for a matrix that records its blocks, the
+    values the certificate judges (_entry_values, laid out by
+    _layout_pieces), else each distinct entry (_entry_texts).  Either way
+    the text shows M as stored.  Written to /dev/null at n = 1024 on a
+    2-core shared VM, one alpha block takes 4.4-5.1 ms and 512 order-2
+    alpha blocks 2.9-6.0 ms, by format (medians).
     """
     if fmt == "json" and M.data.dtype != np.float64:
         return iter((json.dumps(matrix_to_json_obj(M)),))
     format_distinct, sep, first, between, last = _FORMATS[fmt]
-    if M.layout == ((0, alpha_tuple(M.n_rows)),):
-        body = _alpha_pieces(format_distinct(M.data[0].tolist()), sep, between)
-    else:
+    if M.layout is None:
         rows = map(sep.join, _entry_texts(M.data, format_distinct))
         body = chain((next(rows),), chain.from_iterable(zip(repeat(between), rows)))
+    else:
+        body = chain.from_iterable(_layout_pieces(M, format_distinct, sep, between))
     return chain((first,), body, (last,))
+
+
+def _layout_pieces(M: DenseMatrix, format_distinct, sep: str, between: str) -> Iterator:
+    """The pieces of M's rows, one iterable per recorded block, from the
+    texts of _entry_values(M): the blocks' first rows, then the zero.
+
+    A row is lead, its block's row and trail, slices of one zero row's
+    text, empty for a block that spans M.  A block's first row follows
+    between and lead; a later one follows joint = trail + between + lead,
+    no longer than that row, whose block part holds two entries or more.
+    An alpha block's rows are _alpha_pieces, another's its texts in index order.
+    """
+    texts, n = format_distinct(_entry_values(M).tolist()), M.n_rows
+    zeros = sep.join(repeat(texts[-1], n)) if len(M.layout) > 1 else ""
+    width = len(texts[-1]) + len(sep)  # of a zero and its separator
+    for start, pt in M.layout:
+        stop = start + pt.n
+        t = texts[start:stop]
+        lead, trail = zeros[: start * width], zeros[len(zeros) - (n - stop) * width :]
+        joint = "".join((trail, between, lead)) if pt.n > 1 else between
+        if start:
+            yield between, lead
+        if pt.is_alpha:
+            yield _alpha_pieces(t, sep, joint)
+        else:
+            rows = [sep.join(map(t.__getitem__, p)) for p in pt.index.tolist()]
+            yield rows[:1]
+            yield chain.from_iterable(zip(repeat(joint), rows[1:]))
+        if trail:
+            yield (trail,)
 
 
 def _alpha_pieces(t: list[str], sep: str, between: str) -> Iterator[str]:
     """The text of the alpha layout of the entry texts t, rows joined by
     between: first J, t joined by sep, which is row 0, then four pieces
     for each row i >= 1: between + t_i, J from the separator after t_0
-    through the one before t_i, t_0, and J after t_i.  matrix_pieces
+    through the one before t_i, t_0, and J after t_i.  _layout_pieces
     writes them; _alpha_csv_floats compares a file's rows with them.
     """
     J = sep.join(t)
@@ -641,11 +651,11 @@ def _alpha_pieces(t: list[str], sep: str, between: str) -> Iterator[str]:
 def matrix_to_json(M: DenseMatrix) -> str:
     """json.dumps(matrix_to_json_obj(M)), byte for byte (see matrix_pieces).
 
-    Cost at n = 1024 on a 2-core VM, against plain json.dumps (0.4-0.7 s):
-    about 0.01x for a matrix that records one alpha block (3.4 ms; its
-    pieces written to /dev/null take 3.9 ms and hold no O(n^2) string),
-    1.4x with n^2 / 2 distinct entries, and 1.6x when all n^2 entries
-    differ (the sort and the string table on top of the same formatting).
+    Cost at n = 1024 on a 2-core shared VM, against plain json.dumps
+    (0.7-0.8 s): about 0.01x for a matrix that records its blocks (7.8 ms
+    for one alpha block, 3.6 ms for 512 order-2 alpha blocks), 0.9x with
+    n^2 / 2 distinct entries, and 1.5x when all n^2 entries differ
+    (np.unique and the string table on top of the same formatting).
     """
     return "".join(matrix_pieces(M, "json"))
 

@@ -49,10 +49,16 @@ def test_check_pass(capsys):
     assert "conditions hold: True" in out
 
 
-def test_check_perron_failure_exits_2(capsys):
-    code, out, _ = run(capsys, "check", "-1,0.5")
+@pytest.mark.parametrize("spectrum", ["-1,0.5", "-.5,0.25", "-1/2,1/4"])
+def test_check_perron_failure_exits_2(capsys, spectrum):
+    # A spectrum that starts with a negative decimal or fraction is an
+    # inline spectrum, not an unknown option.
+    code, out, _ = run(capsys, "check", spectrum)
     assert code == 2
     assert "perron ok:       False" in out
+    code, out, err = run(capsys, "realize", spectrum)
+    assert code == 2
+    assert out == "" and err.startswith("not realizable: ")
 
 
 @pytest.mark.parametrize("spectrum, code", [
@@ -249,13 +255,15 @@ def _parse_output(parser, argv):
 
 
 @pytest.mark.parametrize("argv", PARSER_ERRORS)
-def test_one_command_parser_prints_as_the_full_parser(capsys, argv):
-    parser = cli._build_parser(argv[0] if argv else None)
-    subparsers = parser._subparsers._group_actions[0].choices
-    assert list(subparsers) == ([argv[0]] if argv and argv[0] in cli._COMMANDS
-                                else list(cli._COMMANDS))
-    expected = _parse_output(cli._build_parser(), argv)
-    assert _parse_output(parser, argv) == expected
+def test_the_reused_parser_prints_as_a_new_one_on_every_call(capsys, argv):
+    # main builds its parser once per process and parses every call with
+    # it: a parse leaves no state behind, so each row prints what a newly
+    # built parser prints, twice in a row and after a successful call.
+    assert cli._build_parser() is cli._build_parser()
+    expected = _parse_output(cli._build_parser.__wrapped__(), argv)
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv) == expected
+    assert run(capsys, "realize", "3,-1,-1", "--format", "csv", "--budget", "5")[0] == 0
     assert run(capsys, *argv) == expected
 
 

@@ -1149,6 +1149,21 @@ def _piece_inputs():
     yield direct_sum([assemble(alpha_tuple(2), [Fraction(5, 2), Fraction(10) ** 40]),
                       from_rows([[Fraction(-1, 9)]], exact=True)]), False
     yield DenseMatrix(np.array([[1, 0], [-2, 30]])), False
+    # Recorded direct sums: alpha blocks of orders 1-4 whose first rows hold
+    # -0.0 and repeated entries, an N4-Group block and a cyclic block next
+    # to alpha blocks, and an exact sum; then a companion matrix, which
+    # records no layout.
+    firsts = ([-0.0], [2.5, 2.5], [0.0, -0.0, 0.0], [1.5, 0.25, 1.5, -0.0])
+    yield direct_sum([assemble(alpha_tuple(len(x)), x) for x in (*firsts, *firsts[::-1])]), False
+    group = realize_small(make_spectrum([6.0, 1.0, -3.0, -3.0]))
+    assert group.params["case"] == "N4-Group"
+    yield direct_sum([group.matrix, assemble(alpha_tuple(3), [2.0, 0.5, 0.0])]), False
+    yield direct_sum([assemble(alpha_tuple(2), [0.5, 1e-3]),
+                      assemble(cyclic_tuple(4), [0.0, 1.25, -0.0, 3.5]),
+                      assemble(alpha_tuple(1), [7.0])]), False
+    q = [Fraction(k, 6) for k in (5, -1, 0, 7, 7)]
+    yield direct_sum([assemble(alpha_tuple(2), q[:2]), assemble(cyclic_tuple(3), q[2:])]), False
+    yield realize_companion(make_spectrum(_suleimanova_values(rng, 12))).matrix, False
 
 
 def test_matrix_pieces_join_to_the_serializers_and_the_references():
@@ -1171,6 +1186,29 @@ def test_matrix_pieces_join_to_the_serializers_and_the_references():
     # Pretty output right-aligns every entry to the widest text.
     lines = matrix_to_pretty(assemble(alpha_tuple(3), [10.5, -0.0, 2.0])).splitlines()
     assert lines == ["  10.5    -0     2", "    -0  10.5     2", "     2    -0  10.5"]
+
+
+def test_a_recorded_direct_sum_formats_each_value_once(monkeypatch):
+    # 512 order-2 alpha blocks of distinct values: the format function sees
+    # their first rows and the zero off them, n + 1 values, in one call.
+    rng = np.random.default_rng(12)
+    groups = [_suleimanova_values(rng, 2) for _ in range(512)]
+    M = alpha_direct_sum(groups, "test", make_spectrum([v for g in groups for v in g])).matrix
+    n = M.n_rows
+    assert len(M.layout) == 512 and len(np.unique(M.data[M.data != 0])) == n
+    for fmt in ("json", "csv", "pretty"):
+        format_distinct, *rest = linalg_mod._FORMATS[fmt]
+        counts = []
+
+        def counted(values, format_distinct=format_distinct):
+            counts.append(len(values))
+            return format_distinct(values)
+
+        monkeypatch.setitem(linalg_mod._FORMATS, fmt, (counted, *rest))
+        text = "".join(matrix_pieces(M, fmt))
+        assert counts == [n + 1], fmt
+        if fmt == "json":
+            assert text == json.dumps(M.data.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Wall time and peak memory of the CLI writing to a real stream.
 
 For ``realize --format json`` and ``--format csv`` of the large-n
-benchmark's spectra (n = 256, 512 and 1024), for ``verify`` of its CSV
+benchmark's spectra (n = 256, 512 and 1024), for ``realize --method
+companion --format csv`` of its first spectrum at n = 256, the one op here
+that prints a matrix recording no layout, for ``verify`` of its CSV
 files, as written and with one entry edited (n = 64, 128 and 256;
 perfbench/workloads.py, seed SEED), and for ``verify`` of two kinds of CSV
 file that are not one alpha layout, at each of OTHER_ORDERS (a dense
@@ -70,7 +72,8 @@ print(json.dumps({"rc": rc, "warm_ms": 1000 * statistics.median(walls),
 def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
     """(label, n, argv) of every op measured."""
     out = []
-    for op in workloads.make_ops("large-n", SEED, workdir):
+    ops = workloads.make_ops("large-n", SEED, workdir)
+    for op in ops:
         if op.kind == "realize":
             for fmt in ("json", "csv"):
                 argv = list(op.argv)
@@ -78,6 +81,10 @@ def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
                 out.append((f"realize --format {fmt}", op.n, argv))
         else:
             out.append(("verify perturbed" if op.perturbed else "verify", op.n, list(op.argv)))
+    first = next(op for op in ops if op.kind == "realize" and op.n == 256)
+    argv = list(first.argv)
+    argv[argv.index("--format") + 1] = "csv"
+    out.append(("realize companion csv", 256, argv + ["--method", "companion"]))
     rng = np.random.default_rng(SEED)
     for n in OTHER_ORDERS:
         # Order-2 blocks [[x0, x1], [x1, x0]] with eigenvalues x0 + x1 = a

@@ -7,7 +7,9 @@ and a fixed list of small searches (EXPLORE, each run as ``explore`` and
 as ``realize --method explore``), a fixed list of usage errors, help
 texts and negative tolerances (CLI_TEXT), and ``verify`` of the CSV files
 of a fixed list of alpha direct sums (DIRECT_SUM), each as written and with
-one entry edited, and a fixed list of realize runs at tight tolerances and
+one entry edited, the library's own json, csv and pretty text of each of
+those sums and of an N4-Group block next to an alpha block, and a fixed
+list of realize runs at tight tolerances and
 of spectra whose float sum overflows partway (TIGHT), through
 ``permrealize.cli.main`` in this process, and
 each realize op once more with ``--format pretty`` and once
@@ -25,7 +27,9 @@ of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
 are keyed ``wide-spread:<index>:<run name>``, the searches
 ``explore:<index>:<run name>``, the direct sums
-``direct-sum:<index>:<run name>``, TIGHT ``tight:<index>:<run name>`` and
+``direct-sum:<index>:<run name>`` and their texts
+``direct-sum:<index>:print-<format>``, the N4-Group sum's index following
+DIRECT_SUM's, TIGHT ``tight:<index>:<run name>`` and
 CLI_TEXT ``cli-text:<index>``), and writes them as
 JSON.  With a baseline file it then lists every run whose record differs
 from the baseline's and exits 1 if any does.
@@ -58,8 +62,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
-from permrealize import make_spectrum  # noqa: E402
+from permrealize import direct_sum, make_spectrum  # noqa: E402
 from permrealize.cli import main as cli_main  # noqa: E402
+from permrealize.linalg import matrix_to_csv, matrix_to_json, matrix_to_pretty  # noqa: E402
+from permrealize.small_order import realize_small  # noqa: E402
 from permrealize.suleimanova import alpha_direct_sum  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -132,6 +138,8 @@ CLI_TEXT = [(None, argv) for argv in PARSER_ERRORS] + [
     (None, ("verify", "1,1", "--matrix", "ID_CSV", "--abs-tol", "-1", "--rel-tol", "-1")),
     ("-1,-1", ("realize", "3,-1,-1")),
     ("-1,-1", ("verify", "1,1", "--matrix", "ID_CSV")),
+    # Inline spectra that start with a negative decimal or fraction.
+    *((None, (cmd, text)) for cmd in ("check", "realize") for text in ("-.5,0.25", "-1/2,1/4")),
 ]
 
 
@@ -179,6 +187,21 @@ def _wide_groups() -> list[list[float]]:
 #: The groups of alpha direct sums whose CSV files verify reads: 4, 10 and
 #: 22 blocks of 3,-1,-1 (n = 12, 30, 66) and the wide 12-value sum.
 DIRECT_SUM = [[[3.0, -1.0, -1.0]] * k for k in (4, 10, 22)] + [_wide_groups()]
+
+
+#: The library's printers, keyed by the name of their format.
+PRINTERS = {"json": matrix_to_json, "csv": matrix_to_csv, "pretty": matrix_to_pretty}
+
+
+def _printed_sums() -> list:
+    """The alpha direct sums of DIRECT_SUM, then an N4-Group block (spectrum
+    6,1,-3,-3) followed by the alpha block of 3,-1,-1."""
+    sums = [alpha_direct_sum(groups, "", make_spectrum([v for g in groups for v in g])).matrix
+            for groups in DIRECT_SUM]
+    group = realize_small(make_spectrum([6.0, 1.0, -3.0, -3.0]))
+    assert group.params["case"] == "N4-Group"
+    alpha = alpha_direct_sum([[3.0, -1.0, -1.0]], "", make_spectrum([3.0, -1.0, -1.0]))
+    return sums + [direct_sum([group.matrix, alpha.matrix])]
 
 
 def _direct_sum_files(groups, workdir: str, i: int) -> tuple[str, list]:
@@ -287,6 +310,12 @@ def fingerprint() -> dict:
             text, files = _direct_sum_files(groups, workdir, i)
             runs = [(name, ("verify", text, "--matrix", path)) for name, path in files]
             record(f"direct-sum:{i}", runs, workdir, out_file)
+        for i, M in enumerate(_printed_sums()):
+            for fmt, printer in PRINTERS.items():
+                records[f"direct-sum:{i}:print-{fmt}"] = {
+                    "argv": [printer.__name__], "exit": None,
+                    "stdout": _sha(printer(M)), "stderr": None, "out": None,
+                }
         for i, runs in enumerate(TIGHT):
             record(f"tight:{i}", runs.items(), workdir, out_file)
     for workload in workloads.WORKLOADS:
