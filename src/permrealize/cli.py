@@ -24,7 +24,6 @@ subcommand accepts only the options it reads.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -390,10 +389,15 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The CLI's parser, built once per process: parse_args keeps no state
-    between calls, so main reuses it."""
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI's parser, with only the subparser of command when it names one.
+
+    Every call builds a new parser.  The subparsers of the commands not
+    being run are never read, so they are built only when command is not a
+    subcommand (help, no arguments, an unknown word), where the top-level
+    parser prints or reports them.  The one-command parser's usage line
+    still lists every subcommand, as the full parser's does.
+    """
     parser = _Parser(
         prog="permrealize",
         description=(
@@ -401,16 +405,24 @@ def _build_parser() -> _Parser:
             "prescribed real spectra."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_line, add_args) in _COMMANDS.items():
+    if command in _COMMANDS:
+        built = {command: _COMMANDS[command]}
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        # The full parser names its subcommand action "subcommand" in its
+        # errors (an unknown or missing command); a metavar would rename it.
+        built, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, (_, help_line, add_args) in built.items():
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = parser.parse_args(argv)
         return _COMMANDS[ns.subcommand][0](ns)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_PARSE

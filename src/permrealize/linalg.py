@@ -139,9 +139,9 @@ def _entry_values(M: DenseMatrix) -> np.ndarray:
     if M.layout is None:
         return M.data
     rows = [M.data[start, start : start + pt.n] for start, pt in M.layout]
-    if len(rows) > 1:
-        rows.append(M.data[0, -1:])
-    return np.concatenate(rows)
+    if len(rows) == 1:
+        return rows[0]
+    return np.concatenate(rows + [M.data[0, -1:]])
 
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
@@ -613,7 +613,7 @@ def _layout_pieces(M: DenseMatrix, format_distinct, sep: str, between: str) -> I
     width = len(texts[-1]) + len(sep)  # of a zero and its separator
     for start, pt in M.layout:
         stop = start + pt.n
-        t = texts[start:stop]
+        t = texts[start:stop] if len(M.layout) > 1 else texts  # no copy for one block
         lead, trail = zeros[: start * width], zeros[len(zeros) - (n - stop) * width :]
         joint = "".join((trail, between, lead)) if pt.n > 1 else between
         if start:
@@ -621,9 +621,8 @@ def _layout_pieces(M: DenseMatrix, format_distinct, sep: str, between: str) -> I
         if pt.is_alpha:
             yield _alpha_pieces(t, sep, joint)
         else:
-            rows = [sep.join(map(t.__getitem__, p)) for p in pt.index.tolist()]
-            yield rows[:1]
-            yield chain.from_iterable(zip(repeat(joint), rows[1:]))
+            rows = iter([sep.join(map(t.__getitem__, p)) for p in pt.index.tolist()])
+            yield chain((next(rows),), chain.from_iterable(zip(repeat(joint), rows)))
         if trail:
             yield (trail,)
 

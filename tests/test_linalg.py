@@ -1097,8 +1097,8 @@ def _alpha_layouts():
 
 def test_serializers_slice_one_alpha_block_and_print_direct_sums_as_stored():
     for M, one_block in _alpha_layouts():
-        # Only a whole-matrix alpha block takes the sliced path; a direct
-        # sum of several blocks is printed entry by entry.
+        # Every recorded matrix, one alpha block or a sum of several, is
+        # printed from its blocks' first rows; the text is the stored entries.
         assert _records_one_alpha_block(M) == one_block
         _assert_serialized_as_stored(M)
 
@@ -1121,8 +1121,7 @@ def test_serializers_print_entries_off_the_alpha_layout_as_stored():
 
 
 def _records_one_alpha_block(M):
-    """True iff M records one alpha block over the whole matrix, the
-    layout matrix_pieces prints by slices."""
+    """True iff M records one alpha block over the whole matrix."""
     return M.layout is not None and len(M.layout) == 1 and M.layout[0][1].is_alpha
 
 
