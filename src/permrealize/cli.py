@@ -28,7 +28,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
@@ -113,15 +112,15 @@ def _parse_values(tokens: Sequence[str], exact: bool) -> list:
 
 
 def _load_spectrum(ns: argparse.Namespace) -> Spectrum:
-    if (ns.spectrum is None) == (ns.file is None):
-        raise ParseError(
-            "give the spectrum either inline or with --file, not both"
-        )
+    if ns.spectrum is None and ns.file is None:
+        raise ParseError("no spectrum given: give it inline or with --file")
+    if ns.spectrum is not None and ns.file is not None:
+        raise ParseError("give the spectrum either inline or with --file, not both")
     if ns.spectrum is not None:
         return make_spectrum(
             _parse_values(ns.spectrum.split(","), ns.exact), exact=ns.exact
         )
-    with open(ns.file, "r", encoding="utf-8") as fh:
+    with open(ns.file, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -135,12 +134,6 @@ def _load_spectrum(ns: argparse.Namespace) -> Spectrum:
     else:
         tokens = text.split()
     return make_spectrum(_parse_values(tokens, ns.exact), exact=ns.exact)
-
-
-def _spectrum_json(sigma: Spectrum) -> list:
-    return [
-        str(v) if isinstance(v, Fraction) else float(v) for v in sigma.values
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +150,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "spectrum": _spectrum_json(sigma),
+                    "spectrum": sigma.values,
                     "classification": cls.kind.value,
                     "positives": cls.positives,
                     "trace": float_or_inf(cls.trace),
@@ -166,7 +159,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
                     "spectral_radius": float_or_inf(report.spectral_radius),
                     "K": report.K,
                     "conditions_hold": ok,
-                }
+                },
+                default=str,
             )
         )
     else:
@@ -194,14 +188,16 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     certified = "FAIL" if rep.verdict is Verdict.FAIL else rep.verdict.value
     out = sys.stdout
     if ns.fmt == "json":
-        # The bytes of json.dumps of the whole dict and a newline.
+        # The bytes of json.dumps(..., default=str) of the whole dict, a
+        # Fraction as its "p/q" string, and a newline.
         rest = json.dumps(
             {
                 "method": r.method,
                 "case": case,
-                "target": _spectrum_json(r.target),
+                "target": r.target.values,
                 "certificate": rep.to_json_obj(),
-            }
+            },
+            default=str,
         )
         out.write('{"matrix": ')
         out.writelines(matrix_pieces(r.matrix, "json"))
@@ -242,7 +238,7 @@ def cmd_realize(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     sigma = _load_spectrum(ns)
-    with open(ns.matrix_path, "r", encoding="utf-8") as fh:
+    with open(ns.matrix_path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if text.lstrip().startswith("["):
         M = matrix_from_json(text, exact=ns.exact)

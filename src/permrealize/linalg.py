@@ -480,10 +480,6 @@ def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_to_json(v: Scalar):
-    return str(v) if isinstance(v, Fraction) else v
-
-
 def _scalar_from_token(token, exact: bool, what: str = "matrix") -> Scalar:
     """A matrix entry from a text token (Fraction grammar) or a JSON number."""
     if isinstance(token, bool) or not isinstance(token, (str, int, float)):
@@ -526,14 +522,6 @@ def parse_scalars(tokens: list[str], exact: bool, what: str = "matrix") -> list[
     return [_scalar_from_token(t.strip(), exact, what) for t in tokens]
 
 
-def matrix_to_json_obj(M: DenseMatrix) -> list[list]:
-    """Nested lists with JSON-safe scalars (Fractions become strings)."""
-    rows = M.data.tolist()
-    if M.is_exact:
-        return [[_scalar_to_json(v) for v in row] for row in rows]
-    return rows
-
-
 def _entry_texts(data: np.ndarray, format_distinct) -> Iterator[list[str]]:
     """The texts of the entries of a matrix that records no layout, one
     list per row, from one call of format_distinct on its distinct values.
@@ -549,8 +537,9 @@ def _entry_texts(data: np.ndarray, format_distinct) -> Iterator[list[str]]:
     return (texts[row].tolist() for row in inverse.reshape(data.shape))
 
 
-def _json_floats(values: list) -> list[str]:
-    return json.dumps(values)[1:-1].split(", ")
+def _json_texts(values: list) -> list[str]:
+    """json.dumps of each value, a Fraction as its "p/q" string."""
+    return json.dumps(values, default=str)[1:-1].split(", ")
 
 
 def _scalar_texts(values: list) -> list[str]:
@@ -567,7 +556,7 @@ def _padded_texts(values: list) -> list[str]:
 #: between a row's entries, and the text before the first row, between two
 #: rows and after the last.
 _FORMATS = {
-    "json": (_json_floats, ", ", "[[", "], [", "]]"),
+    "json": (_json_texts, ", ", "[[", "], [", "]]"),
     "csv": (_scalar_texts, ",", "", "\n", "\n"),
     "pretty": (_padded_texts, "  ", "  ", "\n  ", "\n"),
 }
@@ -575,9 +564,8 @@ _FORMATS = {
 
 def matrix_pieces(M: DenseMatrix, fmt: str) -> Iterator[str]:
     """The text of matrix_to_<fmt>(M) (fmt "json", "csv" or "pretty") in
-    pieces of at most one row, for a stream's writelines; only a JSON
-    matrix whose entries are not float64 (exact ones among them) is one
-    json.dumps piece.
+    pieces of at most one row, for a stream's writelines, in both scalar
+    modes.
 
     One call of the format's texts covers every value of M, so pretty's
     padding holds across rows: for a matrix that records its blocks, the
@@ -585,10 +573,9 @@ def matrix_pieces(M: DenseMatrix, fmt: str) -> Iterator[str]:
     _layout_pieces), else each distinct entry (_entry_texts).  Either way
     the text shows M as stored.  Written to /dev/null at n = 1024 on a
     2-core shared VM, one alpha block takes 4.4-5.1 ms and 512 order-2
-    alpha blocks 2.9-6.0 ms, by format (medians).
+    alpha blocks 2.9-6.0 ms, by format (medians); an exact alpha block
+    joins to JSON in 4.6 ms (485 ms as one json.dumps of its n^2 entries).
     """
-    if fmt == "json" and M.data.dtype != np.float64:
-        return iter((json.dumps(matrix_to_json_obj(M)),))
     format_distinct, sep, first, between, last = _FORMATS[fmt]
     if M.layout is None:
         rows = map(sep.join, _entry_texts(M.data, format_distinct))
@@ -632,7 +619,7 @@ def _alpha_pieces(t: list[str], sep: str, between: str) -> Iterator[str]:
     between: first J, t joined by sep, which is row 0, then four pieces
     for each row i >= 1: between + t_i, J from the separator after t_0
     through the one before t_i, t_0, and J after t_i.  _layout_pieces
-    writes them; _alpha_csv_floats compares a file's rows with them.
+    writes them; _alpha_csv compares a file's rows with them.
     """
     J = sep.join(t)
     yield J
@@ -648,7 +635,8 @@ def _alpha_pieces(t: list[str], sep: str, between: str) -> Iterator[str]:
 
 
 def matrix_to_json(M: DenseMatrix) -> str:
-    """json.dumps(matrix_to_json_obj(M)), byte for byte (see matrix_pieces).
+    """json.dumps(M.to_lists(), default=str), byte for byte, so a Fraction
+    is its "p/q" string (see matrix_pieces).
 
     Cost at n = 1024 on a 2-core shared VM, against plain json.dumps
     (0.7-0.8 s): about 0.01x for a matrix that records its blocks (7.8 ms
@@ -693,26 +681,29 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
 
     In float mode every entry is float(Fraction(token)), the correctly
     rounded value, and an entry beyond the float range is a ParseError.
-    Lines are those of str.splitlines.  A float text is read in up to
-    three steps, each giving up (None) on what it cannot read to the line
+    Lines are those of str.splitlines.  A text is read in up to three
+    steps, each giving up (None) on what it cannot read to the line
     reader's values:
-    1. _alpha_csv_floats: when most rows repeat the alpha layout's text of
-       the first line's tokens, only those tokens and the other rows are
-       parsed.
-    2. numpy's loadtxt (_loadtxt_floats) reads the whole text.
+    1. _alpha_csv, in both modes: when most rows repeat the alpha layout's
+       text of the first line's tokens, only those tokens and the other
+       rows are parsed.
+    2. In float mode, numpy's loadtxt (_loadtxt_floats) reads the whole
+       text.
     3. The token-by-token path below, which raises every error.
     Costs on a 2-core shared VM (medians of 40 calls, two rounds per
-    side): an alpha file as written, or with one entry edited, takes
+    side): a float alpha file as written, or with one entry edited, takes
     0.19-0.26 ms at n = 64 and 1.0-1.2 ms at n = 256, where loadtxt of the
     whole text took 0.58-0.59 and 6.2-10.4 ms.  A dense random file (n =
     512, 98-132 ms on both sides) or a direct sum of order-2 alpha blocks
     (n = 512, 15-22 ms) gives up step 1 after a row or two and costs what
-    loadtxt does.
+    loadtxt does.  In exact mode the benchmark's float alpha file at n = 256
+    takes 1.5 ms as written and 2.8 ms with one entry edited (247-250 ms
+    line by line; medians of 15 calls).
     """
+    M = _alpha_csv(text, exact)
+    if M is not None:
+        return M
     if not exact:
-        M = _alpha_csv_floats(text)
-        if M is not None:
-            return M
         data = _loadtxt_floats(text)
         if data is not None:
             return DenseMatrix(data)
@@ -751,28 +742,30 @@ def _loadtxt_floats(text: str) -> Optional[np.ndarray]:
     return data
 
 
-def _alpha_csv_floats(text: str) -> Optional[DenseMatrix]:
-    """The float64 matrix of a CSV text that is mostly the alpha layout of
-    its first line's tokens t, or None.
+def _alpha_csv(text: str, exact: bool) -> Optional[DenseMatrix]:
+    """The matrix of a CSV text that is mostly the alpha layout of its
+    first line's tokens t, or None.
 
     The rows are walked in order, and each is compared with its text in
     that layout (_alpha_pieces of t, four pieces per row), with no
-    parsing.  The matrix is that layout of parse_scalars(t), with the rows
-    that differ read by one _loadtxt_floats call and written over theirs.
-    When no row differs, equal text parses to equal bits, so the matrix
-    records the one alpha block it was built as.
+    parsing.  The matrix is that layout of parse_scalars(t, exact), with
+    the rows that differ read by parse_scalars, as the line reader reads
+    them, and written over theirs.  When no row differs, equal text parses
+    to equal values, so the matrix records the one alpha block it was
+    built as.
     None, so that the whole text is read as before, when:
     - the first line is not printable ASCII;
     - the text does not end in "\\n", or has not n = len(t) rows;
     - differing rows come to outnumber matching ones, so that a dense or
       direct-sum file gives up after a row or two;
-    - parse_scalars refuses t;
-    - the differing rows are not printable ASCII that loadtxt reads to n
-      values each.  A row holding another line break ("\\r", "\\x0b")
-      would be two lines to the line reader, which a blank row elsewhere
-      could hide from the row count.
+    - parse_scalars refuses t or a differing row;
+    - a differing row is not printable, or has not n tokens.  A row
+      holding another line break ("\\r", "\\x0b") would be two lines to
+      the line reader, which a blank row elsewhere could hide from the row
+      count.
     Otherwise every line of the text is one of the n rows, so the values
-    are the line reader's, bit for bit.
+    are the line reader's: bit for bit in float mode, equal Fractions in
+    exact mode.
     """
     end = text.find("\n")
     first = text[:end]
@@ -781,7 +774,7 @@ def _alpha_csv_floats(text: str) -> Optional[DenseMatrix]:
     t = first.split(",")
     pieces = _alpha_pieces(t, ",", "\n")
     next(pieces)  # J, the first line itself
-    edited, lines = [], []
+    edited = []  # (i, row i's text) of each row that differs
     pos = end  # the "\n" before row i
     for i, row in enumerate(zip(pieces, pieces, pieces, pieces), 1):
         at = pos
@@ -796,23 +789,19 @@ def _alpha_csv_floats(text: str) -> Optional[DenseMatrix]:
         end = text.find("\n", pos + 1)
         if end < 0 or 2 * (len(edited) + 1) > i + 1:
             return None
-        edited.append(i)
-        lines.append(text[pos + 1 : end])
+        edited.append((i, text[pos + 1 : end]))
         pos = end
     if pos + 1 != len(text):
         return None
     try:
-        x = parse_scalars(t, False)
+        data = _alpha_layout(_array([parse_scalars(t, exact)], exact)[0])
+        for i, line in edited:
+            row = line.split(",")
+            if not line.isprintable() or len(row) != len(t):
+                return None
+            data[i] = parse_scalars(row, exact)
     except ParseError:
         return None
-    data = _alpha_layout(np.array(x))
     if edited:
-        batch = "\n".join(lines)
-        if not batch.isprintable():
-            return None
-        other = _loadtxt_floats(batch)
-        if other is None or other.shape != (len(edited), len(t)):
-            return None
-        data[edited] = other
         return DenseMatrix(data)
     return _built(data, ((0, alpha_tuple(len(t))),))

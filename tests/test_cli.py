@@ -28,7 +28,14 @@ from permrealize import explorer as explorer_mod
 from permrealize import verify as verify_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
-from permrealize.linalg import format_scalar, matrix_to_csv, matrix_to_json, matrix_to_pretty
+from permrealize.linalg import (
+    alpha_tuple,
+    format_scalar,
+    matrix_from_csv,
+    matrix_to_csv,
+    matrix_to_json,
+    matrix_to_pretty,
+)
 
 
 def run(capsys, *argv):
@@ -381,6 +388,45 @@ def test_realize_requires_exactly_one_source(tmp_path, capsys):
     f.write_text("1\n-1\n")
     assert run(capsys, "realize")[0] == 1
     assert run(capsys, "realize", "1,-1", "--file", str(f))[0] == 1
+
+
+@pytest.mark.parametrize("argv", [("check",), ("realize",), ("verify", "--matrix", "m.csv"),
+                                  ("explore",)])
+def test_a_missing_spectrum_is_reported_as_missing(tmp_path, capsys, argv):
+    # Neither inline nor --file: the error names the missing spectrum
+    # before any matrix file is opened; both keep their own message.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: no spectrum given: give it inline or with --file\n"
+    f = tmp_path / "sigma.txt"
+    f.write_text("1\n-1\n")
+    code, out, err = run(capsys, *argv, "1,-1", "--file", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: give the spectrum either inline or with --file, not both\n"
+
+
+def test_files_with_a_byte_order_mark_read_as_without_it(tmp_path, capsys):
+    # A UTF-8 byte-order mark before a matrix or spectrum file, in either of
+    # their formats, changes neither the exit code nor stdout.
+    M = realize_suleimanova(make_spectrum([10, -1, -2, -3])).matrix
+    texts = {"m.csv": matrix_to_csv(M), "m.json": matrix_to_json(M),
+             "s.json": "[10, -1, -2, -3]", "s.txt": "10\n-1\n-2\n-3\n"}
+    results = {}
+    for bom in ("", "\ufeff"):
+        d = tmp_path / ("bom" if bom else "plain")
+        d.mkdir()
+        for name, text in texts.items():
+            (d / name).write_text(bom + text, encoding="utf-8")
+        results[bom] = [
+            run(capsys, *argv)[:2]
+            for spectrum in ("s.json", "s.txt")
+            for argv in (("check", "--file", str(d / spectrum)),
+                         ("realize", "--file", str(d / spectrum), "--format", "json"),
+                         *(("verify", "--file", str(d / spectrum), "--matrix", str(d / m))
+                           for m in ("m.csv", "m.json")))
+        ]
+    assert [code for code, _ in results[""]] == [0] * 8
+    assert results["\ufeff"] == results[""]
 
 
 def test_realize_unrealizable_by_available_methods_exits_3(capsys):
@@ -748,6 +794,26 @@ def test_no_layout_scan_for_a_recorded_layout(tmp_path, monkeypatch, capsys, fmt
     assert calls == [2]
 
 
+def test_verify_exact_reads_an_alpha_csv_as_its_layout(tmp_path, monkeypatch, capsys):
+    # An exact alpha CSV read back in exact mode records its one alpha
+    # block, so verify --exact proves no layout of its own.
+    calls = []
+
+    def counted(A, blocks):
+        calls.append(len(blocks))
+        return layout_holds(A, blocks)
+
+    layout_holds = verify_mod.layout_holds
+    monkeypatch.setattr(verify_mod, "layout_holds", counted)
+    values = ",".join(map(repr, random_suleimanova_values(np.random.default_rng(3), 64)))
+    path = tmp_path / "m.csv"
+    assert run(capsys, "realize", values, "--exact", "--out", str(path))[0] == 0
+    M = matrix_from_csv(path.read_text(encoding="utf-8"), exact=True)
+    assert M.is_exact and M.layout == ((0, alpha_tuple(64)),)
+    assert run(capsys, "verify", values, "--exact", "--matrix", str(path))[0] == 0
+    assert calls == []
+
+
 class _RecordingStream(io.StringIO):
     """A text stream that keeps every string written to it."""
 
@@ -768,10 +834,19 @@ def _longest_row(M, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_realize_writes_no_piece_longer_than_a_row(monkeypatch, fmt):
-    # The matrix goes to stdout (and to --out) a row at a time: no write
-    # holds more than one row's text, or the text around the matrix.
+    # The matrix goes to stdout (and to --out) a row at a time, in both
+    # scalar modes: no write holds more than one row's text, or the text
+    # around the matrix.
     values = random_suleimanova_values(np.random.default_rng(8), 512)
-    M = dispatch.realize(make_spectrum(values)).matrix
+    _assert_written_by_rows(monkeypatch, fmt, values, ())
+    # A spectrum of quarters, realized exactly.
+    rng = np.random.default_rng(9)
+    tail = (-rng.integers(1, 65, 511) / 4).tolist()
+    _assert_written_by_rows(monkeypatch, fmt, [-sum(tail) + 0.75, *tail], ("--exact",))
+
+
+def _assert_written_by_rows(monkeypatch, fmt, values, flags):
+    M = dispatch.realize(make_spectrum(values, exact=bool(flags))).matrix
     files = {}
 
     def recording_open(path, mode, encoding):
@@ -781,7 +856,7 @@ def test_realize_writes_no_piece_longer_than_a_row(monkeypatch, fmt):
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
     out = _RecordingStream()
-    argv = ["realize", ",".join(map(repr, values)), "--format", fmt, "--out", "m.csv"]
+    argv = ["realize", ",".join(map(repr, values)), "--format", fmt, "--out", "m.csv", *flags]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
     doc = "".join(out.writes)

@@ -59,7 +59,6 @@ from permrealize.linalg import (
     layout_holds,
     _alpha_index,
     matrix_pieces,
-    matrix_to_json_obj,
     matrix_to_pretty,
 )
 from permrealize.small_order import realize_small
@@ -584,11 +583,10 @@ def test_json_round_trip_exact():
 
 
 def test_matrix_to_json_obj_is_json_safe():
+    # Exact entries are written as their "p/q" strings.
     M = from_rows([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1)]],
                   exact=True)
-    obj = matrix_to_json_obj(M)
-    assert obj == [["1/2", "0"], ["0", "1"]]
-    json.dumps(obj)
+    assert json.loads(matrix_to_json(M)) == [["1/2", "0"], ["0", "1"]]
 
 
 def test_csv_round_trip_float():
@@ -689,12 +687,12 @@ def _csv_text(tokens, width=8):
     return "\n".join(",".join(r) for r in rows) + "\n", rows
 
 
-def _read_by_lines(text):
+def _read_by_lines(text, exact=False):
     """matrix_from_csv's token-by-token path, with its errors."""
     lines = [line.split(",") for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyInputError("CSV matrix text contains no rows")
-    return from_rows([linalg_mod.parse_scalars(ts, False) for ts in lines])
+    return from_rows([linalg_mod.parse_scalars(ts, exact) for ts in lines], exact=exact)
 
 
 def _is_plain_float(t):
@@ -726,23 +724,29 @@ def test_matrix_from_csv_values_match_fraction_parse():
     assert math.copysign(1.0, got[1]) == -1.0
 
 
-def _assert_reads_like_lines(text):
-    """matrix_from_csv(text) is _read_by_lines(text) bit for bit, or raises
-    the same exception with the same message, and warns nothing."""
+def _assert_reads_like_lines(text, exact=False):
+    """matrix_from_csv(text, exact) is _read_by_lines(text, exact), bit for
+    bit in float mode and as equal Fractions in exact mode, or raises the
+    same exception with the same message, and warns nothing."""
     try:
-        want = _read_by_lines(text)
+        want = _read_by_lines(text, exact)
     except (ParseError, DimensionMismatchError, EmptyInputError) as e:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(e)) as got:
-                matrix_from_csv(text)
+                matrix_from_csv(text, exact)
         assert str(got.value) == str(e)
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = matrix_from_csv(text).data
-        assert got.shape == want.data.shape
-        assert_array_equal(got.view(np.uint64), want.data.view(np.uint64))
+            got = matrix_from_csv(text, exact)
+        assert got.data.shape == want.data.shape
+        if exact:
+            assert got.is_exact
+            assert all(type(v) is Fraction for v in got.data.flat)
+            assert (got.data == want.data).all()
+        else:
+            assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 @pytest.mark.parametrize("text", [
@@ -821,8 +825,8 @@ _LAYOUT_TOKENS = ["7.25", "0.5", "1e-3", "0.125", "3", "0.1", "2.75", "0"]
     (_edited(_LAYOUT_TOKENS, 0, 3, "0.25"), False),
     (_edited(_LAYOUT_TOKENS, 4, 6, "0.25"), True),
     (_edited(_LAYOUT_TOKENS, 7, 7, "9"), True),
-    (_edited(_LAYOUT_TOKENS, 4, 6, "-0"), False),
-    (_edited(_LAYOUT_TOKENS, 4, 6, "1/3"), False),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "-0"), True),
+    (_edited(_LAYOUT_TOKENS, 4, 6, "1/3"), True),
     (_edited(_LAYOUT_TOKENS, 4, 6, "x"), False),
     (_edited(_LAYOUT_TOKENS, 4, 6, "0.5,1"), False),
     (_edited(_LAYOUT_TOKENS, 4, 6, "1\t"), False),
@@ -850,11 +854,12 @@ _LAYOUT_TOKENS = ["7.25", "0.5", "1e-3", "0.125", "3", "0.1", "2.75", "0"]
 ])
 def test_matrix_from_csv_reads_the_alpha_layout_like_the_line_reader(text, reads_layout):
     # A text that is mostly the alpha layout of its first line is read from
-    # that line's tokens and the rows that differ; any other text, and any
-    # doubt, goes to loadtxt and the line reader, with their values and
-    # messages.
-    assert (linalg_mod._alpha_csv_floats(text) is not None) is reads_layout
-    _assert_reads_like_lines(text)
+    # that line's tokens and the rows that differ, in both scalar modes; any
+    # other text, and any doubt, goes to loadtxt (float mode) and the line
+    # reader, with their values and messages.
+    for exact in (False, True):
+        assert (linalg_mod._alpha_csv(text, exact) is not None) is reads_layout
+        _assert_reads_like_lines(text, exact)
 
 
 def _sweep_text(rng):
@@ -896,14 +901,24 @@ _LINE_EDITS = (
 )
 
 
-def test_matrix_from_csv_alpha_sweep_matches_the_line_reader():
+def _sweep_laid_out(exact):
+    """How many of 3,000 sweep texts _alpha_csv lays out; each text is
+    read as the line reader reads it."""
     rng = random.Random(24)
     laid_out = 0
     for _ in range(3000):
         text = _sweep_text(rng)
-        laid_out += linalg_mod._alpha_csv_floats(text) is not None
-        _assert_reads_like_lines(text)
-    assert 300 < laid_out < 2500
+        laid_out += linalg_mod._alpha_csv(text, exact) is not None
+        _assert_reads_like_lines(text, exact)
+    return laid_out
+
+
+def test_matrix_from_csv_alpha_sweep_matches_the_line_reader():
+    assert 300 < _sweep_laid_out(False) < 2500
+
+
+def test_matrix_from_csv_exact_alpha_sweep_matches_the_exact_line_reader():
+    assert 300 < _sweep_laid_out(True) < 2500
 
 
 def test_matrix_from_csv_parses_only_the_first_line_and_the_edited_row(monkeypatch):
@@ -918,7 +933,7 @@ def test_matrix_from_csv_parses_only_the_first_line_and_the_edited_row(monkeypat
                             lambda arg, *a, _real=real, _name=name: calls.append((_name, arg))
                             or _real(arg, *a))
     got = matrix_from_csv(text).data
-    assert calls == [("parse_scalars", rows[0]), ("_loadtxt_floats", ",".join(rows[30]))]
+    assert calls == [("parse_scalars", rows[0]), ("parse_scalars", rows[30])]
     want = assemble(alpha_tuple(64), x).data.copy()
     want[30, 17] = 1234.5
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -1176,9 +1191,6 @@ def test_matrix_pieces_join_to_the_serializers_and_the_references():
             assert all(type(p) is str for p in pieces)
             text = "".join(pieces)
             assert text == serializers[fmt](M) == reference(M), (fmt, M.data)
-            if fmt == "json" and M.data.dtype != np.float64:
-                assert len(pieces) == 1
-                continue
             # No piece is longer than the longest row's text.
             rows = text[2:-2].split("], [") if fmt == "json" else text.splitlines()
             assert max(map(len, pieces)) <= max(map(len, rows))

@@ -1,7 +1,9 @@
 """Wall time and peak memory of the CLI writing to a real stream.
 
 For ``realize --format json`` and ``--format csv`` of the large-n
-benchmark's spectra (n = 256, 512 and 1024), for ``realize --method
+benchmark's spectra (n = 256, 512 and 1024), for ``realize --exact
+--format json`` of its n = 1024 spectra, whose entries are quarters, and
+``verify --exact`` of its n = 256 file as written, for ``realize --method
 companion --format csv`` of its first spectrum at n = 256, the one op here
 that prints a matrix recording no layout, for ``verify`` of its CSV
 files, as written and with one entry edited (n = 64, 128 and 256;
@@ -79,8 +81,13 @@ def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
                 argv = list(op.argv)
                 argv[argv.index("--format") + 1] = fmt
                 out.append((f"realize --format {fmt}", op.n, argv))
+            if op.n == 1024:
+                argv[argv.index("--format") + 1] = "json"
+                out.append(("realize --exact json", op.n, argv + ["--exact"]))
         else:
             out.append(("verify perturbed" if op.perturbed else "verify", op.n, list(op.argv)))
+            if op.n == 256 and not op.perturbed:
+                out.append(("verify --exact", op.n, list(op.argv) + ["--exact"]))
     first = next(op for op in ops if op.kind == "realize" and op.n == 256)
     argv = list(first.argv)
     argv[argv.index("--format") + 1] = "csv"

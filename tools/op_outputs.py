@@ -5,9 +5,9 @@ Runs every op of both benchmark workloads (perfbench/workloads.py) at seeds
 over many decades (WIDE_SPREAD, realized in float and ``--exact`` mode),
 and a fixed list of small searches (EXPLORE, each run as ``explore`` and
 as ``realize --method explore``), a fixed list of usage errors, help
-texts and negative tolerances (CLI_TEXT), and ``verify`` of the CSV files
-of a fixed list of alpha direct sums (DIRECT_SUM), each as written and with
-one entry edited, the library's own json, csv and pretty text of each of
+texts, negative tolerances and missing spectra (CLI_TEXT), and ``verify``
+of the CSV files of a fixed list of alpha direct sums (DIRECT_SUM), each
+as written and with one entry edited, the library's own json, csv and pretty text of each of
 those sums and of an N4-Group block next to an alpha block, and a fixed
 list of realize runs at tight tolerances and
 of spectra whose float sum overflows partway (TIGHT), through
@@ -18,10 +18,12 @@ more on each of seven edits of its CSV file (CSV_VARIANTS): the first row's
 last entry written as -0 or as 1/3 and a whitespace-only line after the
 first row, which the float CSV reader leaves to its line-by-line path,
 CRLF line ends, which the CLI's text-mode read turns into newlines,
-the final newline dropped or a middle row's last entry written as 1/3,
-which the reader of alpha layouts leaves to the readers after it, and
-the same rows as JSON nested arrays, which the JSON reader reads to a
-matrix that records no layout.  For
+the final newline dropped, which the reader of alpha layouts leaves to
+the readers after it, a middle row's last entry written as 1/3, which it
+reads as a row that differs, and the same rows as JSON nested arrays,
+which the JSON reader reads to a matrix that records no layout.  Each
+of those verify runs, the file as written and its seven edits, runs once
+more with ``--exact``, its run name suffixed ``-exact``.  For
 each run it records the exit code and the sha256 of stdout, of stderr and
 of the ``--out`` file (null when none was written), keyed by workload,
 seed, op index and run name (format or CSV edit; the wide-spread ops
@@ -140,6 +142,9 @@ CLI_TEXT = [(None, argv) for argv in PARSER_ERRORS] + [
     ("-1,-1", ("verify", "1,1", "--matrix", "ID_CSV")),
     # Inline spectra that start with a negative decimal or fraction.
     *((None, (cmd, text)) for cmd in ("check", "realize") for text in ("-.5,0.25", "-1/2,1/4")),
+    # No spectrum, inline or with --file, and both.
+    (None, ("check",)), (None, ("realize",)), (None, ("verify", "--matrix", "ID_CSV")),
+    (None, ("explore",)), (None, ("check", "3,-1,-1", "--file", "ID_CSV")),
 ]
 
 
@@ -335,6 +340,7 @@ def fingerprint() -> dict:
                             argv = list(op.argv)
                             argv[argv.index(op.matrix_path)] = str(path)
                             runs.append((f"csv-{name}", argv))
+                        runs += [(f"{name}-exact", (*argv, "--exact")) for name, argv in runs]
                     record(f"{workload}:{seed}:{i}", runs, workdir, out_file)
     return records
 
