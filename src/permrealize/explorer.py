@@ -154,8 +154,8 @@ def objective(pt: PermTuple, x, sigma: Spectrum) -> float:
         raise DimensionMismatchError(
             f"spectrum size {sigma.n} != pattern size {pt.n}"
         )
-    # Row 0 of the assembled matrix is x as float64: p_0 is the identity.
-    return float(_make_objective(pt, sigma)(assemble(pt, x).data[:1])[0])
+    # x as assemble checks and stores it, with no n x n array laid out.
+    return float(_make_objective(pt, sigma)(assemble(pt, x).first_rows[None])[0])
 
 
 def _make_objective(

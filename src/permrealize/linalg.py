@@ -1,8 +1,11 @@
-"""Dense real matrices and polynomials for construction and certification.
+"""Real matrices and polynomials for construction and certification.
 
-Matrices wrap a numpy array in one of two scalar modes sharing a single code
+Matrices hold numpy arrays in one of two scalar modes sharing a single code
 path: float64 for everyday work, or object arrays of ``fractions.Fraction``
-when exact rational arithmetic is requested.  Characteristic polynomials are
+when exact rational arithmetic is requested.  A matrix built from
+permutative blocks is stored as the blocks and their first rows, n values;
+its n x n array is derived only for a caller that reads every entry, and
+any other matrix stores that array as given.  Characteristic polynomials are
 computed by the Faddeev-LeVerrier trace recurrence, no eigensolver involved:
 ``char_poly`` is exact in both modes (it clears the entries' denominators and
 runs the recurrence on Python integers), while ``char_poly_coeffs`` keeps a
@@ -16,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -50,29 +52,53 @@ def _array(rows: Sequence[Sequence], exact: bool) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Immutable dense real matrix (float64 or exact-Fraction entries).
+    """Immutable real matrix (float64 or exact-Fraction entries).
 
-    ``layout``, set only by linalg's builders and read-only like ``data``,
-    is the tuple of (start, PermTuple) blocks the entries were built as
-    (see layout_holds), or None; checks and printers read the blocks'
-    first rows, which hold every value of the matrix.
+    A matrix that linalg's builders made from permutative blocks
+    (assemble_blocks and assemble, direct_sum of such matrices in one
+    scalar mode, an alpha CSV file as written) is stored as those blocks:
+    ``layout``, the tuple of (start, PermTuple) blocks (see layout_holds),
+    and ``first_rows``, their first rows end to end, n values that hold
+    every entry.  Its n x n ``data`` is derived from them when first read
+    (_lay_out) and cached; only callers that need every entry read it
+    (char_poly, to_lists, ==, trace, layout_holds of other blocks).  Any
+    other matrix stores ``data`` as given, and its layout and first_rows
+    are None.  Both arrays are read-only.
     """
 
-    data: np.ndarray
-    layout: Optional[tuple] = field(default=None, init=False, compare=False)
+    __slots__ = ("_data", "first_rows", "layout")
 
-    def __post_init__(self):
-        self.data.setflags(write=False)
+    def __init__(self, data: np.ndarray):
+        data.setflags(write=False)
+        self._set(data, None, None)
+
+    def _set(self, data, first_rows, layout) -> None:
+        for name, value in (("_data", data), ("first_rows", first_rows), ("layout", layout)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DenseMatrix is immutable: cannot set {name!r}")
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            data = _lay_out(self.first_rows, self.layout)
+            data.setflags(write=False)
+            self._set(data, self.first_rows, self.layout)
+        return self._data
+
+    @property
+    def _stored(self) -> np.ndarray:
+        return self._data if self.first_rows is None else self.first_rows
 
     @property
     def n_rows(self) -> int:
-        return self.data.shape[0]
+        return self._stored.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.data.shape[1]
+        return self._stored.shape[-1]
 
     @property
     def is_square(self) -> bool:
@@ -80,7 +106,7 @@ class DenseMatrix:
 
     @property
     def is_exact(self) -> bool:
-        return self.data.dtype == object
+        return self._stored.dtype == object
 
     def trace(self) -> Scalar:
         d = [self.data[i, i] for i in range(min(self.data.shape))]
@@ -88,7 +114,7 @@ class DenseMatrix:
 
     def max_abs(self) -> Scalar:
         """Largest entry magnitude, a Fraction for exact entries; read off
-        the recorded blocks' first rows when there are any."""
+        the stored first rows when there are any."""
         m = np.abs(_entry_values(self)).max()
         return m if self.is_exact else float(m)
 
@@ -101,6 +127,9 @@ class DenseMatrix:
         return self.data.shape == other.data.shape and bool(
             (self.data == other.data).all()
         )
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix({self.data!r})"
 
 
 def from_rows(rows: Iterable[Sequence], exact: bool = False) -> DenseMatrix:
@@ -133,15 +162,13 @@ def identity(n: int, exact: bool = False) -> DenseMatrix:
 
 
 def _entry_values(M: DenseMatrix) -> np.ndarray:
-    """An array holding exactly the values of M's entries: the first rows
-    of its recorded blocks (M.layout) plus, with several blocks, the zero
-    off them at (0, n - 1); else all of them."""
+    """An array holding exactly the values of M's entries: its stored first
+    rows plus, with several blocks, the zero off them; else all of them."""
     if M.layout is None:
         return M.data
-    rows = [M.data[start, start : start + pt.n] for start, pt in M.layout]
-    if len(rows) == 1:
-        return rows[0]
-    return np.concatenate(rows + [M.data[0, -1:]])
+    if len(M.layout) == 1:
+        return M.first_rows
+    return np.concatenate([M.first_rows, zeros(1, 1, M.is_exact)[0]])
 
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
@@ -245,26 +272,53 @@ def alpha_tuple(n: int) -> PermTuple:
 
 
 def assemble(pt: PermTuple, x: Sequence[Scalar]) -> DenseMatrix:
-    """Matrix whose row i is x permuted by p_i: entry (i, j) = x[p_i[j]].
+    """Matrix whose row i is x permuted by p_i: entry (i, j) = x[p_i[j]]
+    (assemble_blocks of the one pattern pt)."""
+    return assemble_blocks((pt,), x)
+
+
+def assemble_blocks(patterns: Sequence[PermTuple], x: Sequence[Scalar]) -> DenseMatrix:
+    """The direct sum of one block per pattern, in order: block k's first
+    row is the next pt.n entries of x, and its row i that row permuted by
+    p_i.  Stored as x and those blocks (DenseMatrix.layout), in O(n).
 
     Exact when every entry of x is a Fraction, float64 otherwise; a
     non-finite float entry raises NonFiniteEntryError.
     """
     exact = all(isinstance(v, Fraction) for v in x)
     xv = _array([x], exact)[0]
-    if xv.shape != (pt.n,):
-        raise DimensionMismatchError(
-            f"first row has {len(x)} entries, pattern needs {pt.n}"
-        )
-    data = _alpha_layout(xv) if pt.is_alpha else xv[pt.index]
-    return _built(data, ((0, pt),))
+    layout, n = [], 0
+    for pt in patterns:
+        layout.append((n, pt))
+        n += pt.n
+    if xv.shape != (n,):
+        raise DimensionMismatchError(f"first row has {len(x)} entries, pattern needs {n}")
+    return _built(xv, tuple(layout))
 
 
-def _built(data: np.ndarray, layout) -> DenseMatrix:
-    """A DenseMatrix of data recording layout, the blocks data was built as."""
-    M = DenseMatrix(data)
-    object.__setattr__(M, "layout", layout)
+def _built(first_rows: np.ndarray, layout) -> DenseMatrix:
+    """A DenseMatrix stored as layout, the blocks that tile it, and their
+    first rows end to end."""
+    first_rows.setflags(write=False)
+    M = DenseMatrix.__new__(DenseMatrix)
+    M._set(None, first_rows, layout)
     return M
+
+
+def _lay_out(first_rows: np.ndarray, layout) -> np.ndarray:
+    """A new writable n x n array: each (start, PermTuple) block of layout
+    laid out from its first row, the slice of first_rows at start, and
+    zeros off the blocks.  DenseMatrix.data of a matrix stored as its
+    blocks is this array."""
+    if len(layout) == 1:
+        pt = layout[0][1]
+        return _alpha_layout(first_rows) if pt.is_alpha else first_rows[pt.index]
+    n = len(first_rows)
+    data = zeros(n, n, first_rows.dtype == object)
+    for start, pt in layout:
+        stop = start + pt.n
+        data[start:stop, start:stop] = _lay_out(first_rows[start:stop], ((0, pt),))
+    return data
 
 
 def _alpha_layout(xv: np.ndarray) -> np.ndarray:
@@ -276,35 +330,74 @@ def _alpha_layout(xv: np.ndarray) -> np.ndarray:
     return data
 
 
+#: Largest order of an alpha block that layout_holds checks together with
+#: the others (_alpha_rows_hold) rather than by its own slices
+#: (_block_holds).  At n = 1024 on a 2-core shared VM, layout_holds of 512
+#: order-2 alpha blocks takes 0.8 ms that way against 6.0 ms by slices,
+#: and the two cost the same near order 32 (medians of 30 calls).
+_GATHER_MAX_ORDER = 16
+
+
 def layout_holds(A: np.ndarray, blocks) -> bool:
     """True iff the (start, PermTuple) diagonal blocks are A's entries exactly.
 
     The blocks must tile [0, n) in order, each block must be its first row
     laid out by its pattern, and every entry off the blocks must be zero.
     Float64 entries are compared as uint64 bit patterns, so -0.0 is neither
-    0.0 nor an off-block zero; exact entries as equal Fractions.  An alpha
-    block is checked by slices, with no index: column 0 against x[1:], the
-    diagonal against x[0], and the rest of each row against x.
+    0.0 nor an off-block zero; exact entries as equal Fractions.  Alpha
+    blocks of order up to _GATHER_MAX_ORDER are checked together, by a few
+    gathers over all their rows (_alpha_rows_hold), and any other block by
+    slices of its own (_block_holds).  Then each row of a block holds its
+    first row's values, so the entries off the blocks are zero iff A has
+    no more nonzero entries than those rows.
     """
+    n, pos = len(A), 0
+    starts, pts, sizes, gathered = [], [], [], []
+    for start, pt in blocks:
+        if start != pos:
+            return False
+        starts.append(start)
+        pts.append(pt)
+        sizes.append(pt.n)
+        gathered.append(pt.is_alpha and pt.n <= _GATHER_MAX_ORDER)
+        pos += pt.n
+    if pos != n or A.shape != (n, n):
+        return False
     if A.dtype == np.float64:
         A = A.view(np.uint64)
-    pos = 0
-    for start, pt in blocks:
-        stop = start + pt.n
-        if start != pos or stop > len(A):
-            return False
-        rows = A[start:stop]
-        if not (
-            _block_holds(rows[:, start:stop], pt)
-            and (rows[:, :start] == 0).all()
-            and (rows[:, stop:] == 0).all()
-        ):
-            return False
-        pos = stop
-    return pos == len(A)
+    if len(pts) == 1:
+        return _block_holds(A, pts[0])
+    if not all(
+        _block_holds(A[a : a + pt.n, a : a + pt.n], pt)
+        for a, pt, g in zip(starts, pts, gathered)
+        if not g
+    ):
+        return False
+    s, k = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    x = A[s, np.arange(n)]  # the blocks' first rows, end to end
+    if any(gathered) and not _alpha_rows_hold(A, x, s, k, np.repeat(gathered, sizes)):
+        return False
+    return np.count_nonzero(A) == int(np.dot(k, x != 0))
+
+
+def _alpha_rows_hold(A, x, s, k, mask) -> bool:
+    """True iff each row i of A with mask[i] is row i of the alpha block
+    starting at s[i] of order k[i] laid out from x, the blocks' first rows:
+    x[i] in column s[i], x[s[i]] on the diagonal, and x[j] in every other
+    column j of the block."""
+    rows = np.flatnonzero(mask)
+    si, ki = s[rows], k[rows]
+    if not ((A[rows, si] == x[rows]).all() and (A[rows, rows] == x[si]).all()):
+        return False
+    R = np.repeat(rows, ki)
+    C = np.arange(len(R)) - np.repeat(np.cumsum(ki) - ki, ki) + np.repeat(si, ki)
+    return bool(((A[R, C] == x[C]) | (C == s[R]) | (C == R)).all())
 
 
 def _block_holds(P: np.ndarray, pt: PermTuple) -> bool:
+    """True iff P is its first row laid out by pt; an alpha block is checked
+    by slices, with no index: column 0 against x[1:], the diagonal against
+    x[0], and the rest of each row against x."""
     x = P[0]
     if not pt.is_alpha:
         return bool((P == x[pt.index]).all())
@@ -449,8 +542,9 @@ def poly_from_roots(sigma: Spectrum) -> tuple[Scalar, ...]:
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
     """Block-diagonal assembly of square blocks, zeros elsewhere; exact when
-    every block is.  Records the blocks' shifted layouts when every block
-    has one and none is converted from exact to float."""
+    every block is.  When every block is stored as its own blocks and none
+    is converted from exact to float, the sum is stored as their shifted
+    union, in O(n); otherwise its n x n array is written out."""
     blocks = list(blocks)
     if not blocks:
         raise EmptyInputError("direct_sum needs at least one block")
@@ -460,19 +554,21 @@ def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
                 f"direct_sum blocks must be square, got {b.n_rows}x{b.n_cols}"
             )
     exact = all(b.is_exact for b in blocks)
+    if all(b.layout is not None and b.is_exact == exact for b in blocks):
+        layout, off = [], 0
+        for b in blocks:
+            layout += [(off + start, pt) for start, pt in b.layout]
+            off += b.n_rows
+        return _built(np.concatenate([b.first_rows for b in blocks]), tuple(layout))
     n = sum(b.n_rows for b in blocks)
     out = zeros(n, n, exact)
-    layout, off = (), 0
+    off = 0
     for b in blocks:
         k = b.n_rows
         converted = b.is_exact and not exact
         out[off : off + k, off : off + k] = b.data.astype(float) if converted else b.data
-        if converted or b.layout is None:
-            layout = None
-        elif layout is not None:
-            layout += tuple((off + start, pt) for start, pt in b.layout)
         off += k
-    return _built(out, layout)
+    return DenseMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -690,15 +786,17 @@ def matrix_from_csv(text: str, exact: bool = False) -> DenseMatrix:
     2. In float mode, numpy's loadtxt (_loadtxt_floats) reads the whole
        text.
     3. The token-by-token path below, which raises every error.
-    Costs on a 2-core shared VM (medians of 40 calls, two rounds per
-    side): a float alpha file as written, or with one entry edited, takes
-    0.19-0.26 ms at n = 64 and 1.0-1.2 ms at n = 256, where loadtxt of the
-    whole text took 0.58-0.59 and 6.2-10.4 ms.  A dense random file (n =
-    512, 98-132 ms on both sides) or a direct sum of order-2 alpha blocks
-    (n = 512, 15-22 ms) gives up step 1 after a row or two and costs what
-    loadtxt does.  In exact mode the benchmark's float alpha file at n = 256
-    takes 1.5 ms as written and 2.8 ms with one entry edited (247-250 ms
-    line by line; medians of 15 calls).
+    Costs on a 2-core shared VM, whose fast and slow phases differ by
+    about 2x (medians of 100 calls, three rounds): a float alpha file as
+    written takes 0.11-0.19 ms at n = 64 and 0.48-0.93 ms at n = 256, and
+    with one entry edited 0.12-0.24 and 0.56-1.07 ms, where loadtxt of the
+    whole text took 0.58-0.59 and 6.2-10.4 ms.  As written it is stored
+    as its first row; edited, its n x n array is written out.  A dense
+    random file (n = 512, 98-132 ms) or a direct sum of order-2 alpha
+    blocks (n = 512, 15-22 ms) gives up step 1 after a row or two and
+    costs what loadtxt does.  In exact mode a float alpha file at n = 256
+    takes 1.4-2.7 ms as written and 2.8-4.9 ms with one entry edited
+    (247-250 ms line by line; medians of 30 calls).
     """
     M = _alpha_csv(text, exact)
     if M is not None:
@@ -751,8 +849,8 @@ def _alpha_csv(text: str, exact: bool) -> Optional[DenseMatrix]:
     parsing.  The matrix is that layout of parse_scalars(t, exact), with
     the rows that differ read by parse_scalars, as the line reader reads
     them, and written over theirs.  When no row differs, equal text parses
-    to equal values, so the matrix records the one alpha block it was
-    built as.
+    to equal values, so the matrix is stored as that one alpha block and
+    its first row, in O(n); otherwise its n x n array is written out.
     None, so that the whole text is read as before, when:
     - the first line is not printable ASCII;
     - the text does not end in "\\n", or has not n = len(t) rows;
@@ -794,7 +892,10 @@ def _alpha_csv(text: str, exact: bool) -> Optional[DenseMatrix]:
     if pos + 1 != len(text):
         return None
     try:
-        data = _alpha_layout(_array([parse_scalars(t, exact)], exact)[0])
+        x = _array([parse_scalars(t, exact)], exact)[0]
+        if not edited:
+            return _built(x, ((0, alpha_tuple(len(t))),))
+        data = _alpha_layout(x)
         for i, line in edited:
             row = line.split(",")
             if not line.isprintable() or len(row) != len(t):
@@ -802,6 +903,4 @@ def _alpha_csv(text: str, exact: bool) -> Optional[DenseMatrix]:
             data[i] = parse_scalars(row, exact)
     except ParseError:
         return None
-    if edited:
-        return DenseMatrix(data)
-    return _built(data, ((0, alpha_tuple(len(t))),))
+    return DenseMatrix(data)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import NotSuleimanovaError
-from .linalg import alpha_tuple, assemble, direct_sum
+from .linalg import alpha_tuple, assemble_blocks
 from .spectrum import Spectrum, running_sum, value_band
 from .verify import METHOD_SULEIMANOVA, Realization
 
@@ -59,7 +59,8 @@ def alpha_direct_sum(
     target: Spectrum,
     case: Optional[str] = None,
 ) -> Realization:
-    """The direct sum of one alpha block per group of values, in order.
+    """The direct sum of one alpha block per group of values, in order,
+    built from the blocks' first rows (assemble_blocks).
 
     Each block's first row is suleimanova_first_row of its group, so the
     blocks' spectra together are the groups' values.  Records each block as
@@ -67,7 +68,7 @@ def alpha_direct_sum(
     when given.  A first row with an entry below ``-value_band(|head|)``
     raises NotSuleimanovaError: that group has no alpha realization.
     """
-    blocks, mats, start = [], [], 0
+    patterns, rows = [], []
     for g in groups:
         x = suleimanova_first_row(g)
         if min(x) < -value_band(abs(g[0])):
@@ -75,14 +76,12 @@ def alpha_direct_sum(
                 f"an alpha block needs every l_i <= s/n = {x[0]} (i >= 2) and "
                 f"s >= 0, but its first row has the negative entry {min(x)}"
             )
-        pt = alpha_tuple(len(x))
-        blocks.append((start, pt))
-        mats.append(assemble(pt, x))
-        start += len(x)
-    params: dict = {"blocks": blocks}
+        patterns.append(alpha_tuple(len(x)))
+        rows += x
+    matrix = assemble_blocks(patterns, rows)
+    params: dict = {"blocks": list(matrix.layout)}
     if case is not None:
         params["case"] = case
-    matrix = mats[0] if len(mats) == 1 else direct_sum(mats)
     return Realization(matrix=matrix, method=method, target=target, params=params)
 
 

@@ -172,40 +172,37 @@ def detect_blocks(M: DenseMatrix) -> list[tuple[int, int]]:
     zero); blocks are the contiguous ranges closed under coupling.  The
     zero matrix decomposes into n 1x1 blocks.
 
-    Each index i of a block is scanned once, as one numpy comparison of
-    row i and column i beyond the block's current end, and the scan stops
-    once the block reaches n: a dense matrix costs one scan.
+    One pass over the n^2 entries: each index's farthest coupled index is
+    the last nonzero of its row or of its column, and a block closes at i
+    when no index up to i couples past it (a running maximum).
     """
     if not M.is_square:
         raise NotSquareError(
             f"block detection needs a square matrix, got {M.n_rows}x{M.n_cols}"
         )
-    A = M.data
-    n = M.n_rows
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    while start < n:
-        end = start  # inclusive extent of the current block
-        i = start
-        while i <= end < n - 1:
-            tail = end + 1
-            coupled = (A[i, tail:] != 0) | (A[tail:, i] != 0)
-            hits = np.flatnonzero(coupled)
-            if hits.size:
-                end = tail + int(hits[-1])
-            i += 1
-        ranges.append((start, end + 1))
-        start = end + 1
-    return ranges
+    nz = M.data != 0
+    n = len(nz)
+    idx = np.arange(n)
+    last_in_row = n - 1 - nz[:, ::-1].argmax(axis=1)
+    last_in_col = n - 1 - nz[::-1].argmax(axis=0)
+    # argmax finds no nonzero in an all-zero row or column; idx covers them
+    far = np.maximum.reduce([
+        idx,
+        np.where(nz[idx, last_in_row], last_in_row, 0),
+        np.where(nz[last_in_col, idx], last_in_col, 0),
+    ])
+    stops = (np.flatnonzero(np.maximum.accumulate(far) == idx) + 1).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 def _alpha_identification_residual(
-    A: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum
+    x: np.ndarray, blocks: list[tuple[int, PermTuple]], target: Spectrum
 ) -> Fraction:
     """Largest gap between the alpha blocks' exact eigenvalues and the target.
 
-    The alpha matrix with first row x has the eigenvalues sum(x) and
-    x_0 - x_i (i >= 1), for every x, so a matrix that is exactly the
+    x holds the blocks' first rows end to end (the blocks tile the
+    matrix).  The alpha matrix with first row x has the eigenvalues sum(x)
+    and x_0 - x_i (i >= 1), for every x, so a matrix that is exactly the
     direct sum of the alpha layouts of its blocks' first rows has exactly
     those values as its spectrum.  The first rows and the target are lifted
     to integers over one denominator D (integer_lift), each block's
@@ -213,17 +210,13 @@ def _alpha_identification_residual(
     entry by entry: the result is max |mu_k - l_k| as an exact Fraction,
     for float64 and Fraction entries alike.
     """
-    rows: list[Scalar] = []
-    for start, pt in blocks:
-        rows += A[start, start : start + pt.n].tolist()
-    ints, D = integer_lift(rows + list(target.values))
+    ints, D = integer_lift(x.tolist() + list(target.values))
     eigs: list[int] = []
     pos = 0
     for _, pt in blocks:
-        x = ints[pos : pos + pt.n]
-        x0 = x[0]
-        eigs.append(sum(x))
-        eigs += [x0 - v for v in x[1:]]
+        row = ints[pos : pos + pt.n]
+        eigs.append(sum(row))
+        eigs += [row[0] - v for v in row[1:]]
         pos += pt.n
     eigs.sort()
     want = sorted(ints[pos:])
@@ -264,13 +257,14 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     magnitudes beyond the float range get finite bands.  Nonnegativity and
     structure are numpy operations over at most the n^2 entries, and the
     identification is O(n) integer work, one code path for float64 and
-    Fraction entries alike.  On a matrix with a layout, the scale and
-    nonnegativity read its blocks' first rows, which hold every value.
+    Fraction entries alike.  On a matrix stored as its blocks, the scale,
+    nonnegativity and the identification read the stored first rows, which
+    hold every value; only other blocks, detect_blocks and the charpoly
+    read its n x n array.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
     M = r.matrix
-    A = M.data
     n = M.n_rows
     entry_scale = max(1.0, M.max_abs())
     entry_band = tol.band(entry_scale)
@@ -278,8 +272,9 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     nonneg = CheckState.PASS if is_nonnegative(M, entry_band) else CheckState.FAIL
 
     blocks = r.params.get("blocks") or M.layout
+    stored = blocks and tuple(blocks) == M.layout
     if blocks:
-        ok = tuple(blocks) == M.layout or layout_holds(A, blocks)
+        ok = stored or layout_holds(M.data, blocks)
         structure = CheckState.PASS if ok else CheckState.FAIL
     else:
         # Read the blocks off the exact zeros: alpha blocks that hold count
@@ -287,6 +282,7 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
         # a matrix that never claimed them.
         split = detect_blocks(M)
         blocks = [(a, alpha_tuple(b - a)) for a, b in split]
+        A = M.data
         if layout_holds(A, blocks):
             structure = CheckState.PASS
         else:
@@ -303,7 +299,12 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
         # The paper's closed form is the spectral evidence at every n: the
         # stored blocks' spectrum is exactly their first rows' closed form.
-        res = _alpha_identification_residual(A, blocks, r.target)
+        if stored:
+            x = M.first_rows
+        else:
+            starts = np.repeat([a for a, _ in blocks], [pt.n for _, pt in blocks])
+            x = M.data[starts, np.arange(n)]
+        res = _alpha_identification_residual(x, blocks, r.target)
         eig = judge(res, r.target.scale())
     elif n <= (CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N):
         # char_poly is exact for float entries too, so the residual is the

@@ -25,6 +25,7 @@ from permrealize import (
 )
 from permrealize import cli, dispatch
 from permrealize import explorer as explorer_mod
+from permrealize import linalg as linalg_mod
 from permrealize import verify as verify_mod
 from permrealize.cli import TOLERANCE_ENV_VAR, _parse_values, _print_matrix, main
 from permrealize.errors import ParseError
@@ -812,6 +813,30 @@ def test_verify_exact_reads_an_alpha_csv_as_its_layout(tmp_path, monkeypatch, ca
     assert M.is_exact and M.layout == ((0, alpha_tuple(64)),)
     assert run(capsys, "verify", values, "--exact", "--matrix", str(path))[0] == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_realize_and_verify_derive_no_n2_array_at_n_1024(tmp_path, monkeypatch, capsys,
+                                                         fmt, exact):
+    # realize builds, certifies and prints the stored first rows, and
+    # verify reads its alpha CSV back as them: no n x n array is laid out.
+    calls = []
+    lay_out = linalg_mod._lay_out
+
+    def counted(first_rows, layout):
+        calls.append(len(first_rows))
+        return lay_out(first_rows, layout)
+
+    monkeypatch.setattr(linalg_mod, "_lay_out", counted)
+    values = ",".join(map(repr, random_suleimanova_values(np.random.default_rng(29), 1024)))
+    path = tmp_path / "m.csv"
+    flags = ("--exact",) if exact else ()
+    assert run(capsys, "realize", values, "--format", fmt, "--out", str(path), *flags)[0] == 0
+    assert run(capsys, "verify", values, "--matrix", str(path), *flags)[0] == 0
+    assert calls == []
+    assert matrix_from_csv(path.read_text(encoding="utf-8"), exact).to_lists()
+    assert calls == [1024]
 
 
 class _RecordingStream(io.StringIO):

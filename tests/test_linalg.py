@@ -61,10 +61,10 @@ from permrealize.linalg import (
     matrix_pieces,
     matrix_to_pretty,
 )
-from permrealize.small_order import realize_small
+from permrealize.small_order import GROUP_TUPLE, realize_small
 from permrealize.suleimanova import alpha_direct_sum
 from permrealize.spectrum import float_or_inf
-from permrealize.verify import _alpha_identification_residual
+from permrealize.verify import _alpha_identification_residual, certify
 
 entries = st.floats(
     min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
@@ -1025,11 +1025,11 @@ def test_proven_alpha_layout_residuals_match_the_whole_block(n):
         if n <= 3:
             assert char_poly(DenseMatrix(P)) == poly_from_roots(make_spectrum(mu, exact=True))
         exact = make_spectrum(mu, exact=True)
-        assert _alpha_identification_residual(P, blocks, exact) == 0
+        assert _alpha_identification_residual(P[0], blocks, exact) == 0
         rounded = [float_or_inf(v) for v in mu]
         if all(map(math.isfinite, rounded)):
             target = make_spectrum(rounded)
-            got = _alpha_identification_residual(P, blocks, target)
+            got = _alpha_identification_residual(P[0], blocks, target)
             assert got == alpha_identification_reference(P, blocks, target)
             assert got == max(abs(Fraction(f) - v) for f, v in zip(rounded, mu))
 
@@ -1304,3 +1304,103 @@ def test_direct_sum_records_the_shifted_union_in_one_scalar_mode():
     mixed = direct_sum([a2, q])
     assert not mixed.is_exact and mixed.layout is None
     assert direct_sum([a2, from_rows([[1.0]])]).layout is None
+
+
+# ---------------------------------------------------------------------------
+# a built matrix is stored as its blocks' first rows; data is derived
+# ---------------------------------------------------------------------------
+
+
+def _entry_by_entry(blocks, exact):
+    """The dense assembly the stored form replaced, one entry at a time:
+    entry (i, j) of each (start, PermTuple, first row) block is x[p_i[j]],
+    converted to float unless exact, and every other entry is zero."""
+    n = sum(len(x) for _, _, x in blocks)
+    zero = Fraction(0) if exact else 0.0
+    rows = [[zero] * n for _ in range(n)]
+    for start, pt, x in blocks:
+        for i, p in enumerate(pt.index.tolist()):
+            for j, k in enumerate(p):
+                rows[start + i][start + j] = x[k] if exact else float(x[k])
+    return np.array(rows, dtype=object if exact else np.float64)
+
+
+def _assert_same_entries(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == object:
+        assert all(type(v) is Fraction for v in got.flat)
+        assert (got == want).all()
+    else:
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _stored_cases():
+    """(matrix, its blocks as (start, PermTuple, first row)) for first rows
+    holding -0.0, Fraction first rows, a Klein block beside an alpha block,
+    and a sum of exact and float blocks, which is written out as floats."""
+    a5, a2, a3 = alpha_tuple(5), alpha_tuple(2), alpha_tuple(3)
+    x = [-0.0, 1.5, -0.0, 0.0, 2.0]
+    yield assemble(a5, x), [(0, a5, x)]
+    yield linalg_mod.assemble_blocks([a2, a3], x), [(0, a2, x[:2]), (2, a3, x[2:])]
+    q = [Fraction(1, 3), Fraction(0), Fraction(-2, 7), Fraction(5)]
+    yield assemble(alpha_tuple(4), q), [(0, alpha_tuple(4), q)]
+    yield direct_sum([assemble(a2, q[:2]), assemble(a2, q[2:])]), [(0, a2, q[:2]), (2, a2, q[2:])]
+    klein, tail = [3.0, -0.0, 1.0, 0.5], [2.0, 0.25, -0.0]
+    yield direct_sum([assemble(GROUP_TUPLE, klein), assemble(a3, tail)]), \
+        [(0, GROUP_TUPLE, klein), (4, a3, tail)]
+    yield direct_sum([assemble(GROUP_TUPLE, q), assemble(a2, q[:2])]), \
+        [(0, GROUP_TUPLE, q), (4, a2, q[:2])]
+    yield direct_sum([assemble(a2, [1.0, -0.0]), assemble(a3, q[:3])]), \
+        [(0, a2, [1.0, -0.0]), (2, a3, q[:3])]
+
+
+def test_derived_data_is_the_dense_assembly_bit_for_bit():
+    cases = list(_stored_cases())
+    for M, blocks in cases:
+        exact = all(isinstance(v, Fraction) for _, _, x in blocks for v in x)
+        _assert_same_entries(M.data, _entry_by_entry(blocks, exact))
+        assert M.data is M.data and not M.data.flags.writeable
+        assert M.layout == (tuple((a, pt) for a, pt, _ in blocks) if M.layout else None)
+    # Only the sum that converts its exact block is written out.
+    assert [M.layout is None for M, _ in cases] == [False] * 6 + [True]
+    for M in _recorded_matrices(np.random.default_rng(7)):
+        blocks = [(a, pt, M.first_rows[a : a + pt.n].tolist()) for a, pt in M.layout]
+        _assert_same_entries(M.data, _entry_by_entry(blocks, M.is_exact))
+
+
+def test_edited_files_and_companion_matrices_stay_dense():
+    # A CSV file with a row off the alpha layout of its first line and a
+    # companion matrix have no blocks: their entries are stored as read.
+    M = assemble(alpha_tuple(4), [4.0, 0.5, 1.0, 2.0])
+    text = matrix_to_csv(M).replace("\n1,0.5,4,2\n", "\n1,0.5,4,2.5\n")
+    edited = matrix_from_csv(text)
+    companion = realize_companion(make_spectrum([3.0, -1.0, -1.0])).matrix
+    for D in (edited, companion, matrix_from_csv(text, exact=True)):
+        assert D.layout is None and D.first_rows is None
+        assert not D.data.flags.writeable
+    want = M.data.copy()
+    want[2, 3] = 2.5
+    assert_array_equal(edited.data, want)
+
+
+def test_alpha_direct_sum_of_512_blocks_derives_no_n2_array(monkeypatch):
+    # Build, certify and print read the 1024 stored first rows only; the
+    # count goes up once something reads every entry.
+    calls = []
+    lay_out = linalg_mod._lay_out
+
+    def counted(first_rows, layout):
+        calls.append(len(first_rows))
+        return lay_out(first_rows, layout)
+
+    monkeypatch.setattr(linalg_mod, "_lay_out", counted)
+    rng = np.random.default_rng(512)
+    groups = [_suleimanova_values(rng, 2) for _ in range(512)]
+    r = alpha_direct_sum(groups, "test", make_spectrum([v for g in groups for v in g]))
+    assert certify(r).passed
+    for fmt in ("json", "csv", "pretty"):
+        "".join(matrix_pieces(r.matrix, fmt))
+    assert r.matrix.n_rows == 1024 and len(r.matrix.layout) == 512
+    assert calls == []
+    r.matrix.to_lists()
+    assert calls[0] == 1024

@@ -662,10 +662,10 @@ def _certified_blocks(monkeypatch, r, tol=None):
     original = verify_mod._alpha_identification_residual
     calls, residuals = [], []
 
-    def checked(A, blocks, target):
+    def checked(x, blocks, target):
         calls.append([pt.n for _, pt in blocks])
-        got = original(A, blocks, target)
-        assert got == alpha_identification_reference(A, blocks, target)
+        got = original(x, blocks, target)
+        assert got == alpha_identification_reference(r.matrix.data, blocks, target)
         residuals.append(got)
         return got
 
