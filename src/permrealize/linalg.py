@@ -80,6 +80,12 @@ class DenseMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"DenseMatrix is immutable: cannot set {name!r}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the matrix by its constructors
+        if self.first_rows is None:
+            return DenseMatrix, (self._data,)
+        return _built, (self.first_rows, self.layout)
+
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
@@ -330,36 +336,27 @@ def _alpha_layout(xv: np.ndarray) -> np.ndarray:
     return data
 
 
-#: Largest order of an alpha block that layout_holds checks together with
-#: the others (_alpha_rows_hold) rather than by its own slices
-#: (_block_holds).  At n = 1024 on a 2-core shared VM, layout_holds of 512
-#: order-2 alpha blocks takes 0.8 ms that way against 6.0 ms by slices,
-#: and the two cost the same near order 32 (medians of 30 calls).
-_GATHER_MAX_ORDER = 16
-
-
 def layout_holds(A: np.ndarray, blocks) -> bool:
     """True iff the (start, PermTuple) diagonal blocks are A's entries exactly.
 
     The blocks must tile [0, n) in order, each block must be its first row
     laid out by its pattern, and every entry off the blocks must be zero.
     Float64 entries are compared as uint64 bit patterns, so -0.0 is neither
-    0.0 nor an off-block zero; exact entries as equal Fractions.  Alpha
-    blocks of order up to _GATHER_MAX_ORDER are checked together, by a few
-    gathers over all their rows (_alpha_rows_hold), and any other block by
-    slices of its own (_block_holds).  Then each row of a block holds its
-    first row's values, so the entries off the blocks are zero iff A has
-    no more nonzero entries than those rows.
+    0.0 nor an off-block zero; exact entries as equal Fractions.  One
+    block is checked by its slices (_block_holds).  Of several, the alpha
+    blocks are checked together, by a few gathers over all their rows
+    (_alpha_rows_hold), and any other block by its slices.  Then each row
+    of a block holds its first row's values, so the entries off the blocks
+    are zero iff A has no more nonzero entries than those rows.
     """
     n, pos = len(A), 0
-    starts, pts, sizes, gathered = [], [], [], []
+    starts, pts, sizes = [], [], []
     for start, pt in blocks:
         if start != pos:
             return False
         starts.append(start)
         pts.append(pt)
         sizes.append(pt.n)
-        gathered.append(pt.is_alpha and pt.n <= _GATHER_MAX_ORDER)
         pos += pt.n
     if pos != n or A.shape != (n, n):
         return False
@@ -369,13 +366,14 @@ def layout_holds(A: np.ndarray, blocks) -> bool:
         return _block_holds(A, pts[0])
     if not all(
         _block_holds(A[a : a + pt.n, a : a + pt.n], pt)
-        for a, pt, g in zip(starts, pts, gathered)
-        if not g
+        for a, pt in zip(starts, pts)
+        if not pt.is_alpha
     ):
         return False
     s, k = np.repeat(starts, sizes), np.repeat(sizes, sizes)
     x = A[s, np.arange(n)]  # the blocks' first rows, end to end
-    if any(gathered) and not _alpha_rows_hold(A, x, s, k, np.repeat(gathered, sizes)):
+    alpha = np.repeat([pt.is_alpha for pt in pts], sizes)
+    if alpha.any() and not _alpha_rows_hold(A, x, s, k, alpha):
         return False
     return np.count_nonzero(A) == int(np.dot(k, x != 0))
 

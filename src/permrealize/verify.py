@@ -172,16 +172,21 @@ def detect_blocks(M: DenseMatrix) -> list[tuple[int, int]]:
     zero); blocks are the contiguous ranges closed under coupling.  The
     zero matrix decomposes into n 1x1 blocks.
 
-    One pass over the n^2 entries: each index's farthest coupled index is
-    the last nonzero of its row or of its column, and a block closes at i
-    when no index up to i couples past it (a running maximum).
+    A matrix whose corner entry (0, n-1) or (n-1, 0) is nonzero is one
+    block, read off those two entries.  Otherwise one pass over the n^2
+    entries: each index's farthest coupled index is the last nonzero of
+    its row or of its column, and a block closes at i when no index up to
+    i couples past it (a running maximum).
     """
     if not M.is_square:
         raise NotSquareError(
             f"block detection needs a square matrix, got {M.n_rows}x{M.n_cols}"
         )
-    nz = M.data != 0
-    n = len(nz)
+    A = M.data
+    n = len(A)
+    if A[0, -1] != 0 or A[-1, 0] != 0:
+        return [(0, n)]
+    nz = A != 0
     idx = np.arange(n)
     last_in_row = n - 1 - nz[:, ::-1].argmax(axis=1)
     last_in_col = n - 1 - nz[::-1].argmax(axis=0)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -1366,6 +1368,23 @@ def test_derived_data_is_the_dense_assembly_bit_for_bit():
     for M in _recorded_matrices(np.random.default_rng(7)):
         blocks = [(a, pt, M.first_rows[a : a + pt.n].tolist()) for a, pt in M.layout]
         _assert_same_entries(M.data, _entry_by_entry(blocks, M.is_exact))
+
+
+def test_matrices_survive_pickle_and_copy():
+    # Stored and dense matrices come back with the same entries, blocks and
+    # first rows, read-only, from pickle, copy and deepcopy.
+    companion = realize_companion(make_spectrum([3.0, -1.0, -1.0])).matrix
+    dense = [companion, from_rows([[Fraction(1, 3), 0], [2, -1]], exact=True)]
+    for M in [M for M, _ in _stored_cases()] + dense:
+        for twin in (pickle.loads(pickle.dumps(M)), copy.copy(M), copy.deepcopy(M)):
+            assert type(twin) is DenseMatrix and twin.layout == M.layout
+            if M.first_rows is None:
+                assert twin.first_rows is None
+            else:
+                _assert_same_entries(twin.first_rows, M.first_rows)
+                assert not twin.first_rows.flags.writeable
+            _assert_same_entries(twin.data, M.data)
+            assert not twin.data.flags.writeable
 
 
 def test_edited_files_and_companion_matrices_stay_dense():

@@ -964,7 +964,8 @@ def _blocks_hold_by_index(A, blocks):
 def test_blocks_hold_by_slices_matches_the_index_version(exact):
     # One-entry edits of the smallest size (an ulp, 10^-30) and of size 2,
     # up and down, in column 0, on the diagonal, in the interior and off the
-    # blocks, of seeded alpha blocks and the N4-Group pattern.
+    # blocks, of seeded alpha blocks (one of order 33 among others) and the
+    # N4-Group pattern.
     rng = np.random.default_rng(23)
     group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0]))
     if exact:
@@ -973,7 +974,7 @@ def test_blocks_hold_by_slices_matches_the_index_version(exact):
         edits = [lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf),
                  lambda v: v + 2, lambda v: v - 2]
     seen = set()
-    for sizes in ((7,), (1, 4, 2), (3, 1)):
+    for sizes in ((7,), (1, 4, 2), (3, 1), (33, 2)):
         mats, blocks, start = [], [], 0
         for k in sizes:
             x = [Fraction(int(v), 8) for v in rng.integers(0, 40, k)] if exact \
