@@ -184,6 +184,8 @@ def detect_blocks(M: DenseMatrix) -> list[tuple[int, int]]:
         )
     A = M.data
     n = len(A)
+    if n == 0:
+        return []
     if A[0, -1] != 0 or A[-1, 0] != 0:
         return [(0, n)]
     nz = A != 0

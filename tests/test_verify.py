@@ -134,6 +134,11 @@ def test_detect_blocks_needs_square():
         detect_blocks(from_rows([[1.0, 2.0]]))
 
 
+def test_detect_blocks_of_the_empty_matrix_is_no_block():
+    M = DenseMatrix(np.zeros((0, 0)))
+    assert detect_blocks(M) == _detect_blocks_reference(M) == []
+
+
 # ---------------------------------------------------------------------------
 # Realization validation
 # ---------------------------------------------------------------------------
