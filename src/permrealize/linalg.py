@@ -121,7 +121,9 @@ class DenseMatrix:
     def max_abs(self) -> Scalar:
         """Largest entry magnitude, a Fraction for exact entries; read off
         the stored first rows when there are any."""
-        m = np.abs(_entry_values(self)).max()
+        v = _entry_values(self)
+        # no n^2 temporary; abs gives +0.0 when the extremes are zeros
+        m = abs(max(v.max(), -v.min()))
         return m if self.is_exact else float(m)
 
     def to_lists(self) -> list[list[Scalar]]:
@@ -179,7 +181,8 @@ def _entry_values(M: DenseMatrix) -> np.ndarray:
 
 def is_nonnegative(M: DenseMatrix, tol: float = 0.0) -> bool:
     """True iff every entry is >= -tol (read as in max_abs)."""
-    return bool((_entry_values(M) >= -tol).all())
+    v = _entry_values(M)
+    return v.size == 0 or bool(v.min() >= -tol)
 
 
 def is_permutative(M: DenseMatrix) -> bool:
@@ -469,15 +472,36 @@ def char_poly_coeffs(A: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def integer_lift(values: Sequence[Scalar]) -> tuple[list[int], int]:
+def integer_lift(values: np.ndarray) -> tuple[np.ndarray, int]:
     """(B, D) with values[k] == B[k] / D exactly, D the lcm of the denominators.
 
     Every float and Fraction is rational (a float is a dyadic one, so D is
-    a power of two for floats), and integer arithmetic on B is exact.
+    a power of two for floats), and integer arithmetic on B is exact.  A
+    float64 array is split by np.frexp into 53-bit integer mantissas and
+    exponents, whose trailing zero bits give each value's denominator.  B
+    is int64 when every |B[k]| * len(values) < 2**62, so that no sum or
+    difference of two sums of the B[k] overflows, and otherwise an object
+    array of Python ints from the same split; any other array (Fractions,
+    mixed) is lifted by as_integer_ratio to an object array.  Either way B
+    holds the same integers.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    D = math.lcm(*(d for _, d in ratios))
-    return [p * (D // d) for p, d in ratios], D
+    if values.dtype != np.float64:
+        ratios = [v.as_integer_ratio() for v in values.tolist()]
+        D = math.lcm(*(d for _, d in ratios))
+        return np.array([p * (D // d) for p, d in ratios], dtype=object), D
+    mant, exp = np.frexp(values)
+    mant = np.ldexp(mant, 53).astype(np.int64)
+    # values[k] == odd[k] / 2**den[k] with odd[k] odd; a zero counts 64
+    # trailing zero bits (den < 0), so it never raises s
+    zeros = np.bitwise_count(((mant & -mant) - 1).view(np.uint64))
+    den = 53 - exp - zeros
+    s = int(den.max(initial=0))
+    top = float(np.abs(values).max(initial=0.0))
+    if math.frexp(top)[1] + s <= 62 and int(math.ldexp(top, s)) * len(values) < 1 << 62:
+        return np.ldexp(values, s).astype(np.int64), 1 << s
+    odd = (mant >> zeros).tolist()
+    ints = [b << (s - d) for b, d in zip(odd, den.tolist())]
+    return np.array(ints, dtype=object), 1 << s
 
 
 def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:
@@ -489,8 +513,8 @@ def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:
     is exact.  Then c_j(A) = c_j(B) / D^(n-j).
     """
     n = A.shape[0]
-    ints, D = integer_lift(A.ravel().tolist())
-    B = np.array(ints, dtype=object).reshape(n, n)
+    B, D = integer_lift(A.ravel())
+    B = B.astype(object).reshape(n, n)
     coeffs = [1] * (n + 1)
     Bk = B.copy()
     for k in range(1, n + 1):

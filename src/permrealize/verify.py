@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -212,22 +213,21 @@ def _alpha_identification_residual(
     and x_0 - x_i (i >= 1), for every x, so a matrix that is exactly the
     direct sum of the alpha layouts of its blocks' first rows has exactly
     those values as its spectrum.  The first rows and the target are lifted
-    to integers over one denominator D (integer_lift), each block's
-    eigenvalues are formed there, and the two sorted lists are compared
-    entry by entry: the result is max |mu_k - l_k| as an exact Fraction,
-    for float64 and Fraction entries alike.
+    to integers over one denominator D (integer_lift: an int64 array when
+    no sum or difference below can overflow, else Python ints), each
+    block's eigenvalues are formed there, and the two sorted arrays are
+    compared entry by entry: the result is max |mu_k - l_k| as an exact
+    Fraction, the same for either lift and for float64 and Fraction
+    entries alike.
     """
-    ints, D = integer_lift(x.tolist() + list(target.values))
-    eigs: list[int] = []
-    pos = 0
-    for _, pt in blocks:
-        row = ints[pos : pos + pt.n]
-        eigs.append(sum(row))
-        eigs += [row[0] - v for v in row[1:]]
-        pos += pt.n
-    eigs.sort()
-    want = sorted(ints[pos:])
-    return Fraction(max(abs(a - b) for a, b in zip(eigs, want)), D)
+    n = len(x)
+    B, D = integer_lift(np.concatenate([x, target.values]))
+    rows, want = B[:n], B[n:]
+    lengths = [pt.n for _, pt in blocks]
+    starts = list(accumulate(lengths[:-1], initial=0))
+    eig = rows[np.repeat(starts, lengths)] - rows
+    eig[starts] = np.add.reduceat(rows, starts)
+    return Fraction(int(np.abs(np.sort(eig) - np.sort(want)).max()), D)
 
 
 def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationReport:
@@ -263,11 +263,13 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     formed in its scale's own arithmetic (Tolerances.band), so exact
     magnitudes beyond the float range get finite bands.  Nonnegativity and
     structure are numpy operations over at most the n^2 entries, and the
-    identification is O(n) integer work, one code path for float64 and
-    Fraction entries alike.  On a matrix stored as its blocks, the scale,
-    nonnegativity and the identification read the stored first rows, which
-    hold every value; only other blocks, detect_blocks and the charpoly
-    read its n x n array.
+    identification is O(n) integer numpy work, one code path for float64
+    and Fraction entries alike: on int64 arrays when the lifted values are
+    small enough not to overflow, else on arrays of Python ints, with the
+    same exact Fraction, verdict and max_residual either way.  On a matrix
+    stored as its blocks, the scale, nonnegativity and the identification
+    read the stored first rows, which hold every value; only other blocks,
+    detect_blocks and the charpoly read its n x n array.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()

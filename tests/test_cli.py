@@ -1095,6 +1095,50 @@ def test_verify_of_realize_csv_reports_its_certificate_at_n_1024(capsys, tmp_pat
     assert (code, realized["verdict"], orders) == (0, "pass", [[1024], [1024]])
 
 
+def _alpha_spectrum_text(n, seed, thousandths):
+    """A Suleimanova spectrum shaped like the large-n benchmark's: quarter
+    negatives (plus up to 0.199 in thousandths) and a positive head that
+    leaves an odd number of quarters as the trace."""
+    rng = np.random.default_rng(seed)
+    negs = -rng.integers(1, 65, n - 1) / 4
+    if thousandths:
+        negs -= rng.integers(1, 200, n - 1) / 1000
+    head = -negs.sum() + (2 * int(rng.integers(2 * n)) + 1) / 4
+    return ",".join(repr(float(v)) for v in [head, *sorted(negs, reverse=True)])
+
+
+@pytest.mark.parametrize("thousandths, dtype", [(False, np.int64), (True, object)])
+def test_alpha_identification_lift_dtype_at_n_1024(capsys, tmp_path, monkeypatch, thousandths, dtype):
+    # Quarters lift to int64 as built and as read back from the CSV;
+    # thousandths need more than 62 bits and lift to Python ints.
+    dtypes = []
+    original = verify_mod.integer_lift
+
+    def counted(values):
+        B, D = original(values)
+        dtypes.append(B.dtype)
+        return B, D
+
+    monkeypatch.setattr(verify_mod, "integer_lift", counted)
+    path = tmp_path / "m.csv"
+    text = _alpha_spectrum_text(1024, 7, thousandths)
+    assert run(capsys, "realize", text, "--format", "json", "--out", str(path))[0] == 0
+    assert run(capsys, "verify", text, "--matrix", str(path))[0] == 0
+    assert dtypes == [np.dtype(dtype)] * 2
+
+
+def test_readme_wide_spread_example_keeps_its_certificate(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    text = "10000000000,-1000000,-1,-0.001"
+    code, out, _ = run(capsys, "realize", text, "--format", "json", "--out", str(path))
+    cert = json.loads(out)["certificate"]
+    assert (code, cert["verdict"], cert["eigenpairs"], cert["charpoly"]) == \
+        (0, "pass", "pass", "not-applicable")
+    assert cert["max_residual"] == 2.0**-21
+    code, out, _ = run(capsys, "verify", text, "--matrix", str(path), "--format", "json")
+    assert (code, json.loads(out)) == (0, cert)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 30, 31, 40, 64])
 def test_wide_spread_verify_round_trip(capsys, tmp_path, n):
     path = tmp_path / "m.csv"

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -276,6 +277,109 @@ def test_max_abs_beyond_float_range_is_exact():
     assert big == Fraction(10) ** 400
     # A float matrix keeps its float magnitude.
     assert type(from_rows([[-2.5, 1.0], [1.0, -2.5]]).max_abs()) is float
+
+
+def test_max_abs_and_nonneg_of_a_dense_matrix_allocate_no_n_by_n_array():
+    n = 512
+    M = DenseMatrix(np.random.default_rng(512).uniform(-1.0, 1.0, (n, n)))
+    expected = [float(np.abs(M.data).max()), False]
+    got, peaks = [], []
+    tracemalloc.start()
+    try:
+        for call in (M.max_abs, lambda: is_nonnegative(M, 0.5)):
+            tracemalloc.reset_peak()
+            got.append(call())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    # an n x n bool array alone is n * n bytes
+    assert max(peaks) < n * n // 8
+
+
+@pytest.mark.parametrize("data", [[[-0.0]], [[0.0]], [[0.0, -0.0], [-0.0, 0.0]]])
+def test_max_abs_of_signed_zeros_is_plus_zero(data):
+    M = DenseMatrix(np.array(data))
+    assert math.copysign(1.0, M.max_abs()) == 1.0 and M.max_abs() == 0.0
+    assert is_nonnegative(M)
+
+
+def test_max_abs_and_nonneg_of_nan_and_empty_matrices():
+    M = DenseMatrix(np.array([[math.nan, 1.0], [2.0, 3.0]]))
+    assert math.isnan(M.max_abs()) and not is_nonnegative(M, 1.0)
+    empty = DenseMatrix(np.zeros((0, 0)))
+    assert is_nonnegative(empty) is True
+    with pytest.raises(ValueError):
+        empty.max_abs()
+    F = from_rows([[Fraction(-3, 2), Fraction(1)], [Fraction(0), Fraction(1, 3)]], exact=True)
+    assert type(F.max_abs()) is Fraction and F.max_abs() == Fraction(3, 2)
+    assert (is_nonnegative(F), is_nonnegative(F, 1.5), is_nonnegative(F, 1.25)) == (False, True, False)
+
+
+# ---------------------------------------------------------------------------
+# integer_lift: one denominator for float64, Fraction and mixed values
+# ---------------------------------------------------------------------------
+
+
+def _lift_cases(rng):
+    yield np.array([0.0, -0.0])
+    yield np.array([5e-324, -5e-324, 0.0, 1.0])
+    yield np.array([1e308, -1e308, 3.0])
+    yield np.array([1e308, 5e-324, -0.0])
+    yield 2.0**60 + 256.0 * rng.integers(-1000, 1000, 16)
+    yield -(2.0**60) + 128.0 * rng.integers(1, 1000, 16)
+    yield rng.integers(-(10**6), 10**6, 64) / 1000
+    yield rng.integers(-400, 400, 64) / 4
+    yield np.exp(rng.uniform(-700.0, 700.0, 32)) * rng.choice([-1.0, 1.0], 32)
+    yield np.array([], dtype=np.float64)
+    fractions = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-99, 99, 12), rng.integers(1, 50, 12))]
+    yield np.array(fractions, dtype=object)
+    yield np.array(fractions[:4] + [0.1, -0.0, 5e-324], dtype=object)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_lift_matches_as_integer_ratio_over_the_same_denominator(seed):
+    for values in _lift_cases(np.random.default_rng(seed)):
+        B, D = linalg_mod.integer_lift(values)
+        ratios = [v.as_integer_ratio() for v in values.tolist()]
+        assert D == math.lcm(*(d for _, d in ratios))
+        assert [int(b) for b in B] == [p * (D // d) for p, d in ratios]
+        fits = max((abs(p * (D // d)) for p, d in ratios), default=0) * len(values) < 2**62
+        want = np.int64 if values.dtype == np.float64 and fits else object
+        assert B.dtype == want and B.shape == values.shape
+        if B.dtype == object:
+            assert all(type(b) is int for b in B)
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([2.0**60 - 128, 0.0, 0.0, 0.0], np.int64),
+        ([2.0**60, 0.0, 0.0, 0.0], object),
+        ([-(2.0**60) + 128, 0.0, 0.0, 0.0], np.int64),
+        ([-(2.0**60), 0.0, 0.0, 0.0], object),
+        ([2.0**60, 0.0, 0.0], np.int64),
+        ([2.0**58 - 32, 0.25, 0.0, 0.0], np.int64),
+        ([2.0**58, 0.25, 0.0, 0.0], object),
+        ([2.0**62 - 512], np.int64),
+        ([2.0**62], object),
+    ],
+)
+def test_integer_lift_is_int64_exactly_below_the_2_62_rule(values, dtype):
+    values = np.array(values)
+    B, D = linalg_mod.integer_lift(values)
+    assert B.dtype == dtype
+    assert [int(b) for b in B] == [int(Fraction(v) * D) for v in values]
+
+
+def test_char_poly_of_quarters_and_floats_matches_fraction_reference():
+    # Quarters lift to int64 and random floats to Python ints; char_poly
+    # runs both on Python ints.
+    rng = np.random.default_rng(20261021)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        _assert_matches_reference(from_rows((rng.integers(-40, 40, (n, n)) / 4).tolist()))
+        _assert_matches_reference(from_rows(rng.uniform(-3.0, 3.0, (n, n)).tolist()))
 
 
 def test_direct_sum_layout():

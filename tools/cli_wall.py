@@ -3,14 +3,17 @@
 For ``realize --format json`` and ``--format csv`` of the large-n
 benchmark's spectra (n = 256, 512 and 1024), for ``realize --exact
 --format json`` of its n = 1024 spectra, whose entries are quarters, and
-``verify --exact`` of its n = 256 file as written, for ``realize --method
-companion --format csv`` of its first spectrum at n = 256, the one op here
-that prints a matrix recording no layout, for ``verify`` of its CSV
-files, as written and with one entry edited (n = 64, 128 and 256;
-perfbench/workloads.py, seed SEED), and for ``verify`` of two kinds of CSV
-file that are not one alpha layout, at each of OTHER_ORDERS (a dense
-uniform random matrix, and a direct sum of order-2 alpha blocks; written
-like the benchmark's files), this starts one fresh Python process per op
+``verify --exact`` of its n = 256 file as written, for ``realize --format
+json`` of a Suleimanova spectrum at n = 1024 whose negatives are quarters
+plus thousandths (the small-n benchmark's shape, perfbench/workloads.py
+``_suleimanova``), for ``realize --method companion --format csv`` of
+its first spectrum at n = 256, the one op here that prints a matrix
+recording no layout, for ``verify`` of its CSV files, as written and
+with one entry edited (n = 64, 128 and 256; perfbench/workloads.py, seed
+SEED), and for ``verify`` of two kinds of CSV file that are not one
+alpha layout, at each of OTHER_ORDERS (a dense uniform random matrix,
+and a direct sum of order-2 alpha blocks; written like the benchmark's
+files), this starts one fresh Python process per op
 with stdout set to /dev/null.  The process
 imports the library, calls ``permrealize.cli.main(argv)`` once untimed and
 then REPEATS more times, each timed with its final flush of stdout; it
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -88,6 +92,10 @@ def _ops(workdir: str) -> list[tuple[str, int, list[str]]]:
             out.append(("verify perturbed" if op.perturbed else "verify", op.n, list(op.argv)))
             if op.n == 256 and not op.perturbed:
                 out.append(("verify --exact", op.n, list(op.argv) + ["--exact"]))
+    # Thousandths need more than 62 bits over one denominator, so their
+    # identification lifts to Python ints; no benchmark workload runs one.
+    values = workloads._suleimanova(random.Random(SEED), 1024, zero_trace=False)
+    out.append(("realize thousandths json", 1024, list(workloads._realize(values).argv)))
     first = next(op for op in ops if op.kind == "realize" and op.n == 256)
     argv = list(first.argv)
     argv[argv.index("--format") + 1] = "csv"
