@@ -480,28 +480,26 @@ def integer_lift(values: np.ndarray) -> tuple[np.ndarray, int]:
     float64 array is split by np.frexp into 53-bit integer mantissas and
     exponents, whose trailing zero bits give each value's denominator.  B
     is int64 when every |B[k]| * len(values) < 2**62, so that no sum or
-    difference of two sums of the B[k] overflows, and otherwise an object
-    array of Python ints from the same split; any other array (Fractions,
-    mixed) is lifted by as_integer_ratio to an object array.  Either way B
-    holds the same integers.
+    difference of two sums of the B[k] overflows.  Otherwise, and for any
+    other array (Fractions, mixed), B is an object array of Python ints
+    from as_integer_ratio, over the same D.
     """
-    if values.dtype != np.float64:
-        ratios = [v.as_integer_ratio() for v in values.tolist()]
-        D = math.lcm(*(d for _, d in ratios))
-        return np.array([p * (D // d) for p, d in ratios], dtype=object), D
-    mant, exp = np.frexp(values)
-    mant = np.ldexp(mant, 53).astype(np.int64)
-    # values[k] == odd[k] / 2**den[k] with odd[k] odd; a zero counts 64
-    # trailing zero bits (den < 0), so it never raises s
-    zeros = np.bitwise_count(((mant & -mant) - 1).view(np.uint64))
-    den = 53 - exp - zeros
-    s = int(den.max(initial=0))
-    top = float(np.abs(values).max(initial=0.0))
-    if math.frexp(top)[1] + s <= 62 and int(math.ldexp(top, s)) * len(values) < 1 << 62:
-        return np.ldexp(values, s).astype(np.int64), 1 << s
-    odd = (mant >> zeros).tolist()
-    ints = [b << (s - d) for b, d in zip(odd, den.tolist())]
-    return np.array(ints, dtype=object), 1 << s
+    if values.dtype == np.float64:
+        mant, exp = np.frexp(values)
+        mant = np.ldexp(mant, 53).astype(np.int64)
+        # values[k] is odd / 2**den[k] with den[k] = 53 - exp[k] less the
+        # trailing zero bits of mant[k], read off its lowest set bit (a power
+        # of two, exact as a float); a zero has no denominator
+        den = 54 - exp - np.frexp((mant & -mant).astype(np.float64))[1]
+        s = int(den[mant != 0].max(initial=0))
+        top = float(np.abs(values).max(initial=0.0))
+        if math.frexp(top)[1] + s <= 62 and int(math.ldexp(top, s)) * len(values) < 1 << 62:
+            return np.ldexp(values, s).astype(np.int64), 1 << s
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    dens = {d for _, d in ratios}
+    D = math.lcm(*dens)
+    scale = {d: D // d for d in dens}
+    return np.array([p * scale[d] for p, d in ratios], dtype=object), D
 
 
 def _exact_char_poly_coeffs(A: np.ndarray) -> tuple[Fraction, ...]:

@@ -227,7 +227,10 @@ def _alpha_identification_residual(
     starts = list(accumulate(lengths[:-1], initial=0))
     eig = rows[np.repeat(starts, lengths)] - rows
     eig[starts] = np.add.reduceat(rows, starts)
-    return Fraction(int(np.abs(np.sort(eig) - np.sort(want)).max()), D)
+    # timsort: both sides arrive nearly ordered, and numpy's default sort
+    # of an object array compares about ten times as often
+    gap = np.abs(np.sort(eig, kind="stable") - np.sort(want, kind="stable")).max()
+    return Fraction(int(gap), D)
 
 
 def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationReport:

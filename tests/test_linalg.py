@@ -372,6 +372,16 @@ def test_integer_lift_is_int64_exactly_below_the_2_62_rule(values, dtype):
     assert [int(b) for b in B] == [int(Fraction(v) * D) for v in values]
 
 
+def test_integer_lift_needs_no_numpy_2_function(monkeypatch):
+    # pyproject declares numpy>=1.23: the lift counts trailing zero bits
+    # without np.bitwise_count, which numpy 2.0 added.
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    values = np.array([0.25, -0.0, 0.001, 5e-324, 2.0**60, 1e308])
+    for k in range(1, len(values) + 1):
+        B, D = linalg_mod.integer_lift(values[:k])
+        assert [Fraction(int(b), D) for b in B] == [Fraction(v) for v in values[:k]]
+
+
 def test_char_poly_of_quarters_and_floats_matches_fraction_reference():
     # Quarters lift to int64 and random floats to Python ints; char_poly
     # runs both on Python ints.
