@@ -18,7 +18,9 @@ Spectra are given inline as a comma list ("10,-1,-2,-3") or via --file
 environment variable ("abs,rel"); --abs-tol/--rel-tol override it, and
 --exact switches to Fraction arithmetic with zero tolerances.  check
 judges the necessary conditions in the band realize's gate uses.  Each
-subcommand accepts only the options it reads.
+subcommand accepts only the options it reads.  A call builds one parser,
+the named command's own (``_command_parser``), or the full one
+(``_build_parser``) to report help, an unknown word or a leftover argument.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import argparse
 import json
 import os
 import re
+import shutil
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
@@ -67,17 +71,18 @@ _VERDICT_EXIT = {
 TOLERANCE_ENV_VAR = "PERMREALIZE_TOLERANCES"
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per the exit contract.
+#: An inline spectrum that starts with a negative entry ("-1,0.5",
+#: "-.5,0.25", "-1/2,1/4"), which must parse as a positional, not a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-[\d.][\d.,eE+/-]*$")
 
-    Also widens the negative-number matcher so an inline spectrum that
-    starts with a negative entry ("-1,0.5", "-.5,0.25", "-1/2,1/4") parses
-    as a positional instead of being mistaken for an option flag.
-    """
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits 1 (not 2) on usage errors, per the exit contract,
+    and reads a leading negative entry as a number (_NEGATIVE_NUMBER)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[\d.][\d.,eE+/-]*$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -385,40 +390,42 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The CLI's parser, with only the subparser of command when it names one.
+def _command_parser(command: str) -> _Parser:
+    """The one parser a call naming command builds: it parses the run and
+    reports its errors as the full parser's subparser of command would.  The
+    terminal width is read once, not by each HelpFormatter add_argument makes."""
+    width = shutil.get_terminal_size().columns - 2
+    parser = _Parser(prog=f"permrealize {command}",
+                     formatter_class=partial(argparse.HelpFormatter, width=width))
+    _COMMANDS[command][2](parser)
+    parser.set_defaults(subcommand=command)
+    return parser
 
-    Every call builds a new parser.  The subparsers of the commands not
-    being run are never read, so they are built only when command is not a
-    subcommand (help, no arguments, an unknown word), where the top-level
-    parser prints or reports them.  The one-command parser's usage line
-    still lists every subcommand, as the full parser's does.
-    """
-    parser = _Parser(
-        prog="permrealize",
-        description=(
-            "Construct and certify nonnegative matrices realizing "
-            "prescribed real spectra."
-        ),
-    )
-    if command in _COMMANDS:
-        built = {command: _COMMANDS[command]}
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-    else:
-        # The full parser names its subcommand action "subcommand" in its
-        # errors (an unknown or missing command); a metavar would rename it.
-        built, metavar = _COMMANDS, None
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name, (_, help_line, add_args) in built.items():
+
+def _build_parser() -> _Parser:
+    """The full parser, built only for what no command's parser answers: it
+    prints the top-level help and reports no arguments, an unknown word or
+    an argument the command's parser left over."""
+    parser = _Parser(prog="permrealize", description="Construct and certify "
+                     "nonnegative matrices realizing prescribed real spectra.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, help_line, add_args) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        ns, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return ns
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
         return _COMMANDS[ns.subcommand][0](ns)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_PARSE

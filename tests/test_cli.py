@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -262,15 +264,92 @@ def _parse_output(parser, argv):
     return e.value.code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("columns", [None, "40", "200"])
 @pytest.mark.parametrize("argv", PARSER_ERRORS)
-def test_one_command_parser_prints_as_the_full_parser(capsys, argv):
-    parser = cli._build_parser(argv[0] if argv else None)
-    subparsers = parser._subparsers._group_actions[0].choices
-    assert list(subparsers) == ([argv[0]] if argv and argv[0] in cli._COMMANDS
-                                else list(cli._COMMANDS))
+def test_one_command_parser_prints_as_the_full_parser(monkeypatch, capsys, argv, columns):
+    # At the default width and at a narrow and a wide terminal.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
     expected = _parse_output(cli._build_parser(), argv)
-    assert _parse_output(parser, argv) == expected
+    if argv and argv[0] in cli._COMMANDS:
+        # The command's own parser reports the error itself, or leaves an
+        # argument over for the full parser to report.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                _, extras = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+            except SystemExit as e:
+                extras = None
+                assert (e.code, out.getvalue(), err.getvalue()) == expected
+        assert extras is None or (extras and "unrecognized arguments" in expected[2])
     assert run(capsys, *argv) == expected
+
+
+#: A run of each subcommand that parses and exits 0.
+COMMAND_RUNS = [
+    ("check", "3,-1,-1"),
+    ("realize", "-1,3,-1", "--format", "json", "--abs-tol", "1e-9"),
+    ("verify", "7,-1,-2,-3", "--matrix", "{matrix}", "--exact"),
+    ("bench", "--sizes", "2"),
+    ("explore", "3,-1,-1", "--budget", "5", "--seed", "1"),
+]
+
+
+def _command_run(tmp_path, argv):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(matrix_to_csv(realize_suleimanova(make_spectrum([7, -1, -2, -3])).matrix))
+    return [a.format(matrix=matrix) for a in argv]
+
+
+@pytest.mark.parametrize("argv", COMMAND_RUNS)
+def test_command_parser_gives_the_full_parsers_namespace(tmp_path, argv):
+    argv = _command_run(tmp_path, argv)
+    ns = cli._command_parser(argv[0]).parse_args(argv[1:])
+    assert vars(ns) == vars(cli._build_parser().parse_args(argv))
+
+
+def _count_parsers(monkeypatch):
+    """Count ArgumentParser constructions, terminal-width reads and full
+    parsers built from here on."""
+    counts = {"parsers": 0, "widths": 0, "full": 0}
+    init, size, full = (argparse.ArgumentParser.__init__, shutil.get_terminal_size,
+                        cli._build_parser)
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted("parsers", init))
+    monkeypatch.setattr(shutil, "get_terminal_size", counted("widths", size))
+    monkeypatch.setattr(cli, "_build_parser", counted("full", full))
+    return counts
+
+
+@pytest.mark.parametrize("argv", COMMAND_RUNS)
+def test_a_known_command_builds_one_parser_and_reads_the_width_once(
+        tmp_path, monkeypatch, capsys, argv):
+    argv = _command_run(tmp_path, argv)
+    counts = _count_parsers(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert counts == {"parsers": 1, "widths": 1, "full": 0}
+    # A second call builds its own parser: nothing is kept between calls.
+    assert run(capsys, *argv)[0] == 0
+    assert counts == {"parsers": 2, "widths": 2, "full": 0}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("-h",), 0), (("--help",), 0), ((), 1), (("foo", "3,-1,-1"), 1),
+    (("realize", "3,-1,-1", "extra"), 1), (("check", "3,-1,-1", "--bogus"), 1),
+])
+def test_help_unknown_words_and_leftovers_reach_the_full_parser(monkeypatch, capsys,
+                                                                 argv, code):
+    counts = _count_parsers(monkeypatch)
+    assert run(capsys, *argv)[0] == code
+    assert counts["full"] == 1
 
 
 # ---------------------------------------------------------------------------
