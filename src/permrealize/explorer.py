@@ -343,7 +343,6 @@ def explore(
                 matrix=assemble(r.tuple, r.x),
                 method=METHOD_EXPLORER,
                 target=sigma,
-                params={"blocks": [(0, r.tuple)]},
             )
             real = real.with_certificate(certify(real, tol))
             if real.certificate.passed:

@@ -58,13 +58,13 @@ class DenseMatrix:
     A matrix that linalg's builders made from permutative blocks
     (assemble_blocks and assemble, direct_sum of such matrices in one
     scalar mode, an alpha CSV file as written) is stored as those blocks:
-    ``layout``, the tuple of (start, PermTuple) blocks (see layout_holds),
-    and ``first_rows``, their first rows end to end, n values that hold
-    every entry.  Its n x n ``data`` is derived from them when first read
+    ``layout``, the tuple of (start, PermTuple) blocks that tile it, and
+    ``first_rows``, their first rows end to end, n values that hold every
+    entry.  Its n x n ``data`` is derived from them when first read
     (_lay_out) and cached; only callers that need every entry read it
-    (char_poly, to_lists, ==, trace, layout_holds of other blocks).  Any
-    other matrix stores ``data`` as given, and its layout and first_rows
-    are None.  Both arrays are read-only.
+    (char_poly, to_lists, ==, trace).  Any other matrix stores ``data`` as
+    given, and its layout and first_rows are None.  Both arrays are
+    read-only.
     """
 
     __slots__ = ("_data", "first_rows", "layout")
@@ -211,8 +211,8 @@ class PermTuple:
     O(n^2 log n) check.  The alpha pattern (``is_alpha``, known in O(1))
     stores no array, so a realization that records it does not hold n^2
     integers for as long as it lives.  Its index is built, in O(n^2), only
-    when ``index`` or ``encoding`` is read: assemble, layout_holds and the
-    serializers handle an alpha block by slices of its first row instead.
+    when ``index`` or ``encoding`` is read: assemble, alpha_blocks_hold and
+    the serializers handle an alpha block by slices of its first row instead.
     """
 
     __slots__ = ("n", "_index")
@@ -339,69 +339,45 @@ def _alpha_layout(xv: np.ndarray) -> np.ndarray:
     return data
 
 
-def layout_holds(A: np.ndarray, blocks) -> bool:
-    """True iff the (start, PermTuple) diagonal blocks are A's entries exactly.
+def alpha_blocks_hold(A: np.ndarray, split) -> bool:
+    """True iff the n x n array A is exactly the direct sum of the alpha
+    layouts of its blocks' first rows, the blocks being split's half-open
+    ranges (start, stop), which tile [0, n) in order (detect_blocks).
 
-    The blocks must tile [0, n) in order, each block must be its first row
-    laid out by its pattern, and every entry off the blocks must be zero.
-    Float64 entries are compared as uint64 bit patterns, so -0.0 is neither
-    0.0 nor an off-block zero; exact entries as equal Fractions.  One
-    block is checked by its slices (_block_holds).  Of several, the alpha
-    blocks are checked together, by a few gathers over all their rows
-    (_alpha_rows_hold), and any other block by its slices.  Then each row
-    of a block holds its first row's values, so the entries off the blocks
-    are zero iff A has no more nonzero entries than those rows.
+    Each block must be its first row laid out by the alpha pattern, and
+    every entry off the blocks must be zero.  Float64 entries are compared
+    as uint64 bit patterns, so -0.0 is neither 0.0 nor an off-block zero;
+    exact entries as equal Fractions.  One block is checked by its slices
+    (_alpha_block_holds); several together, by a few gathers over all
+    their rows.  Then each row of a block holds its first row's values, so
+    the entries off the blocks are zero iff A has no more nonzero entries
+    than those rows.
     """
-    n, pos = len(A), 0
-    starts, pts, sizes = [], [], []
-    for start, pt in blocks:
-        if start != pos:
-            return False
-        starts.append(start)
-        pts.append(pt)
-        sizes.append(pt.n)
-        pos += pt.n
-    if pos != n or A.shape != (n, n):
-        return False
     if A.dtype == np.float64:
         A = A.view(np.uint64)
-    if len(pts) == 1:
-        return _block_holds(A, pts[0])
-    if not all(
-        _block_holds(A[a : a + pt.n, a : a + pt.n], pt)
-        for a, pt in zip(starts, pts)
-        if not pt.is_alpha
-    ):
-        return False
+    if len(split) == 1:
+        return _alpha_block_holds(A)
+    n = len(A)
+    starts = [a for a, _ in split]
+    sizes = [b - a for a, b in split]
     s, k = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-    x = A[s, np.arange(n)]  # the blocks' first rows, end to end
-    alpha = np.repeat([pt.is_alpha for pt in pts], sizes)
-    if alpha.any() and not _alpha_rows_hold(A, x, s, k, alpha):
+    rows = np.arange(n)
+    x = A[s, rows]  # the blocks' first rows, end to end
+    if not ((A[rows, s] == x).all() and (A.diagonal() == x[s]).all()):
         return False
-    return np.count_nonzero(A) == int(np.dot(k, x != 0))
-
-
-def _alpha_rows_hold(A, x, s, k, mask) -> bool:
-    """True iff each row i of A with mask[i] is row i of the alpha block
-    starting at s[i] of order k[i] laid out from x, the blocks' first rows:
-    x[i] in column s[i], x[s[i]] on the diagonal, and x[j] in every other
-    column j of the block."""
-    rows = np.flatnonzero(mask)
-    si, ki = s[rows], k[rows]
-    if not ((A[rows, si] == x[rows]).all() and (A[rows, rows] == x[si]).all()):
+    # row i of its block holds x[j] in every column j but s[i] and i
+    R = np.repeat(rows, k)
+    C = np.arange(len(R)) - np.repeat(np.cumsum(k) - k, k) + np.repeat(s, k)
+    if not ((A[R, C] == x[C]) | (C == s[R]) | (C == R)).all():
         return False
-    R = np.repeat(rows, ki)
-    C = np.arange(len(R)) - np.repeat(np.cumsum(ki) - ki, ki) + np.repeat(si, ki)
-    return bool(((A[R, C] == x[C]) | (C == s[R]) | (C == R)).all())
+    return bool(np.count_nonzero(A) == np.dot(k, x != 0))
 
 
-def _block_holds(P: np.ndarray, pt: PermTuple) -> bool:
-    """True iff P is its first row laid out by pt; an alpha block is checked
-    by slices, with no index: column 0 against x[1:], the diagonal against
-    x[0], and the rest of each row against x."""
+def _alpha_block_holds(P: np.ndarray) -> bool:
+    """True iff P is the alpha layout of its first row x, checked by slices,
+    with no index: column 0 against x[1:], the diagonal against x[0], and
+    the rest of each row against x."""
     x = P[0]
-    if not pt.is_alpha:
-        return bool((P == x[pt.index]).all())
     if not ((P[1:, 0] == x[1:]).all() and (P.diagonal()[1:] == x[0]).all()):
         return False
     ok = P[1:, 1:] == x[1:]

@@ -85,7 +85,7 @@ def realize_small(sigma: Spectrum) -> Realization:
                 matrix=assemble(GROUP_TUPLE, q),
                 method=METHOD_SMALL_ORDER,
                 target=sigma,
-                params={"case": CASE_N4_GROUP, "blocks": [(0, GROUP_TUPLE)]},
+                params={"case": CASE_N4_GROUP},
             )
     groups = [(v[i], v[-1 - i]) for i in range(n // 2)] + [(v[n // 2],)] * (n % 2)
     try:

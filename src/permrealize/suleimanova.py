@@ -63,10 +63,10 @@ def alpha_direct_sum(
     built from the blocks' first rows (assemble_blocks).
 
     Each block's first row is suleimanova_first_row of its group, so the
-    blocks' spectra together are the groups' values.  Records each block as
-    (start, alpha_tuple) in params["blocks"], and ``case`` in params["case"]
-    when given.  A first row with an entry below ``-value_band(|head|)``
-    raises NotSuleimanovaError: that group has no alpha realization.
+    blocks' spectra together are the groups' values.  Records ``case`` in
+    params["case"] when given.  A first row with an entry below
+    ``-value_band(|head|)`` raises NotSuleimanovaError: that group has no
+    alpha realization.
     """
     patterns, rows = [], []
     for g in groups:
@@ -79,9 +79,7 @@ def alpha_direct_sum(
         patterns.append(alpha_tuple(len(x)))
         rows += x
     matrix = assemble_blocks(patterns, rows)
-    params: dict = {"blocks": list(matrix.layout)}
-    if case is not None:
-        params["case"] = case
+    params = {} if case is None else {"case": case}
     return Realization(matrix=matrix, method=method, target=target, params=params)
 
 

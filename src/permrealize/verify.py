@@ -1,17 +1,18 @@
 """Certification of realizations without any general eigensolver.
 
 A certificate is assembled from nonnegativity, structure (the permutative
-blocks a realization records, if any, which must be its entries exactly)
-and one spectral check.  When every recorded block has the alpha pattern
-and holds, the spectral check is the paper's closed form: the alpha matrix
-with first row x has the eigenvalues sum(x) and x_0 - x_i for every x, so
-the blocks' eigenvalues are read off their first rows and compared with
-the target exactly, at any n; a matrix whose exact zeros split it into
-alpha blocks that hold (a direct sum given to verify) counts as recorded.
-Any other matrix
-(companion matrices, search hits of other patterns, other files given to
-verify) gets the exact characteristic-polynomial coefficient match up to a
-size limit.
+blocks of the matrix, which must be its entries exactly) and one spectral
+check.  A matrix that was built from blocks (DenseMatrix.layout) is those
+blocks by representation; any other matrix (a file given to verify, say)
+is split at its exact zeros, and its parts are its blocks when each is
+exactly the alpha layout of its first row.  When every block has the
+alpha pattern, the spectral check is the paper's closed form: the alpha
+matrix with first row x has the eigenvalues sum(x) and x_0 - x_i for
+every x, so the blocks' eigenvalues are read off their first rows and
+compared with the target exactly, at any n.  Any other matrix (companion
+matrices, search hits of other patterns, other files given to verify)
+gets the exact characteristic-polynomial coefficient match up to a size
+limit.
 Checks that do not apply to a given realization are reported as
 not-applicable rather than silently passed, and a certificate on which
 neither spectral check (charpoly, eigenpairs) ran is inconclusive.
@@ -32,12 +33,12 @@ from .linalg import (
     CHAR_POLY_MAX_N,
     DenseMatrix,
     PermTuple,
+    alpha_blocks_hold,
     alpha_tuple,
     char_poly,
     integer_lift,
     is_nonnegative,
     is_permutative,
-    layout_holds,
     poly_from_roots,
 )
 from .spectrum import Scalar, Spectrum, Tolerances, float_or_inf, make_spectrum
@@ -49,7 +50,7 @@ METHOD_COMPANION = "companion"
 METHOD_EXPLORER = "explorer-permutative"
 
 #: Largest order at which a float matrix without alpha evidence (see
-#: certify) gets the characteristic-polynomial check; recorded alpha blocks
+#: certify) gets the characteristic-polynomial check; alpha blocks
 #: are certified by their closed form at every order instead.
 #: Float64 Faddeev-LeVerrier is numerically treacherous (its own
 #: rounding noise reaches ~1e-9 relative by n = 9 even for a perfect
@@ -142,8 +143,9 @@ class VerificationReport:
 class Realization:
     """A constructed matrix, its target spectrum, and how it was built.
 
-    ``params["blocks"]``, a list of (start, PermTuple) diagonal blocks,
-    records the structure that certify checks; the method is a label.
+    The method is a label, and ``params`` holds the construction's case
+    tag, if any (``params["case"]``).  certify reads the structure off the
+    matrix itself: its layout (DenseMatrix.layout), else its exact zeros.
     """
 
     matrix: DenseMatrix
@@ -237,20 +239,19 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     """Run every applicable check on a Realization; failures are reported.
 
     Structure has one rule: the stored entries are the blocks' layout
-    exactly (linalg.layout_holds: float64 entries bit for bit, exact ones
-    as equal Fractions), so a matrix one ulp off its pattern is not
-    permutative.  The blocks a realization records in ``params["blocks"]``,
-    or else those its matrix was built as (DenseMatrix.layout), must hold:
-    blocks equal to that layout hold by construction, any others by
-    layout_holds.  A matrix without either (a file given to verify, say)
-    is split at its exact zeros (detect_blocks); when every part is the
-    alpha layout of its first row, those alpha blocks count as recorded.
-    Otherwise structure is informational: pass when every part is
-    permutative (is_permutative), not-applicable otherwise.  One spectral
-    check runs, and both follow one rule, "exact residual <= tol.band(scale)":
+    exactly, so a matrix one ulp off its pattern is not permutative.  A
+    matrix built from blocks (DenseMatrix.layout) is that layout by
+    representation and passes.  Any other matrix (a file given to verify,
+    or a dense array) is split at its exact zeros (detect_blocks); when
+    every part is the alpha layout of its first row (alpha_blocks_hold:
+    float64 entries bit for bit, exact ones as equal Fractions), those
+    alpha blocks are its blocks.  Otherwise structure is informational:
+    pass when every part is permutative (is_permutative), not-applicable
+    otherwise.  One spectral check runs, and both follow one rule, "exact
+    residual <= tol.band(scale)":
 
-    - alpha evidence (blocks that all have the alpha pattern and hold):
-      the blocks' exact eigenvalues, read off their first rows, against
+    - alpha evidence (blocks that all have the alpha pattern): the
+      blocks' exact eigenvalues, read off their first rows, against
       the target (_alpha_identification_residual), at scale
       target.scale(), at every size, direct sums included; charpoly is
       not-applicable;
@@ -271,8 +272,8 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
     small enough not to overflow, else on arrays of Python ints, with the
     same exact Fraction, verdict and max_residual either way.  On a matrix
     stored as its blocks, the scale, nonnegativity and the identification
-    read the stored first rows, which hold every value; only other blocks,
-    detect_blocks and the charpoly read its n x n array.
+    read the stored first rows, which hold every value; only the charpoly
+    reads its n x n array.
     """
     if tol is None:
         tol = Tolerances.exact() if r.matrix.is_exact else Tolerances()
@@ -283,20 +284,21 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     nonneg = CheckState.PASS if is_nonnegative(M, entry_band) else CheckState.FAIL
 
-    blocks = r.params.get("blocks") or M.layout
-    stored = blocks and tuple(blocks) == M.layout
-    if blocks:
-        ok = stored or layout_holds(M.data, blocks)
-        structure = CheckState.PASS if ok else CheckState.FAIL
+    if M.layout is not None:
+        # A built matrix is its layout by representation.
+        structure = CheckState.PASS
+        blocks, x = M.layout, M.first_rows
     else:
-        # Read the blocks off the exact zeros: alpha blocks that hold count
-        # as recorded; otherwise report permutative parts, but do not fail
-        # a matrix that never claimed them.
+        # Read the blocks off the exact zeros: alpha blocks that hold are
+        # the matrix's blocks; otherwise report permutative parts, but do
+        # not fail a matrix that never claimed them.
         split = detect_blocks(M)
-        blocks = [(a, alpha_tuple(b - a)) for a, b in split]
         A = M.data
-        if layout_holds(A, blocks):
+        if alpha_blocks_hold(A, split):
             structure = CheckState.PASS
+            blocks = [(a, alpha_tuple(b - a)) for a, b in split]
+            starts = np.repeat([a for a, _ in split], [pt.n for _, pt in blocks])
+            x = A[starts, np.arange(n)]
         else:
             blocks = None
             ok = all(is_permutative(DenseMatrix(A[a:b, a:b])) for a, b in split)
@@ -308,14 +310,9 @@ def certify(r: Realization, tol: Optional[Tolerances] = None) -> VerificationRep
 
     charpoly = eig = CheckState.NOT_APPLICABLE
     res = Fraction(0)
-    if blocks and structure is CheckState.PASS and all(pt.is_alpha for _, pt in blocks):
+    if blocks and all(pt.is_alpha for _, pt in blocks):
         # The paper's closed form is the spectral evidence at every n: the
-        # stored blocks' spectrum is exactly their first rows' closed form.
-        if stored:
-            x = M.first_rows
-        else:
-            starts = np.repeat([a for a, _ in blocks], [pt.n for _, pt in blocks])
-            x = M.data[starts, np.arange(n)]
+        # blocks' spectrum is exactly their first rows' closed form.
         res = _alpha_identification_residual(x, blocks, r.target)
         eig = judge(res, r.target.scale())
     elif n <= (CHAR_POLY_MAX_N if M.is_exact else CHARPOLY_FLOAT_CERTIFY_MAX_N):

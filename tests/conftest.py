@@ -216,6 +216,27 @@ def alpha_identification_reference(A, blocks, target) -> Fraction:
     return max(abs(m - l) for m, l in zip(exact_alpha_spectrum(A, blocks), want))
 
 
+def blocks_hold_by_index(A, blocks) -> bool:
+    """True iff the (start, PermTuple) blocks tile A and are its entries
+    exactly, zeros off the blocks included: each block against
+    P[0][pt.index], float64 entries as uint64 bit patterns.  The reference
+    for every pattern, alpha or not."""
+    if A.dtype == np.float64:
+        A = A.view(np.uint64)
+    pos = 0
+    for start, pt in blocks:
+        stop = start + pt.n
+        if start != pos or stop > len(A):
+            return False
+        rows = A[start:stop]
+        P = rows[:, start:stop]
+        if not ((P == P[0][pt.index]).all() and (rows[:, :start] == 0).all()
+                and (rows[:, stop:] == 0).all()):
+            return False
+        pos = stop
+    return pos == len(A)
+
+
 def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     """Closed-form inverse (1/n) [[1, e^T], [e, J - nI]] of mn_matrix(n)."""
     if n < 2:
@@ -362,7 +383,7 @@ def reference_realize_4(sigma: Spectrum) -> Realization:
             matrix=assemble(GROUP_TUPLE, (a, b, c, d)),
             method=METHOD_SMALL_ORDER,
             target=sigma,
-            params={"case": CASE_N4_GROUP, "blocks": [(0, GROUP_TUPLE)]},
+            params={"case": CASE_N4_GROUP},
         )
     try:
         return alpha_direct_sum(

@@ -854,12 +854,12 @@ def test_no_layout_scan_for_a_recorded_layout(tmp_path, monkeypatch, capsys, fmt
     # read back: certify and the printers prove no layout of theirs.
     calls = []
 
-    def counted(A, blocks):
-        calls.append(len(blocks))
-        return layout_holds(A, blocks)
+    def counted(A, split):
+        calls.append(len(split))
+        return alpha_blocks_hold(A, split)
 
-    layout_holds = verify_mod.layout_holds
-    monkeypatch.setattr(verify_mod, "layout_holds", counted)
+    alpha_blocks_hold = verify_mod.alpha_blocks_hold
+    monkeypatch.setattr(verify_mod, "alpha_blocks_hold", counted)
     out_file = tmp_path / "m.csv"
     for argv in (("realize", "10,-1,-2,-3", "--format", fmt, "--out", str(out_file)),
                  ("realize", "10,-1,-2,-3", "--exact", "--format", fmt),
@@ -868,7 +868,7 @@ def test_no_layout_scan_for_a_recorded_layout(tmp_path, monkeypatch, capsys, fmt
                  ("verify", "10,-1,-2,-3", "--matrix", str(out_file))):
         assert run(capsys, *argv)[0] == 0
     assert calls == []
-    # A file that is no alpha layout is proved by its blocks at its zeros.
+    # A file that is no alpha layout is checked by its blocks at its zeros.
     out_file.write_text("2,1,0\n1,2,0\n0,0,3\n")
     assert run(capsys, "verify", "3,3,1", "--matrix", str(out_file))[0] == 0
     assert calls == [2]
@@ -879,12 +879,12 @@ def test_verify_exact_reads_an_alpha_csv_as_its_layout(tmp_path, monkeypatch, ca
     # block, so verify --exact proves no layout of its own.
     calls = []
 
-    def counted(A, blocks):
-        calls.append(len(blocks))
-        return layout_holds(A, blocks)
+    def counted(A, split):
+        calls.append(len(split))
+        return alpha_blocks_hold(A, split)
 
-    layout_holds = verify_mod.layout_holds
-    monkeypatch.setattr(verify_mod, "layout_holds", counted)
+    alpha_blocks_hold = verify_mod.alpha_blocks_hold
+    monkeypatch.setattr(verify_mod, "alpha_blocks_hold", counted)
     values = ",".join(map(repr, random_suleimanova_values(np.random.default_rng(3), 64)))
     path = tmp_path / "m.csv"
     assert run(capsys, "realize", values, "--exact", "--out", str(path))[0] == 0

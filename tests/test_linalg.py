@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
     alpha_identification_reference,
+    blocks_hold_by_index,
     closed_eigensystem,
     eval_poly,
     float_char_poly_reference,
@@ -59,7 +60,7 @@ from permrealize import linalg as linalg_mod
 from permrealize.linalg import (
     char_poly_coeffs,
     format_scalar,
-    layout_holds,
+    alpha_blocks_hold,
     _alpha_index,
     matrix_pieces,
     matrix_to_pretty,
@@ -1102,13 +1103,13 @@ def test_layout_holds_sees_a_one_entry_perturbation():
         n = len(P)
         if n == 1:
             continue  # the only entry is the first row itself
-        assert layout_holds(P, [(0, alpha_tuple(n))])
+        assert alpha_blocks_hold(P, [(0, n)])
         x_inf = float(np.abs(P[0]).max())
         band = Tolerances().band(max(1.0, x_inf * x_inf)) if P.dtype != object else 0
         assert np.abs(_dense_residuals(P)[1]).max() <= band
         P = P.copy()
         P[n - 1, 0] += 1
-        assert not layout_holds(P, [(0, alpha_tuple(n))])
+        assert not alpha_blocks_hold(P, [(0, n)])
         assert np.abs(_dense_residuals(P)[1]).max() > band
 
 
@@ -1136,7 +1137,7 @@ def test_proven_alpha_layout_residuals_match_the_whole_block(n):
     blocks = [(0, alpha_tuple(n))]
     for x in _first_rows(rng, n):
         P = assemble(alpha_tuple(n), x.tolist()).data
-        assert layout_holds(P, blocks)
+        assert alpha_blocks_hold(P, [(0, n)])
         mu = exact_alpha_spectrum(P, blocks)
         if n <= 3:
             assert char_poly(DenseMatrix(P)) == poly_from_roots(make_spectrum(mu, exact=True))
@@ -1218,7 +1219,7 @@ def _alpha_layouts():
     groups = [_suleimanova_values(rng, int(rng.integers(1, 5))) for _ in range(200)]
     sigma = make_spectrum([v for g in groups for v in g])
     r = alpha_direct_sum(groups, "test", sigma)
-    assert len(r.params["blocks"]) == 200
+    assert len(r.matrix.layout) == 200
     yield r.matrix, False
     # First rows with -0.0 and repeated values, alone and in a direct sum.
     odd = assemble(alpha_tuple(6), [-0.0, 1.5, 1.5, 0.0, 2.0, -0.0])
@@ -1380,12 +1381,16 @@ def _recorded_matrices(rng):
 
 
 def test_a_recorded_layout_holds_bit_for_bit():
-    # What certify and the printers take on trust is what layout_holds
-    # proves, and the recorded first rows hold every value of the matrix.
+    # What certify and the printers take on trust is what the index
+    # reference proves, for every pattern, and what alpha_blocks_hold
+    # proves of every alpha layout; the recorded first rows hold every
+    # value of the matrix.
     count = 0
     for M in _recorded_matrices(np.random.default_rng(2026)):
         assert M.layout is not None
-        assert layout_holds(M.data, M.layout), M.layout
+        assert blocks_hold_by_index(M.data, M.layout), M.layout
+        if all(pt.is_alpha for _, pt in M.layout):
+            assert alpha_blocks_hold(M.data, [(a, a + pt.n) for a, pt in M.layout])
         assert M.max_abs() == np.abs(M.data).max()
         for tol in (0.0, 1.0, -1e-9):
             assert is_nonnegative(M, tol) == bool((M.data >= -tol).all())

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     alpha_identification_reference,
+    blocks_hold_by_index,
     closed_eigensystem,
     exact_alpha_spectrum,
     polys_close_reference,
@@ -34,6 +35,7 @@ from permrealize import (
     from_rows,
     make_spectrum,
     poly_from_roots,
+    realize,
     realize_companion,
     realize_suleimanova,
     realize_small,
@@ -45,7 +47,8 @@ from permrealize.verify import (
     METHOD_SULEIMANOVA,
     Verdict,
 )
-from permrealize.linalg import layout_holds
+from permrealize.linalg import alpha_blocks_hold, assemble_blocks
+from permrealize.small_order import GROUP_TUPLE
 from permrealize.spectrum import float_or_inf
 from permrealize.suleimanova import alpha_direct_sum
 
@@ -188,7 +191,8 @@ def test_certify_full_pass(sigma_integer_example):
 
 
 def test_certify_flags_wrong_matrix(sigma_integer_example):
-    # Perturb one entry: structure breaks and the polynomial drifts.
+    # Perturb one entry: the matrix is no alpha layout, its rows are no
+    # permutations of the first, and the polynomial drifts.
     M = from_rows(
         [
             [1.0, 2.0, 3.0, 4.0],
@@ -197,24 +201,20 @@ def test_certify_flags_wrong_matrix(sigma_integer_example):
             [4.0, 2.0, 3.0, 1.0],
         ]
     )
-    r = Realization(matrix=M, method=METHOD_SULEIMANOVA,
-                    target=sigma_integer_example,
-                    params={"blocks": [(0, alpha_tuple(4))]})
+    r = Realization(matrix=M, method=METHOD_SULEIMANOVA, target=sigma_integer_example)
     report = certify(r)
-    assert report.structure_ok is CheckState.FAIL
+    assert report.structure_ok is CheckState.NOT_APPLICABLE
     assert report.charpoly_ok is CheckState.FAIL
-    assert not report.passed
+    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert report.verdict is Verdict.FAIL
 
 
 def test_certify_flags_negative_entry():
     sigma = make_spectrum([1.0, -1.0])
     M = from_rows([[0.0, 1.0], [1.0, 0.0]])
     bad = from_rows([[0.0, -1.0], [-1.0, 0.0]])
-    blocks = {"blocks": [(0, alpha_tuple(2))]}
-    good = Realization(matrix=M, method=METHOD_SULEIMANOVA, target=sigma,
-                       params=blocks)
-    r = Realization(matrix=bad, method=METHOD_SULEIMANOVA, target=sigma,
-                    params=blocks)
+    good = Realization(matrix=M, method=METHOD_SULEIMANOVA, target=sigma)
+    r = Realization(matrix=bad, method=METHOD_SULEIMANOVA, target=sigma)
     assert certify(good).nonneg_ok is CheckState.PASS
     report = certify(r)
     assert report.nonneg_ok is CheckState.FAIL
@@ -250,12 +250,20 @@ def test_certify_perturbed_alpha_realization_fails(n):
     report = certify(r)
     assert report.verdict is Verdict.PASS
     band = report.tolerances.band(max(1.0, r.matrix.max_abs()))
-    data = r.matrix.data.copy()
-    data[n // 2, 1] += 4 * band
-    report = certify(replace(r, matrix=DenseMatrix(data)))
-    assert report.structure_ok is CheckState.FAIL
-    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
-    assert report.verdict is Verdict.FAIL
+    # No layout and no alpha layout at its zeros: the charpoly judges it up
+    # to n = 30, where 4 entry bands stay inside the coefficient band and
+    # 1000 do not, and above that no spectral check runs: never a pass.
+    for bands, charpoly in ((4, CheckState.PASS), (1000, CheckState.FAIL)):
+        data = r.matrix.data.copy()
+        data[n // 2, 1] += bands * band
+        report = certify(replace(r, matrix=DenseMatrix(data)))
+        assert report.structure_ok is CheckState.NOT_APPLICABLE
+        assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
+        if n > CHARPOLY_FLOAT_CERTIFY_MAX_N:
+            charpoly = CheckState.NOT_APPLICABLE
+        assert report.charpoly_ok is charpoly
+        assert report.verdict is {CheckState.PASS: Verdict.PASS, CheckState.FAIL: Verdict.FAIL,
+                                  CheckState.NOT_APPLICABLE: Verdict.INCONCLUSIVE}[charpoly]
     # The right matrix against a wrong target fails the closed form.
     values = list(r.target.values)
     values[-1] -= 4 * report.tolerances.band(r.target.scale())
@@ -268,13 +276,14 @@ def test_certify_perturbed_alpha_realization_fails(n):
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("i, j", [(0, 2), (3, 0), (2, 2), (1, 3)])
 def test_recorded_alpha_block_off_its_bit_layout_is_judged_in_the_band(exact, i, j):
-    # A recorded block holds only exactly: one ulp off the layout fails
-    # structure, wherever the entry is, and so does 10^-3 off.  The
-    # spectrum is then judged in the band by the charpoly (n = 5): the ulp
-    # passes it, 10^-3 does not.
+    # A block is an alpha layout only exactly: one ulp off it, wherever the
+    # entry is, and so does 10^-3 off, the matrix is no alpha layout and
+    # its rows are no permutations of the first.  The spectrum is then
+    # judged in the band by the charpoly (n = 5): the ulp passes it,
+    # 10^-3 does not.
     values = [Fraction(10), Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-7, 2)]
     r = realize_suleimanova(make_spectrum(values if exact else [float(v) for v in values]))
-    assert r.params["blocks"] == [(0, alpha_tuple(5))]
+    assert r.matrix.layout == ((0, alpha_tuple(5)),)
     v = float(r.matrix.data[i, j])
     for moved, charpoly in ((np.nextafter(v, np.inf), CheckState.PASS),
                             (v + 1e-3, CheckState.FAIL)):
@@ -283,21 +292,19 @@ def test_recorded_alpha_block_off_its_bit_layout_is_judged_in_the_band(exact, i,
         M = DenseMatrix(data)
         assert M.layout is None
         report = certify(replace(r, matrix=M), Tolerances())
-        assert report.structure_ok is CheckState.FAIL
+        assert report.structure_ok is CheckState.NOT_APPLICABLE
         assert (report.charpoly_ok, report.eigenpair_ok) == (charpoly, CheckState.NOT_APPLICABLE)
-        assert report.verdict is Verdict.FAIL
+        assert report.verdict is (Verdict.PASS if charpoly is CheckState.PASS else Verdict.FAIL)
 
 
 def _zeros_direct_sum():
-    """A recorded direct sum whose blocks hold 0.0 and -0.0: the alpha
-    blocks of 3,1,-1 (first row 1, 0, 2) and of first row 2, -0.0, 1."""
+    """A built direct sum whose blocks hold 0.0 and -0.0: the alpha blocks
+    of 3,1,-1 (first row 1, 0, 2) and of first row 2, -0.0, 1."""
     first = realize_suleimanova(make_spectrum([3.0, 1.0, -1.0])).matrix
     second = assemble(alpha_tuple(3), [2.0, -0.0, 1.0])
     s, deltas, _ = closed_eigensystem(second.data[0])
     sigma = make_spectrum([3.0, 1.0, -1.0, s, *deltas])
-    blocks = [(0, alpha_tuple(3)), (3, alpha_tuple(3))]
-    return Realization(matrix=direct_sum([first, second]), method="", target=sigma,
-                       params={"blocks": blocks})
+    return Realization(matrix=direct_sum([first, second]), method="", target=sigma)
 
 
 @pytest.mark.parametrize("edit", [
@@ -305,6 +312,11 @@ def _zeros_direct_sum():
     "off-block-subnormal", "exact-1e-30",
 ])
 def test_recorded_blocks_hold_only_exactly(edit):
+    # Any edit of the bits, a zero's sign included, leaves no alpha layout:
+    # the edited matrix gets no closed form, and the charpoly (n = 6)
+    # judges its spectrum in the band, exactly in exact mode, where only
+    # the sign flip of a 2 and the 10^-30 fail.
+    charpoly = CheckState.FAIL if edit in ("sign-bit", "exact-1e-30") else CheckState.PASS
     r = _zeros_direct_sum()
     if edit == "exact-1e-30":
         r = replace(r, matrix=from_rows(r.matrix.to_lists(), exact=True),
@@ -322,10 +334,12 @@ def test_recorded_blocks_hold_only_exactly(edit):
     }[edit]
     old, data[i, j] = data[i, j], new(data[i, j])
     assert str(data[i, j]) != str(old)
-    report = certify(replace(r, matrix=DenseMatrix(data)))
-    assert report.structure_ok is CheckState.FAIL
-    assert report.eigenpair_ok is CheckState.NOT_APPLICABLE
-    assert report.verdict is Verdict.FAIL
+    M = DenseMatrix(data)
+    assert not alpha_blocks_hold(data, detect_blocks(M))
+    report = certify(replace(r, matrix=M))
+    assert report.structure_ok is not CheckState.FAIL
+    assert (report.charpoly_ok, report.eigenpair_ok) == (charpoly, CheckState.NOT_APPLICABLE)
+    assert report.verdict is (Verdict.PASS if charpoly is CheckState.PASS else Verdict.FAIL)
 
 
 def test_negative_tolerances_are_refused():
@@ -546,15 +560,13 @@ def test_certify_small_order_checks_blocks():
     report = certify(r)
     assert report.structure_ok is CheckState.PASS
     assert report.passed
-    # Same matrix, but with a wrong block map claiming the whole matrix is
-    # one permutative block: the structure check must fail.
-    wrong = Realization(
-        matrix=r.matrix,
-        method=r.method,
-        target=sigma,
-        params={"case": r.params["case"], "blocks": [(0, alpha_tuple(3))]},
-    )
-    assert certify(wrong).structure_ok is CheckState.FAIL
+    # The same entries as a dense array are split at their exact zeros into
+    # the same alpha blocks; a wrong block map claiming the whole matrix is
+    # one block changes neither certificate.
+    dense = replace(r, matrix=DenseMatrix(r.matrix.data))
+    assert certify(dense) == report
+    wrong = {"case": r.params["case"], "blocks": [(0, alpha_tuple(3))]}
+    assert certify(replace(r, params=wrong)) == certify(replace(dense, params=wrong)) == report
 
 
 def _two_alpha_blocks():
@@ -562,14 +574,12 @@ def _two_alpha_blocks():
     heads = [realize_suleimanova(make_spectrum([h] + [-1.0] * 19))
              for h in (19.0, 38.0)]
     sigma = make_spectrum([v for r in heads for v in r.target.values])
-    blocks = [(0, alpha_tuple(20)), (20, alpha_tuple(20))]
-    return direct_sum([r.matrix for r in heads]).data.copy(), sigma, blocks
+    return direct_sum([r.matrix for r in heads]).data.copy(), sigma
 
 
 def test_certify_recorded_direct_sum_passes_through_eigenpairs():
-    data, sigma, blocks = _two_alpha_blocks()
-    report = certify(Realization(matrix=DenseMatrix(data), method="",
-                                 target=sigma, params={"blocks": blocks}))
+    data, sigma = _two_alpha_blocks()
+    report = certify(Realization(matrix=DenseMatrix(data), method="", target=sigma))
     assert report.structure_ok is CheckState.PASS
     assert report.charpoly_ok is CheckState.NOT_APPLICABLE  # alpha evidence
     assert report.eigenpair_ok is CheckState.PASS
@@ -578,30 +588,67 @@ def test_certify_recorded_direct_sum_passes_through_eigenpairs():
 
 def test_certify_recorded_blocks_need_zeros_off_the_blocks():
     # Each block alone still has its closed eigensystem, but the coupling
-    # entries move the matrix's eigenvalues off the target.
-    data, sigma, blocks = _two_alpha_blocks()
+    # entries join the two at the zeros into one block that is no alpha
+    # layout, and at n = 40 no spectral check runs: never a pass.
+    data, sigma = _two_alpha_blocks()
     data[0, 25] = data[25, 0] = 5.0
-    report = certify(Realization(matrix=DenseMatrix(data), method="",
-                                 target=sigma, params={"blocks": blocks}))
-    assert report.structure_ok is CheckState.FAIL
-    assert report.verdict is Verdict.FAIL
+    M = DenseMatrix(data)
+    assert detect_blocks(M) == [(0, 40)]
+    report = certify(Realization(matrix=M, method="", target=sigma))
+    assert report.structure_ok is CheckState.NOT_APPLICABLE
+    assert report.charpoly_ok is report.eigenpair_ok is CheckState.NOT_APPLICABLE
+    assert report.verdict is Verdict.INCONCLUSIVE
 
 
-@pytest.mark.parametrize(
-    "blocks",
-    [
-        [(0, alpha_tuple(20)), (21, alpha_tuple(19))],  # gap at 20
-        [(0, alpha_tuple(20)), (19, alpha_tuple(21))],  # 19 covered twice
-        [(0, alpha_tuple(20)), (20, alpha_tuple(21))],  # ends at 41 > 40
-        [(0, alpha_tuple(20))],  # leaves 20..39 uncovered
-    ],
-)
-def test_certify_recorded_blocks_must_tile_the_matrix(blocks):
-    data, sigma, _ = _two_alpha_blocks()
-    report = certify(Realization(matrix=DenseMatrix(data), method="",
-                                 target=sigma, params={"blocks": blocks}))
-    assert report.structure_ok is CheckState.FAIL
-    assert report.verdict is Verdict.FAIL
+#: Block lists that do not describe an alpha matrix of order 5: a wrong
+#: order, blocks that leave a gap, and another pattern over its entries.
+STALE_BLOCKS = {
+    "wrong-order": [(0, alpha_tuple(2))],
+    "non-tiling": [(0, alpha_tuple(2)), (3, alpha_tuple(2))],
+    "cyclic-over-alpha": [(0, cyclic_tuple(5))],
+}
+
+
+@pytest.mark.parametrize("stale", sorted(STALE_BLOCKS))
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_stale_blocks_record_changes_no_certificate(stale, exact):
+    # params is a label: certify reads the structure off the matrix alone,
+    # built, as a dense array, and one ulp (or 10^-30) off its layout.
+    values = [10.0, -1.0, -2.0, -3.0, -3.5]
+    r = realize_suleimanova(make_spectrum([Fraction(v) for v in values] if exact else values))
+    edited = r.matrix.data.copy()
+    edited[2, 3] = edited[2, 3] + Fraction(1, 10**30) if exact else np.nextafter(edited[2, 3], 9.0)
+    for M in (r.matrix, DenseMatrix(r.matrix.data), DenseMatrix(edited)):
+        plain = replace(r, matrix=M)
+        claimed = replace(plain, params={**plain.params, "blocks": STALE_BLOCKS[stale]})
+        assert certify(claimed) == certify(plain)
+
+
+def test_constructions_record_their_structure_only_as_the_matrix_layout():
+    # Every construction's params hold its case tag alone; its blocks are
+    # the layout of its matrix.
+    a = alpha_tuple
+    small = {
+        "N1": ([3.0], ((0, a(1)),)),
+        "N2": ([3.0, -1.0], ((0, a(2)),)),
+        "N3-DirectSum": ([5.0, 2.0, -3.0], ((0, a(2)), (2, a(1)))),
+        "N3-Suleimanova": ([5.0, -2.0, -3.0], ((0, a(3)),)),
+        "N4-Suleimanova": ([10.0, -1.0, -2.0, -3.0], ((0, a(4)),)),
+        "N4-PairedDirectSum": ([9.5, 9.0, 2.5, -0.75], ((0, a(2)), (2, a(2)))),
+        "N4-Group": ([8.0, 2.0, 2.0, 0.0], ((0, GROUP_TUPLE),)),
+    }
+    built = [(realize(make_spectrum([10.0, -1.0, -2.0, -3.0])), {}, ((0, a(4)),))]
+    for case, (values, layout) in small.items():
+        built.append((realize_small(make_spectrum(values)), {"case": case}, layout))
+    hit = explore(make_spectrum([10.0, -1.0, -2.0, -3.0]), strategy="alpha")[0]
+    built.append((hit.realization, {}, ((0, hit.tuple),)))
+    rng = np.random.default_rng(37)
+    groups = [random_suleimanova(rng, int(rng.integers(1, 5))).values for _ in range(200)]
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]]).tolist()
+    built.append((alpha_direct_sum(groups, "", make_spectrum([v for g in groups for v in g])),
+                  {}, tuple((s, a(len(g))) for s, g in zip(starts, groups))))
+    for r, params, layout in built:
+        assert (r.params, r.matrix.layout) == (params, layout), r.method
 
 
 def _constructions():
@@ -681,13 +728,14 @@ def _certified_blocks(monkeypatch, r, tol=None):
     return report, calls
 
 
-def _alpha_realization(x, recorded):
-    """The alpha matrix of x against its closed-form spectrum, with its
-    block recorded or (as a file given to verify) not."""
+def _alpha_realization(x, built):
+    """The alpha matrix of x against its closed-form spectrum, stored as its
+    layout when built, else (as a file given to verify) as its array."""
     M = assemble(alpha_tuple(len(x)), x)
     s, deltas, _ = closed_eigensystem(M.data[0])
-    params = {"blocks": [(0, alpha_tuple(len(x)))]} if recorded else {}
-    return Realization(matrix=M, method="", target=make_spectrum([s, *deltas]), params=params)
+    if not built:
+        M = DenseMatrix(M.data)
+    return Realization(matrix=M, method="", target=make_spectrum([s, *deltas]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40, 200])
@@ -696,8 +744,9 @@ def test_proven_layouts_take_the_row_sum_extremes(monkeypatch, n):
     r = realize_suleimanova(random_suleimanova(rng, n))
     report, calls = _certified_blocks(monkeypatch, r)
     assert calls == [[n]] and report.verdict is Verdict.PASS
-    # The same matrix as a file records no blocks and counts as one.
-    report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
+    # The same matrix as a file has no layout, and its zeros split it into
+    # that one block.
+    report, calls = _certified_blocks(monkeypatch, replace(r, matrix=DenseMatrix(r.matrix.data)))
     assert calls == [[n]] and report.verdict is Verdict.PASS
 
 
@@ -711,7 +760,7 @@ def _exact_alpha(n):
 def _small_order(values, case):
     r = realize_small(make_spectrum(values))
     assert r.params["case"] == case
-    return r, [pt.n for _, pt in r.params["blocks"]]
+    return r, [pt.n for _, pt in r.matrix.layout]
 
 
 def _wide_groups():
@@ -743,15 +792,14 @@ BLOCK_KINDS = {
         alpha_direct_sum([[1e12, -1.0], [1e-3, -1e-4]], "",
                          make_spectrum([1e12, -1.0, 1e-3, -1e-4])),
         [2, 2]),
-    # diag(2, 2) is bit for bit the alpha layout of [2, 0]; recorded as two
-    # 1 x 1 blocks, it holds as those.
+    # diag(2, 2) is bit for bit the alpha layout of [2, 0]; as a file its
+    # zeros split it into two 1 x 1 blocks, which hold as those.
     "diag-as-two-blocks": lambda: (
         Realization(matrix=from_rows([[2.0, 0.0], [0.0, 2.0]]), method="",
-                    target=make_spectrum([2.0, 2.0]),
-                    params={"blocks": [(0, alpha_tuple(1)), (1, alpha_tuple(1))]}),
+                    target=make_spectrum([2.0, 2.0])),
         [1, 1]),
     "zeros": lambda: (_zeros_direct_sum(), [3, 3]),
-    "zeros-alone": lambda: (_alpha_realization([0.0, 3.0, -0.0, 1.0, 0.5], recorded=True), [5]),
+    "zeros-alone": lambda: (_alpha_realization([0.0, 3.0, -0.0, 1.0, 0.5], built=True), [5]),
 }
 
 
@@ -797,7 +845,7 @@ def test_zero_tolerance_takes_the_exact_eigenvalues_verdict():
     verdicts = set()
     for n in (3, 5, 8, 12, 40):
         r = realize_suleimanova(_thousandths(rng, n))
-        blocks = r.params["blocks"]
+        blocks = r.matrix.layout
         mu = exact_alpha_spectrum(r.matrix.data, blocks)
         same = mu == sorted(map(Fraction, r.target.values))
         report = certify(r, zero)
@@ -812,10 +860,10 @@ def test_zero_tolerance_takes_the_exact_eigenvalues_verdict():
 @pytest.mark.parametrize(
     "kind", ["N3-DirectSum", "N4-PairedDirectSum", "200-blocks", "wide", "tiny-beside-huge", "zeros"])
 def test_verify_reads_a_direct_sum_off_its_exact_zeros(monkeypatch, kind):
-    # As a file (no recorded blocks) a direct sum splits at its exact zeros
-    # into alpha blocks that hold, and gets the closed form: no charpoly.
+    # As a file (no layout) a direct sum splits at its exact zeros into
+    # alpha blocks that hold, and gets the closed form: no charpoly.
     r, _ = BLOCK_KINDS[kind]()
-    report, calls = _certified_blocks(monkeypatch, replace(r, params={}))
+    report, calls = _certified_blocks(monkeypatch, replace(r, matrix=DenseMatrix(r.matrix.data)))
     assert len(calls) == 1 and len(calls[0]) > 1 and sum(calls[0]) == r.matrix.n_rows
     assert report.charpoly_ok is CheckState.NOT_APPLICABLE
     assert report.eigenpair_ok is CheckState.PASS and report.verdict is Verdict.PASS
@@ -831,21 +879,20 @@ EDITED_ENTRIES = [(0, 2), (2, 0), (1, 1), (3, 2), (0, 3), (3, 0), (5, 5), (5, 7)
 @pytest.mark.parametrize("i, j", EDITED_ENTRIES)
 @pytest.mark.parametrize("edit", ["ulp-up", "ulp-down", "sign-bit"])
 def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i, j, edit):
-    # The per-entry formula is the tests' reference alone: an entry off the
-    # bit layout, even a zero's sign, gets no closed form.  Recorded, the
-    # block fails structure; as a file it is no alpha evidence, and at
-    # n = 40 no spectral check runs.
-    r0 = _alpha_realization(EDIT_X, recorded=True)
+    # An entry off the bit layout, even a zero's sign, gets no closed form:
+    # the matrix is no alpha evidence, and at n = 40 no spectral check
+    # runs.  A block list recorded beside it changes nothing.
+    r0 = _alpha_realization(EDIT_X, built=False)
     v = float(r0.matrix.data[i, j])
     data = r0.matrix.data.copy()
     data[i, j] = {"ulp-up": math.nextafter(v, math.inf),
                   "ulp-down": math.nextafter(v, -math.inf), "sign-bit": -v}[edit]
     M = DenseMatrix(data)
-    assert M.layout is None and not layout_holds(data, r0.params["blocks"])
+    assert detect_blocks(M) == [(0, 40)] and not alpha_blocks_hold(data, [(0, 40)])
     report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M))
-    assert calls == [] and report.structure_ok is CheckState.FAIL
-    report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M, params={}))
     assert calls == [] and report.eigenpair_ok is report.charpoly_ok is CheckState.NOT_APPLICABLE
+    claimed = replace(r0, matrix=M, params={"blocks": [(0, alpha_tuple(40))]})
+    assert _certified_blocks(monkeypatch, claimed) == (report, [])
     # Informationally its rows are permutations of the first row only where
     # the edit leaves every value as it was: a zero's sign.
     permutative = edit == "sign-bit" and v == 0.0
@@ -937,8 +984,7 @@ def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
         expected = _unscaled_verdict(P, target, tol)
         if expected is None:
             continue
-        r = Realization(matrix=DenseMatrix(P), method="", target=target,
-                        params={"blocks": [(0, alpha_tuple(n))]})
+        r = Realization(matrix=DenseMatrix(P), method="", target=target)
         report = certify(r, tol)
         assert report.structure_ok is CheckState.PASS
         assert report.eigenpair_ok is expected, h
@@ -946,91 +992,80 @@ def test_scaled_eigenpair_verdict_matches_the_unscaled_rule(tol, x_inf):
     assert seen == {CheckState.PASS, CheckState.FAIL}
 
 
-def _blocks_hold_by_index(A, blocks):
-    """The structure check as first written, made exact: each block against
-    P[0][pt.index], float64 entries as uint64 bit patterns."""
+def _bits_equal(A, B):
     if A.dtype == np.float64:
-        A = A.view(np.uint64)
-    pos = 0
-    for start, pt in blocks:
-        stop = start + pt.n
-        if start != pos or stop > len(A):
-            return False
-        rows = A[start:stop]
-        P = rows[:, start:stop]
-        if not ((P == P[0][pt.index]).all() and (rows[:, :start] == 0).all()
-                and (rows[:, stop:] == 0).all()):
-            return False
-        pos = stop
-    return pos == len(A)
+        A, B = A.view(np.uint64), B.view(np.uint64)
+    return bool((A == B).all())
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_blocks_hold_by_slices_matches_the_index_version(exact):
     # One-entry edits of the smallest size (an ulp, 10^-30) and of size 2,
     # up and down, in column 0, on the diagonal, in the interior and off the
-    # blocks, of seeded alpha blocks (one of order 33 among others) and the
-    # N4-Group pattern.
+    # blocks, of seeded alpha blocks (one of order 33 among others), alone
+    # and followed by an N4-Group block.  The index reference holds exactly
+    # when the edited array is the layout built from its blocks' first
+    # rows; on the alpha sums alpha_blocks_hold agrees with it.
     rng = np.random.default_rng(23)
-    group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0]))
+    group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0])).matrix
     if exact:
+        group = assemble(GROUP_TUPLE, [Fraction(v) for v in group.first_rows.tolist()])
         edits = [lambda v, d=d: v + d for d in (Fraction(1, 10**30), -Fraction(1, 10**30), 2, -2)]
     else:
         edits = [lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf),
                  lambda v: v + 2, lambda v: v - 2]
     seen = set()
     for sizes in ((7,), (1, 4, 2), (3, 1), (33, 2)):
-        mats, blocks, start = [], [], 0
+        mats = []
         for k in sizes:
             x = [Fraction(int(v), 8) for v in rng.integers(0, 40, k)] if exact \
                 else rng.uniform(0.0, 5.0, k).tolist()
             mats.append(assemble(alpha_tuple(k), x))
-            blocks.append((start, alpha_tuple(k)))
-            start += k
-        mats.append(group.matrix if not exact else from_rows(group.matrix.to_lists(), exact=True))
-        blocks.append((start, group.params["blocks"][0][1]))
-        A0 = direct_sum(mats).data
-        n = len(A0)
-        alone = {(s, s) for s, pt in blocks if pt.n == 1}  # any value is its layout
-        assert layout_holds(A0, blocks) and _blocks_hold_by_index(A0, blocks)
-        for i in range(n):
-            for j in {0, i, (i + 1) % n, int(rng.integers(n))}:
-                for edit in edits:
-                    A = A0.copy()
-                    A[i, j] = edit(A[i, j])
-                    got = layout_holds(A, blocks)
-                    assert got == _blocks_hold_by_index(A, blocks), (sizes, i, j)
-                    assert got == ((i, j) in alone)
-                    seen.add(got)
+        for sum_mats in (mats, mats + [group]):
+            M0 = direct_sum(sum_mats)
+            blocks, A0 = M0.layout, M0.data
+            pts = [pt for _, pt in blocks]
+            n = len(A0)
+            s = np.repeat([a for a, _ in blocks], [pt.n for pt in pts])
+            split = [(a, a + pt.n) for a, pt in blocks]
+            alpha = all(pt.is_alpha for pt in pts)
+            alone = {(a, a) for a, pt in blocks if pt.n == 1}  # any value is its layout
+            assert blocks_hold_by_index(A0, blocks)
+            assert alpha_blocks_hold(A0, split) is alpha
+            for i in range(n):
+                for j in {0, i, (i + 1) % n, int(rng.integers(n))}:
+                    for edit in edits:
+                        A = A0.copy()
+                        A[i, j] = edit(A[i, j])
+                        want = blocks_hold_by_index(A, blocks)
+                        assert want == ((i, j) in alone)
+                        rebuilt = assemble_blocks(pts, A[s, np.arange(n)]).data
+                        assert want == _bits_equal(A, rebuilt), (sizes, i, j)
+                        if alpha:
+                            assert alpha_blocks_hold(A, split) == want, (sizes, i, j)
+                        seen.add(want)
     assert seen == {True, False}
 
 
 def test_recorded_blocks_are_proved_unless_they_are_the_matrix_layout(monkeypatch):
-    # Blocks equal to what the matrix was built as hold without a scan;
-    # any other recorded blocks, right or wrong, are proved by layout_holds.
+    # A built matrix is its layout without a scan, whatever block list is
+    # recorded beside it; the same entries as a dense array are split at
+    # their zeros and those blocks checked, whatever the record.
     calls = []
 
-    def counted(A, blocks):
-        calls.append(len(blocks))
-        return layout_holds(A, blocks)
+    def counted(A, split):
+        calls.append(len(split))
+        return alpha_blocks_hold(A, split)
 
-    monkeypatch.setattr(verify_mod, "layout_holds", counted)
+    monkeypatch.setattr(verify_mod, "alpha_blocks_hold", counted)
     r = realize_suleimanova(make_spectrum([3.0, 3.0, 3.0]))  # 3 * identity
-    assert r.matrix.layout == tuple(r.params["blocks"]) == ((0, alpha_tuple(3)),)
+    assert r.matrix.layout == ((0, alpha_tuple(3)),) and r.params == {}
     singles = [(k, alpha_tuple(1)) for k in range(3)]
-    for params, want, state in (
-        (r.params, [], CheckState.PASS),
-        ({"blocks": singles}, [3], CheckState.PASS),
-        ({"blocks": [(0, cyclic_tuple(3))]}, [1], CheckState.PASS),
-        ({"blocks": [(0, alpha_tuple(2))]}, [1], CheckState.FAIL),
-        ({}, [], CheckState.PASS),
-    ):
-        calls.clear()
-        report = certify(replace(r, params=params))
-        assert (calls, report.structure_ok) == (want, state), params
-    # The same entries without a record: the blocks are proved.
-    calls.clear()
     unbuilt = replace(r, matrix=DenseMatrix(r.matrix.data))
-    assert certify(unbuilt).structure_ok is CheckState.PASS and calls == [1]
-    calls.clear()
-    assert certify(replace(unbuilt, params={})).verdict is Verdict.PASS and calls == [3]
+    for params in ({}, {"blocks": singles}, {"blocks": [(0, cyclic_tuple(3))]},
+                   {"blocks": [(0, alpha_tuple(2))]}):
+        for realization, want in ((r, []), (unbuilt, [3])):
+            calls.clear()
+            report = certify(replace(realization, params=params))
+            assert (calls, report.structure_ok, report.verdict) == \
+                (want, CheckState.PASS, Verdict.PASS), params

@@ -190,8 +190,13 @@ def _wide_groups() -> list[list[float]]:
 
 
 #: The groups of alpha direct sums whose CSV files verify reads: 4, 10 and
-#: 22 blocks of 3,-1,-1 (n = 12, 30, 66) and the wide 12-value sum.
-DIRECT_SUM = [[[3.0, -1.0, -1.0]] * k for k in (4, 10, 22)] + [_wide_groups()]
+#: 22 blocks of 3,-1,-1 (n = 12, 30, 66), the wide 12-value sum, and blocks
+#: of orders 2, 1 and 3 (n = 6), the first zero-headed: the group 1,-1 has
+#: the first row (0, 1).
+DIRECT_SUM = [[[3.0, -1.0, -1.0]] * k for k in (4, 10, 22)] + [
+    _wide_groups(),
+    [[1.0, -1.0], [2.0], [3.0, -1.0, -1.0]],
+]
 
 
 #: The library's printers, keyed by the name of their format.
