@@ -43,9 +43,7 @@ from .linalg import (
     alpha_tuple,
     assemble,
     char_poly,
-    direct_sum,
     from_rows,
-    identity,
     is_nonnegative,
     is_permutative,
     matrix_from_csv,
@@ -108,11 +106,9 @@ __all__ = [
     "classify",
     "cyclic_tuple",
     "detect_blocks",
-    "direct_sum",
     "explore",
     "fit_first_row",
     "from_rows",
-    "identity",
     "is_nonnegative",
     "is_permutative",
     "make_spectrum",

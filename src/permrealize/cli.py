@@ -188,7 +188,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
     """Print r in ns.fmt, the matrix a row at a time (matrix_pieces), all
     else formatted before the first write."""
-    case = r.params.get("case")
     rep = r.certificate
     certified = "FAIL" if rep.verdict is Verdict.FAIL else rep.verdict.value
     out = sys.stdout
@@ -198,7 +197,7 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
         rest = json.dumps(
             {
                 "method": r.method,
-                "case": case,
+                "case": r.case,
                 "target": r.target.values,
                 "certificate": rep.to_json_obj(),
             },
@@ -209,13 +208,13 @@ def _emit_realization(ns: argparse.Namespace, r: Realization) -> None:
         out.write(", " + rest[1:] + "\n")
     elif ns.fmt == "csv":
         # Matrix on stdout for piping; metadata on stderr.
-        meta = f"method={r.method}" + (f" case={case}" if case else "")
+        meta = f"method={r.method}" + (f" case={r.case}" if r.case else "")
         out.writelines(matrix_pieces(r.matrix, "csv"))
         print(f"{meta} certified={certified}", file=sys.stderr)
     else:
         checks = "".join(f"{k}={s.value} " for k, s in rep.checks.items())
         summary = f"certificate: {checks}max_residual={rep.max_residual:.3g}"
-        print(f"method: {r.method}" + (f"  case: {case}" if case else ""))
+        print(f"method: {r.method}" + (f"  case: {r.case}" if r.case else ""))
         _print_matrix(r)
         print(summary)
         print(f"certified: {certified}")

@@ -44,7 +44,11 @@ def _array(rows: Sequence[Sequence], exact: bool) -> np.ndarray:
         arr = np.empty((len(rows), len(rows[0])), dtype=object)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                arr[i, j] = v if isinstance(v, Fraction) else Fraction(v)
+                if not isinstance(v, Fraction):
+                    if v != v or v in (math.inf, -math.inf):
+                        raise NonFiniteEntryError("matrix contains a non-finite entry")
+                    v = Fraction(v)
+                arr[i, j] = v
         return arr
     arr = np.array(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -56,13 +60,12 @@ class DenseMatrix:
     """Immutable real matrix (float64 or exact-Fraction entries).
 
     A matrix that linalg's builders made from permutative blocks
-    (assemble_blocks and assemble, direct_sum of such matrices in one
-    scalar mode, an alpha CSV file as written) is stored as those blocks:
-    ``layout``, the tuple of (start, PermTuple) blocks that tile it, and
-    ``first_rows``, their first rows end to end, n values that hold every
-    entry.  Its n x n ``data`` is derived from them when first read
+    (assemble_blocks and assemble, an alpha CSV file as written) is stored
+    as those blocks: ``layout``, the tuple of (start, PermTuple) blocks
+    that tile it, and ``first_rows``, their first rows end to end, n values
+    that hold every entry.  Its n x n ``data`` is derived from them when first read
     (_lay_out) and cached; only callers that need every entry read it
-    (char_poly, to_lists, ==, trace).  Any other matrix stores ``data`` as
+    (char_poly, to_lists, ==).  Any other matrix stores ``data`` as
     given, and its layout and first_rows are None.  Both arrays are
     read-only.
     """
@@ -114,10 +117,6 @@ class DenseMatrix:
     def is_exact(self) -> bool:
         return self._stored.dtype == object
 
-    def trace(self) -> Scalar:
-        d = [self.data[i, i] for i in range(min(self.data.shape))]
-        return sum(d[1:], start=d[0])
-
     def max_abs(self) -> Scalar:
         """Largest entry magnitude, a Fraction for exact entries; read off
         the stored first rows when there are any."""
@@ -161,12 +160,6 @@ def zeros(n_rows: int, n_cols: int, exact: bool = False) -> np.ndarray:
         arr[:] = Fraction(0)
         return arr
     return np.zeros((n_rows, n_cols))
-
-
-def identity(n: int, exact: bool = False) -> DenseMatrix:
-    """The alpha matrix with first row (1, 0, ..., 0)."""
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    return assemble(alpha_tuple(n), (one,) + (zero,) * (n - 1))
 
 
 def _entry_values(M: DenseMatrix) -> np.ndarray:
@@ -534,37 +527,6 @@ def poly_from_roots(sigma: Spectrum) -> tuple[Scalar, ...]:
             coeffs[k] = coeffs[k] - r * coeffs[k - 1]
     coeffs.reverse()
     return tuple(coeffs)
-
-
-def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
-    """Block-diagonal assembly of square blocks, zeros elsewhere; exact when
-    every block is.  When every block is stored as its own blocks and none
-    is converted from exact to float, the sum is stored as their shifted
-    union, in O(n); otherwise its n x n array is written out."""
-    blocks = list(blocks)
-    if not blocks:
-        raise EmptyInputError("direct_sum needs at least one block")
-    for b in blocks:
-        if not b.is_square:
-            raise NotSquareError(
-                f"direct_sum blocks must be square, got {b.n_rows}x{b.n_cols}"
-            )
-    exact = all(b.is_exact for b in blocks)
-    if all(b.layout is not None and b.is_exact == exact for b in blocks):
-        layout, off = [], 0
-        for b in blocks:
-            layout += [(off + start, pt) for start, pt in b.layout]
-            off += b.n_rows
-        return _built(np.concatenate([b.first_rows for b in blocks]), tuple(layout))
-    n = sum(b.n_rows for b in blocks)
-    out = zeros(n, n, exact)
-    off = 0
-    for b in blocks:
-        k = b.n_rows
-        converted = b.is_exact and not exact
-        out[off : off + k, off : off + k] = b.data.astype(float) if converted else b.data
-        off += k
-    return DenseMatrix(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,14 @@ l2 + l3 > l1 + l4 >= 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import DimensionOutOfRangeError, InternalCaseGapError, NotSuleimanovaError
 from .linalg import PermTuple, assemble
-from .spectrum import Spectrum, require_necessary
+from .spectrum import Scalar, Spectrum, require_necessary
 from .suleimanova import alpha_direct_sum, realize_suleimanova
 from .verify import METHOD_SMALL_ORDER, Realization
 
-Scalar = Union[float, Fraction]
-
-# Case tags recorded in Realization params.
+# Case tags recorded in Realization.case.
 CASE_N1 = "N1"
 CASE_N2 = "N2"
 CASE_N3_DIRECT_SUM = "N3-DirectSum"
@@ -85,7 +82,7 @@ def realize_small(sigma: Spectrum) -> Realization:
                 matrix=assemble(GROUP_TUPLE, q),
                 method=METHOD_SMALL_ORDER,
                 target=sigma,
-                params={"case": CASE_N4_GROUP},
+                case=CASE_N4_GROUP,
             )
     groups = [(v[i], v[-1 - i]) for i in range(n // 2)] + [(v[n // 2],)] * (n % 2)
     try:

@@ -167,7 +167,8 @@ def make_spectrum(raw: Iterable, exact: bool = False) -> Spectrum:
 
     Entries are sorted descending; duplicates are preserved.  With
     ``exact=True`` every entry is coerced to Fraction and all downstream
-    arithmetic on the spectrum stays exact.
+    arithmetic on the spectrum stays exact.  An infinite or nan entry
+    raises NonFiniteEntryError in both modes.
     """
     items = list(raw)
     if not items:
@@ -175,7 +176,11 @@ def make_spectrum(raw: Iterable, exact: bool = False) -> Spectrum:
     coerced = []
     for v in items:
         if exact:
-            coerced.append(v if isinstance(v, Fraction) else Fraction(v))
+            if not isinstance(v, Fraction):
+                if v != v or v in (math.inf, -math.inf):
+                    raise NonFiniteEntryError(f"non-finite spectrum entry: {v!r}")
+                v = Fraction(v)
+            coerced.append(v)
         else:
             f = float(v)
             if not math.isfinite(f):

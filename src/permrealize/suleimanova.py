@@ -24,14 +24,12 @@ alpha_direct_sum: one alpha block per group of target values.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import NotSuleimanovaError
 from .linalg import alpha_tuple, assemble_blocks
-from .spectrum import Spectrum, running_sum, value_band
+from .spectrum import Scalar, Spectrum, running_sum, value_band
 from .verify import METHOD_SULEIMANOVA, Realization
-
-Scalar = Union[float, Fraction]
 
 
 def suleimanova_first_row(values) -> tuple[Scalar, ...]:
@@ -63,8 +61,8 @@ def alpha_direct_sum(
     built from the blocks' first rows (assemble_blocks).
 
     Each block's first row is suleimanova_first_row of its group, so the
-    blocks' spectra together are the groups' values.  Records ``case`` in
-    params["case"] when given.  A first row with an entry below
+    blocks' spectra together are the groups' values.  ``case`` is the
+    Realization's case tag.  A first row with an entry below
     ``-value_band(|head|)`` raises NotSuleimanovaError: that group has no
     alpha realization.
     """
@@ -79,8 +77,7 @@ def alpha_direct_sum(
         patterns.append(alpha_tuple(len(x)))
         rows += x
     matrix = assemble_blocks(patterns, rows)
-    params = {} if case is None else {"case": case}
-    return Realization(matrix=matrix, method=method, target=target, params=params)
+    return Realization(matrix=matrix, method=method, target=target, case=case)
 
 
 def realize_suleimanova(sigma: Spectrum, case: Optional[str] = None) -> Realization:

@@ -21,7 +21,7 @@ neither spectral check (charpoly, eigenpairs) ran is inconclusive.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -143,15 +143,15 @@ class VerificationReport:
 class Realization:
     """A constructed matrix, its target spectrum, and how it was built.
 
-    The method is a label, and ``params`` holds the construction's case
-    tag, if any (``params["case"]``).  certify reads the structure off the
-    matrix itself: its layout (DenseMatrix.layout), else its exact zeros.
+    The method and the construction's case tag, if any, are labels.
+    certify reads the structure off the matrix itself: its layout
+    (DenseMatrix.layout), else its exact zeros.
     """
 
     matrix: DenseMatrix
     method: str
     target: Spectrum
-    params: dict = field(default_factory=dict)
+    case: Optional[str] = None
     certificate: Optional[VerificationReport] = None
 
     def __post_init__(self):

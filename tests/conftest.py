@@ -237,6 +237,23 @@ def blocks_hold_by_index(A, blocks) -> bool:
     return pos == len(A)
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """A new block-diagonal array of the square blocks (arrays or nested
+    lists), in order, zeros off them: Fraction entries when every block
+    holds objects, float64 otherwise."""
+    blocks = [np.asarray(b) for b in blocks]
+    n = sum(len(b) for b in blocks)
+    if all(b.dtype == object for b in blocks):
+        out = np.full((n, n), Fraction(0), dtype=object)
+    else:
+        out = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def mn_inverse(n: int, exact: bool = False) -> DenseMatrix:
     """Closed-form inverse (1/n) [[1, e^T], [e, J - nI]] of mn_matrix(n)."""
     if n < 2:
@@ -383,7 +400,7 @@ def reference_realize_4(sigma: Spectrum) -> Realization:
             matrix=assemble(GROUP_TUPLE, (a, b, c, d)),
             method=METHOD_SMALL_ORDER,
             target=sigma,
-            params={"case": CASE_N4_GROUP},
+            case=CASE_N4_GROUP,
         )
     try:
         return alpha_direct_sum(

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
     alpha_identification_reference,
+    block_diag,
     blocks_hold_by_index,
     closed_eigensystem,
     eval_poly,
@@ -42,10 +43,8 @@ from permrealize import (
     cyclic_tuple,
     make_spectrum,
     char_poly,
-    direct_sum,
     explore,
     from_rows,
-    identity,
     is_nonnegative,
     is_permutative,
     matrix_from_csv,
@@ -58,6 +57,7 @@ from permrealize import (
 )
 from permrealize import linalg as linalg_mod
 from permrealize.linalg import (
+    assemble_blocks,
     char_poly_coeffs,
     format_scalar,
     alpha_blocks_hold,
@@ -94,7 +94,6 @@ def test_from_rows_basic():
     assert M.is_square
     assert not M.is_exact
     assert_array_equal(M.data, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert M.trace() == 5.0
     assert M.max_abs() == 4.0
 
 
@@ -110,10 +109,15 @@ def test_from_rows_rejects_bad_input():
         from_rows([])
     with pytest.raises(DimensionMismatchError):
         from_rows([[1.0, 2.0], [3.0]])
-    with pytest.raises(NonFiniteEntryError):
-        from_rows([[1.0, math.inf], [0.0, 0.0]])
-    with pytest.raises(NonFiniteEntryError):
-        from_rows([[math.nan]])
+    for exact in (False, True):
+        with pytest.raises(NonFiniteEntryError):
+            from_rows([[1.0, math.inf], [0.0, 0.0]], exact=exact)
+        with pytest.raises(NonFiniteEntryError):
+            from_rows([[-math.inf]], exact=exact)
+        with pytest.raises(NonFiniteEntryError):
+            from_rows([[math.nan]], exact=exact)
+    # An integer beyond the float range is finite, and exact.
+    assert from_rows([[10**400]], exact=True).data[0, 0] == Fraction(10**400)
 
 
 def test_from_rows_allows_rectangular_but_char_poly_refuses():
@@ -125,7 +129,7 @@ def test_from_rows_allows_rectangular_but_char_poly_refuses():
 
 
 def test_matrix_data_is_readonly():
-    M = identity(3)
+    M = assemble(alpha_tuple(3), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         M.data[0, 0] = 5.0
 
@@ -137,7 +141,7 @@ def test_is_nonnegative():
 
 
 def test_is_permutative():
-    assert is_permutative(identity(4))
+    assert is_permutative(assemble(alpha_tuple(4), [1.0, 0.0, 0.0, 0.0]))
     assert is_permutative(from_rows([[1.0, 2.0], [2.0, 1.0]]))
     assert is_permutative(
         from_rows([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
@@ -393,16 +397,6 @@ def test_char_poly_of_quarters_and_floats_matches_fraction_reference():
         _assert_matches_reference(from_rows(rng.uniform(-3.0, 3.0, (n, n)).tolist()))
 
 
-def test_direct_sum_layout():
-    A = from_rows([[1.0, 2.0], [3.0, 4.0]])
-    B = from_rows([[5.0]])
-    S = direct_sum([A, B])
-    assert_array_equal(
-        S.data,
-        np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def test_char_poly_exact_matches_float():
 
 def test_char_poly_size_guard():
     with pytest.raises(DimensionTooLargeError):
-        char_poly(identity(65))
+        char_poly(assemble(alpha_tuple(65), [1.0] + [0.0] * 64))
 
 
 def _fraction_fl_reference(A: np.ndarray) -> tuple[Fraction, ...]:
@@ -640,7 +634,7 @@ def test_poly_mul():
 def test_direct_sum_char_poly_is_product():
     A = from_rows([[1.0, 2.0], [2.0, 1.0]])
     B = from_rows([[4.0]])
-    lhs = char_poly(direct_sum([A, B]))
+    lhs = char_poly(DenseMatrix(block_diag(A.data, B.data)))
     rhs = poly_mul(char_poly(A), char_poly(B))
     assert lhs == rhs
 
@@ -956,8 +950,9 @@ _LAYOUT_TOKENS = ["7.25", "0.5", "1e-3", "0.125", "3", "0.1", "2.75", "0"]
     (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)).replace("\n", "\n\n", 3), False),
     (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS)[:-1]), False),
     (_csv_of(_alpha_csv_rows(_LAYOUT_TOKENS) * 2), False),
-    (matrix_to_csv(direct_sum([assemble(alpha_tuple(k), [float(k + 2)] + [0.5] * (k - 1))
-                               for k in (2, 2, 3, 2)])), False),
+    (matrix_to_csv(assemble_blocks([alpha_tuple(k) for k in (2, 2, 3, 2)],
+                                   [v for k in (2, 2, 3, 2) for v in [float(k + 2)] + [0.5] * (k - 1)])),
+     False),
     ("4.5\n", True),
     ("-0\n", True),
     ("1/3\n", True),
@@ -1089,8 +1084,8 @@ def _residual_blocks():
         yield assemble(alpha_tuple(n), x.tolist()).data
         q = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 50, n), rng.integers(1, 9, n))]
         yield assemble(alpha_tuple(n), q).data
-    blocks = [assemble(alpha_tuple(k), rng.uniform(0.5, 5.0, k).tolist()) for k in (3, 5)]
-    D = direct_sum(blocks).data
+    x = [v for k in (3, 5) for v in rng.uniform(0.5, 5.0, k).tolist()]
+    D = assemble_blocks([alpha_tuple(3), alpha_tuple(5)], x).data
     yield D[:3, :3]
     yield D[3:, 3:]
 
@@ -1159,8 +1154,8 @@ def test_proven_alpha_layout_residuals_match_the_whole_block(n):
 def _table_inputs():
     """Matrices whose entries the first row covers fully, partly or not at all."""
     alpha = realize_suleimanova(make_spectrum([9.5, -0.5, -1.5, -2.5, -3.0])).matrix
-    blocks = direct_sum([alpha, realize_suleimanova(make_spectrum([4.0, -1.0, -2.25])).matrix,
-                         from_rows([[0.75]])])
+    blocks = DenseMatrix(block_diag(
+        alpha.data, realize_suleimanova(make_spectrum([4.0, -1.0, -2.25])).matrix.data, [[0.75]]))
     zero_first = from_rows([[0.0, 1.5, 2.0], [1.5, -0.0, 2.0], [2.0, 1.5, -0.0]])
     minus_zero_first = from_rows([[-0.0, 1.5, 2.0], [1.5, 0.0, 2.0], [2.0, 1.5, 0.0]])
     rng = np.random.default_rng(29)
@@ -1214,7 +1209,7 @@ def _alpha_layouts():
     for values, case in (([3.0, 1.0, -2.0], "N3-DirectSum"),
                          ([4.0, 3.0, 2.5, -3.0], "N4-PairedDirectSum")):
         r = realize_small(make_spectrum(values))
-        assert r.params["case"] == case
+        assert r.case == case
         yield r.matrix, False
     groups = [_suleimanova_values(rng, int(rng.integers(1, 5))) for _ in range(200)]
     sigma = make_spectrum([v for g in groups for v in g])
@@ -1224,7 +1219,7 @@ def _alpha_layouts():
     # First rows with -0.0 and repeated values, alone and in a direct sum.
     odd = assemble(alpha_tuple(6), [-0.0, 1.5, 1.5, 0.0, 2.0, -0.0])
     yield odd, True
-    yield direct_sum([odd, from_rows([[-0.0]]), odd]), False
+    yield DenseMatrix(block_diag(odd.data, [[-0.0]], odd.data)), False
 
 
 def test_serializers_slice_one_alpha_block_and_print_direct_sums_as_stored():
@@ -1270,30 +1265,32 @@ def _piece_inputs():
     yield assemble(alpha_tuple(40), x), True
     # A multi-block direct sum, and the wide block one ulp off its layout.
     blocks = [assemble(alpha_tuple(k), rng.uniform(0.0, 3.0, k).tolist()) for k in (3, 1, 4, 2)]
-    yield direct_sum([*blocks, from_rows([[-0.0]]), assemble(alpha_tuple(len(wide)), wide)]), False
+    yield DenseMatrix(block_diag(*(B.data for B in blocks), [[-0.0]],
+                                 assemble(alpha_tuple(len(wide)), wide).data)), False
     for i, j in ((4, 0), (3, 3), (0, 8), (8, 5)):
         data = assemble(alpha_tuple(len(wide)), wide).data.copy()
         data[i, j] = np.nextafter(data[i, j], np.inf)
         yield DenseMatrix(data), False
     # Exact and integer matrices.
     yield assemble(alpha_tuple(3), [Fraction(1, 3), Fraction(-22, 7), Fraction(0)]), True
-    yield direct_sum([assemble(alpha_tuple(2), [Fraction(5, 2), Fraction(10) ** 40]),
-                      from_rows([[Fraction(-1, 9)]], exact=True)]), False
+    yield DenseMatrix(block_diag(assemble(alpha_tuple(2), [Fraction(5, 2), Fraction(10) ** 40]).data,
+                                 [[Fraction(-1, 9)]])), False
     yield DenseMatrix(np.array([[1, 0], [-2, 30]])), False
     # Recorded direct sums: alpha blocks of orders 1-4 whose first rows hold
     # -0.0 and repeated entries, an N4-Group block and a cyclic block next
     # to alpha blocks, and an exact sum; then a companion matrix, which
     # records no layout.
     firsts = ([-0.0], [2.5, 2.5], [0.0, -0.0, 0.0], [1.5, 0.25, 1.5, -0.0])
-    yield direct_sum([assemble(alpha_tuple(len(x)), x) for x in (*firsts, *firsts[::-1])]), False
+    xs = (*firsts, *firsts[::-1])
+    yield assemble_blocks([alpha_tuple(len(x)) for x in xs], [v for x in xs for v in x]), False
     group = realize_small(make_spectrum([6.0, 1.0, -3.0, -3.0]))
-    assert group.params["case"] == "N4-Group"
-    yield direct_sum([group.matrix, assemble(alpha_tuple(3), [2.0, 0.5, 0.0])]), False
-    yield direct_sum([assemble(alpha_tuple(2), [0.5, 1e-3]),
-                      assemble(cyclic_tuple(4), [0.0, 1.25, -0.0, 3.5]),
-                      assemble(alpha_tuple(1), [7.0])]), False
+    assert group.case == "N4-Group"
+    yield assemble_blocks([GROUP_TUPLE, alpha_tuple(3)],
+                          [*group.matrix.first_rows.tolist(), 2.0, 0.5, 0.0]), False
+    yield assemble_blocks([alpha_tuple(2), cyclic_tuple(4), alpha_tuple(1)],
+                          [0.5, 1e-3, 0.0, 1.25, -0.0, 3.5, 7.0]), False
     q = [Fraction(k, 6) for k in (5, -1, 0, 7, 7)]
-    yield direct_sum([assemble(alpha_tuple(2), q[:2]), assemble(cyclic_tuple(3), q[2:])]), False
+    yield assemble_blocks([alpha_tuple(2), cyclic_tuple(3)], q), False
     yield realize_companion(make_spectrum(_suleimanova_values(rng, 12))).matrix, False
 
 
@@ -1347,8 +1344,8 @@ def test_a_recorded_direct_sum_formats_each_value_once(monkeypatch):
 def _recorded_matrices(rng):
     """Matrices from every builder that records a layout: alpha blocks in
     float and exact mode, other patterns, the N4-Group and paired direct
-    sums, alpha direct sums, direct sums of direct sums, explorer hits and
-    alpha CSV files read back."""
+    sums, alpha direct sums, the blocks of one such sum twice around a 3 x 3
+    identity block, explorer hits and alpha CSV files read back."""
     for n in (1, 2, 5, 40):
         values = _suleimanova_values(rng, n)
         yield realize_suleimanova(make_spectrum(values)).matrix
@@ -1364,12 +1361,14 @@ def _recorded_matrices(rng):
                          ([4.0, 3.0, 2.5, -3.0], "N4-PairedDirectSum")):
         for exact in (False, True):
             r = realize_small(make_spectrum(values, exact=exact))
-            assert r.params["case"] == case
+            assert r.case == case
             yield r.matrix
     groups = [_suleimanova_values(rng, int(rng.integers(1, 5))) for _ in range(50)]
     summed = alpha_direct_sum(groups, "test", make_spectrum([v for g in groups for v in g]))
     yield summed.matrix
-    yield direct_sum([summed.matrix, identity(3), summed.matrix])
+    patterns = [pt for _, pt in summed.matrix.layout]
+    x = summed.matrix.first_rows.tolist()
+    yield assemble_blocks(patterns + [alpha_tuple(3)] + patterns, x + [1.0, 0.0, 0.0] + x)
     for values, strategy in (([10.0, -1.0, -2.0, -3.0], "alpha"), ([1.0] * 4, "cyclic")):
         hits = [h for h in explore(make_spectrum(values), strategy=strategy, budget=400)
                 if h.certified]
@@ -1412,21 +1411,6 @@ def test_layout_is_recorded_only_by_the_builders():
         assert other.layout is None
 
 
-def test_direct_sum_records_the_shifted_union_in_one_scalar_mode():
-    a2, a3 = assemble(alpha_tuple(2), [1.0, 2.0]), assemble(cyclic_tuple(3), [0.0, 1.0, 2.0])
-    assert direct_sum([a2, a3, a2]).layout == (
-        (0, alpha_tuple(2)), (2, cyclic_tuple(3)), (5, alpha_tuple(2)))
-    q = assemble(alpha_tuple(2), [Fraction(1), Fraction(2)])
-    exact = direct_sum([q, direct_sum([q, q])])
-    assert exact.is_exact
-    assert exact.layout == ((0, alpha_tuple(2)), (2, alpha_tuple(2)), (4, alpha_tuple(2)))
-    # A block converted from exact to float, or one without a record,
-    # leaves the sum without one.
-    mixed = direct_sum([a2, q])
-    assert not mixed.is_exact and mixed.layout is None
-    assert direct_sum([a2, from_rows([[1.0]])]).layout is None
-
-
 # ---------------------------------------------------------------------------
 # a built matrix is stored as its blocks' first rows; data is derived
 # ---------------------------------------------------------------------------
@@ -1435,14 +1419,14 @@ def test_direct_sum_records_the_shifted_union_in_one_scalar_mode():
 def _entry_by_entry(blocks, exact):
     """The dense assembly the stored form replaced, one entry at a time:
     entry (i, j) of each (start, PermTuple, first row) block is x[p_i[j]],
-    converted to float unless exact, and every other entry is zero."""
+    and every other entry is zero."""
     n = sum(len(x) for _, _, x in blocks)
     zero = Fraction(0) if exact else 0.0
     rows = [[zero] * n for _ in range(n)]
     for start, pt, x in blocks:
         for i, p in enumerate(pt.index.tolist()):
             for j, k in enumerate(p):
-                rows[start + i][start + j] = x[k] if exact else float(x[k])
+                rows[start + i][start + j] = x[k]
     return np.array(rows, dtype=object if exact else np.float64)
 
 
@@ -1457,22 +1441,20 @@ def _assert_same_entries(got, want):
 
 def _stored_cases():
     """(matrix, its blocks as (start, PermTuple, first row)) for first rows
-    holding -0.0, Fraction first rows, a Klein block beside an alpha block,
-    and a sum of exact and float blocks, which is written out as floats."""
+    holding -0.0, Fraction first rows, and a Klein block beside an alpha
+    block."""
     a5, a2, a3 = alpha_tuple(5), alpha_tuple(2), alpha_tuple(3)
     x = [-0.0, 1.5, -0.0, 0.0, 2.0]
     yield assemble(a5, x), [(0, a5, x)]
-    yield linalg_mod.assemble_blocks([a2, a3], x), [(0, a2, x[:2]), (2, a3, x[2:])]
+    yield assemble_blocks([a2, a3], x), [(0, a2, x[:2]), (2, a3, x[2:])]
     q = [Fraction(1, 3), Fraction(0), Fraction(-2, 7), Fraction(5)]
     yield assemble(alpha_tuple(4), q), [(0, alpha_tuple(4), q)]
-    yield direct_sum([assemble(a2, q[:2]), assemble(a2, q[2:])]), [(0, a2, q[:2]), (2, a2, q[2:])]
+    yield assemble_blocks([a2, a2], q), [(0, a2, q[:2]), (2, a2, q[2:])]
     klein, tail = [3.0, -0.0, 1.0, 0.5], [2.0, 0.25, -0.0]
-    yield direct_sum([assemble(GROUP_TUPLE, klein), assemble(a3, tail)]), \
+    yield assemble_blocks([GROUP_TUPLE, a3], klein + tail), \
         [(0, GROUP_TUPLE, klein), (4, a3, tail)]
-    yield direct_sum([assemble(GROUP_TUPLE, q), assemble(a2, q[:2])]), \
+    yield assemble_blocks([GROUP_TUPLE, a2], q + q[:2]), \
         [(0, GROUP_TUPLE, q), (4, a2, q[:2])]
-    yield direct_sum([assemble(a2, [1.0, -0.0]), assemble(a3, q[:3])]), \
-        [(0, a2, [1.0, -0.0]), (2, a3, q[:3])]
 
 
 def test_derived_data_is_the_dense_assembly_bit_for_bit():
@@ -1481,9 +1463,7 @@ def test_derived_data_is_the_dense_assembly_bit_for_bit():
         exact = all(isinstance(v, Fraction) for _, _, x in blocks for v in x)
         _assert_same_entries(M.data, _entry_by_entry(blocks, exact))
         assert M.data is M.data and not M.data.flags.writeable
-        assert M.layout == (tuple((a, pt) for a, pt, _ in blocks) if M.layout else None)
-    # Only the sum that converts its exact block is written out.
-    assert [M.layout is None for M, _ in cases] == [False] * 6 + [True]
+        assert M.layout == tuple((a, pt) for a, pt, _ in blocks)
     for M in _recorded_matrices(np.random.default_rng(7)):
         blocks = [(a, pt, M.first_rows[a : a + pt.n].tolist()) for a, pt in M.layout]
         _assert_same_entries(M.data, _entry_by_entry(blocks, M.is_exact))

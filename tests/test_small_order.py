@@ -50,7 +50,7 @@ unit_interval = st.floats(
 
 def test_realize_1():
     r = realize_small(make_spectrum([3.5]))
-    assert r.params["case"] == CASE_N1
+    assert r.case == CASE_N1
     assert_array_equal(r.matrix.data, np.array([[3.5]]))
     assert certify(r).passed
     with pytest.raises(PerronViolationError):
@@ -59,7 +59,7 @@ def test_realize_1():
 
 def test_realize_2_known_values():
     r = realize_small(make_spectrum([3.0, 1.0]))
-    assert r.params["case"] == CASE_N2
+    assert r.case == CASE_N2
     assert_array_equal(r.matrix.data, np.array([[2.0, 1.0], [1.0, 2.0]]))
     r = realize_small(make_spectrum([1.0, -1.0]))
     assert_array_equal(r.matrix.data, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -86,7 +86,7 @@ def test_realize_2_perron_guard():
 
 def test_realize_3_direct_sum_branch():
     r = realize_small(make_spectrum([5.0, 2.0, -3.0]))
-    assert r.params["case"] == CASE_N3_DIRECT_SUM
+    assert r.case == CASE_N3_DIRECT_SUM
     assert r.matrix.layout == ((0, alpha_tuple(2)), (2, alpha_tuple(1)))
     assert_array_equal(
         r.matrix.data,
@@ -97,7 +97,7 @@ def test_realize_3_direct_sum_branch():
 
 def test_realize_3_suleimanova_branch():
     r = realize_small(make_spectrum([5.0, -2.0, -3.0]))
-    assert r.params["case"] == CASE_N3_SULEIMANOVA
+    assert r.case == CASE_N3_SULEIMANOVA
     assert certify(r).passed
 
 
@@ -138,13 +138,13 @@ def test_quarter_sums_invert():
 
 def test_realize_4_suleimanova_case():
     r = realize_small(make_spectrum([10.0, -1.0, -2.0, -3.0]))
-    assert r.params["case"] == CASE_N4_SULEIMANOVA
+    assert r.case == CASE_N4_SULEIMANOVA
     assert certify(r).passed
 
 
 def test_realize_4_group_case():
     r = realize_small(make_spectrum([8.0, 2.0, 2.0, 0.0]))
-    assert r.params == {"case": CASE_N4_GROUP}
+    assert r.case == CASE_N4_GROUP
     assert r.matrix.layout == ((0, GROUP_TUPLE),)
     assert GROUP_TUPLE.encoding == "0,1,2,3|1,0,3,2|2,3,0,1|3,2,1,0"
     assert_array_equal(
@@ -167,7 +167,7 @@ def test_realize_4_paired_case_exact():
         exact=True,
     )
     r = realize_small(sigma)
-    assert r.params == {"case": CASE_N4_PAIRED}
+    assert r.case == CASE_N4_PAIRED
     assert r.matrix.layout == ((0, alpha_tuple(2)), (2, alpha_tuple(2)))
     expected = [
         [0, 1, 0, 0],
@@ -185,13 +185,13 @@ def test_realize_4_boundary_d_zero():
     # l1 + l4 = l2 + l3 puts d exactly on the group/paired boundary; the
     # group branch must take it and still certify.
     r = realize_small(make_spectrum([2.0, 1.0, 1.0, 0.0]))
-    assert r.params["case"] == CASE_N4_GROUP
+    assert r.case == CASE_N4_GROUP
     assert certify(r).passed
 
 
 def test_realize_4_equal_spectrum_is_identity_scale():
     r = realize_small(make_spectrum([1.0, 1.0, 1.0, 1.0]))
-    assert r.params["case"] == CASE_N4_GROUP
+    assert r.case == CASE_N4_GROUP
     assert_array_equal(r.matrix.data, np.eye(4))
     assert certify(r).passed
 
@@ -204,7 +204,7 @@ def test_realize_4_rejects_bad_spectra():
 
 
 def test_realize_small_dispatch_and_guard():
-    assert realize_small(make_spectrum([2.0, -1.0])).params["case"] == CASE_N2
+    assert realize_small(make_spectrum([2.0, -1.0])).case == CASE_N2
     with pytest.raises(DimensionOutOfRangeError):
         realize_small(make_spectrum([5.0, -1.0, -1.0, -1.0, -1.0]))
 
@@ -241,7 +241,7 @@ def _outcome(realize, sigma):
         return type(e)
     return (
         r.method,
-        r.params["case"],
+        r.case,
         r.matrix.layout,
         repr(r.matrix.data.tolist()),
     )

@@ -44,12 +44,17 @@ def test_make_spectrum_exact_keeps_fractions():
 
 
 def test_make_spectrum_rejects_empty_and_nonfinite():
-    with pytest.raises(EmptyInputError):
-        make_spectrum([])
-    with pytest.raises(NonFiniteEntryError):
-        make_spectrum([1.0, math.inf])
-    with pytest.raises(NonFiniteEntryError):
-        make_spectrum([math.nan])
+    for exact in (False, True):
+        with pytest.raises(EmptyInputError):
+            make_spectrum([], exact=exact)
+        with pytest.raises(NonFiniteEntryError):
+            make_spectrum([1.0, math.inf], exact=exact)
+        with pytest.raises(NonFiniteEntryError):
+            make_spectrum([-math.inf], exact=exact)
+        with pytest.raises(NonFiniteEntryError):
+            make_spectrum([math.nan], exact=exact)
+    # An integer beyond the float range is finite, and exact.
+    assert make_spectrum([10**400], exact=True).values == (Fraction(10**400),)
 
 
 def test_trace_and_spectral_radius():

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     alpha_identification_reference,
+    block_diag,
     blocks_hold_by_index,
     closed_eigensystem,
     exact_alpha_spectrum,
@@ -28,9 +29,7 @@ from permrealize import (
     assemble,
     certify,
     char_poly,
-    cyclic_tuple,
     detect_blocks,
-    direct_sum,
     explore,
     from_rows,
     make_spectrum,
@@ -59,9 +58,7 @@ from permrealize.suleimanova import alpha_direct_sum
 
 
 def test_detect_blocks_direct_sum():
-    M = direct_sum(
-        [from_rows([[1.0, 1.0], [1.0, 1.0]]), from_rows([[2.0]])]
-    )
+    M = DenseMatrix(block_diag([[1.0, 1.0], [1.0, 1.0]], [[2.0]]))
     assert detect_blocks(M) == [(0, 2), (2, 3)]
 
 
@@ -111,7 +108,7 @@ def _block_test_matrices(rng):
         yield sparse
         sizes = rng.integers(1, 5, int(rng.integers(1, 8)))
         blocks = [rng.random((k, k)) * (rng.random((k, k)) < 0.7) for k in sizes]
-        B = direct_sum([from_rows(b.tolist()) for b in blocks]).data.copy()
+        B = block_diag(*blocks)
         m = B.shape[0]
         B[rng.integers(0, m, 2), rng.integers(0, m, 2)] = 1e-14
         yield B
@@ -126,9 +123,8 @@ def test_detect_blocks_matches_reference_scan():
         assert got == _detect_blocks_reference(M), data
         seen.add(len(got) > 1)
     assert seen == {True, False}
-    E = direct_sum([from_rows([[Fraction(1, 3)]], exact=True),
-                    from_rows([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
-                              exact=True)])
+    E = DenseMatrix(block_diag([[Fraction(1, 3)]],
+                               [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]))
     assert detect_blocks(E) == _detect_blocks_reference(E) == [(0, 1), (1, 3)]
 
 
@@ -304,7 +300,8 @@ def _zeros_direct_sum():
     second = assemble(alpha_tuple(3), [2.0, -0.0, 1.0])
     s, deltas, _ = closed_eigensystem(second.data[0])
     sigma = make_spectrum([3.0, 1.0, -1.0, s, *deltas])
-    return Realization(matrix=direct_sum([first, second]), method="", target=sigma)
+    matrix = assemble_blocks([alpha_tuple(3)] * 2, [*first.first_rows, *second.first_rows])
+    return Realization(matrix=matrix, method="", target=sigma)
 
 
 @pytest.mark.parametrize("edit", [
@@ -561,12 +558,9 @@ def test_certify_small_order_checks_blocks():
     assert report.structure_ok is CheckState.PASS
     assert report.passed
     # The same entries as a dense array are split at their exact zeros into
-    # the same alpha blocks; a wrong block map claiming the whole matrix is
-    # one block changes neither certificate.
+    # the same alpha blocks.
     dense = replace(r, matrix=DenseMatrix(r.matrix.data))
     assert certify(dense) == report
-    wrong = {"case": r.params["case"], "blocks": [(0, alpha_tuple(3))]}
-    assert certify(replace(r, params=wrong)) == certify(replace(dense, params=wrong)) == report
 
 
 def _two_alpha_blocks():
@@ -574,7 +568,7 @@ def _two_alpha_blocks():
     heads = [realize_suleimanova(make_spectrum([h] + [-1.0] * 19))
              for h in (19.0, 38.0)]
     sigma = make_spectrum([v for r in heads for v in r.target.values])
-    return direct_sum([r.matrix for r in heads]).data.copy(), sigma
+    return block_diag(*(r.matrix.data for r in heads)), sigma
 
 
 def test_certify_recorded_direct_sum_passes_through_eigenpairs():
@@ -600,33 +594,9 @@ def test_certify_recorded_blocks_need_zeros_off_the_blocks():
     assert report.verdict is Verdict.INCONCLUSIVE
 
 
-#: Block lists that do not describe an alpha matrix of order 5: a wrong
-#: order, blocks that leave a gap, and another pattern over its entries.
-STALE_BLOCKS = {
-    "wrong-order": [(0, alpha_tuple(2))],
-    "non-tiling": [(0, alpha_tuple(2)), (3, alpha_tuple(2))],
-    "cyclic-over-alpha": [(0, cyclic_tuple(5))],
-}
-
-
-@pytest.mark.parametrize("stale", sorted(STALE_BLOCKS))
-@pytest.mark.parametrize("exact", [False, True])
-def test_a_stale_blocks_record_changes_no_certificate(stale, exact):
-    # params is a label: certify reads the structure off the matrix alone,
-    # built, as a dense array, and one ulp (or 10^-30) off its layout.
-    values = [10.0, -1.0, -2.0, -3.0, -3.5]
-    r = realize_suleimanova(make_spectrum([Fraction(v) for v in values] if exact else values))
-    edited = r.matrix.data.copy()
-    edited[2, 3] = edited[2, 3] + Fraction(1, 10**30) if exact else np.nextafter(edited[2, 3], 9.0)
-    for M in (r.matrix, DenseMatrix(r.matrix.data), DenseMatrix(edited)):
-        plain = replace(r, matrix=M)
-        claimed = replace(plain, params={**plain.params, "blocks": STALE_BLOCKS[stale]})
-        assert certify(claimed) == certify(plain)
-
-
 def test_constructions_record_their_structure_only_as_the_matrix_layout():
-    # Every construction's params hold its case tag alone; its blocks are
-    # the layout of its matrix.
+    # Every construction's blocks are the layout of its matrix, beside its
+    # case tag.
     a = alpha_tuple
     small = {
         "N1": ([3.0], ((0, a(1)),)),
@@ -637,18 +607,18 @@ def test_constructions_record_their_structure_only_as_the_matrix_layout():
         "N4-PairedDirectSum": ([9.5, 9.0, 2.5, -0.75], ((0, a(2)), (2, a(2)))),
         "N4-Group": ([8.0, 2.0, 2.0, 0.0], ((0, GROUP_TUPLE),)),
     }
-    built = [(realize(make_spectrum([10.0, -1.0, -2.0, -3.0])), {}, ((0, a(4)),))]
+    built = [(realize(make_spectrum([10.0, -1.0, -2.0, -3.0])), None, ((0, a(4)),))]
     for case, (values, layout) in small.items():
-        built.append((realize_small(make_spectrum(values)), {"case": case}, layout))
+        built.append((realize_small(make_spectrum(values)), case, layout))
     hit = explore(make_spectrum([10.0, -1.0, -2.0, -3.0]), strategy="alpha")[0]
-    built.append((hit.realization, {}, ((0, hit.tuple),)))
+    built.append((hit.realization, None, ((0, hit.tuple),)))
     rng = np.random.default_rng(37)
     groups = [random_suleimanova(rng, int(rng.integers(1, 5))).values for _ in range(200)]
     starts = np.cumsum([0] + [len(g) for g in groups[:-1]]).tolist()
     built.append((alpha_direct_sum(groups, "", make_spectrum([v for g in groups for v in g])),
-                  {}, tuple((s, a(len(g))) for s, g in zip(starts, groups))))
-    for r, params, layout in built:
-        assert (r.params, r.matrix.layout) == (params, layout), r.method
+                  None, tuple((s, a(len(g))) for s, g in zip(starts, groups))))
+    for r, case, layout in built:
+        assert (r.case, r.matrix.layout) == (case, layout), r.method
 
 
 def _constructions():
@@ -664,7 +634,7 @@ def _constructions():
     }
     for case, values in small.items():
         r = realize_small(make_spectrum(values))
-        assert r.params["case"] == case
+        assert r.case == case
         yield case, r, "not-applicable" if case == "N4-Group" else "pass"
     sigma = make_spectrum([12.0, -1.0, -2.0, -3.0, -4.0])
     yield "suleimanova", realize_suleimanova(sigma), "pass"
@@ -695,7 +665,7 @@ def test_certify_direct_sum_eigenpairs_see_a_wrong_tail():
     data = r.matrix.data.copy()
     data[2, 2] += 1.0
     wrong = Realization(matrix=DenseMatrix(data), method=r.method,
-                        target=r.target, params=r.params)
+                        target=r.target, case=r.case)
     report = certify(wrong)
     assert report.structure_ok is CheckState.PASS
     assert report.eigenpair_ok is CheckState.FAIL
@@ -759,7 +729,7 @@ def _exact_alpha(n):
 
 def _small_order(values, case):
     r = realize_small(make_spectrum(values))
-    assert r.params["case"] == case
+    assert r.case == case
     return r, [pt.n for _, pt in r.matrix.layout]
 
 
@@ -881,7 +851,7 @@ EDITED_ENTRIES = [(0, 2), (2, 0), (1, 1), (3, 2), (0, 3), (3, 0), (5, 5), (5, 7)
 def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i, j, edit):
     # An entry off the bit layout, even a zero's sign, gets no closed form:
     # the matrix is no alpha evidence, and at n = 40 no spectral check
-    # runs.  A block list recorded beside it changes nothing.
+    # runs.
     r0 = _alpha_realization(EDIT_X, built=False)
     v = float(r0.matrix.data[i, j])
     data = r0.matrix.data.copy()
@@ -891,8 +861,6 @@ def test_an_entry_off_the_bit_layout_takes_the_per_entry_formula(monkeypatch, i,
     assert detect_blocks(M) == [(0, 40)] and not alpha_blocks_hold(data, [(0, 40)])
     report, calls = _certified_blocks(monkeypatch, replace(r0, matrix=M))
     assert calls == [] and report.eigenpair_ok is report.charpoly_ok is CheckState.NOT_APPLICABLE
-    claimed = replace(r0, matrix=M, params={"blocks": [(0, alpha_tuple(40))]})
-    assert _certified_blocks(monkeypatch, claimed) == (report, [])
     # Informationally its rows are permutations of the first row only where
     # the edit leaves every value as it was: a zero's sign.
     permutative = edit == "sign-bit" and v == 0.0
@@ -940,8 +908,7 @@ def test_eigenpairs_stay_finite_near_the_float_limit(values):
     assert report.eigenpair_ok is CheckState.PASS
     assert np.isfinite(report.max_residual)
     shifted = make_spectrum([values[0]] + [1.25 * v for v in values[1:]])
-    wrong = Realization(matrix=r.matrix, method=r.method, target=shifted,
-                        params=r.params)
+    wrong = Realization(matrix=r.matrix, method=r.method, target=shifted)
     assert certify(wrong).eigenpair_ok is CheckState.FAIL
 
 
@@ -1007,22 +974,20 @@ def test_blocks_hold_by_slices_matches_the_index_version(exact):
     # when the edited array is the layout built from its blocks' first
     # rows; on the alpha sums alpha_blocks_hold agrees with it.
     rng = np.random.default_rng(23)
-    group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0])).matrix
+    group = realize_small(make_spectrum([8.0, 6.0, 0.0, 0.0])).matrix.first_rows.tolist()
     if exact:
-        group = assemble(GROUP_TUPLE, [Fraction(v) for v in group.first_rows.tolist()])
+        group = [Fraction(v) for v in group]
         edits = [lambda v, d=d: v + d for d in (Fraction(1, 10**30), -Fraction(1, 10**30), 2, -2)]
     else:
         edits = [lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf),
                  lambda v: v + 2, lambda v: v - 2]
     seen = set()
     for sizes in ((7,), (1, 4, 2), (3, 1), (33, 2)):
-        mats = []
+        alphas, x = [alpha_tuple(k) for k in sizes], []
         for k in sizes:
-            x = [Fraction(int(v), 8) for v in rng.integers(0, 40, k)] if exact \
+            x += [Fraction(int(v), 8) for v in rng.integers(0, 40, k)] if exact \
                 else rng.uniform(0.0, 5.0, k).tolist()
-            mats.append(assemble(alpha_tuple(k), x))
-        for sum_mats in (mats, mats + [group]):
-            M0 = direct_sum(sum_mats)
+        for M0 in (assemble_blocks(alphas, x), assemble_blocks(alphas + [GROUP_TUPLE], x + group)):
             blocks, A0 = M0.layout, M0.data
             pts = [pt for _, pt in blocks]
             n = len(A0)
@@ -1048,9 +1013,8 @@ def test_blocks_hold_by_slices_matches_the_index_version(exact):
 
 
 def test_recorded_blocks_are_proved_unless_they_are_the_matrix_layout(monkeypatch):
-    # A built matrix is its layout without a scan, whatever block list is
-    # recorded beside it; the same entries as a dense array are split at
-    # their zeros and those blocks checked, whatever the record.
+    # A built matrix is its layout without a scan; the same entries as a
+    # dense array are split at their zeros and those blocks checked.
     calls = []
 
     def counted(A, split):
@@ -1059,13 +1023,10 @@ def test_recorded_blocks_are_proved_unless_they_are_the_matrix_layout(monkeypatc
 
     monkeypatch.setattr(verify_mod, "alpha_blocks_hold", counted)
     r = realize_suleimanova(make_spectrum([3.0, 3.0, 3.0]))  # 3 * identity
-    assert r.matrix.layout == ((0, alpha_tuple(3)),) and r.params == {}
-    singles = [(k, alpha_tuple(1)) for k in range(3)]
+    assert r.matrix.layout == ((0, alpha_tuple(3)),) and r.case is None
     unbuilt = replace(r, matrix=DenseMatrix(r.matrix.data))
-    for params in ({}, {"blocks": singles}, {"blocks": [(0, cyclic_tuple(3))]},
-                   {"blocks": [(0, alpha_tuple(2))]}):
-        for realization, want in ((r, []), (unbuilt, [3])):
-            calls.clear()
-            report = certify(replace(realization, params=params))
-            assert (calls, report.structure_ok, report.verdict) == \
-                (want, CheckState.PASS, Verdict.PASS), params
+    for realization, want in ((r, []), (unbuilt, [3])):
+        calls.clear()
+        report = certify(realization)
+        assert (calls, report.structure_ok, report.verdict) == \
+            (want, CheckState.PASS, Verdict.PASS)

@@ -64,10 +64,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
-from permrealize import direct_sum, make_spectrum  # noqa: E402
+from permrealize import alpha_tuple, make_spectrum  # noqa: E402
 from permrealize.cli import main as cli_main  # noqa: E402
-from permrealize.linalg import matrix_to_csv, matrix_to_json, matrix_to_pretty  # noqa: E402
-from permrealize.small_order import realize_small  # noqa: E402
+from permrealize.linalg import assemble_blocks, matrix_to_csv, matrix_to_json, matrix_to_pretty  # noqa: E402
+from permrealize.small_order import GROUP_TUPLE, realize_small  # noqa: E402
 from permrealize.suleimanova import alpha_direct_sum  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -209,9 +209,10 @@ def _printed_sums() -> list:
     sums = [alpha_direct_sum(groups, "", make_spectrum([v for g in groups for v in g])).matrix
             for groups in DIRECT_SUM]
     group = realize_small(make_spectrum([6.0, 1.0, -3.0, -3.0]))
-    assert group.params["case"] == "N4-Group"
+    assert group.case == "N4-Group"
     alpha = alpha_direct_sum([[3.0, -1.0, -1.0]], "", make_spectrum([3.0, -1.0, -1.0]))
-    return sums + [direct_sum([group.matrix, alpha.matrix])]
+    rows = [*group.matrix.first_rows, *alpha.matrix.first_rows]
+    return sums + [assemble_blocks([GROUP_TUPLE, alpha_tuple(3)], rows)]
 
 
 def _direct_sum_files(groups, workdir: str, i: int) -> tuple[str, list]:
